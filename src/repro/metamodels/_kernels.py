@@ -305,15 +305,12 @@ def _grow_block(
 
     # NaN feature values sort last and never admit a split on either
     # side of them (any comparison with NaN is False in the reference
-    # scan); per-column NaN ranks let the rank-based distinct check
-    # reproduce that exactly.
+    # scan).  The check reads the values themselves, not a per-column
+    # NaN rank, so stacked trees may carry rank matrices of their own
+    # (boosting's fold chains).  Slot V*m absorbs padding-row lookups.
     has_nan = bool(np.isnan(xb).any())
     if has_nan:
-        nan_rank = np.full(m, sent, dtype=np.int64)
-        for j in range(m):
-            nan_j = np.isnan(xb[:, j])
-            if nan_j.any():
-                nan_rank[j] = int(ranks[nan_j, j][0])
+        nan_flat = np.append(np.isnan(x_flat), False)
 
     # With unit weights and a binary response — the random-forest hot
     # path — every per-node sum is integer-exact: segmented cumsum
@@ -531,11 +528,12 @@ def _grow_block(
                 # Distinct-value check on ranks (dense ranks embed the
                 # value order with ties collapsed).
                 valid &= rank_srt[:, :n_pos] < rank_srt[:, 1:]
+                fcol = src_col[col_off]
                 if has_nan:
                     # x < NaN is False in the reference scan, so the
                     # position just before a column's NaN run admits no
                     # split either.
-                    valid &= rank_srt[:, 1:] != nan_rank[src_col[col_off]][:, None]
+                    valid &= ~nan_flat[row_srt[:, 1:] + V * fcol[:, None]]
                 if min_child_weight > 0:
                     valid &= (wl >= min_child_weight) & (wr >= min_child_weight)
                 if not exact_sums:
@@ -557,7 +555,6 @@ def _grow_block(
                 # the right child, so only `min <= thr` matters then.
                 # The reference skips such features; mask them before
                 # the across-feature argmax.
-                fcol = src_col[col_off]
                 thr_col = 0.5 * (x_flat[row_srt[cix, best_pos] + V * fcol]
                                  + x_flat[row_srt[cix, best_pos + 1] + V * fcol])
                 x_lo = x_flat[row_srt[:, 0] + V * fcol]

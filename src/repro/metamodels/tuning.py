@@ -6,10 +6,37 @@ with cross-validation, keeping the most accurate configuration.  This
 module reproduces that behaviour with compact default grids per
 metamodel family and also provides the generic k-fold splitter used by
 the subgroup-discovery hyperparameter search.
+
+The boosting grid (depth {2, 4} x rounds {60, 150} x 5 folds) is the
+costliest step of a tuned REDS cell.  Two levers cut its work without
+changing a single bit of any accuracy:
+
+* **Round-prefix sharing.**  Candidates that differ only in
+  ``n_rounds`` form one group.  Rounds are sequential and every round
+  draws its subsamples from the chain's own ``default_rng(seed)``, so
+  the first 60 trees of a 150-round fit *are* the 60-round fit.  One
+  chain per (group, fold) runs to the group's largest ``n_rounds`` and
+  snapshots its held-out labels at every ``n_rounds`` the group asks
+  for.  The held-out raw score accumulates ``init + lr*v_1 + lr*v_2 +
+  ...`` in tree order, the elementwise sums ``decision_function``
+  performs, so each snapshot equals the shorter model's predictions.
+* **Fold-lockstep growth.**  All fold chains of a group advance
+  together through :meth:`GradientBoostingModel._rounds`.  Under the
+  vectorized engine each round's trees with equal training-set size
+  grow as one level-synchronous block.  Trees of a block never share a
+  node, and every scan, prefix sum and argmax stays inside its tree,
+  so each tree comes out exactly as grown alone.  The reference and
+  native engines run their own per-tree growers in the same loop.
+
+Forest and SVM candidates are one-candidate groups on the same task
+path.  :func:`cross_val_accuracy` stays the plain per-candidate loop:
+it is the oracle ``tests/test_tuning_equivalence.py`` pins
+:func:`grid_accuracies` against.
 """
 
 from __future__ import annotations
 
+import inspect
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -22,6 +49,7 @@ from repro.metamodels.svm import SVMModel
 __all__ = [
     "KFold",
     "cross_val_accuracy",
+    "grid_accuracies",
     "tune_metamodel",
     "make_metamodel",
     "DEFAULT_GRIDS",
@@ -69,26 +97,37 @@ def cross_val_accuracy(
     return correct / total
 
 
-def _cv_cell(candidate: dict, fold: int, *, kind: str, engine: str | None,
-             n_splits: int, seed: int) -> tuple[int, int]:
-    """One (candidate, fold) cell of the tuning grid: (correct, total).
+def _cv_task(params: dict, stages: list, folds: list[int], *, kind: str,
+             engine: str | None, n_splits: int, seed: int) -> list[int]:
+    """Held-out correct counts of one candidate group over some folds.
 
-    The dataset arrives through the execution-plan context (zero-copy
-    shared memory under the process executor) and the fold split is
-    rebuilt from its seed, so a worker reaches the exact same train and
-    test rows as the serial loop; the integer count pair makes the
-    parallel accuracy aggregation bit-identical to the serial sum.
+    One count per entry of ``stages``: boosting groups share their
+    chains across the group's ``n_rounds`` stages; other families are
+    one-candidate groups with the single stage ``None``.  The dataset
+    arrives through the execution-plan context (zero-copy shared memory
+    under the process executor) and the fold split is rebuilt from its
+    seed, so a worker reaches the exact same train and test rows as an
+    inline run; integer counts make the accuracy aggregation
+    bit-identical however the folds are split into tasks.
     """
     from repro.experiments.parallel import plan_context
 
     context = plan_context()
     x, y = context["x"], context["y"]
-    splits = list(KFold(n_splits, seed).split(len(x)))
-    train, test = splits[fold]
-    model = make_metamodel(kind, engine=engine, **candidate).fit(
-        x[train], y[train])
-    predictions = model.predict(x[test])
-    return int((predictions == y[test]).sum()), len(test)
+    every = list(KFold(n_splits, seed).split(len(x)))
+    splits = [every[k] for k in folds]
+    if stages == [None]:
+        labels = {None: [
+            make_metamodel(kind, engine=engine, **params)
+            .fit(x[train], y[train]).predict(x[test])
+            for train, test in splits]}
+    else:
+        model = make_metamodel(kind, engine=engine, **params,
+                               n_rounds=max(stages))
+        labels = model.staged_fold_predict(x, y, splits, stages)
+    return [sum(int((predicted == y[test]).sum())
+                for predicted, (_, test) in zip(labels[stage], splits))
+            for stage in stages]
 
 
 # ----------------------------------------------------------------------
@@ -119,6 +158,9 @@ DEFAULT_GRIDS: dict[str, Callable[[int], list[dict]]] = {
     "svm": _svm_grid,
 }
 
+#: ``n_rounds`` of a boosting candidate that does not set it.
+_DEFAULT_ROUNDS = inspect.signature(GradientBoostingModel).parameters["n_rounds"].default
+
 _CONSTRUCTORS: dict[str, Callable[..., Metamodel]] = {
     "forest": RandomForestModel,
     "boosting": GradientBoostingModel,
@@ -148,6 +190,80 @@ def make_metamodel(kind: str, engine: str | None = None, **params) -> Metamodel:
     return constructor(**params)
 
 
+def _candidate_groups(kind: str, candidates: list[dict]) -> list[tuple[dict, dict]]:
+    """``(params, {candidate index: stage})`` groups, in grid order.
+
+    Boosting candidates that differ only in ``n_rounds`` form one group
+    whose stages are their round counts (a missing ``n_rounds`` is the
+    constructor default); every other candidate is a group of its own
+    with the single stage ``None``.
+    """
+    if kind != "boosting":
+        return [(params, {index: None}) for index, params in enumerate(candidates)]
+    groups: list[tuple[dict, dict]] = []
+    for index, params in enumerate(candidates):
+        rest = {key: value for key, value in params.items() if key != "n_rounds"}
+        stage = params.get("n_rounds", _DEFAULT_ROUNDS)
+        for shared, stages in groups:
+            if shared == rest:
+                stages[index] = stage
+                break
+        else:
+            groups.append((rest, {index: stage}))
+    return groups
+
+
+def grid_accuracies(
+    kind: str,
+    x: np.ndarray,
+    y: np.ndarray,
+    candidates: Sequence[dict],
+    *,
+    n_splits: int = 5,
+    seed: int = 0,
+    engine: str | None = None,
+    jobs: int | None = 1,
+) -> list[float]:
+    """k-fold CV accuracy of every candidate, in grid order.
+
+    Equal, float for float, to :func:`cross_val_accuracy` of each
+    candidate built by :func:`make_metamodel` (pinned by
+    ``tests/test_tuning_equivalence.py``), for every ``jobs``.  The
+    work runs as (candidate group, fold subset) tasks through
+    :func:`~repro.experiments.parallel.execute`: inline with one task
+    per group at ``jobs <= 1``, otherwise ``min(n_splits, workers)``
+    fold subsets per group fan out with the dataset published once
+    through the shared-memory data plane.  Tasks return integer correct
+    counts, so how the folds are split never changes a sum.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y)
+    if len(x) < n_splits:
+        raise ValueError(
+            f"metamodel tuning runs {n_splits}-fold cross-validation and "
+            f"needs at least {n_splits} training points, got {len(x)}; "
+            "pass tune_metamodel=False to fit the default configuration")
+    from repro.experiments.parallel import default_jobs, execute
+
+    workers = default_jobs() if jobs is None else max(jobs, 1)
+    fold_sets = np.array_split(np.arange(n_splits), min(n_splits, workers))
+    tasks, members = [], []
+    for params, stages in _candidate_groups(kind, list(candidates)):
+        for folds in fold_sets:
+            tasks.append(dict(params=params, stages=sorted(set(stages.values())),
+                              folds=folds.tolist(), kind=kind, engine=engine,
+                              n_splits=n_splits, seed=seed))
+            members.append(stages)
+    counts = execute(_cv_task, tasks, jobs, shared={"x": x, "y": y})
+
+    correct = [0] * len(candidates)
+    for task, stages, task_counts in zip(tasks, members, counts):
+        by_stage = dict(zip(task["stages"], task_counts))
+        for index, stage in stages.items():
+            correct[index] += by_stage[stage]
+    return [c / len(x) for c in correct]
+
+
 def tune_metamodel(
     kind: str,
     x: np.ndarray,
@@ -161,56 +277,23 @@ def tune_metamodel(
 ) -> Metamodel:
     """Grid-search a metamodel with CV accuracy and refit on all data.
 
-    Mirrors caret's default behaviour: evaluate a compact grid, pick the
-    most accurate configuration, train the final model on the full
-    dataset.  Degenerate single-class data skips the search.  ``engine``
-    is threaded through to every candidate fit (the grid search is where
-    the metamodel layer burns most of its time: grid x k folds full
-    ensemble fits per call).
-
-    With ``jobs`` > 1 (or None for all CPUs) the independent
-    (candidate, fold) cells fan out over the executor layer: the
-    dataset is published once through the shared-memory data plane and
-    each cell returns its integer (correct, total) counts, so the
-    per-candidate accuracies — and hence the chosen configuration and
-    the refit model — are bit-identical to the serial search.
+    Mirrors caret's default behaviour: evaluate a compact grid with
+    :func:`grid_accuracies`, pick the most accurate configuration (the
+    first in grid order on ties), train the final model on the full
+    dataset.  Degenerate single-class data and one-candidate grids skip
+    the search.  ``engine`` is threaded through to every fit; the
+    chosen configuration and the refit model are the same for every
+    ``engine`` and ``jobs``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     candidates = list(grid) if grid is not None else DEFAULT_GRIDS[kind](x.shape[1])
+    if not candidates:
+        raise ValueError(f"tuning grid for {kind!r} is empty")
     if len(np.unique(y)) < 2 or len(candidates) == 1:
-        params = candidates[0] if candidates else {}
-        return make_metamodel(kind, engine=engine, **params).fit(x, y)
-
-    if jobs is None or jobs > 1:
-        from repro.experiments.parallel import execute
-
-        tasks = [
-            dict(candidate=params, fold=fold, kind=kind, engine=engine,
-                 n_splits=n_splits, seed=seed)
-            for params in candidates
-            for fold in range(n_splits)
-        ]
-        cells = execute(_cv_cell, tasks, jobs, shared={"x": x, "y": y})
-        accuracies = []
-        for index in range(len(candidates)):
-            counts = cells[index * n_splits:(index + 1) * n_splits]
-            correct = sum(c for c, _ in counts)
-            total = sum(t for _, t in counts)
-            accuracies.append(correct / total)
-    else:
-        accuracies = [
-            cross_val_accuracy(
-                lambda p=params: make_metamodel(kind, engine=engine, **p),
-                x, y, n_splits=n_splits, seed=seed,
-            )
-            for params in candidates
-        ]
-
-    best_params: dict = {}
-    best_accuracy = -1.0
-    for params, accuracy in zip(candidates, accuracies):
-        if accuracy > best_accuracy:
-            best_accuracy = accuracy
-            best_params = params
-    return make_metamodel(kind, engine=engine, **best_params).fit(x, y)
+        return make_metamodel(kind, engine=engine, **candidates[0]).fit(x, y)
+    accuracies = grid_accuracies(kind, x, y, candidates, n_splits=n_splits,
+                                 seed=seed, engine=engine, jobs=jobs)
+    # argmax keeps the first of tied candidates, as caret does.
+    best = int(np.argmax(accuracies))
+    return make_metamodel(kind, engine=engine, **candidates[best]).fit(x, y)

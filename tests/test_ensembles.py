@@ -79,6 +79,14 @@ class TestGradientBoosting:
         with pytest.raises(RuntimeError):
             GradientBoostingModel().predict(rng.random((3, 2)))
 
+    @pytest.mark.parametrize("label", ["scaled", "soft"])
+    def test_rejects_non_binary_labels(self, rng, label):
+        # The logistic loss is defined for 0/1 labels only.
+        x = rng.random((40, 2))
+        y = 3.0 * x[:, 0] if label == "scaled" else np.full(40, 0.3)
+        with pytest.raises(ValueError, match="binary"):
+            GradientBoostingModel(n_rounds=2).fit(x, y)
+
     def test_base_score_is_log_odds(self):
         x = np.random.default_rng(0).random((100, 2))
         y = np.zeros(100)

@@ -717,27 +717,37 @@ class TestChaosGrid:
                                                  monkeypatch):
         baseline = run_grid()
         before = _shm_segments()
-        # All four fault points at rate >= 0.2, against a sharded
-        # store-backed pooled grid with retries.
-        monkeypatch.setenv(
-            "REDS_FAULT_PLAN",
-            "seed=11,worker_crash=0.25,task_hang=0.25,hang_s=0.05,"
-            "store_write_torn=0.25,shm_publish_fail=0.25")
-        # A generous retry budget: fault tokens hash the store keys,
-        # which include the source fingerprint, so the draws reshuffle
-        # whenever the code changes — the budget keeps the chance of a
-        # task drawing crashes on every attempt negligible (0.25^7).
-        records = run_grid(jobs=2, shard=(0, 1),
-                           store=str(tmp_path / "store"), retries=6)
-        assert_records_equal(baseline, records)
-        assert _shm_segments() - before == set()
         # Store writes and shm publishes always happen in the
         # dispatching process, so those injections are observable here;
         # crash/hang decisions are evaluated wherever the task lands
         # (pool worker or degraded inline), so their log entries stay
         # in the worker processes.
-        fired = {point for point, _ in faults.injection_log()}
-        assert {"store_write_torn", "shm_publish_fail"} <= fired
+        wanted = {"store_write_torn", "shm_publish_fail"}
+        # Fault tokens hash the store keys, which include the source
+        # fingerprint, so the draws reshuffle whenever the code changes.
+        # With four store writes at rate 0.25 a given seed tears none
+        # about a third of the time, so walk seeds until one run has
+        # exercised both dispatcher-side points; every run must still be
+        # bit-identical and leak nothing.
+        for seed in range(11, 31):
+            faults.clear_injection_log()
+            # All four fault points at rate >= 0.2, against a sharded
+            # store-backed pooled grid with retries.
+            monkeypatch.setenv(
+                "REDS_FAULT_PLAN",
+                f"seed={seed},worker_crash=0.25,task_hang=0.25,hang_s=0.05,"
+                "store_write_torn=0.25,shm_publish_fail=0.25")
+            # A generous retry budget keeps the chance of a task drawing
+            # crashes on every attempt negligible (0.25^7).
+            records = run_grid(jobs=2, shard=(0, 1),
+                               store=str(tmp_path / f"store-{seed}"),
+                               retries=6)
+            assert_records_equal(baseline, records)
+            assert _shm_segments() - before == set()
+            fired = {point for point, _ in faults.injection_log()}
+            if wanted <= fired:
+                break
+        assert wanted <= fired
 
     def test_cooperating_shards_never_duplicate_executions(self, tmp_path,
                                                            monkeypatch):

@@ -156,6 +156,32 @@ class TestTreeEquivalence:
         xq[0, 0] = np.nan
         assert np.array_equal(tv.predict(xq), tr.predict(xq))
 
+    def test_stacked_trees_keep_their_own_nan_ranks(self):
+        # Boosting's fold chains grow as one block with per-chain rank
+        # matrices, so a NaN in one tree shares its rank with a finite
+        # value in another: tree A's NaN rank is 3, tree B's best split
+        # sits just before its rank-3 value.  Each tree must come out
+        # exactly as grown alone.
+        from repro.metamodels._kernels import _grow_block, grow_tree
+
+        xa = np.array([0.1, 0.2, 0.3] + [np.nan] * 7)[:, None]
+        ya = np.array([0, 1, 0, 1, 0, 1, 0, 1, 0, 1], dtype=float)
+        xb = np.arange(10, dtype=float)[:, None]
+        yb = np.array([0, 0, 0, 1, 1, 1, 1, 1, 1, 1], dtype=float)
+        kw = dict(max_depth=1, min_samples_leaf=1, min_child_weight=0.0,
+                  max_features=None)
+        # Non-unit weights take the weighted scan boosting uses.
+        alone = [grow_tree(x, y, np.full(10, 0.5), rng=None, **kw)
+                 for x, y in ((xa, ya), (xb, yb))]
+        stacked = _grow_block(
+            np.vstack((xa, xb)), np.concatenate((ya, yb)), np.full(20, 0.5),
+            np.vstack((dense_ranks(xa), dense_ranks(xb))), n_trees=2,
+            n_samp=10, rngs=[None, None], **kw)
+        for single, block in zip(alone, stacked):
+            for a, b in zip(single, block):
+                assert np.array_equal(a, b, equal_nan=True)
+        assert stacked[1][1][0] == 2.5  # tree B splits between 2 and 3
+
     def test_all_nan_column_is_ignored(self):
         r = np.random.default_rng(13)
         x = r.normal(size=(40, 2))
@@ -442,19 +468,6 @@ class TestChunkedPrediction:
                       soft_labels=True, tune=False,
                       rng=np.random.default_rng(11), jobs=2)
         assert np.array_equal(base.y_new, fanned.y_new)
-
-    def test_tuning_fanned_folds_pick_identical_model(self):
-        from repro.metamodels.tuning import tune_metamodel
-
-        x, y, xq = self._data(seed=7, n=200)
-        grid = [{"max_depth": 2, "n_rounds": 15},
-                {"max_depth": 3, "n_rounds": 15}]
-        serial = tune_metamodel("boosting", x, y, grid=grid, jobs=1)
-        fanned = tune_metamodel("boosting", x, y, grid=grid, jobs=2)
-        assert serial.max_depth == fanned.max_depth
-        assert serial.n_rounds == fanned.n_rounds
-        assert np.array_equal(serial.predict_proba(xq),
-                              fanned.predict_proba(xq))
 
     def test_serial_executor_chunking_also_bit_equal(self):
         """chunk_rows alone (no processes) must not change anything."""

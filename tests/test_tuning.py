@@ -93,3 +93,18 @@ class TestTuning:
         y = np.repeat([0, 1], [90, 30])
         model = tune_metamodel("svm", x, y, grid=[{"c": 1e-4}, {"c": 10.0}])
         assert model.c == 10.0
+
+    def test_empty_grid_rejected(self):
+        # Two classes: the search runs, and must not fall back to the
+        # default configuration.
+        x, y, _ = planted_box_data(80, 2, seed=4)
+        assert len(np.unique(y)) == 2
+        with pytest.raises(ValueError, match="empty"):
+            tune_metamodel("boosting", x, y, grid=[])
+
+    def test_fewer_points_than_folds_rejected(self):
+        x = np.random.default_rng(5).random((4, 2))
+        y = np.array([0, 1, 0, 1])
+        with pytest.raises(ValueError,
+                           match="metamodel tuning.*tune_metamodel=False"):
+            tune_metamodel("boosting", x, y)
