@@ -14,15 +14,13 @@ existing pool of unlabeled points from the same distribution ``p(x)``.
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Callable
 
 import numpy as np
 
+from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 
@@ -36,61 +34,32 @@ Sampler = Callable[[int, int, np.random.Generator], np.ndarray]
 # Warm-session metamodel fit memo
 # ----------------------------------------------------------------------
 #
-# Fitting (especially the tuned CV grid) dominates repeated discovery
-# calls over the same training data.  Under an active warm session
-# (``REDS_SESSION=1``) :func:`fit_metamodel` memoizes the fitted model
-# by the store's key discipline — config plus source fingerprint plus
-# the *content* of (x, y) — so a code edit or different data re-fits
-# while identical requests share one object.  The memo is
-# bit-identity-safe: fitting is deterministic given (kind, tune,
-# engine, x, y) — ``tune_metamodel`` runs a seeded KFold and aggregates
-# integer counts, so ``jobs`` never enters the result and is
-# deliberately absent from the key.  Single-flight: concurrent requests
-# for the same key block on one fit instead of racing N.
+# Inside an open ``Session`` :func:`fit_metamodel` memoizes fitted
+# models by the store's key discipline — config plus source fingerprint
+# plus the *content* of (x, y) — so a code edit or different data
+# re-fits while identical requests share one object (single-flight).
+# Fitting is deterministic given (kind, tune, engine, x, y):
+# ``tune_metamodel`` runs a seeded KFold and aggregates integer counts,
+# so ``jobs`` never enters the result and is absent from the key.
 
-_FIT_LOCK = threading.Lock()
-_FIT_CACHE: "OrderedDict[str, Metamodel]" = OrderedDict()
-_FIT_INFLIGHT: dict[str, threading.Event] = {}
-_FIT_STATS = {"fits": 0, "hits": 0}
-
-
-def _reset_fit_state_after_fork() -> None:
-    # Cached fitted models are plain read-only objects, so a forked
-    # worker keeps them; but an inherited in-flight event would never
-    # be set in the child, and the lock may have been held mid-fork.
-    global _FIT_LOCK
-    _FIT_LOCK = threading.Lock()
-    _FIT_INFLIGHT.clear()
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_reset_fit_state_after_fork)
-
-
-def _fit_cache_cap() -> int:
-    try:
-        return max(int(os.environ.get("REDS_SESSION_FITS", "8")), 0)
-    except ValueError:
-        return 8
+_FITS = warm.WarmCache(cap=8)
 
 
 def fit_stats() -> dict[str, int]:
     """Fit/hit counters plus the number of cached fitted models."""
-    with _FIT_LOCK:
-        return {**_FIT_STATS, "cached": len(_FIT_CACHE)}
+    stats = _FITS.stats()
+    return {"fits": stats["misses"], "hits": stats["hits"],
+            "cached": stats["size"]}
 
 
 def reset_fit_stats() -> None:
     """Zero the fit/hit counters (tests and benchmarks)."""
-    with _FIT_LOCK:
-        _FIT_STATS["fits"] = 0
-        _FIT_STATS["hits"] = 0
+    _FITS.reset_counters()
 
 
 def clear_fit_cache() -> None:
     """Drop every cached fitted model (counters are kept)."""
-    with _FIT_LOCK:
-        _FIT_CACHE.clear()
+    _FITS.clear()
 
 
 def fit_metamodel(kind: str, x: np.ndarray, y: np.ndarray, *,
@@ -113,43 +82,16 @@ def fit_metamodel(kind: str, x: np.ndarray, y: np.ndarray, *,
             return tune_metamodel(kind, x, y, engine=engine, jobs=jobs)
         return make_metamodel(kind, engine=engine).fit(x, y)
 
+    if not warm.active():
+        return fit()
     # Lazy imports: dataplane/store sit above core in the layer order.
-    try:
-        from repro.experiments.dataplane import content_key, session_active
-        from repro.experiments.store import task_key
-    except Exception:  # pragma: no cover - circular-import guard
-        return fit()
-    if not session_active() or _fit_cache_cap() == 0:
-        return fit()
+    from repro.experiments.dataplane import content_key
+    from repro.experiments.store import task_key
+
     key = task_key("repro.core.reds.fit_metamodel",
                    {"kind": kind, "tune": bool(tune), "engine": engine,
                     "x": content_key(x), "y": content_key(y)})
-    while True:
-        with _FIT_LOCK:
-            cached = _FIT_CACHE.get(key)
-            if cached is not None:
-                _FIT_CACHE.move_to_end(key)
-                _FIT_STATS["hits"] += 1
-                return cached
-            event = _FIT_INFLIGHT.get(key)
-            if event is None:
-                _FIT_INFLIGHT[key] = threading.Event()
-                break
-        # Another thread is fitting this key: wait, then re-check (the
-        # fitter may have failed, in which case this thread takes over).
-        event.wait()
-    try:
-        fitted = fit()
-    finally:
-        with _FIT_LOCK:
-            _FIT_INFLIGHT.pop(key).set()
-    with _FIT_LOCK:
-        _FIT_CACHE[key] = fitted
-        _FIT_STATS["fits"] += 1
-        cap = _fit_cache_cap()
-        while len(_FIT_CACHE) > cap:
-            _FIT_CACHE.popitem(last=False)
-    return fitted
+    return _FITS.get_or_create(key, fit)
 
 
 @dataclass

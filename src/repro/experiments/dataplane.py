@@ -36,19 +36,15 @@ Design:
   embed the creating pid, so anything whose creator is no longer alive
   is an orphan.  The sweep is opt-in via ``REDS_DATAPLANE_SWEEP=1``
   because pid liveness is a heuristic (pids recycle).
-* **Resident segments under a warm session.**  With ``REDS_SESSION``
-  set (:func:`session_active`, see
-  :mod:`repro.experiments.session`) planes publish through a
-  process-wide **segment registry** instead of owning segments
-  privately: the first publish of a content key creates the segment,
-  every later publish — from any plane, any plan — reuses it, and
-  :meth:`DataPlane.unlink` merely drops a refcount.  Segments persist
-  across plans (that is the point: the same test sample or query
-  matrix is published once per *session*, not once per call, which
+* **Resident segments under a warm session.**  While a session is
+  open (:func:`session_active`) planes publish through a process-wide
+  registry, a :class:`repro.warm.WarmCache` keyed by content: the first
+  publish of a key creates the segment, every later publish from any
+  plan reuses it, and :meth:`DataPlane.unlink` leaves it alone.  That
   also keeps pool-context signatures stable for the warm pool cache of
-  :mod:`repro.experiments.parallel`) until :func:`shutdown_resident`
-  — called by session teardown and ``atexit`` — unlinks them all, so
-  a closed session still leaves zero ``/dev/shm`` entries behind.
+  :mod:`repro.experiments.parallel`.  :func:`shutdown_resident` — run
+  when the session closes and at interpreter exit — unlinks them all,
+  so a closed session leaves zero ``/dev/shm`` entries behind.
 
 Worker-side attaches are cached per process and unregistered from the
 ``multiprocessing`` resource tracker: on Python < 3.13 an attaching
@@ -64,13 +60,13 @@ import hashlib
 import logging
 import os
 import secrets
-import threading
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from repro import warm
 from repro.experiments import faults
 
 try:  # pragma: no cover - import guard for exotic platforms
@@ -107,16 +103,11 @@ def dataplane_enabled() -> bool:
 
 
 def session_active() -> bool:
-    """Whether a warm execution session is active in this process tree.
-
-    Read from the ``REDS_SESSION`` environment variable (set by
-    :class:`repro.experiments.session.Session`, inherited by pool
-    workers) so every layer — pool cache, resident segment registry,
-    metamodel memo — flips to warm behaviour together, in the parent
-    and in nested fan-outs alike.  Unset, empty or ``"0"`` means off:
-    the one-shot semantics every pre-session test pins.
-    """
-    return os.environ.get("REDS_SESSION", "") not in ("", "0")
+    """Whether a warm session is open in this process (the scope of
+    :mod:`repro.warm`, which pool workers inherit through their
+    bootstrap arguments).  Off means the one-shot semantics every
+    pre-session test pins."""
+    return warm.active()
 
 
 def content_key(array: np.ndarray) -> str:
@@ -201,127 +192,64 @@ _PLANES: "weakref.WeakSet[DataPlane]" = weakref.WeakSet()
 # Resident segment registry (warm sessions)
 # ----------------------------------------------------------------------
 
-@dataclass
-class _ResidentEntry:
-    """One registry slot: the shared ref, its handle, and who uses it.
+def _release_segment(name: str, handle) -> None:
+    """Unlink and close one segment this process created.
 
-    ``handle`` is the owning ``SharedMemory`` object (``None`` for an
-    inline-fallback ref, which has no segment to unlink).  ``refcount``
-    counts the planes currently holding the ref; it may drop to zero —
-    the segment *stays resident* then, that is the warm-session point —
-    and only :func:`shutdown_resident` actually unlinks anything.
+    Unlinking removes the name immediately (no new process can attach)
+    while existing mappings stay valid until each process drops them,
+    so in-flight readers are never invalidated.
     """
-
-    ref: ArrayRef
-    handle: object | None
-    refcount: int
-
-
-_RESIDENT_LOCK = threading.Lock()
-_RESIDENT: dict[str, _ResidentEntry] = {}
-_RESIDENT_STATS = {"published": 0, "reused": 0}
-_CHILD_FINALIZER = False
-
-
-def _reset_resident_after_fork() -> None:
-    # A forked worker inherits the registry by copy, but those segments
-    # belong to the parent: unlinking them at worker exit would pull
-    # live data out from under every sibling.  The child abandons the
-    # inherited entries (the attach cache keeps working — resolves are
-    # per-name, not per-registry) and registers only what it publishes
-    # itself.  Fresh lock in case the inherited one was held mid-fork.
-    # The finalizer flag must also reset: the parent may have set it
-    # (to a no-op) before forking, and an inherited True would stop the
-    # child from ever registering its own exit hook — leaking every
-    # segment the child publishes.
-    global _RESIDENT_LOCK, _CHILD_FINALIZER
-    _RESIDENT_LOCK = threading.Lock()
-    _CHILD_FINALIZER = False
-    _RESIDENT.clear()
-    _RESIDENT_STATS["published"] = 0
-    _RESIDENT_STATS["reused"] = 0
+    _ATTACHED.pop(name, None)
+    try:
+        handle.unlink()
+    except OSError:
+        pass
+    try:
+        handle.close()
+    except BufferError:
+        # A caller still holds a resolved view; the mapping stays valid
+        # and process exit reclaims it.
+        pass
+    except OSError:  # pragma: no cover - platform specific
+        pass
 
 
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_reset_resident_after_fork)
-
-
-def _ensure_child_finalizer() -> None:
-    """In a pool worker, arrange unlinking of *its own* resident segments.
-
-    ``atexit`` hooks never run in multiprocessing children, but
-    ``multiprocessing.util.Finalize`` hooks do — a worker whose nested
-    plans publish resident segments registers one so a clean worker
-    shutdown leaves nothing in ``/dev/shm`` (a SIGKILLed worker cannot
-    run any hook; ``sweep_orphan_segments`` covers that case).
-    """
-    global _CHILD_FINALIZER
-    if _CHILD_FINALIZER:
-        return
-    _CHILD_FINALIZER = True
-    import multiprocessing
-    from multiprocessing import util as mp_util
-
-    if multiprocessing.parent_process() is not None:
-        mp_util.Finalize(None, shutdown_resident, exitpriority=10)
+#: Content key -> ``(ref, SharedMemory handle)`` of every resident
+#: segment.  Entries outlive the planes that published them; only
+#: :func:`shutdown_resident` (or the scope teardown) unlinks them.
+_RESIDENT = warm.WarmCache(
+    on_evict=lambda entry: _release_segment(entry[0].segment, entry[1]))
 
 
 def resident_stats() -> dict[str, int]:
     """Registry counters: segments ``published`` (created), publishes
     served from residency (``reused``), and currently ``resident``."""
-    with _RESIDENT_LOCK:
-        return {**_RESIDENT_STATS, "resident": len(_RESIDENT)}
+    stats = _RESIDENT.stats()
+    return {"published": stats["misses"], "reused": stats["hits"],
+            "resident": stats["size"]}
 
 
 def reset_resident_stats() -> None:
     """Zero the published/reused counters (tests and benchmarks)."""
-    with _RESIDENT_LOCK:
-        _RESIDENT_STATS["published"] = 0
-        _RESIDENT_STATS["reused"] = 0
+    _RESIDENT.reset_counters()
 
 
 def resident_segment_names() -> list[str]:
     """Names of the live resident segments (empty after
     :func:`shutdown_resident`; the zero-leak assertions read this)."""
-    with _RESIDENT_LOCK:
-        return [entry.ref.segment for entry in _RESIDENT.values()
-                if entry.ref.segment is not None]
+    return [ref.segment for ref, _ in _RESIDENT.values()]
 
 
-@atexit.register
 def shutdown_resident() -> list[str]:
     """Unlink every resident segment and empty the registry.
 
-    Called by session teardown
-    (:meth:`repro.experiments.session.Session.close`) and as an
-    ``atexit`` hook, so a warm session — however it ends — leaves zero
-    ``/dev/shm`` entries behind.  Idempotent; returns the names of the
-    segments that were removed.  Publishes after a shutdown simply
-    repopulate the registry (a new session starts cold).
+    Called by session teardown and at interpreter exit, so a warm
+    session — however it ends — leaves zero ``/dev/shm`` entries
+    behind.  Idempotent; returns the names of the segments that were
+    removed.  Publishes after a shutdown simply repopulate the registry
+    (a new session starts cold).
     """
-    with _RESIDENT_LOCK:
-        entries = list(_RESIDENT.values())
-        _RESIDENT.clear()
-    removed: list[str] = []
-    for entry in entries:
-        if entry.handle is None:
-            continue
-        name = entry.ref.segment
-        _ATTACHED.pop(name, None)
-        try:
-            entry.handle.unlink()
-        except (FileNotFoundError, OSError):
-            pass
-        try:
-            entry.handle.close()
-        except BufferError:
-            # A resolved view is still referenced somewhere; the name is
-            # gone already, the mapping dies with the process.
-            pass
-        except OSError:  # pragma: no cover - platform specific
-            pass
-        removed.append(name)
-    return removed
+    return [ref.segment for ref, _ in _RESIDENT.clear()]
 
 
 class DataPlane:
@@ -333,22 +261,18 @@ class DataPlane:
     ``finally`` blocks so segments never outlive their plan, poisoned
     tasks included.
 
-    ``resident`` routes publishes through the process-wide segment
-    registry: arrays already resident are reused (same segment name,
-    hence byte-identical refs across plans), new ones are created in
-    the registry, and :meth:`unlink` drops refcounts instead of
-    unlinking — segments then live until :func:`shutdown_resident`.
-    The default (``None``) follows :func:`session_active` at
-    construction time, so warm sessions get residency everywhere
-    without threading a flag through every ``execute()`` call.
+    A plane built while a session is open (:func:`session_active`)
+    publishes through the process-wide segment registry instead: arrays
+    already resident are reused (same segment name, hence byte-identical
+    refs across plans), new ones are created in the registry, and
+    :meth:`unlink` leaves them alone — they live until
+    :func:`shutdown_resident`.
     """
 
-    def __init__(self, resident: bool | None = None) -> None:
+    def __init__(self) -> None:
         self._segments: dict[str, ArrayRef] = {}
         self._handles: dict[str, object] = {}
-        self._resident = session_active() if resident is None \
-            else bool(resident)
-        self._resident_keys: list[str] = []
+        self._resident = session_active()
         self._unlinked = False
         _PLANES.add(self)
         global _SWEPT
@@ -396,48 +320,20 @@ class DataPlane:
         """Publish through the process-wide registry (warm sessions).
 
         A key already resident is reused — same segment, same ref bytes
-        across plans — with its refcount bumped; a new key allocates a
-        segment owned by the *registry* (not this plane), so it outlives
-        the plan and every later publish of the same content is free.
-        Allocation failure degrades to a plane-local inline ref exactly
-        like the one-shot path (degraded publishes are not cached: a
-        transient failure should not pin an inline copy for the whole
-        session).
+        across plans; a new key allocates a segment owned by the
+        *registry* (not this plane), so it outlives the plan and every
+        later publish of the same content is free.  Concurrent
+        publishers of one key share one allocation.  Allocation failure
+        degrades to a plane-local inline ref exactly like the one-shot
+        path (degraded publishes are not cached: a transient failure
+        should not pin an inline copy for the whole session).
         """
-        with _RESIDENT_LOCK:
-            entry = _RESIDENT.get(key)
-            if entry is not None:
-                entry.refcount += 1
-                _RESIDENT_STATS["reused"] += 1
-                self._segments[key] = entry.ref
-                self._resident_keys.append(key)
-                return entry.ref
-        allocated = self._allocate(array, key)
-        if allocated is None:
+        entry = _RESIDENT.get_or_create(key,
+                                        lambda: self._allocate(array, key))
+        if entry is None:
             return self._inline_ref(array, key)
-        ref, segment = allocated
-        _ensure_child_finalizer()
-        with _RESIDENT_LOCK:
-            racing = _RESIDENT.get(key)
-            if racing is None:
-                _RESIDENT[key] = _ResidentEntry(ref, segment, 1)
-                _RESIDENT_STATS["published"] += 1
-            else:
-                racing.refcount += 1
-                _RESIDENT_STATS["reused"] += 1
-        if racing is not None:
-            # A concurrent publisher won the key; drop our duplicate
-            # segment and share theirs.
-            _ATTACHED.pop(ref.segment, None)
-            try:
-                segment.unlink()
-                segment.close()
-            except OSError:  # pragma: no cover - platform specific
-                pass
-            ref = racing.ref
-        self._segments[key] = ref
-        self._resident_keys.append(key)
-        return ref
+        self._segments[key] = entry[0]
+        return entry[0]
 
     def publish(self, array: np.ndarray, key: str | None = None) -> ArrayRef:
         """Place ``array`` in shared memory and return its ref.
@@ -481,44 +377,16 @@ class DataPlane:
 
     # ------------------------------------------------------------------
     def unlink(self) -> None:
-        """Remove every segment name; idempotent, safe mid-failure.
-
-        Unlinking removes the name immediately (no new process can
-        attach) while existing mappings stay valid until each process
-        drops them, so in-flight readers are never invalidated.  The
-        parent's own mappings are closed here too unless a resolved view
-        is still referenced, in which case the OS reclaims them at
-        process exit.
+        """Remove every segment name this plane owns; idempotent, safe
+        mid-failure (see :func:`_release_segment`).  Resident segments
+        are the registry's, not this plane's: they stay so the next
+        plan's publish is free.
         """
         if self._unlinked:
             return
         self._unlinked = True
-        if self._resident_keys:
-            with _RESIDENT_LOCK:
-                for key in self._resident_keys:
-                    entry = _RESIDENT.get(key)
-                    if entry is not None:
-                        entry.refcount -= 1
-            # Entries stay registered at refcount 0: the whole point of
-            # residency is that the next plan's publish is free.  Actual
-            # unlinking happens in shutdown_resident() at session close.
-            self._resident_keys.clear()
         for name, segment in self._handles.items():
-            try:
-                segment.unlink()
-            except (FileNotFoundError, OSError):
-                pass
-            entry = _ATTACHED.pop(name, None)
-            del entry
-            try:
-                segment.close()
-            except BufferError:
-                # A caller still holds a resolved view; leave the
-                # mapping open (it stays valid) and let process exit
-                # reclaim it.
-                pass
-            except OSError:  # pragma: no cover - platform specific
-                pass
+            _release_segment(name, segment)
         self._handles.clear()
         self._segments.clear()
 

@@ -22,6 +22,7 @@ from functools import lru_cache
 
 import numpy as np
 
+from repro import warm
 from repro.core.methods import DiscoveryResult, discover, parse_method
 from repro.core.reds import Sampler
 from repro.data import SimulationModel, get_model
@@ -104,12 +105,11 @@ def _variant_postprocess(x: np.ndarray, variant: str,
 
 
 #: Warm-session cache of training datasets, keyed by the full
-#: generation config.  Only consulted while ``REDS_SESSION`` is active
-#: (see :mod:`repro.experiments.session`); cached arrays are marked
-#: read-only so an accidental in-place mutation fails loudly instead of
-#: corrupting every later request.
-_TRAIN_CACHE: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
-_TRAIN_CACHE_SIZE = 16
+#: generation config and filled only inside a warm scope (see
+#: :mod:`repro.experiments.session`).  Cached arrays are read-only, so
+#: an accidental in-place mutation fails loudly instead of corrupting
+#: every later request.
+_TRAIN = warm.WarmCache(cap=16)
 
 
 def make_train_data(
@@ -126,29 +126,24 @@ def make_train_data(
     Generation is a pure function of the arguments, so a warm session
     memoizes the arrays instead of re-simulating per request.
     """
-    from repro.experiments.dataplane import session_active
+    def generate(cached: bool) -> tuple[np.ndarray, np.ndarray]:
+        rng = np.random.default_rng(seed)
+        if variant == "logitnormal":
+            x = logit_normal(n, model.dim, rng)
+        else:
+            x = get_sampler(model.default_sampler)(n, model.dim, rng)
+            x = _variant_postprocess(x, variant, rng)
+        x = model.quantize(x)
+        y = model.label(x, rng)
+        if cached:
+            x.setflags(write=False)
+            y.setflags(write=False)
+        return x, y
 
-    key = None
-    if session_active():
-        key = (model.name, n, seed, variant)
-        cached = _TRAIN_CACHE.get(key)
-        if cached is not None:
-            return cached
-    rng = np.random.default_rng(seed)
-    if variant == "logitnormal":
-        x = logit_normal(n, model.dim, rng)
-    else:
-        x = get_sampler(model.default_sampler)(n, model.dim, rng)
-        x = _variant_postprocess(x, variant, rng)
-    x = model.quantize(x)
-    y = model.label(x, rng)
-    if key is not None:
-        x.setflags(write=False)
-        y.setflags(write=False)
-        while len(_TRAIN_CACHE) >= _TRAIN_CACHE_SIZE:
-            _TRAIN_CACHE.pop(next(iter(_TRAIN_CACHE)))
-        _TRAIN_CACHE[key] = (x, y)
-    return x, y
+    if not warm.active():
+        return generate(False)
+    return _TRAIN.get_or_create((model.name, n, seed, variant),
+                                lambda: generate(True))
 
 
 #: Data-plane refs of test samples published by the execution plan,

@@ -53,13 +53,18 @@ concurrently-working processes total, never ``8 x 8``.  Leases never
 change results (every jobs/chunk setting is pinned bit-identical); the
 budget is purely a throughput contract.
 
-**Fault tolerance** rides the same layers.  ``execute(retries=N)``
-gives every task a :class:`RetryPolicy` (exponential backoff with
-seeded deterministic jitter); a task that exhausts its attempts is
-*quarantined* — the grid completes the remaining cells and raises a
-structured :class:`GridFailureError` at the end instead of dying on the
-first error, journalling each failed attempt in the store's
-``failures/`` tree.  ``task_timeout=`` arms a per-task watchdog in
+**One dispatch loop per executor.**  Every plan runs through one of two
+loops: :func:`_run_inline` (serial execution, and the degraded tail of
+a pool run) or :meth:`ProcessExecutor._run_tolerant`.  There is no
+separate fast path: ``execute(retries=N)`` always gives every task a
+:class:`RetryPolicy` (exponential backoff with seeded deterministic
+jitter), ``retries=0`` being the one-attempt policy.  Each failed
+attempt is journalled in the store's ``failures/`` tree.  At
+``retries=0`` a task's own exception propagates unchanged; with
+``retries > 0`` a task that exhausts its attempts is *quarantined* —
+the grid completes the remaining cells and raises a structured
+:class:`GridFailureError` at the end instead of dying on the first
+error.  ``task_timeout=`` arms a per-task watchdog in
 :class:`ProcessExecutor`: workers touch heartbeat files as tasks start,
 and a heartbeat older than the timeout means a dead or hung worker —
 the pool is killed and respawned, in-flight tasks are charged or
@@ -89,34 +94,27 @@ sibling invocations publish theirs.
 
 from __future__ import annotations
 
-import atexit
 import hashlib
 import logging
+import multiprocessing
 import os
 import pickle
-import shutil
+import secrets
 import tempfile
 import threading
 import time
-from collections import OrderedDict, deque
+from collections import deque
 from collections.abc import Callable, Sequence
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    ProcessPoolExecutor,
-    as_completed,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
-from pathlib import Path
 
+from repro import warm
 from repro.experiments import faults
 from repro.experiments.dataplane import (
-    ArrayRef,
     DataPlane,
     dataplane_enabled,
     resolve_refs,
-    session_active,
 )
 from repro.experiments.store import MISSING, open_store
 
@@ -401,7 +399,8 @@ def _log_spawn(workers: int, lease: int) -> None:
         handle.write(line)
 
 
-def _init_worker(warmup, test_refs, context, lease: int | None = None) -> None:
+def _init_worker(warmup, test_refs, context, lease: int | None = None,
+                 warm_scope: bool = False) -> None:
     """Worker bootstrap: map shared test data, resolve the plan context.
 
     Test-data failures are deliberately swallowed — a broken spec would
@@ -410,9 +409,14 @@ def _init_worker(warmup, test_refs, context, lease: int | None = None) -> None:
     failures are remembered and re-raised by :func:`plan_context` from
     the task that relies on them.  ``lease`` is the worker's share of
     the plan's global budget, surfaced through :func:`budgeted_jobs`.
+    ``warm_scope`` says whether the pool was spawned inside a warm
+    scope: the worker then keeps its own nested pools, segments and
+    fits warm too, whatever its start method inherited.
     """
     global _PLAN_CONTEXT, _CONTEXT_ERROR, _WORKER_LEASE
     _WORKER_LEASE = lease
+    if warm_scope and not warm.active():
+        warm.enter()
     if os.environ.get("REDS_NATIVE_ACTIVE"):
         # An engine="native" run is live in this process tree: load the
         # disk-cached compiled kernels now so no task pays a compile.
@@ -546,8 +550,14 @@ def _invoke(func: Callable, task: dict, token: str | None):
         return func(**task)
 
 
+#: Where heartbeat files go: tmpfs when the host has one, because every
+#: pooled task creates and unlinks one on its critical path.
+_HEARTBEAT_ROOT = ("/dev/shm" if os.access("/dev/shm", os.W_OK)
+                   else tempfile.gettempdir())
+
+
 def _guarded_call(func: Callable, task: dict, token: str | None,
-                  hb_dir: str | None, hb_name: str):
+                  hb_path: str | None):
     """Pool-worker task wrapper: heartbeat files + fault injection.
 
     The heartbeat is written before the task starts and removed when it
@@ -557,12 +567,9 @@ def _guarded_call(func: Callable, task: dict, token: str | None,
     means it was still queued (requeue for free).  Its mtime doubles as
     the watchdog's hang clock.
     """
-    hb_path = None
-    if hb_dir:
-        hb_path = os.path.join(hb_dir, hb_name)
+    if hb_path is not None:
         try:
-            with open(hb_path, "w") as handle:
-                handle.write(str(os.getpid()))
+            os.close(os.open(hb_path, os.O_CREAT | os.O_WRONLY | os.O_TRUNC))
         except OSError:
             hb_path = None
     try:
@@ -601,7 +608,7 @@ def _run_inline(plan: ExecutionPlan, order: Sequence[int],
                 budget: int | None) -> None:
     """Run ``order``'s tasks inline with retry accounting.
 
-    The shared engine of tolerant serial execution and of a degraded
+    The dispatch loop of every serial plan, and of a degraded
     :class:`ProcessExecutor` finishing a grid after giving up on pools
     (``attempts`` carries over, so pool attempts still count against
     the budget).  Installs the plan context (and ``budget`` as the
@@ -670,8 +677,7 @@ def _kill_pool(pool) -> None:
 # Warm-session pool cache
 # ----------------------------------------------------------------------
 #
-# Under an active warm session (``REDS_SESSION=1``, normally set by
-# ``repro.experiments.session.Session``), pools survive across
+# Inside a warm scope (an open ``Session``) pools survive across
 # ``execute()``/``run_chunked`` calls instead of being torn down per
 # plan.  A cache entry is keyed by ``(workers, lease, plan-context
 # signature)`` — the signature is the pickle digest of everything
@@ -681,72 +687,41 @@ def _kill_pool(pool) -> None:
 # concurrent plans; a healthy pool is checked back in when its plan
 # drains, a broken or poisoned one is simply never returned.
 
-_POOL_CACHE: "OrderedDict[tuple, ProcessPoolExecutor]" = OrderedDict()
-_POOL_LOCK = threading.Lock()
-_POOL_STATS = {"spawned": 0, "reused": 0}
-_CHILD_FINALIZER = False
 
+def _release_pool(pool) -> None:
+    """Shut an idle pool down once it leaves the cache.
 
-def _reset_pool_cache_after_fork() -> None:
-    # A forked child inherits the parent's cache by copy.  Those pool
-    # objects belong to the parent — shutting them down from here would
-    # poison the parent's live queues — so the child abandons the
-    # entries (the OS resources stay owned by the parent) and starts
-    # its own cache, with a fresh lock in case the inherited one was
-    # held mid-fork.
-    # The finalizer flag must also reset: the parent may have set it
-    # (to a no-op) before forking, and an inherited True would stop the
-    # child from ever registering its own exit hook for nested pools.
-    global _POOL_LOCK, _CHILD_FINALIZER
-    _POOL_LOCK = threading.Lock()
-    _CHILD_FINALIZER = False
-    _POOL_CACHE.clear()
-    _POOL_STATS["spawned"] = 0
-    _POOL_STATS["reused"] = 0
-
-
-if hasattr(os, "register_at_fork"):  # pragma: no branch - POSIX
-    os.register_at_fork(after_in_child=_reset_pool_cache_after_fork)
-
-
-def _ensure_child_finalizer() -> None:
-    """In a pool worker, arrange cleanup of *its own* cached pools.
-
-    ``atexit`` hooks never run in multiprocessing children (they exit
-    via ``os._exit`` after ``_bootstrap``), but
-    ``multiprocessing.util.Finalize`` hooks do — so a worker that
-    caches nested pools registers one, and its grandchild workers exit
-    cleanly when the session's top-level pool shuts down.
+    The session-owning process drains gracefully (``shutdown(wait=True)``)
+    so workers exit through their own finalizers.  A pool *worker*
+    kills its cached nested pools instead: a cached pool is idle by
+    construction, and sentinel-based draining from a worker's exit
+    finalizer can deadlock — the call queue's feeder machinery is
+    unreliable in a half-exited interpreter, leaving a grandchild
+    blocked on a read while ``multiprocessing.util._exit_function``
+    waits to join it.  Killing idle grandworkers loses nothing.
     """
-    global _CHILD_FINALIZER
-    if _CHILD_FINALIZER:
-        return
-    _CHILD_FINALIZER = True
-    import multiprocessing
-    from multiprocessing import util as mp_util
-
     if multiprocessing.parent_process() is not None:
-        mp_util.Finalize(None, close_pools, exitpriority=10)
-
-
-def _pool_cache_cap() -> int:
-    """Max cached pools, from ``REDS_SESSION_POOLS`` (default 8, 0 off)."""
+        _kill_pool(pool)
+        return
     try:
-        return max(int(os.environ.get("REDS_SESSION_POOLS", "8")), 0)
-    except ValueError:
-        return 8
+        pool.shutdown(wait=True)
+    except Exception:  # pragma: no cover - defensive
+        _kill_pool(pool)
+
+
+_POOLS = warm.WarmCache(cap=8, on_evict=_release_pool)
 
 
 def _pool_key(plan: "ExecutionPlan", workers: int,
               lease: int) -> tuple | None:
     """Cache key for a pool serving ``plan``, or None when uncacheable.
 
-    Returns None outside a warm session, when caching is disabled, or
-    when the plan's init payload cannot be pickled (such a plan could
-    not reach a process pool anyway, but stay defensive: an uncacheable
-    plan just gets the historical spawn-per-call behaviour).
+    Returns None outside a warm scope, or when the plan's init payload
+    cannot be pickled (such a plan could not reach a process pool
+    anyway, but stay defensive: an uncacheable plan just gets a pool
+    per call).
     """
-    if not session_active() or _pool_cache_cap() == 0:
+    if not warm.active():
         return None
     try:
         payload = pickle.dumps((plan.warmup, plan.test_refs, plan.context),
@@ -754,45 +729,6 @@ def _pool_key(plan: "ExecutionPlan", workers: int,
     except Exception:
         return None
     return (workers, lease, hashlib.sha256(payload).hexdigest())
-
-
-def _checkout_pool(key: tuple | None) -> ProcessPoolExecutor | None:
-    """Pop a cached pool for ``key`` (exclusive), or None on a miss."""
-    if key is None:
-        return None
-    with _POOL_LOCK:
-        pool = _POOL_CACHE.pop(key, None)
-        if pool is not None:
-            _POOL_STATS["reused"] += 1
-    return pool
-
-
-def _checkin_pool(key: tuple | None, pool) -> None:
-    """Return a healthy pool to the cache (or shut it down).
-
-    Outside a session — or for an uncacheable plan — this is the
-    historical per-call teardown.  A checkin collision (another plan
-    already returned a pool under the same key) shuts the incoming pool
-    down rather than leaking its workers.
-    """
-    if pool is None:
-        return
-    if key is None or not session_active():
-        pool.shutdown(wait=True)
-        return
-    _ensure_child_finalizer()
-    evicted = []
-    with _POOL_LOCK:
-        if key in _POOL_CACHE:
-            evicted.append(pool)
-        else:
-            _POOL_CACHE[key] = pool
-            cap = _pool_cache_cap()
-            while len(_POOL_CACHE) > cap:
-                _, stale = _POOL_CACHE.popitem(last=False)
-                evicted.append(stale)
-    for stale in evicted:
-        _kill_pool(stale)
 
 
 def _spawn_pool(plan: "ExecutionPlan", workers: int,
@@ -809,56 +745,29 @@ def _spawn_pool(plan: "ExecutionPlan", workers: int,
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(plan.warmup, plan.test_refs, plan.context, lease),
+        initargs=(plan.warmup, plan.test_refs, plan.context, lease,
+                  warm.active()),
     )
-    with _POOL_LOCK:
-        _POOL_STATS["spawned"] += 1
+    _POOLS.count("spawned")
     return pool
 
 
 def pool_stats() -> dict[str, int]:
-    """Spawn/reuse counters plus the current cache size."""
-    with _POOL_LOCK:
-        return {**_POOL_STATS, "cached": len(_POOL_CACHE)}
+    """Pools ``spawned`` (in or out of a session), cache hits
+    (``reused``) and the current cache size (``cached``)."""
+    stats = _POOLS.stats()
+    return {"spawned": stats.get("spawned", 0), "reused": stats["hits"],
+            "cached": stats["size"]}
 
 
 def reset_pool_stats() -> None:
     """Zero the spawn/reuse counters (cache contents are untouched)."""
-    with _POOL_LOCK:
-        _POOL_STATS["spawned"] = 0
-        _POOL_STATS["reused"] = 0
+    _POOLS.reset_counters()
 
 
-@atexit.register
 def close_pools() -> int:
-    """Shut down every cached pool; returns how many were closed.
-
-    In the session-owning process this drains gracefully
-    (``shutdown(wait=True)``) so workers exit through their own
-    finalizers.  In a forked pool *worker*, cached nested pools are
-    torn down with :func:`_kill_pool` instead: a cached pool is idle by
-    construction (checkin happens only after every future drained), and
-    sentinel-based draining from a worker's exit finalizer can deadlock
-    — the call queue's feeder machinery is unreliable in a forked,
-    half-exited interpreter, leaving a grandchild blocked on a read
-    that never completes while ``multiprocessing.util._exit_function``
-    waits to join it.  Killing idle grandworkers loses nothing.
-    """
-    import multiprocessing
-
-    with _POOL_LOCK:
-        pools = list(_POOL_CACHE.values())
-        _POOL_CACHE.clear()
-    graceful = multiprocessing.parent_process() is None
-    for pool in pools:
-        if not graceful:
-            _kill_pool(pool)
-            continue
-        try:
-            pool.shutdown(wait=True)
-        except Exception:  # pragma: no cover - defensive
-            _kill_pool(pool)
-    return len(pools)
+    """Shut down every cached pool; returns how many were closed."""
+    return len(_POOLS.clear())
 
 
 # ----------------------------------------------------------------------
@@ -891,28 +800,11 @@ class SerialExecutor:
         # enforced inline: there is no second process to watch the clock,
         # and killing the only interpreter would lose the grid.  The
         # watchdog lives in ProcessExecutor.
-        if policy is not None or failures is not None or faults.enabled():
-            attempts = [0] * len(plan.tasks)
-            results: dict[int, object] = {}
-            _run_inline(plan, range(len(plan.tasks)), attempts, results,
-                        set(), on_result, policy, failures, self.budget)
-            return [results[j] for j in range(len(plan.tasks))]
-        previous = getattr(_TLS, "context", None)
-        previous_lease = getattr(_TLS, "lease", None)
-        _TLS.context = resolve_refs(plan.context)
-        if self.budget is not None:
-            _TLS.lease = self.budget
-        try:
-            results = []
-            for index, task in enumerate(plan.tasks):
-                record = plan.func(**task)
-                if on_result is not None:
-                    on_result(index, record)
-                results.append(record)
-            return results
-        finally:
-            _TLS.context = previous
-            _TLS.lease = previous_lease
+        n = len(plan.tasks)
+        results: dict[int, object] = {}
+        _run_inline(plan, range(n), [0] * n, results, set(), on_result,
+                    policy, failures, self.budget)
+        return [results[j] for j in range(n)]
 
 
 class ProcessExecutor:
@@ -954,81 +846,32 @@ class ProcessExecutor:
         if jobs <= 1 or len(plan.tasks) <= 1:
             return SerialExecutor(budget=max(jobs, 1)).run(
                 plan, on_result, policy=policy, failures=failures)
-        workers = min(jobs, len(plan.tasks))
-        lease = max(1, jobs // workers)
-        if (policy is not None or failures is not None
-                or task_timeout is not None or faults.enabled()):
-            return self._run_tolerant(plan, on_result, policy, failures,
-                                      task_timeout, jobs, workers, lease)
-        key = _pool_key(plan, workers, lease)
-        pool = _checkout_pool(key)
-        reused = pool is not None
-        if pool is None:
-            try:
-                pool = _spawn_pool(plan, workers, lease)
-            except Exception as exc:
-                logger.warning("process pool spawn failed (%s); degrading to "
-                               "serial execution", exc)
-                return SerialExecutor(budget=max(jobs, 1)).run(plan, on_result)
-        while True:
-            futures = [pool.submit(plan.func, **task) for task in plan.tasks]
-            try:
-                out = [None] * len(futures)
-                index_of = {future: i for i, future in enumerate(futures)}
-                for future in as_completed(futures):
-                    i = index_of[future]
-                    out[i] = future.result()
-                    if on_result is not None:
-                        on_result(i, out[i])
-            except BrokenProcessPool:
-                _kill_pool(pool)
-                if not reused:
-                    raise
-                # A cached pool can have died between plans (a worker
-                # OOM-killed, the machine reaping idle processes).  The
-                # entry was popped at checkout, so respawn once and
-                # re-run: tasks are pure and ``on_result`` callbacks are
-                # idempotent store puts, so a full re-run is safe.
-                logger.warning("cached worker pool was broken; respawning")
-                reused = False
-                try:
-                    pool = _spawn_pool(plan, workers, lease)
-                except Exception as exc:
-                    logger.warning("process pool spawn failed (%s); degrading "
-                                   "to serial execution", exc)
-                    return SerialExecutor(budget=max(jobs, 1)).run(
-                        plan, on_result)
-                continue
-            except BaseException:
-                # Fail fast: don't let a long grid grind to completion
-                # behind an already-doomed run.
-                pool.shutdown(wait=False, cancel_futures=True)
-                raise
-            _checkin_pool(key, pool)
-            return out
+        return self._run_tolerant(plan, on_result, policy, failures,
+                                  task_timeout, jobs)
 
     def _run_tolerant(self, plan: ExecutionPlan,
                       on_result: Callable[[int, object], None] | None,
                       policy: RetryPolicy | None,
                       failures: list[TaskFailure] | None,
-                      task_timeout: float | None,
-                      jobs: int, workers: int, lease: int) -> list:
+                      task_timeout: float | None, jobs: int) -> list:
         """The guarded dispatch loop: retries, watchdog, degradation.
 
-        Used whenever a retry policy, a task timeout or an active fault
-        plan is in play.  Unlike the fast path's bulk-submit +
-        ``as_completed``, this loop owns the task lifecycle explicitly:
-        a ready queue, a backoff-delayed queue, and an in-flight map —
-        so it can requeue work across pool generations.  Heartbeat
-        files (written by :func:`_guarded_call`) attribute blame when a
-        pool dies: in-flight tasks are charged an attempt, queued tasks
-        requeue for free.  A second poisoning — or a pool that cannot
-        be spawned at all — degrades the rest of the grid to the inline
-        loop rather than thrashing.
+        Every plan that reaches a pool runs here; ``retries=0`` is just
+        a one-attempt policy.  The loop owns the task lifecycle
+        explicitly: a ready queue, a backoff-delayed queue, and an
+        in-flight map — so it can requeue work across pool generations.
+        Heartbeat files (written by :func:`_guarded_call`) attribute
+        blame when a pool dies: in-flight tasks are charged an attempt,
+        queued tasks requeue for free — which also covers a cached pool
+        that died between plans.  A second poisoning — or a pool that
+        cannot be spawned at all — degrades the rest of the grid to the
+        inline loop rather than thrashing.
         """
         if policy is None:
             policy = RetryPolicy(max_attempts=1)
         n = len(plan.tasks)
+        workers = min(jobs, n)
+        lease = max(1, jobs // workers)
         attempts = [0] * n
         results: dict[int, object] = {}
         settled: set[int] = set()
@@ -1041,13 +884,26 @@ class ProcessExecutor:
         # plan — only a pool that drains its plan healthy is returned.
         cache_key = _pool_key(plan, workers, lease)
         futures: dict[object, int] = {}
-        hb_dir = Path(tempfile.mkdtemp(prefix="reds-hb-"))
+        # Flat files named per plan rather than a directory per plan:
+        # creating and removing a directory measurably slows the 2-task
+        # plans a warm labelling request issues.
+        hb_prefix = os.path.join(
+            _HEARTBEAT_ROOT,
+            f"reds-hb-{os.getpid()}-{secrets.token_hex(6)}-t")
         token_bases = [_token_base(plan, j) for j in range(n)]
 
-        def hb_path(j: int) -> Path:
-            return hb_dir / f"t{j}"
+        def hb_path(j: int) -> str:
+            return f"{hb_prefix}{j}"
+
+        def clear_heartbeats(tasks) -> None:
+            for j in tasks:
+                try:
+                    os.unlink(hb_path(j))
+                except OSError:
+                    pass
 
         def charge(j: int, error: str, exc: BaseException | None) -> None:
+            nonlocal pool
             attempts[j] += 1
             final = attempts[j] >= policy.max_attempts
             _record_failure(plan, j, attempts[j], error, final)
@@ -1057,9 +913,14 @@ class ProcessExecutor:
                                 j))
                 return
             if failures is None:
-                if exc is not None:
-                    raise exc
-                raise RuntimeError(error)
+                if exc is None:
+                    raise RuntimeError(error)
+                # Fail fast on the task's own error.  The pool is
+                # healthy, so its workers finish and exit through their
+                # finalizers instead of being killed.
+                pool.shutdown(wait=False, cancel_futures=True)
+                pool = None
+                raise exc
             failures.append(TaskFailure(
                 index=plan.indices[j],
                 key=plan.keys[j] if plan.keys is not None else None,
@@ -1078,18 +939,15 @@ class ProcessExecutor:
             _kill_pool(pool)
             pool = None
             futures.clear()
+            live = {j for j in candidates if os.path.exists(hb_path(j))}
+            clear_heartbeats(candidates)
             for j in candidates:
                 if j in charged or j in settled:
                     continue
-                if hb_path(j).exists():
+                if j in live:
                     charge(j, reason, None)
                 else:
                     ready.append(j)
-            for stale in hb_dir.glob("t*"):
-                try:
-                    stale.unlink()
-                except OSError:
-                    pass
 
         try:
             while len(settled) < n:
@@ -1111,7 +969,8 @@ class ProcessExecutor:
                     delayed[:] = [(t, j) for t, j in delayed if t > now]
                     ready.extend(ripe)
                 if pool is None and ready:
-                    pool = _checkout_pool(cache_key)
+                    if cache_key is not None:
+                        pool = _POOLS.pop(cache_key)
                     if pool is None:
                         try:
                             pool = _spawn_pool(plan, workers, lease)
@@ -1129,7 +988,7 @@ class ProcessExecutor:
                     try:
                         future = pool.submit(_guarded_call, plan.func,
                                              plan.tasks[j], token,
-                                             str(hb_dir), f"t{j}")
+                                             hb_path(j))
                     except Exception:
                         ready.appendleft(j)
                         submit_failed = True
@@ -1178,7 +1037,7 @@ class ProcessExecutor:
                     hung = []
                     for future, j in futures.items():
                         try:
-                            started = hb_path(j).stat().st_mtime
+                            started = os.stat(hb_path(j)).st_mtime
                         except OSError:
                             continue  # still queued, clock not running
                         if wall - started > task_timeout:
@@ -1196,12 +1055,15 @@ class ProcessExecutor:
                 # to the warm-session cache instead of killing it.  Any
                 # broken pool was already killed inside ``poison()`` with
                 # ``pool`` reset to None, so it cannot reach here.
-                _checkin_pool(cache_key, pool)
+                if cache_key is not None and warm.active():
+                    _POOLS.put(cache_key, pool)
+                else:
+                    pool.shutdown(wait=True)
                 pool = None
             return [results[j] for j in range(n)]
         finally:
             _kill_pool(pool)
-            shutil.rmtree(hb_dir, ignore_errors=True)
+            clear_heartbeats(futures.values())
 
 
 class ShardedExecutor:
@@ -1484,14 +1346,14 @@ def execute(
         and large read-only arrays published through the data plane and
         merged into it by name.
     retries:
-        Extra attempts per failed task (default 0: fail fast on the
-        first error, the historical behaviour).  With ``retries > 0``
-        failures retry under a :class:`RetryPolicy` (exponential
-        backoff, seeded jitter), failed attempts are journalled in the
-        store's ``failures/`` tree, and a task that exhausts its budget
-        is quarantined: the rest of the grid completes (and persists)
-        before a :class:`GridFailureError` summarising every quarantined
-        task is raised.
+        Extra attempts per failed task under a :class:`RetryPolicy`
+        (exponential backoff, seeded jitter).  Every failed attempt is
+        journalled in the store's ``failures/`` tree.  At the default 0
+        the first error propagates unchanged (fail fast); with
+        ``retries > 0`` a task that exhausts its budget is quarantined:
+        the rest of the grid completes (and persists) before a
+        :class:`GridFailureError` summarising every quarantined task is
+        raised.
     task_timeout:
         Per-task wall-clock limit in seconds, enforced by
         :class:`ProcessExecutor`'s heartbeat watchdog: a worker whose
@@ -1517,10 +1379,8 @@ def execute(
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     tasks = list(tasks)
-    tolerant = retries > 0
-    policy = (RetryPolicy(max_attempts=retries + 1)
-              if (tolerant or task_timeout is not None) else None)
-    failures: list[TaskFailure] | None = [] if tolerant else None
+    policy = RetryPolicy(max_attempts=retries + 1)
+    failures: list[TaskFailure] | None = [] if retries > 0 else None
     store = open_store(store)
     exec_obj = get_executor(executor, jobs=jobs, shard=shard)
     use_plane = exec_obj.wants_plane and dataplane_enabled()
@@ -1534,27 +1394,15 @@ def execute(
             "coordination channel; to force recomputation, point the "
             "shards at a fresh store directory instead")
 
-    if store is None:
-        if isinstance(exec_obj, ShardedExecutor):
-            raise ValueError("sharded execution requires store=")
-        plane = DataPlane() if use_plane and (warmup or shared) else None
-        try:
-            plan = compile_plan(func, tasks, warmup=warmup, context=context,
-                                shared=shared, plane=plane)
-            out = exec_obj.run(plan, policy=policy, failures=failures,
-                               task_timeout=task_timeout)
-        finally:
-            if plane is not None:
-                plane.unlink()
-        if failures:
-            raise GridFailureError(failures, out)
-        return out
+    if store is None and isinstance(exec_obj, ShardedExecutor):
+        raise ValueError("sharded execution requires store=")
 
-    keys = [store.key(func, task) for task in tasks]
+    keys = None if store is None else [store.key(func, task) for task in tasks]
     results: dict[int, object] = {}
     pending: list[int] = []
-    for index, key in enumerate(keys):
-        cached = store.get(key) if resume else MISSING
+    for index in range(len(tasks)):
+        cached = (store.get(keys[index]) if keys is not None and resume
+                  else MISSING)
         if cached is MISSING:
             pending.append(index)
         else:
@@ -1569,7 +1417,7 @@ def execute(
     # need test sets beyond this filter; get_test_data regenerates them
     # on demand, trading a one-off cost on the stolen path for a lean
     # warmup on the common one.
-    if warmup and pending:
+    if store is not None and warmup and pending:
         executing = pending
         if isinstance(exec_obj, ShardedExecutor):
             executing = [i for i in pending
@@ -1585,7 +1433,7 @@ def execute(
         plan = compile_plan(
             func, [tasks[i] for i in pending],
             indices=pending,
-            keys=[keys[i] for i in pending],
+            keys=None if keys is None else [keys[i] for i in pending],
             warmup=warmup, context=context, shared=shared,
             store=store, plane=plane,
         )
@@ -1599,8 +1447,9 @@ def execute(
             store.put(plan.keys[j], record)
             store.clear_failure(plan.keys[j])
 
-        fresh = exec_obj.run(plan, on_result=persist, policy=policy,
-                             failures=failures, task_timeout=task_timeout)
+        fresh = exec_obj.run(plan, None if store is None else persist,
+                             policy=policy, failures=failures,
+                             task_timeout=task_timeout)
     finally:
         if plane is not None:
             plane.unlink()

@@ -2,25 +2,25 @@
 
 One-shot invocations pay four fixed costs per call: interpreter start,
 worker-pool spawn, data publication, and the metamodel fit.  A
-:class:`Session` keeps the last three warm across calls:
+:class:`Session` keeps the last three warm across calls.  It is a
+**lifetime scope**, not a mode: it holds the refcounted warm scope of
+:mod:`repro.warm` open, and while it is open four bounded caches, all
+instances of the one :class:`repro.warm.WarmCache` primitive, fill:
 
-* **cached worker pools** — pools keyed by ``(workers, lease,
-  plan-context signature)`` survive across ``execute()``/``run_chunked``
-  calls (including nested chunked fan-out) instead of being torn down
-  per plan (:mod:`repro.experiments.parallel`);
-* **a resident data plane** — arrays published once by content key stay
-  registered process-wide and are reused by every later plan
-  (:mod:`repro.experiments.dataplane`);
-* **memoized metamodel fits** — :func:`repro.core.reds.fit_metamodel`
-  returns the same fitted object for identical ``(kind, tune, engine,
-  x, y)``, keyed by the store's task-key discipline (config + source
-  fingerprint + data content).
+* **worker pools** keyed by ``(workers, lease, plan-context
+  signature)`` survive across ``execute()``/``run_chunked`` calls,
+  nested chunked fan-out included (:mod:`repro.experiments.parallel`);
+* **resident segments**: arrays published once by content key are
+  reused by every later plan (:mod:`repro.experiments.dataplane`);
+* **metamodel fits**: :func:`repro.core.reds.fit_metamodel` returns the
+  same fitted object for identical ``(kind, tune, engine, x, y)``,
+  keyed by the store's task-key discipline (config + source
+  fingerprint + data content);
+* **training sets** from :func:`repro.experiments.harness.make_train_data`.
 
 Warm state is a **cache, never a semantic change**: every result is
 bit-identical to the one-shot path at every engine/executor/jobs
-setting.  The session only toggles ``REDS_SESSION=1`` while open — the
-substrate's own knobs (``REDS_DATAPLANE``, ``REDS_FAULT_PLAN``,
-``REDS_SPAWN_LOG``, ...) keep their meaning.
+setting.
 
 Lifecycle::
 
@@ -28,71 +28,34 @@ Lifecycle::
         result = session.discover("RPf", x, y)       # fits + spawns once
         labels = session.label(x, y, x_new)          # reuses fit + pool
         more = session.label(x, y, other_new)        # zero cold cost
-    # closed: pools shut down, resident segments unlinked, fits dropped
+    # closed: pools shut down, segments unlinked, fits and data dropped
 
 Invalidation rules:
 
 * a **crashed or poisoned pool** is evicted at checkout (checkout pops
-  the cache entry) and respawned — PR 8's heartbeat/blame machinery
-  runs unchanged against cached pools;
+  the cache entry) and respawned by the guarded dispatch loop;
 * a **code edit** changes the source fingerprint, so fit memo keys
   miss; **different data** changes the content keys, so both the fit
   memo and the pool signature miss;
-* **session close** (or interpreter exit, via atexit) shuts every
-  cached pool down, unlinks every resident segment, and drops the fit
-  cache — teardown leaves zero leaked shm segments.
+* **session close** (or interpreter exit) clears every warm cache, so
+  teardown leaves zero leaked shm segments.
 
-Sessions nest refcounted: the warm caches are process-wide, so inner
+Sessions nest refcounted: the caches are process-wide, so inner
 ``with Session(...)`` blocks share state and only the outermost close
-tears it down.
+tears it down.  Pool workers spawned inside a session run in the scope
+too (it travels in their bootstrap arguments, whatever the start
+method), so nested fan-outs stay warm.
 """
 
 from __future__ import annotations
 
-import os
-import threading
 from collections.abc import Iterable, Mapping, Sequence
 
 import numpy as np
 
+from repro import warm
+
 __all__ = ["Session"]
-
-_LOCK = threading.Lock()
-_ACTIVE = 0
-_SAVED_ENV: str | None = None
-
-
-def _enter_session() -> None:
-    global _ACTIVE, _SAVED_ENV
-    with _LOCK:
-        if _ACTIVE == 0:
-            _SAVED_ENV = os.environ.get("REDS_SESSION")
-            os.environ["REDS_SESSION"] = "1"
-        _ACTIVE += 1
-
-
-def _exit_session() -> None:
-    global _ACTIVE, _SAVED_ENV
-    with _LOCK:
-        if _ACTIVE == 0:
-            return
-        _ACTIVE -= 1
-        if _ACTIVE > 0:
-            return
-        if _SAVED_ENV is None:
-            os.environ.pop("REDS_SESSION", None)
-        else:
-            os.environ["REDS_SESSION"] = _SAVED_ENV
-        _SAVED_ENV = None
-    # Teardown outside the refcount lock: pool shutdown waits for
-    # workers and resident unlink touches /dev/shm.
-    from repro.core.reds import clear_fit_cache
-    from repro.experiments.dataplane import shutdown_resident
-    from repro.experiments.parallel import close_pools
-
-    close_pools()
-    shutdown_resident()
-    clear_fit_cache()
 
 
 class Session:
@@ -129,20 +92,20 @@ class Session:
     def open(self) -> "Session":
         """Activate warm caching (idempotent per session object)."""
         if not self._open:
-            _enter_session()
+            warm.enter()
             self._open = True
         return self
 
     def close(self) -> None:
         """Release this session's hold on the warm caches.
 
-        The outermost close shuts cached pools down, unlinks resident
-        segments and drops memoized fits; inner closes only decrement.
-        Idempotent.
+        The outermost close clears every warm cache: it shuts cached
+        pools down, unlinks resident segments and drops memoized fits
+        and training sets; inner closes only decrement.  Idempotent.
         """
         if self._open:
             self._open = False
-            _exit_session()
+            warm.leave()
 
     def __enter__(self) -> "Session":
         return self.open()

@@ -11,7 +11,9 @@ asserts the same counts on a 1-CPU container), and zero leaked shm
 segments after session close.
 """
 
+import multiprocessing
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -43,9 +45,8 @@ from test_parallel_harness import assert_records_identical
 
 
 @pytest.fixture(autouse=True)
-def _cold_start(monkeypatch):
+def _cold_start():
     """Every test starts and ends with no warm state."""
-    monkeypatch.delenv("REDS_SESSION", raising=False)
     parallel.close_pools()
     shutdown_resident()
     clear_fit_cache()
@@ -56,6 +57,16 @@ def _cold_start(monkeypatch):
     parallel.close_pools()
     shutdown_resident()
     clear_fit_cache()
+
+
+def _square(value: int) -> int:
+    return value * value
+
+
+def _raise_on(value: int, bad: int) -> int:
+    if value == bad:
+        raise ValueError(f"bad value {value}")
+    return value
 
 
 def _toy_data(n=240, m=4, seed=0):
@@ -70,9 +81,22 @@ class TestSessionLifecycle:
         assert not session_active()
         with Session():
             assert session_active()
-            assert os.environ.get("REDS_SESSION") == "1"
         assert not session_active()
-        assert "REDS_SESSION" not in os.environ
+
+    def test_spawned_worker_joins_scope_from_bootstrap(self):
+        # The scope reaches pool workers through _init_worker's
+        # arguments, not through fork inheritance.
+        from concurrent.futures import ProcessPoolExecutor
+
+        from repro import warm
+
+        context = multiprocessing.get_context("spawn")
+        for flag in (True, False):
+            with ProcessPoolExecutor(
+                    1, mp_context=context,
+                    initializer=parallel._init_worker,
+                    initargs=((), None, None, 1, flag)) as pool:
+                assert pool.submit(warm.active).result(timeout=60) is flag
 
     def test_nested_sessions_refcount(self):
         with Session():
@@ -236,12 +260,50 @@ class TestReuseAccounting:
         assert pool_stats()["spawned"] == 2
 
 
+class TestGuardedDispatchInSession:
+    """Cached pools run through the one guarded dispatch loop at
+    ``retries=0`` too: a pool that died between plans is respawned,
+    and a task's own error still reaches the caller unchanged."""
+
+    def test_pool_killed_between_plans_respawns_once(self):
+        tasks = [{"value": v} for v in range(6)]
+        with Session(jobs=2):
+            first = parallel.execute(_square, tasks, jobs=2)
+            assert pool_stats()["cached"] == 1
+            spawned = pool_stats()["spawned"]
+            workers = multiprocessing.active_children()
+            assert workers
+            for worker in workers:
+                os.kill(worker.pid, signal.SIGKILL)
+            for worker in workers:
+                worker.join(5)
+            second = parallel.execute(_square, tasks, jobs=2)
+            assert pool_stats()["spawned"] == spawned + 1
+            assert pool_stats()["cached"] == 1
+        assert first == [v * v for v in range(6)]
+        assert second == first
+
+    def test_task_error_propagates_pool_not_cached(self):
+        tasks = [{"value": v, "bad": 3} for v in range(6)]
+        with Session(jobs=2):
+            with pytest.raises(ValueError, match="bad value 3"):
+                parallel.execute(_raise_on, tasks, jobs=2)
+            assert pool_stats()["spawned"] == 1
+            assert pool_stats()["cached"] == 0
+
+
 class TestTeardown:
     def test_close_leaves_zero_warm_state(self):
+        from repro.data import get_model
+        from repro.experiments.harness import make_train_data
+
+        model = get_model("ishigami")
         x, y = _toy_data()
         x_new = np.random.default_rng(5).random((2000, x.shape[1]))
         with Session(jobs=2, tune=False) as session:
             session.label(x, y, x_new)
+            train_x, _ = make_train_data(model, 100, 3)
+            assert make_train_data(model, 100, 3)[0] is train_x
             assert pool_stats()["cached"] >= 1
             assert resident_stats()["resident"] >= 1
         assert pool_stats()["cached"] == 0
@@ -249,6 +311,10 @@ class TestTeardown:
         assert resident_stats()["resident"] == 0
         assert active_segments() == []
         assert fit_stats()["cached"] == 0
+        # The training-set cache was emptied too: a new session
+        # regenerates instead of serving the closed session's arrays.
+        with Session():
+            assert make_train_data(model, 100, 3)[0] is not train_x
 
     def test_train_cache_entries_are_read_only(self):
         from repro.data import get_model
