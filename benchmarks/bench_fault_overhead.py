@@ -3,7 +3,7 @@
 Every plan runs through the one guarded dispatch loop — ``retries=0``
 is just a one-attempt :class:`~repro.experiments.parallel.RetryPolicy`
 — so its bookkeeping (attempt accounting, failure journalling, and in
-the process executor heartbeat files and the ready/in-flight queues)
+the pool loop heartbeat files and the ready/in-flight queues)
 must stay a bookkeeping term, not a tax on the science.  Two legs, each
 checking the results stay bit-identical:
 

@@ -14,7 +14,7 @@ import numpy as np
 
 from _common import emit
 from repro.experiments.harness import run_batch
-from repro.experiments.parallel import default_jobs
+from repro.experiments.parallel import cpu_budget
 from repro.subgroup.prim import prim_peel
 
 N, M = 10_000, 10
@@ -63,7 +63,7 @@ def test_peel_kernel_speedup(benchmark):
 def test_parallel_harness_timings(benchmark):
     grid = dict(functions=("ishigami", "willetal06"), methods=("P", "BI"),
                 n=300, n_reps=3, test_size=2000)
-    jobs = default_jobs()
+    jobs = cpu_budget()
 
     def run():
         serial, _ = _best_of(

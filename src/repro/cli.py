@@ -23,7 +23,6 @@ from repro.core.methods import discover as run_discover
 from repro.data import LEVER_MODELS, TABLE1, get_model
 from repro.experiments.harness import aggregate, get_test_data, run_batch
 from repro.experiments.parallel import (
-    EXECUTORS,
     GridFailureError,
     RetryPolicy,
     parse_shard,
@@ -90,9 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
                            "(0 = all CPUs): the planner splits it "
                            "between grid cells and each cell's inner "
                            "fan-out, so N never means NxN processes")
-    many.add_argument("--executor", choices=EXECUTORS, default=None,
-                      help="execution strategy (default: serial or "
-                           "process, picked from --jobs)")
     many.add_argument("--shard", metavar="I/K", default=None,
                       help="run shard I of K of the grid and read the "
                            "other shards' records from --store; "
@@ -218,14 +214,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.executor == "sharded" and shard is None:
-        print("error: --executor sharded needs --shard I/K", file=sys.stderr)
-        return 2
-    if shard is not None and args.executor not in (None, "sharded"):
-        print(f"error: --shard runs on the sharded executor; drop "
-              f"--executor {args.executor}", file=sys.stderr)
-        return 2
-    if (shard is not None or args.executor == "sharded") and args.store is None:
+    if shard is not None and args.store is None:
         print("error: --shard coordinates through the store; pass --store DIR",
               file=sys.stderr)
         return 2
@@ -245,7 +234,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             store=store,
             resume=args.resume,
             engine=args.engine,
-            executor=args.executor,
             shard=shard,
             retries=args.retries,
             task_timeout=args.task_timeout,

@@ -23,11 +23,15 @@ from repro.subgroup.prim import prim_peel
 
 __all__ = [
     "ALPHA_GRID",
+    "CV_FOLDS",
     "depth_grid",
     "optimize_alpha",
     "optimize_bumping_features",
     "optimize_bi_depth",
 ]
+
+#: Folds of every SD hyperparameter search (Section 8.4).
+CV_FOLDS = 5
 
 #: The alpha candidates of Section 8.4.1.
 ALPHA_GRID: tuple[float, ...] = (0.03, 0.05, 0.07, 0.1, 0.13, 0.16, 0.2)
@@ -55,7 +59,7 @@ def optimize_alpha(
     *,
     grid: tuple[float, ...] = ALPHA_GRID,
     min_support: int = 20,
-    n_splits: int = 5,
+    n_splits: int = CV_FOLDS,
     seed: int = 0,
 ) -> float:
     """Best PRIM ``alpha`` by cross-validated test-fold PR AUC."""
@@ -84,7 +88,7 @@ def optimize_bumping_features(
     *,
     alpha: float,
     min_support: int = 20,
-    n_splits: int = 5,
+    n_splits: int = CV_FOLDS,
     seed: int = 0,
     n_repeats: int = CV_BUMPING_REPEATS,
 ) -> int:
@@ -116,7 +120,7 @@ def optimize_bi_depth(
     y: np.ndarray,
     *,
     beam_size: int = 1,
-    n_splits: int = 5,
+    n_splits: int = CV_FOLDS,
     seed: int = 0,
 ) -> int:
     """Best BI ``m`` (max restricted inputs) by cross-validated WRAcc."""

@@ -115,6 +115,22 @@ class DiscoveryResult:
     train_quality: float = 0.0
 
 
+def _check_inputs(spec: MethodSpec, x: np.ndarray, y: np.ndarray) -> None:
+    """Reject data no method can use, before any work starts."""
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        raise ValueError(f"x column {int(np.argmax(bad))} holds NaN or inf; "
+                         "discover needs finite inputs")
+    if not np.isfinite(y).all():
+        raise ValueError("y holds NaN or inf; discover needs finite labels")
+    if spec.optimize and len(x) < hp.CV_FOLDS:
+        raise ValueError(
+            f"method {spec.name!r} tunes its hyperparameters by "
+            f"{hp.CV_FOLDS}-fold cross-validation and needs at least "
+            f"{hp.CV_FOLDS} rows, got {len(x)}; use the method without "
+            "'c' to keep the default hyperparameters")
+
+
 def discover(
     name: str,
     x: np.ndarray,
@@ -167,6 +183,7 @@ def discover(
     spec = parse_method(name)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    _check_inputs(spec, x, y)
     if cat_levels:
         bad = [j for j in cat_levels if not 0 <= int(j) < x.shape[1]]
         if bad:

@@ -3,9 +3,9 @@
 :mod:`repro.experiments.harness` runs (function, method, N, seed)
 combinations and aggregates the paper's quality measures;
 :mod:`repro.experiments.parallel` compiles those grids into explicit
-execution plans and runs them on pluggable executors — serial, process
-pool, or store-coordinated shards — with results identical to the
-serial loop; :mod:`repro.experiments.dataplane` is the shared-memory
+execution plans and runs them inline, on a process pool, or as
+store-coordinated shards — picked from ``jobs`` and ``shard`` alone —
+with results identical to the serial loop; :mod:`repro.experiments.dataplane` is the shared-memory
 broker that maps each plan's large read-only arrays zero-copy into
 worker processes; :mod:`repro.experiments.store` persists finished
 records in an on-disk content-addressed store (the ``store``/``resume``
@@ -47,19 +47,14 @@ from repro.experiments.dataplane import (
 from repro.experiments.design import BenchScale, scale_from_env, EXPERIMENTS
 from repro.experiments.faults import FaultPlan, InjectedFault, parse_fault_plan
 from repro.experiments.parallel import (
-    EXECUTORS,
     ExecutionPlan,
     GridFailureError,
-    ProcessExecutor,
     RetryPolicy,
-    SerialExecutor,
-    ShardedExecutor,
     TaskFailure,
     close_pools,
     compile_plan,
-    default_jobs,
+    cpu_budget,
     execute,
-    get_executor,
     parse_shard,
     pool_stats,
     run_chunked,
@@ -100,19 +95,14 @@ __all__ = [
     "FaultPlan",
     "InjectedFault",
     "parse_fault_plan",
-    "EXECUTORS",
     "ExecutionPlan",
     "GridFailureError",
-    "ProcessExecutor",
     "RetryPolicy",
-    "SerialExecutor",
-    "ShardedExecutor",
     "TaskFailure",
     "close_pools",
     "compile_plan",
-    "default_jobs",
+    "cpu_budget",
     "execute",
-    "get_executor",
     "parse_shard",
     "pool_stats",
     "run_chunked",

@@ -28,7 +28,7 @@ Design:
   the plane exists to avoid.  Publishing degrades with a logged
   warning, it never crashes a run.
 * **Deterministic teardown.**  :meth:`DataPlane.unlink` removes every
-  segment name on both clean and exceptional exits (the executors call
+  segment name on both clean and exceptional exits (``execute`` calls
   it from ``finally`` blocks) and an ``atexit`` hook sweeps anything a
   crashed caller left behind, so no run leaks ``/dev/shm`` entries.
   Segments leaked by a *SIGKILLed* prior run (no atexit ran) can be
@@ -94,6 +94,10 @@ logger = logging.getLogger(__name__)
 #: Prefix of every segment name this module creates; tests (and humans
 #: inspecting /dev/shm) can recognise data-plane segments by it.
 SEGMENT_PREFIX = "reds-dp-"
+
+#: Prefix of the per-task heartbeat files of the process-pool loop
+#: (``reds-hb-<pid>-<token>-t<j>``), swept alongside orphan segments.
+HEARTBEAT_PREFIX = "reds-hb-"
 
 
 def dataplane_enabled() -> bool:
@@ -257,7 +261,7 @@ class DataPlane:
 
     Publish arrays before dispatching work, pass the returned refs
     (inside task kwargs or the plan context) to workers, and call
-    :meth:`unlink` when the plan finishes — the executors do this in
+    :meth:`unlink` when the plan finishes — ``execute`` does this in
     ``finally`` blocks so segments never outlive their plan, poisoned
     tasks included.
 
@@ -424,13 +428,14 @@ def _pid_alive(pid: int) -> bool:
 
 
 def sweep_orphan_segments(*, force: bool = False) -> list[str]:
-    """Unlink data-plane segments whose creating process is dead.
+    """Unlink data-plane segments and heartbeats whose creator is dead.
 
-    Segment names embed the creator's pid
-    (``reds-dp-<pid>-<token>``); any segment under ``/dev/shm`` whose
-    pid no longer maps to a live process was leaked by a crashed or
-    SIGKILLed run — ``atexit`` never fired there — and is removed.
-    Segments of live processes (including this one) are never touched.
+    Segment and heartbeat names embed the creator's pid
+    (``reds-dp-<pid>-<token>``, ``reds-hb-<pid>-<token>-t<j>``); any
+    such entry under ``/dev/shm`` whose pid no longer maps to a live
+    process was leaked by a crashed or SIGKILLed run — ``atexit`` and
+    the pool loop's ``finally`` never ran there — and is removed.
+    Entries of live processes (including this one) are never touched.
 
     Gated by ``REDS_DATAPLANE_SWEEP=1`` unless ``force`` is given,
     because pid liveness is a heuristic: a recycled pid makes a true
@@ -439,7 +444,7 @@ def sweep_orphan_segments(*, force: bool = False) -> list[str]:
     Returns
     -------
     list of str
-        The names of the segments that were removed.
+        The names of the entries that were removed.
     """
     if not force and os.environ.get("REDS_DATAPLANE_SWEEP", "") != "1":
         return []
@@ -452,9 +457,11 @@ def sweep_orphan_segments(*, force: bool = False) -> list[str]:
         return []
     for entry in entries:
         name = entry.name
-        if not name.startswith(SEGMENT_PREFIX):
+        prefix = next((p for p in (SEGMENT_PREFIX, HEARTBEAT_PREFIX)
+                       if name.startswith(p)), None)
+        if prefix is None:
             continue
-        pid_text = name[len(SEGMENT_PREFIX):].split("-", 1)[0]
+        pid_text = name[len(prefix):].split("-", 1)[0]
         if not pid_text.isdigit():
             continue
         pid = int(pid_text)
@@ -466,8 +473,8 @@ def sweep_orphan_segments(*, force: bool = False) -> list[str]:
             continue
         removed.append(name)
     if removed:
-        logger.warning("swept %d orphan shared-memory segment(s) left by "
-                       "dead processes: %s", len(removed),
+        logger.warning("swept %d orphan shared-memory segment(s) and "
+                       "heartbeat(s) left by dead processes: %s", len(removed),
                        ", ".join(sorted(removed)))
     return removed
 
@@ -495,7 +502,7 @@ def resolve_refs(obj):
 
     Dicts, lists and tuples are traversed (rebuilt only when something
     inside actually changed); everything else passes through untouched.
-    Used on plan contexts at worker bootstrap and by the serial executor.
+    Used on plan contexts at worker bootstrap and by the inline loop.
     """
     if isinstance(obj, ArrayRef):
         return obj.resolve()

@@ -156,8 +156,8 @@ _PLANE_TEST_DATA: dict[tuple, tuple] = {}
 def register_test_data(refs: dict) -> None:
     """Map data-plane test arrays into this process.
 
-    Called by the worker initializer of
-    :class:`repro.experiments.parallel.ProcessExecutor` with the plan's
+    Called by the pool-worker initializer of
+    :mod:`repro.experiments.parallel` with the plan's
     ``{(function, variant, size): (x_ref, y_ref)}`` refs.
     """
     _PLANE_TEST_DATA.update(refs)
@@ -331,7 +331,7 @@ def run_single(
     x_test, y_test = get_test_data(function, variant, test_size)
 
     # Inside a budgeted grid worker this is the worker's lease (its
-    # share of the global ``jobs`` budget); outside any executor it is
+    # share of the global ``jobs`` budget); outside any plan it is
     # 1, i.e. the serial behaviour.  Results are jobs-invariant, so the
     # lease is purely a throughput knob and not part of the store key.
     inner_jobs = budgeted_jobs()
@@ -381,7 +381,6 @@ def run_batch(
     store=None,
     resume: bool = True,
     engine: str = "vectorized",
-    executor=None,
     shard=None,
     retries: int = 0,
     task_timeout: float | None = None,
@@ -391,9 +390,9 @@ def run_batch(
     The grid compiles to an
     :class:`~repro.experiments.parallel.ExecutionPlan` (seeds fixed at
     plan time from grid position, test samples published once through
-    the data plane) and runs on a pluggable executor.  With ``jobs`` > 1
-    (or None for all CPUs) that is a process pool; records come back in
-    grid order, identical to the serial run whatever the scheduling.
+    the data plane) and runs inline, or with ``jobs`` > 1 (or None for
+    all CPUs) on a process pool; records come back in grid order,
+    identical to the serial run whatever the scheduling.
 
     Parameters
     ----------
@@ -409,10 +408,8 @@ def run_batch(
     engine:
         Kernel engine threaded into every cell (part of the task
         configuration, hence of the store key).
-    executor, shard:
-        Execution strategy (see
-        :func:`repro.experiments.parallel.get_executor`):
-        ``shard=(i, k)`` or ``"i/k"`` splits the grid across
+    shard:
+        ``(i, k)`` or ``"i/k"`` splits the grid across
         store-coordinated invocations that cooperate on one store with
         zero duplicated task executions.
     retries, task_timeout:
@@ -436,7 +433,7 @@ def run_batch(
     ]
     warmup = sorted({(function, variant, test_size) for function in functions})
     return execute(run_single, tasks, jobs, warmup=warmup,
-                   store=store, resume=resume, executor=executor, shard=shard,
+                   store=store, resume=resume, shard=shard,
                    retries=retries, task_timeout=task_timeout)
 
 
@@ -510,7 +507,6 @@ def run_third_party(
     store=None,
     resume: bool = True,
     engine: str = "vectorized",
-    executor=None,
     shard=None,
     retries: int = 0,
     task_timeout: float | None = None,
@@ -519,8 +515,8 @@ def run_third_party(
 
     No simulation model exists, so quality is measured on held-out
     folds; the paper runs 5-fold CV ten times and averages.  For "TGL"
-    the paper follows earlier work and uses ``alpha = 0.1``.  ``jobs``,
-    ``executor`` and ``shard`` parallelise the (repetition, fold) cells
+    the paper follows earlier work and uses ``alpha = 0.1``.  ``jobs``
+    and ``shard`` parallelise the (repetition, fold) cells
     like :func:`run_batch`, ``store``/``resume`` make them cacheable
     the same way, and ``retries``/``task_timeout`` give the cells the
     same fault tolerance.
@@ -536,7 +532,7 @@ def run_third_party(
         for fold in range(n_splits)
     ]
     return execute(_third_party_single, tasks, jobs, store=store,
-                   resume=resume, executor=executor, shard=shard,
+                   resume=resume, shard=shard,
                    retries=retries, task_timeout=task_timeout)
 
 

@@ -1,4 +1,4 @@
-"""Plan/executor engine: compile experiment grids, run them anywhere.
+"""Plan engine: compile experiment grids, run them anywhere.
 
 Work in this repo — :func:`~repro.experiments.harness.run_batch` /
 :func:`~repro.experiments.harness.run_third_party` grids, the
@@ -13,20 +13,20 @@ dict per call of a module-level function) and hands it to
   the data-plane refs of every shared array (test samples, plan
   context) published once through
   :class:`~repro.experiments.dataplane.DataPlane`.  Nothing about a
-  compiled plan depends on which executor later runs it.
-* **Executors.**  :class:`SerialExecutor` (the reference loop),
-  :class:`ProcessExecutor` (a process pool whose workers map the plan's
-  shared arrays zero-copy instead of regenerating or unpickling them),
-  and :class:`ShardedExecutor` (the plan split across store-coordinated
-  shards so independent invocations cooperate on one grid).  All three
-  return bit-identical results in task-list order — locked down by
-  ``tests/test_parallel_harness.py``.
-* **Data plane.**  Executors that cross process boundaries publish the
+  compiled plan depends on how it later runs.
+* **Run paths.**  ``jobs`` and ``shard`` alone pick one: ``jobs <= 1``
+  runs inline (the reference loop), a wider budget runs a process pool
+  whose workers map the plan's shared arrays zero-copy instead of
+  regenerating or unpickling them, and ``shard=(i, k)`` splits the plan
+  across store-coordinated invocations that cooperate on one grid.
+  All of them return bit-identical results in task-list order — locked
+  down by ``tests/test_parallel_harness.py``.
+* **Data plane.**  Plans that can reach a pool or a shard publish the
   plan's arrays through a :class:`~repro.experiments.dataplane.DataPlane`
   and unlink every segment in a ``finally`` block, so clean runs and
   poisoned tasks alike leave no shared memory behind.
 
-Three properties keep every executor bit-identical to the serial loop:
+Three properties keep every run path bit-identical to the serial loop:
 
 * **seed-stable task ordering** — every task carries its explicit seed,
   computed from its grid position at plan time, so the work a task does
@@ -37,25 +37,26 @@ Three properties keep every executor bit-identical to the serial loop:
   the parent materialized, through the data plane, instead of
   regenerating them per worker.
 
-``jobs <= 1`` falls back to the serial executor (no pool, no pickling),
-which is also the default everywhere.
+``jobs <= 1`` runs inline (no pool, no pickling), which is also the
+default everywhere.
 
 ``jobs`` is a **global worker budget**, not a per-level knob.  The
 planner splits it once across the grid level and the chunked inner
-level: a budgeted executor runs ``min(jobs, tasks)`` grid workers and
+level: a budgeted plan runs ``min(jobs, tasks)`` grid workers and
 hands each a *lease* of ``jobs // workers`` inner workers, delivered
 through the plan bootstrap and read back by the task via
 :func:`budgeted_jobs`.  A grid task threads its lease into its own
 chunked fan-outs (ensemble labeling, metamodel tuning folds, trajectory
-evaluation), and :class:`ProcessExecutor` additionally clamps any
-nested request to the ambient lease — so ``jobs=8`` means eight
+evaluation), and every nested request is additionally clamped to the
+ambient lease — so ``jobs=8`` means eight
 concurrently-working processes total, never ``8 x 8``.  Leases never
 change results (every jobs/chunk setting is pinned bit-identical); the
 budget is purely a throughput contract.
 
-**One dispatch loop per executor.**  Every plan runs through one of two
-loops: :func:`_run_inline` (serial execution, and the degraded tail of
-a pool run) or :meth:`ProcessExecutor._run_tolerant`.  There is no
+**Two dispatch loops.**  Every plan runs through one of two loops:
+:func:`_run_inline` (serial execution, and the degraded tail of a pool
+run) or :func:`_run_tolerant` (the pool).  A sharded invocation runs
+the tasks it claims through the same two.  There is no
 separate fast path: ``execute(retries=N)`` always gives every task a
 :class:`RetryPolicy` (exponential backoff with seeded deterministic
 jitter), ``retries=0`` being the one-attempt policy.  Each failed
@@ -64,8 +65,8 @@ attempt is journalled in the store's ``failures/`` tree.  At
 ``retries > 0`` a task that exhausts its attempts is *quarantined* —
 the grid completes the remaining cells and raises a structured
 :class:`GridFailureError` at the end instead of dying on the first
-error.  ``task_timeout=`` arms a per-task watchdog in
-:class:`ProcessExecutor`: workers touch heartbeat files as tasks start,
+error.  ``task_timeout=`` arms a per-task watchdog in the pool loop:
+workers touch heartbeat files as tasks start,
 and a heartbeat older than the timeout means a dead or hung worker —
 the pool is killed and respawned, in-flight tasks are charged or
 requeued by heartbeat attribution.  When a pool cannot be spawned, or
@@ -112,6 +113,7 @@ from dataclasses import dataclass, replace
 from repro import warm
 from repro.experiments import faults
 from repro.experiments.dataplane import (
+    HEARTBEAT_PREFIX,
     DataPlane,
     dataplane_enabled,
     resolve_refs,
@@ -121,19 +123,13 @@ from repro.experiments.store import MISSING, open_store
 __all__ = [
     "ExecutionPlan",
     "GridFailureError",
-    "ProcessExecutor",
     "RetryPolicy",
-    "SerialExecutor",
-    "ShardedExecutor",
     "TaskFailure",
-    "EXECUTORS",
     "budgeted_jobs",
     "close_pools",
     "compile_plan",
     "cpu_budget",
-    "default_jobs",
     "execute",
-    "get_executor",
     "parse_shard",
     "plan_context",
     "pool_stats",
@@ -144,9 +140,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-#: Names accepted by ``executor=`` arguments and the CLI ``--executor``.
-EXECUTORS = ("serial", "process", "sharded")
 
 
 def cpu_budget() -> int:
@@ -168,11 +161,6 @@ def cpu_budget() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def default_jobs() -> int:
-    """Worker count for ``jobs=None``: all *available* CPUs, floor 1."""
-    return cpu_budget()
-
-
 def warm_test_cache(specs: Sequence[tuple[str, str, int]]) -> None:
     """Fill this process's test-data cache for (function, variant, size).
 
@@ -192,7 +180,7 @@ def warm_test_cache(specs: Sequence[tuple[str, str, int]]) -> None:
 
 @dataclass
 class ExecutionPlan:
-    """A compiled, executor-independent description of a grid's work.
+    """A compiled description of a grid's work, independent of how it runs.
 
     Attributes
     ----------
@@ -204,7 +192,7 @@ class ExecutionPlan:
         any result.
     indices:
         Original grid position of each task — the stable identity that
-        sharded executors partition on, independent of how many tasks a
+        sharded execution partitions on, independent of how many tasks a
         warm store already resolved.
     keys:
         Store key per task (``None`` without a store).
@@ -327,7 +315,7 @@ _CONTEXT_ERROR: BaseException | None = None
 #: execution installs it thread-locally on :data:`_TLS`.
 _WORKER_LEASE: int | None = None
 
-#: In-process (serial-executor) context, thread-local: concurrent
+#: In-process (inline-loop) context, thread-local: concurrent
 #: in-process executions — e.g. sharded invocations driven from
 #: threads — must not see each other's arrays.
 _TLS = threading.local()
@@ -336,9 +324,9 @@ _TLS = threading.local()
 def plan_context():
     """The running plan's resolved context (shared arrays, models, ...).
 
-    Valid inside task functions while an executor is running a plan
-    whose ``context`` is set: the serial executor installs it around its
-    loop (per thread), process workers resolve it once at bootstrap.
+    Valid inside task functions while a plan whose ``context`` is set is
+    running: the inline loop installs it around its tasks (per thread),
+    process workers resolve it once at bootstrap.
     """
     local = getattr(_TLS, "context", None)
     if local is not None:
@@ -525,7 +513,7 @@ def _token_base(plan: ExecutionPlan, j: int) -> str:
     """Stable identity of task ``j`` for fault decisions and jitter.
 
     The store key when available (content-addressed, identical across
-    executors and shards), else the grid index — never anything
+    run paths and shards), else the grid index — never anything
     scheduling-dependent.
     """
     if plan.keys is not None and plan.keys[j] is not None:
@@ -603,18 +591,17 @@ def _run_inline(plan: ExecutionPlan, order: Sequence[int],
                 attempts: list[int], results: dict[int, object],
                 settled: set[int],
                 on_result: Callable[[int, object], None] | None,
-                policy: RetryPolicy | None,
+                policy: RetryPolicy,
                 failures: list[TaskFailure] | None,
                 budget: int | None) -> None:
     """Run ``order``'s tasks inline with retry accounting.
 
-    The dispatch loop of every serial plan, and of a degraded
-    :class:`ProcessExecutor` finishing a grid after giving up on pools
+    The dispatch loop of every inline plan, and of a degraded
+    :func:`_run_tolerant` finishing a grid after giving up on pools
     (``attempts`` carries over, so pool attempts still count against
-    the budget).  Installs the plan context (and ``budget`` as the
-    worker lease) thread-locally, exactly like :class:`SerialExecutor`.
+    the budget).  Installs the plan context (and ``budget``, when given,
+    as the worker lease) thread-locally.
     """
-    max_attempts = policy.max_attempts if policy is not None else 1
     previous = getattr(_TLS, "context", None)
     previous_lease = getattr(_TLS, "lease", None)
     _TLS.context = resolve_refs(plan.context)
@@ -630,7 +617,7 @@ def _run_inline(plan: ExecutionPlan, order: Sequence[int],
                     record = _invoke(plan.func, plan.tasks[j], token)
                 except Exception as exc:
                     attempts[j] += 1
-                    final = attempts[j] >= max_attempts
+                    final = attempts[j] >= policy.max_attempts
                     _record_failure(plan, j, attempts[j],
                                     _describe_error(exc), final)
                     if final:
@@ -771,469 +758,422 @@ def close_pools() -> int:
 
 
 # ----------------------------------------------------------------------
-# Executors
+# Run paths: chosen by ``jobs`` and ``shard`` alone
 # ----------------------------------------------------------------------
 
-class SerialExecutor:
-    """The reference loop: run every task inline, in plan order.
+def _resolve_jobs(jobs: int | None) -> int:
+    """``jobs`` as a worker count: ``None`` means :func:`cpu_budget`.
 
-    ``budget`` (optional) installs a worker lease around the loop: the
-    single-task / ``jobs <= 1`` fallback of a budgeted
-    :class:`ProcessExecutor` hands its whole budget to the tasks it
-    runs inline, so ``execute(jobs=8)`` over one task still means
-    eight workers — all of them inside that task's own chunked
-    fan-outs, read back via :func:`budgeted_jobs`.
+    Inside a budgeted plan the ambient lease caps the result, whatever
+    the nested caller asked for, so no composition of layers exceeds
+    the top-level budget.
     """
-
-    #: Serial execution reads parent memory directly — no plane needed.
-    wants_plane = False
-
-    def __init__(self, budget: int | None = None) -> None:
-        self.budget = budget
-
-    def run(self, plan: ExecutionPlan,
-            on_result: Callable[[int, object], None] | None = None, *,
-            policy: RetryPolicy | None = None,
-            failures: list[TaskFailure] | None = None,
-            task_timeout: float | None = None) -> list:
-        # ``task_timeout`` is accepted for interface parity but cannot be
-        # enforced inline: there is no second process to watch the clock,
-        # and killing the only interpreter would lose the grid.  The
-        # watchdog lives in ProcessExecutor.
-        n = len(plan.tasks)
-        results: dict[int, object] = {}
-        _run_inline(plan, range(n), [0] * n, results, set(), on_result,
-                    policy, failures, self.budget)
-        return [results[j] for j in range(n)]
+    jobs = cpu_budget() if jobs is None else jobs
+    ambient = worker_budget()
+    return jobs if ambient is None else min(jobs, ambient)
 
 
-class ProcessExecutor:
-    """Fan a plan out over a process pool (today's ``jobs=N`` path).
+def _run_plan(plan: ExecutionPlan, jobs: int | None,
+              on_result: Callable[[int, object], None] | None, *,
+              policy: RetryPolicy,
+              failures: list[TaskFailure] | None,
+              task_timeout: float | None) -> list:
+    """Run ``plan`` inline or over a process pool, as ``jobs`` says.
 
-    Workers bootstrap by mapping the plan's shared arrays (test data,
-    context refs) zero-copy from the data plane — or, when the plane is
-    unavailable, by warming their own test cache — then pull tasks until
-    the plan drains.  Results are collected by plan index, so the
-    returned list matches the serial loop regardless of scheduling.
+    An explicit ``jobs <= 1`` is the reference loop: every task inline,
+    in plan order, with no worker lease.  Otherwise ``jobs`` is the
+    plan's **total** worker budget (resolved by :func:`_resolve_jobs`).
+    A budget of one, or a one-task plan, still runs inline, but hands
+    the whole budget to its tasks as their lease: ``execute(jobs=8)``
+    over one task means eight workers, all inside that task's own
+    chunked fan-outs.  Anything wider goes to :func:`_run_tolerant`,
+    whose pool takes ``min(jobs, tasks)`` workers, each with a lease of
+    ``jobs // workers``.  Results come back in plan order either way.
 
-    ``jobs`` is the plan's **total** worker budget.  The pool takes
-    ``min(jobs, tasks)`` workers and every worker receives a lease of
-    ``jobs // workers`` inner workers for its own chunked fan-outs
-    (via :func:`budgeted_jobs`) — a grid wider than its budget leaves
-    lease 1 (pure grid parallelism, the historical behaviour), a
-    narrow grid hands the spare budget to the inner level.  Inside a
-    budgeted worker any nested request is additionally clamped to the
-    ambient lease, so no composition of layers exceeds the top-level
-    budget.
+    ``task_timeout`` needs a second process to watch the clock, so the
+    inline loop ignores it: killing the only interpreter would lose the
+    grid.
     """
+    lease = None
+    if jobs is None or jobs > 1:
+        jobs = _resolve_jobs(jobs)
+        if jobs > 1 and len(plan.tasks) > 1:
+            return _run_tolerant(plan, on_result, policy, failures,
+                                 task_timeout, jobs)
+        lease = max(jobs, 1)
+    n = len(plan.tasks)
+    results: dict[int, object] = {}
+    _run_inline(plan, range(n), [0] * n, results, set(), on_result,
+                policy, failures, lease)
+    return [results[j] for j in range(n)]
 
-    wants_plane = True
 
-    def __init__(self, jobs: int | None = None) -> None:
-        self.jobs = jobs
+def _run_tolerant(plan: ExecutionPlan,
+                  on_result: Callable[[int, object], None] | None,
+                  policy: RetryPolicy,
+                  failures: list[TaskFailure] | None,
+                  task_timeout: float | None, jobs: int) -> list:
+    """The guarded dispatch loop: retries, watchdog, degradation.
 
-    def run(self, plan: ExecutionPlan,
-            on_result: Callable[[int, object], None] | None = None, *,
-            policy: RetryPolicy | None = None,
-            failures: list[TaskFailure] | None = None,
-            task_timeout: float | None = None) -> list:
-        jobs = default_jobs() if self.jobs is None else self.jobs
-        ambient = worker_budget()
-        if ambient is not None:
-            # Already inside a budgeted plan: the lease caps everything
-            # spawned below it, whatever the nested caller asked for.
-            jobs = min(jobs, ambient)
-        if jobs <= 1 or len(plan.tasks) <= 1:
-            return SerialExecutor(budget=max(jobs, 1)).run(
-                plan, on_result, policy=policy, failures=failures)
-        return self._run_tolerant(plan, on_result, policy, failures,
-                                  task_timeout, jobs)
+    Every plan that reaches a pool runs here; ``retries=0`` is just
+    a one-attempt policy.  The loop owns the task lifecycle
+    explicitly: a ready queue, a backoff-delayed queue, and an
+    in-flight map — so it can requeue work across pool generations.
+    Heartbeat files (written by :func:`_guarded_call`) attribute
+    blame when a pool dies: in-flight tasks are charged an attempt,
+    queued tasks requeue for free — which also covers a cached pool
+    that died between plans.  A second poisoning — or a pool that
+    cannot be spawned at all — degrades the rest of the grid to the
+    inline loop rather than thrashing.  Workers bootstrap by mapping the
+    plan's shared arrays zero-copy from the data plane (or, without
+    one, by warming their own test cache).
+    """
+    n = len(plan.tasks)
+    workers = min(jobs, n)
+    lease = max(1, jobs // workers)
+    attempts = [0] * n
+    results: dict[int, object] = {}
+    settled: set[int] = set()
+    ready: deque[int] = deque(range(n))
+    delayed: list[tuple[float, int]] = []
+    poisonings = 0
+    pool = None
+    # Warm-session checkout is exclusive: a poisoned pool was already
+    # popped from the cache, so it can never be handed to a later
+    # plan — only a pool that drains its plan healthy is returned.
+    cache_key = _pool_key(plan, workers, lease)
+    futures: dict[object, int] = {}
+    # Flat files named per plan rather than a directory per plan:
+    # creating and removing a directory measurably slows the 2-task
+    # plans a warm labelling request issues.
+    hb_prefix = os.path.join(
+        _HEARTBEAT_ROOT,
+        f"{HEARTBEAT_PREFIX}{os.getpid()}-{secrets.token_hex(6)}-t")
+    token_bases = [_token_base(plan, j) for j in range(n)]
 
-    def _run_tolerant(self, plan: ExecutionPlan,
-                      on_result: Callable[[int, object], None] | None,
-                      policy: RetryPolicy | None,
-                      failures: list[TaskFailure] | None,
-                      task_timeout: float | None, jobs: int) -> list:
-        """The guarded dispatch loop: retries, watchdog, degradation.
+    def hb_path(j: int) -> str:
+        return f"{hb_prefix}{j}"
 
-        Every plan that reaches a pool runs here; ``retries=0`` is just
-        a one-attempt policy.  The loop owns the task lifecycle
-        explicitly: a ready queue, a backoff-delayed queue, and an
-        in-flight map — so it can requeue work across pool generations.
-        Heartbeat files (written by :func:`_guarded_call`) attribute
-        blame when a pool dies: in-flight tasks are charged an attempt,
-        queued tasks requeue for free — which also covers a cached pool
-        that died between plans.  A second poisoning — or a pool that
-        cannot be spawned at all — degrades the rest of the grid to the
-        inline loop rather than thrashing.
-        """
-        if policy is None:
-            policy = RetryPolicy(max_attempts=1)
-        n = len(plan.tasks)
-        workers = min(jobs, n)
-        lease = max(1, jobs // workers)
-        attempts = [0] * n
-        results: dict[int, object] = {}
-        settled: set[int] = set()
-        ready: deque[int] = deque(range(n))
-        delayed: list[tuple[float, int]] = []
-        poisonings = 0
-        pool = None
-        # Warm-session checkout is exclusive: a poisoned pool was already
-        # popped from the cache, so it can never be handed to a later
-        # plan — only a pool that drains its plan healthy is returned.
-        cache_key = _pool_key(plan, workers, lease)
-        futures: dict[object, int] = {}
-        # Flat files named per plan rather than a directory per plan:
-        # creating and removing a directory measurably slows the 2-task
-        # plans a warm labelling request issues.
-        hb_prefix = os.path.join(
-            _HEARTBEAT_ROOT,
-            f"reds-hb-{os.getpid()}-{secrets.token_hex(6)}-t")
-        token_bases = [_token_base(plan, j) for j in range(n)]
+    def clear_heartbeats(tasks) -> None:
+        for j in tasks:
+            try:
+                os.unlink(hb_path(j))
+            except OSError:
+                pass
 
-        def hb_path(j: int) -> str:
-            return f"{hb_prefix}{j}"
-
-        def clear_heartbeats(tasks) -> None:
-            for j in tasks:
-                try:
-                    os.unlink(hb_path(j))
-                except OSError:
-                    pass
-
-        def charge(j: int, error: str, exc: BaseException | None) -> None:
-            nonlocal pool
-            attempts[j] += 1
-            final = attempts[j] >= policy.max_attempts
-            _record_failure(plan, j, attempts[j], error, final)
-            if not final:
-                delayed.append((time.monotonic()
-                                + policy.delay(token_bases[j], attempts[j]),
-                                j))
-                return
-            if failures is None:
-                if exc is None:
-                    raise RuntimeError(error)
-                # Fail fast on the task's own error.  The pool is
-                # healthy, so its workers finish and exit through their
-                # finalizers instead of being killed.
-                pool.shutdown(wait=False, cancel_futures=True)
-                pool = None
-                raise exc
-            failures.append(TaskFailure(
-                index=plan.indices[j],
-                key=plan.keys[j] if plan.keys is not None else None,
-                attempts=attempts[j], error=error))
-            results[j] = MISSING
-            settled.add(j)
-
-        def poison(reason: str, candidates: Sequence[int],
-                   charged: Sequence[int] = ()) -> None:
-            # The whole pool dies together (killing a hung worker kills
-            # its siblings too): tasks in ``charged`` were already
-            # charged by the caller, the rest are charged or requeued by
-            # heartbeat attribution.
-            nonlocal pool, poisonings
-            poisonings += 1
-            _kill_pool(pool)
+    def charge(j: int, error: str, exc: BaseException | None) -> None:
+        nonlocal pool
+        attempts[j] += 1
+        final = attempts[j] >= policy.max_attempts
+        _record_failure(plan, j, attempts[j], error, final)
+        if not final:
+            delayed.append((time.monotonic()
+                            + policy.delay(token_bases[j], attempts[j]),
+                            j))
+            return
+        if failures is None:
+            if exc is None:
+                raise RuntimeError(error)
+            # Fail fast on the task's own error.  The pool is
+            # healthy, so its workers finish and exit through their
+            # finalizers instead of being killed.
+            pool.shutdown(wait=False, cancel_futures=True)
             pool = None
-            futures.clear()
-            live = {j for j in candidates if os.path.exists(hb_path(j))}
-            clear_heartbeats(candidates)
-            for j in candidates:
-                if j in charged or j in settled:
-                    continue
-                if j in live:
-                    charge(j, reason, None)
-                else:
-                    ready.append(j)
+            raise exc
+        failures.append(TaskFailure(
+            index=plan.indices[j],
+            key=plan.keys[j] if plan.keys is not None else None,
+            attempts=attempts[j], error=error))
+        results[j] = MISSING
+        settled.add(j)
 
-        try:
-            while len(settled) < n:
-                if poisonings >= 2:
-                    remaining = sorted(
-                        set(range(n)) - settled - set(futures.values()))
-                    logger.warning(
-                        "process pool poisoned %d times; degrading the "
-                        "remaining %d task(s) to serial execution",
-                        poisonings, len(remaining))
-                    delayed.clear()
-                    ready.clear()
-                    _run_inline(plan, remaining, attempts, results, settled,
-                                on_result, policy, failures, budget=jobs)
-                    break
-                now = time.monotonic()
-                if delayed:
-                    ripe = sorted(j for t, j in delayed if t <= now)
-                    delayed[:] = [(t, j) for t, j in delayed if t > now]
-                    ready.extend(ripe)
-                if pool is None and ready:
-                    if cache_key is not None:
-                        pool = _POOLS.pop(cache_key)
-                    if pool is None:
-                        try:
-                            pool = _spawn_pool(plan, workers, lease)
-                        except Exception as exc:
-                            logger.warning(
-                                "process pool spawn failed (%s); degrading "
-                                "the remaining tasks to serial execution", exc)
-                            poisonings = 2
-                            continue
-                submit_failed = False
-                while ready:
-                    j = ready.popleft()
-                    token = (f"{token_bases[j]}#a{attempts[j]}"
-                             if faults.enabled() else None)
+    def poison(reason: str, candidates: Sequence[int],
+               charged: Sequence[int] = ()) -> None:
+        # The whole pool dies together (killing a hung worker kills
+        # its siblings too): tasks in ``charged`` were already
+        # charged by the caller, the rest are charged or requeued by
+        # heartbeat attribution.
+        nonlocal pool, poisonings
+        poisonings += 1
+        _kill_pool(pool)
+        pool = None
+        futures.clear()
+        live = {j for j in candidates if os.path.exists(hb_path(j))}
+        clear_heartbeats(candidates)
+        for j in candidates:
+            if j in charged or j in settled:
+                continue
+            if j in live:
+                charge(j, reason, None)
+            else:
+                ready.append(j)
+
+    try:
+        while len(settled) < n:
+            if poisonings >= 2:
+                remaining = sorted(
+                    set(range(n)) - settled - set(futures.values()))
+                logger.warning(
+                    "process pool poisoned %d times; degrading the "
+                    "remaining %d task(s) to serial execution",
+                    poisonings, len(remaining))
+                delayed.clear()
+                ready.clear()
+                _run_inline(plan, remaining, attempts, results, settled,
+                            on_result, policy, failures, budget=jobs)
+                break
+            now = time.monotonic()
+            if delayed:
+                ripe = sorted(j for t, j in delayed if t <= now)
+                delayed[:] = [(t, j) for t, j in delayed if t > now]
+                ready.extend(ripe)
+            if pool is None and ready:
+                if cache_key is not None:
+                    pool = _POOLS.pop(cache_key)
+                if pool is None:
                     try:
-                        future = pool.submit(_guarded_call, plan.func,
-                                             plan.tasks[j], token,
-                                             hb_path(j))
-                    except Exception:
-                        ready.appendleft(j)
-                        submit_failed = True
-                        break
-                    futures[future] = j
-                if submit_failed:
-                    # The unsubmitted task is back at the head of
-                    # ``ready``; only the in-flight ones need blame
-                    # attribution.
-                    poison("worker crashed (pool rejected new work)",
-                           list(futures.values()))
-                    continue
-                if not futures:
-                    if delayed:
-                        wake = min(t for t, _ in delayed)
-                        time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
+                        pool = _spawn_pool(plan, workers, lease)
+                    except Exception as exc:
+                        logger.warning(
+                            "process pool spawn failed (%s); degrading "
+                            "the remaining tasks to serial execution", exc)
+                        poisonings = 2
                         continue
+            submit_failed = False
+            while ready:
+                j = ready.popleft()
+                token = (f"{token_bases[j]}#a{attempts[j]}"
+                         if faults.enabled() else None)
+                try:
+                    future = pool.submit(_guarded_call, plan.func,
+                                         plan.tasks[j], token,
+                                         hb_path(j))
+                except Exception:
+                    ready.appendleft(j)
+                    submit_failed = True
                     break
-                poll = 0.2
-                if task_timeout is not None:
-                    poll = min(poll, max(task_timeout / 4.0, 0.02))
+                futures[future] = j
+            if submit_failed:
+                # The unsubmitted task is back at the head of
+                # ``ready``; only the in-flight ones need blame
+                # attribution.
+                poison("worker crashed (pool rejected new work)",
+                       list(futures.values()))
+                continue
+            if not futures:
                 if delayed:
-                    poll = min(poll, 0.05)
-                done, _ = wait(list(futures), timeout=poll,
-                               return_when=FIRST_COMPLETED)
-                broken: list[int] = []
-                for future in done:
-                    j = futures.pop(future)
-                    exc = future.exception()
-                    if exc is None:
-                        record = future.result()
-                        results[j] = record
-                        settled.add(j)
-                        if on_result is not None:
-                            on_result(j, record)
-                    elif isinstance(exc, BrokenProcessPool):
-                        broken.append(j)
-                    else:
-                        charge(j, _describe_error(exc), exc)
-                if broken:
-                    poison("worker crashed (pool poisoned mid-task)",
-                           broken + list(futures.values()))
+                    wake = min(t for t, _ in delayed)
+                    time.sleep(max(wake - time.monotonic(), 0.0) + 0.001)
                     continue
-                if task_timeout is not None and futures:
-                    wall = time.time()
-                    hung = []
-                    for future, j in futures.items():
-                        try:
-                            started = os.stat(hb_path(j)).st_mtime
-                        except OSError:
-                            continue  # still queued, clock not running
-                        if wall - started > task_timeout:
-                            hung.append(j)
-                    if hung:
-                        for j in hung:
-                            charge(j, f"task exceeded task_timeout="
-                                      f"{task_timeout}s; worker killed",
-                                   None)
-                        poison("pool killed to recover hung worker(s)",
-                               list(futures.values()), charged=hung)
-                        continue
-            if pool is not None:
-                # The plan drained with this pool healthy: hand it back
-                # to the warm-session cache instead of killing it.  Any
-                # broken pool was already killed inside ``poison()`` with
-                # ``pool`` reset to None, so it cannot reach here.
-                if cache_key is not None and warm.active():
-                    _POOLS.put(cache_key, pool)
+                break
+            poll = 0.2
+            if task_timeout is not None:
+                poll = min(poll, max(task_timeout / 4.0, 0.02))
+            if delayed:
+                poll = min(poll, 0.05)
+            done, _ = wait(list(futures), timeout=poll,
+                           return_when=FIRST_COMPLETED)
+            broken: list[int] = []
+            for future in done:
+                j = futures.pop(future)
+                exc = future.exception()
+                if exc is None:
+                    record = future.result()
+                    results[j] = record
+                    settled.add(j)
+                    if on_result is not None:
+                        on_result(j, record)
+                elif isinstance(exc, BrokenProcessPool):
+                    broken.append(j)
                 else:
-                    pool.shutdown(wait=True)
-                pool = None
-            return [results[j] for j in range(n)]
-        finally:
-            _kill_pool(pool)
-            clear_heartbeats(futures.values())
+                    charge(j, _describe_error(exc), exc)
+            if broken:
+                poison("worker crashed (pool poisoned mid-task)",
+                       broken + list(futures.values()))
+                continue
+            if task_timeout is not None and futures:
+                wall = time.time()
+                hung = []
+                for future, j in futures.items():
+                    try:
+                        started = os.stat(hb_path(j)).st_mtime
+                    except OSError:
+                        continue  # still queued, clock not running
+                    if wall - started > task_timeout:
+                        hung.append(j)
+                if hung:
+                    for j in hung:
+                        charge(j, f"task exceeded task_timeout="
+                                  f"{task_timeout}s; worker killed",
+                               None)
+                    poison("pool killed to recover hung worker(s)",
+                           list(futures.values()), charged=hung)
+                    continue
+        if pool is not None:
+            # The plan drained with this pool healthy: hand it back
+            # to the warm-session cache instead of killing it.  Any
+            # broken pool was already killed inside ``poison()`` with
+            # ``pool`` reset to None, so it cannot reach here.
+            if cache_key is not None and warm.active():
+                _POOLS.put(cache_key, pool)
+            else:
+                pool.shutdown(wait=True)
+            pool = None
+        return [results[j] for j in range(n)]
+    finally:
+        _kill_pool(pool)
+        clear_heartbeats(futures.values())
 
 
-class ShardedExecutor:
-    """Split one plan across independent store-coordinated invocations.
+#: Sharded execution timing, in seconds: how often a shard polls the
+#: store for its siblings' records, how old a claim must be before a
+#: shard presumes its owner dead and reclaims it (comfortably above the
+#: worst-case task duration), and how long a shard waits without any
+#: observed progress before giving up on a dead grid.
+SHARD_POLL_INTERVAL = 0.05
+CLAIM_TTL = 1800.0
+SHARD_TIMEOUT = 3600.0
+
+
+def _run_sharded(plan: ExecutionPlan, shard: int, of: int, jobs: int | None,
+                 on_result: Callable[[int, object], None] | None, *,
+                 policy: RetryPolicy,
+                 failures: list[TaskFailure] | None,
+                 task_timeout: float | None) -> list:
+    """Run shard ``shard`` of ``of`` of a store-coordinated plan.
 
     Every task execution is arbitrated by an atomic store **claim
     marker** (:meth:`~repro.experiments.store.ExperimentStore.claim`),
     so concurrent invocations against one store never duplicate a task.
-    The modulo partition is the *priority order*, not a cage: shard
-    ``i`` of ``k`` claims and executes the tasks whose **grid index**
-    is congruent to ``i`` first, then — instead of idling while a
+    The modulo partition is the *priority order*, not a cage: this
+    invocation claims and executes the tasks whose **grid index** is
+    congruent to ``shard`` first, then — instead of idling while a
     slower sibling still holds pending work — sweeps the remaining
     unclaimed tasks and steals them, and reads every record it did not
     produce from the store as the sibling invocations persist theirs.
     Each invocation therefore returns the full grid, identical to a
     serial run, and a lone shard completes the whole grid by itself.
+    The claimed tasks run through :func:`_run_plan` under ``jobs``.
 
     Sibling death is survivable: a claim marker's mtime is its lease
-    timestamp, and a claim older than ``claim_ttl`` is presumed
+    timestamp, and a claim older than :data:`CLAIM_TTL` is presumed
     abandoned — this invocation *reclaims* it (atomic takeover, exactly
     one survivor wins) and executes the task itself instead of waiting
-    forever.  Pick ``claim_ttl`` comfortably above the worst-case task
-    duration; reclaiming a live sibling's lease cannot corrupt results
+    forever.  Reclaiming a live sibling's lease cannot corrupt results
     (tasks are pure, records last-writer-wins with identical content)
-    but duplicates work.  ``claim_ttl=None`` disables reclamation.
+    but duplicates work.
 
-    ``timeout`` bounds how long this invocation waits for tasks that
-    are claimed elsewhere but whose records never appear (a crashed or
-    stalled sibling inside its lease); the deadline resets whenever any
-    progress is observed, so it only fires on a genuinely dead grid.
+    :data:`SHARD_TIMEOUT` bounds how long this invocation waits for
+    tasks that are claimed elsewhere but whose records never appear (a
+    crashed or stalled sibling inside its lease); the deadline resets
+    whenever any progress is observed, so it only fires on a genuinely
+    dead grid.  The claim-marker owner ``shard-<i>/<k>`` is deliberately
+    stable across re-runs (no pid): a shard restarted after a crash
+    re-wins its own stale claims and re-executes the tasks it had
+    claimed but never finished.
     """
+    if plan.store is None or plan.keys is None:
+        raise ValueError(
+            "sharded execution coordinates through the experiment "
+            "store; pass store= (and keep resume semantics) so every "
+            "shard can read its siblings' records")
+    owner = f"shard-{shard}/{of}"
+    results: dict[int, object] = {}
 
-    wants_plane = True
+    def run_claimed(selection: list[int]) -> None:
+        wrapped = None
+        if on_result is not None:
+            wrapped = lambda j, record: on_result(selection[j], record)  # noqa: E731
+        for j, record in zip(selection,
+                             _run_plan(plan.subset(selection), jobs, wrapped,
+                                       policy=policy, failures=failures,
+                                       task_timeout=task_timeout)):
+            results[j] = record
 
-    def __init__(self, shard: int, of: int, *, jobs: int | None = None,
-                 poll_interval: float = 0.05, timeout: float = 3600.0,
-                 claim_ttl: float | None = 1800.0) -> None:
-        if of < 1:
-            raise ValueError(f"shard count must be >= 1, got {of}")
-        if not 0 <= shard < of:
-            raise ValueError(f"shard must be in [0, {of}), got {shard}")
-        self.shard = shard
-        self.of = of
-        self.jobs = jobs
-        self.poll_interval = poll_interval
-        self.timeout = timeout
-        self.claim_ttl = claim_ttl
+    # Own slice first — the modulo partition stays the priority
+    # order; claims only arbitrate against siblings that already
+    # stole into it.
+    own = [j for j in range(len(plan.tasks))
+           if plan.indices[j] % of == shard]
+    run_claimed([j for j in own if plan.store.claim(plan.keys[j], owner)])
 
-    @property
-    def owner(self) -> str:
-        """This invocation's claim-marker identity.
-
-        Deliberately stable across re-runs of the same shard (no pid):
-        a shard restarted after a crash re-wins its own stale claims
-        and re-executes the tasks it had claimed but never finished.
-        """
-        return f"shard-{self.shard}/{self.of}"
-
-    def run(self, plan: ExecutionPlan,
-            on_result: Callable[[int, object], None] | None = None, *,
-            policy: RetryPolicy | None = None,
-            failures: list[TaskFailure] | None = None,
-            task_timeout: float | None = None) -> list:
-        if plan.store is None or plan.keys is None:
-            raise ValueError(
-                "sharded execution coordinates through the experiment "
-                "store; pass store= (and keep resume semantics) so every "
-                "shard can read its siblings' records")
-        jobs = default_jobs() if self.jobs is None else self.jobs
-        inner = ProcessExecutor(jobs) if jobs > 1 else SerialExecutor()
-        results: dict[int, object] = {}
-
-        def run_claimed(selection: list[int]) -> None:
-            wrapped = None
-            if on_result is not None:
-                wrapped = lambda j, record: on_result(selection[j], record)  # noqa: E731
-            for j, record in zip(selection,
-                                 inner.run(plan.subset(selection), wrapped,
-                                           policy=policy, failures=failures,
-                                           task_timeout=task_timeout)):
-                results[j] = record
-
-        # Own slice first — the modulo partition stays the priority
-        # order; claims only arbitrate against siblings that already
-        # stole into it.
-        own = [j for j in range(len(plan.tasks))
-               if plan.indices[j] % self.of == self.shard]
-        run_claimed([j for j in own
-                     if plan.store.claim(plan.keys[j], self.owner)])
-
-        # Claim-then-poll: everything still missing is either being
-        # executed by a sibling (its record will appear) or unclaimed
-        # pending work this shard steals instead of idling.
-        waiting = [j for j in range(len(plan.tasks)) if j not in results]
-        deadline = time.monotonic() + self.timeout
-        while waiting:
-            progress = False
-            still_missing = []
-            for j in waiting:
-                record = plan.store.get(plan.keys[j])
-                if record is MISSING:
-                    still_missing.append(j)
-                else:
-                    results[j] = record
-                    progress = True
-            waiting = still_missing
-            if not waiting:
-                break
-            stolen = [j for j in waiting
-                      if plan.store.claim(plan.keys[j], self.owner)]
-            if stolen:
-                run_claimed(stolen)
-                waiting = [j for j in waiting if j not in results]
-                progress = True
-            if not waiting:
-                break
-            # Dead-sibling recovery: a claim whose lease expired belongs
-            # to an invocation presumed dead — take it over (exactly one
-            # survivor wins the atomic takeover) and run it here.
-            if self.claim_ttl is not None:
-                reclaimed = []
-                for j in waiting:
-                    age = plan.store.claim_age(plan.keys[j])
-                    if age is not None and age > self.claim_ttl and \
-                            plan.store.reclaim(plan.keys[j], self.owner,
-                                               max_age=self.claim_ttl):
-                        reclaimed.append(j)
-                if reclaimed:
-                    logger.warning(
-                        "shard %d/%d reclaimed %d expired claim(s) from "
-                        "dead sibling(s)", self.shard, self.of,
-                        len(reclaimed))
-                    run_claimed(reclaimed)
-                    waiting = [j for j in waiting if j not in results]
-                    progress = True
-            if not waiting:
-                break
-            # A sibling that quarantined a task after exhausting its
-            # retries will never publish a record for it; inherit the
-            # failure instead of waiting for one.
-            if failures is not None:
-                for j in list(waiting):
-                    failure = plan.store.failure_for(plan.keys[j])
-                    if failure is not None and failure.get("quarantined"):
-                        failures.append(TaskFailure(
-                            index=plan.indices[j], key=plan.keys[j],
-                            attempts=int(failure.get("attempts", 0)),
-                            error=str(failure.get("error",
-                                                  "quarantined by sibling"))))
-                        results[j] = MISSING
-                        waiting.remove(j)
-                        progress = True
-            if not waiting:
-                break
-            if progress:
-                deadline = time.monotonic() + self.timeout
-            elif time.monotonic() > deadline:
-                missing = [plan.indices[j] for j in waiting]
-                raise TimeoutError(
-                    f"shard {self.shard}/{self.of} ran out of claimable "
-                    f"work, but records for grid indices {missing[:8]}"
-                    f"{'...' if len(missing) > 8 else ''} never appeared "
-                    f"in the store — those tasks are claimed by sibling "
-                    f"shards that have stopped publishing (crashed "
-                    f"sibling?); their claims will become reclaimable "
-                    f"once older than claim_ttl, or delete the store's "
-                    f"claims/ directory to release them and re-run")
+    # Claim-then-poll: everything still missing is either being
+    # executed by a sibling (its record will appear) or unclaimed
+    # pending work this shard steals instead of idling.
+    waiting = [j for j in range(len(plan.tasks)) if j not in results]
+    deadline = time.monotonic() + SHARD_TIMEOUT
+    while waiting:
+        progress = False
+        still_missing = []
+        for j in waiting:
+            record = plan.store.get(plan.keys[j])
+            if record is MISSING:
+                still_missing.append(j)
             else:
-                time.sleep(self.poll_interval)
-        return [results[j] for j in range(len(plan.tasks))]
+                results[j] = record
+                progress = True
+        waiting = still_missing
+        if not waiting:
+            break
+        stolen = [j for j in waiting if plan.store.claim(plan.keys[j], owner)]
+        if stolen:
+            run_claimed(stolen)
+            waiting = [j for j in waiting if j not in results]
+            progress = True
+        if not waiting:
+            break
+        # Dead-sibling recovery: a claim whose lease expired belongs
+        # to an invocation presumed dead — take it over (exactly one
+        # survivor wins the atomic takeover) and run it here.
+        reclaimed = []
+        for j in waiting:
+            age = plan.store.claim_age(plan.keys[j])
+            if age is not None and age > CLAIM_TTL and \
+                    plan.store.reclaim(plan.keys[j], owner,
+                                       max_age=CLAIM_TTL):
+                reclaimed.append(j)
+        if reclaimed:
+            logger.warning(
+                "shard %d/%d reclaimed %d expired claim(s) from "
+                "dead sibling(s)", shard, of, len(reclaimed))
+            run_claimed(reclaimed)
+            waiting = [j for j in waiting if j not in results]
+            progress = True
+        if not waiting:
+            break
+        # A sibling that quarantined a task after exhausting its
+        # retries will never publish a record for it; inherit the
+        # failure instead of waiting for one.
+        if failures is not None:
+            for j in list(waiting):
+                failure = plan.store.failure_for(plan.keys[j])
+                if failure is not None and failure.get("quarantined"):
+                    failures.append(TaskFailure(
+                        index=plan.indices[j], key=plan.keys[j],
+                        attempts=int(failure.get("attempts", 0)),
+                        error=str(failure.get("error",
+                                              "quarantined by sibling"))))
+                    results[j] = MISSING
+                    waiting.remove(j)
+                    progress = True
+        if not waiting:
+            break
+        if progress:
+            deadline = time.monotonic() + SHARD_TIMEOUT
+        elif time.monotonic() > deadline:
+            missing = [plan.indices[j] for j in waiting]
+            raise TimeoutError(
+                f"shard {shard}/{of} ran out of claimable "
+                f"work, but records for grid indices {missing[:8]}"
+                f"{'...' if len(missing) > 8 else ''} never appeared "
+                f"in the store — those tasks are claimed by sibling "
+                f"shards that have stopped publishing (crashed "
+                f"sibling?); their claims will become reclaimable "
+                f"once older than CLAIM_TTL, or delete the store's "
+                f"claims/ directory to release them and re-run")
+        else:
+            time.sleep(SHARD_POLL_INTERVAL)
+    return [results[j] for j in range(len(plan.tasks))]
 
 
 def parse_shard(value) -> tuple[int, int] | None:
@@ -1258,49 +1198,6 @@ def parse_shard(value) -> tuple[int, int] | None:
     return i, k
 
 
-def get_executor(executor=None, *, jobs: int | None = 1, shard=None):
-    """Resolve ``executor=``/``jobs=``/``shard=`` into an executor object.
-
-    ``executor`` may be an instance (returned as-is), a name from
-    :data:`EXECUTORS`, or ``None`` — in which case ``shard`` selects the
-    sharded executor and otherwise ``jobs`` picks serial (``<= 1``) or
-    process execution, preserving the historical ``jobs=`` semantics.
-    """
-    shard = parse_shard(shard)
-    if isinstance(executor, (SerialExecutor, ProcessExecutor,
-                             ShardedExecutor)):
-        if shard is not None and not isinstance(executor, ShardedExecutor):
-            raise ValueError(
-                f"shard={shard} requires the sharded executor, "
-                f"got {type(executor).__name__}")
-        if shard is not None and shard != (executor.shard, executor.of):
-            raise ValueError(
-                f"shard={shard} disagrees with the supplied "
-                f"ShardedExecutor({executor.shard}, {executor.of}); "
-                f"pass one or the other")
-        return executor
-    if shard is not None and executor not in (None, "sharded"):
-        # Silently dropping the shard here would make every invocation
-        # run the full grid — k-fold duplicated work instead of a
-        # cooperative split.
-        raise ValueError(
-            f"shard={shard} requires executor='sharded' (or None), "
-            f"got {executor!r}")
-    if executor is None:
-        executor = "sharded" if shard is not None else (
-            "process" if (jobs is None or jobs > 1) else "serial")
-    if executor == "serial":
-        return SerialExecutor()
-    if executor == "process":
-        return ProcessExecutor(jobs)
-    if executor == "sharded":
-        if shard is None:
-            raise ValueError("executor='sharded' requires shard=(i, k)")
-        return ShardedExecutor(shard[0], shard[1], jobs=jobs)
-    raise ValueError(
-        f"unknown executor {executor!r}; expected one of {EXECUTORS}")
-
-
 # ----------------------------------------------------------------------
 # The front door
 # ----------------------------------------------------------------------
@@ -1313,7 +1210,6 @@ def execute(
     warmup: Sequence[tuple[str, str, int]] = (),
     store=None,
     resume: bool = True,
-    executor=None,
     shard=None,
     context: object = None,
     shared: dict | None = None,
@@ -1323,9 +1219,12 @@ def execute(
     """Compile ``func(**task) for task in tasks`` into a plan and run it.
 
     ``func`` must be a module-level callable (workers import it by
-    qualified name).  ``jobs=None`` uses :func:`default_jobs`; with
-    ``jobs <= 1`` (and no explicit executor/shard) everything runs
-    inline in this process.
+    qualified name).  ``jobs`` and ``shard`` alone decide how the plan
+    runs: ``jobs <= 1`` runs everything inline in this process,
+    ``jobs > 1`` (or ``None`` for :func:`cpu_budget`) is a total worker
+    budget spent on a process pool and the tasks' own fan-outs, and
+    ``shard`` splits the plan across store-coordinated invocations,
+    each of which spends ``jobs`` on the tasks it claims.
 
     Parameters
     ----------
@@ -1336,11 +1235,11 @@ def execute(
         executed; every fresh result is persisted before returning.
         With ``resume=False`` nothing is read — every task recomputes
         and overwrites its entry (the ``--no-cache`` semantics).
-    executor, shard:
-        Pluggable execution strategy: an executor instance, a name from
-        :data:`EXECUTORS`, or ``shard=(i, k)`` / ``"i/k"`` for
-        store-coordinated sharding (requires ``store``).  The default
-        picks serial or process execution from ``jobs``.
+    shard:
+        ``(i, k)`` or ``"i/k"``: run shard ``i`` of ``k`` of the grid,
+        claiming tasks through the store (requires ``store`` and
+        ``resume=True``) and reading the siblings' records back from
+        it.  Each invocation returns the full grid.
     context, shared:
         Plan context shipped once per worker (see :func:`plan_context`)
         and large read-only arrays published through the data plane and
@@ -1355,8 +1254,8 @@ def execute(
         :class:`GridFailureError` summarising every quarantined task is
         raised.
     task_timeout:
-        Per-task wall-clock limit in seconds, enforced by
-        :class:`ProcessExecutor`'s heartbeat watchdog: a worker whose
+        Per-task wall-clock limit in seconds, enforced by the pool's
+        heartbeat watchdog: a worker whose
         task outlives the limit is killed, the pool respawned, and the
         task charged one attempt.  Ignored by purely in-process
         execution (there is no second process to watch the clock).
@@ -1382,9 +1281,8 @@ def execute(
     policy = RetryPolicy(max_attempts=retries + 1)
     failures: list[TaskFailure] | None = [] if retries > 0 else None
     store = open_store(store)
-    exec_obj = get_executor(executor, jobs=jobs, shard=shard)
-    use_plane = exec_obj.wants_plane and dataplane_enabled()
-    if isinstance(exec_obj, ShardedExecutor) and not resume:
+    shard = parse_shard(shard)
+    if shard is not None and not resume:
         # Foreign-shard records are read back from the store, and a
         # reader cannot tell a sibling's fresh overwrite from a stale
         # pre-existing record — the no-cache contract ("nothing is
@@ -1394,7 +1292,7 @@ def execute(
             "coordination channel; to force recomputation, point the "
             "shards at a fresh store directory instead")
 
-    if store is None and isinstance(exec_obj, ShardedExecutor):
+    if store is None and shard is not None:
         raise ValueError("sharded execution requires store=")
 
     keys = None if store is None else [store.key(func, task) for task in tasks]
@@ -1419,16 +1317,18 @@ def execute(
     # warmup on the common one.
     if store is not None and warmup and pending:
         executing = pending
-        if isinstance(exec_obj, ShardedExecutor):
-            executing = [i for i in pending
-                         if i % exec_obj.of == exec_obj.shard]
+        if shard is not None:
+            executing = [i for i in pending if i % shard[1] == shard[0]]
         needed = {(task.get("function"), task.get("variant", "continuous"),
                    task.get("test_size"))
                   for task in (tasks[i] for i in executing)}
         warmup = [spec for spec in warmup if tuple(spec) in needed]
 
-    plane = DataPlane() if use_plane and pending and (warmup or shared) \
-        else None
+    # Serial execution reads parent memory directly: only a plan that can
+    # reach a pool or a sibling shard publishes its arrays.
+    reaches_out = shard is not None or jobs is None or jobs > 1
+    plane = DataPlane() if reaches_out and dataplane_enabled() and pending \
+        and (warmup or shared) else None
     try:
         plan = compile_plan(
             func, [tasks[i] for i in pending],
@@ -1447,9 +1347,14 @@ def execute(
             store.put(plan.keys[j], record)
             store.clear_failure(plan.keys[j])
 
-        fresh = exec_obj.run(plan, None if store is None else persist,
-                             policy=policy, failures=failures,
-                             task_timeout=task_timeout)
+        on_result = None if store is None else persist
+        if shard is None:
+            fresh = _run_plan(plan, jobs, on_result, policy=policy,
+                              failures=failures, task_timeout=task_timeout)
+        else:
+            fresh = _run_sharded(plan, *shard, jobs, on_result,
+                                 policy=policy, failures=failures,
+                                 task_timeout=task_timeout)
     finally:
         if plane is not None:
             plane.unlink()
@@ -1478,9 +1383,8 @@ def run_chunked(
     chunk_rows: int | None = None,
     context: dict | None = None,
     shared: dict | None = None,
-    executor=None,
 ) -> list:
-    """Fan row chunks of ``[0, n_rows)`` out over the executor layer.
+    """Fan row chunks of ``[0, n_rows)`` out through :func:`execute`.
 
     ``worker(context, start, stop)`` must be a module-level callable
     returning a picklable per-chunk result; ``context`` is shipped once
@@ -1495,18 +1399,13 @@ def run_chunked(
     """
     if n_rows <= 0:
         return []
-    effective = default_jobs() if jobs is None else max(jobs, 1)
-    ambient = worker_budget()
-    if ambient is not None:
-        # Chunk for the workers that will actually run: inside a
-        # budgeted plan the executor clamps the pool to the lease, so
-        # cutting more chunks than that only adds dispatch overhead.
-        effective = min(effective, max(ambient, 1))
     if chunk_rows is None:
-        chunk_rows = -(-n_rows // effective)
+        # Chunk for the workers that will actually run: inside a
+        # budgeted plan the pool is clamped to the lease, so cutting
+        # more chunks than that only adds dispatch overhead.
+        chunk_rows = -(-n_rows // max(_resolve_jobs(jobs), 1))
     chunk_rows = max(int(chunk_rows), 1)
     tasks = [dict(worker=worker, start=start,
                   stop=min(start + chunk_rows, n_rows))
              for start in range(0, n_rows, chunk_rows)]
-    return execute(_chunk_call, tasks, jobs, context=context, shared=shared,
-                   executor=executor)
+    return execute(_chunk_call, tasks, jobs, context=context, shared=shared)

@@ -44,7 +44,7 @@ experiment database:
   unpickle *or* whose envelope key does not match is quarantined to
   ``corrupt/`` and treated as a miss — a torn write surviving a crash
   costs one recompute, never a wrong or half-read record.
-* **Failure records.**  Retrying executors journal failed attempts
+* **Failure records.**  Retrying runs journal failed attempts
   under ``failures/<key[:2]>/<key>.json`` (attempt count, last error,
   quarantined flag) via :meth:`ExperimentStore.record_failure`, so a
   resumed run knows what was retried and sharded siblings can tell a

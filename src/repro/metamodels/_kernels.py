@@ -222,7 +222,7 @@ def grow_forest(
 
     The same independence makes the fit data-parallel: with ``jobs`` >
     1 (or ``None`` for all CPUs) contiguous tree ranges fan out over
-    the executor layer — ``x``/``y``, the bootstrap index matrix and
+    the plan engine — ``x``/``y``, the bootstrap index matrix and
     the rank matrix cross process boundaries zero-copy through the data
     plane, the spawned generators ship once per worker, and each worker
     runs the very same block loop over its range.  Trees come back in

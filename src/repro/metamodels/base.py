@@ -7,7 +7,7 @@ points.  The ``bnd`` threshold of the paper is folded into ``predict``.
 
 Every metamodel here labels each query row independently of the others,
 which makes labeling data-parallel: :func:`predict_chunked` fans
-contiguous row chunks out over the executor layer of
+contiguous row chunks out over the plan engine of
 :mod:`repro.experiments.parallel`, mapping the query matrix zero-copy
 into workers through the shared-memory data plane and shipping the
 fitted model once per worker — the multi-core path REDS uses to label

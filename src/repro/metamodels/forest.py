@@ -51,7 +51,7 @@ class RandomForestModel:
     jobs:
         Worker processes (None = all CPUs, default 1) for prediction
         *and* for the vectorized fit: the stacked walk fans contiguous
-        row chunks out over the executor layer against shared-memory
+        row chunks out over the plan engine against shared-memory
         query ranks, and :func:`~repro.metamodels._kernels.grow_forest`
         fans contiguous tree ranges the same way (every tree's stream
         is independent by the draw-then-spawn generator protocol).

@@ -105,7 +105,7 @@ def _cv_task(params: dict, stages: list, folds: list[int], *, kind: str,
     chains across the group's ``n_rounds`` stages; other families are
     one-candidate groups with the single stage ``None``.  The dataset
     arrives through the execution-plan context (zero-copy shared memory
-    under the process executor) and the fold split is rebuilt from its
+    in a pool worker) and the fold split is rebuilt from its
     seed, so a worker reaches the exact same train and test rows as an
     inline run; integer counts make the accuracy aggregation
     bit-identical however the folds are split into tasks.
@@ -243,9 +243,9 @@ def grid_accuracies(
             f"metamodel tuning runs {n_splits}-fold cross-validation and "
             f"needs at least {n_splits} training points, got {len(x)}; "
             "pass tune_metamodel=False to fit the default configuration")
-    from repro.experiments.parallel import default_jobs, execute
+    from repro.experiments.parallel import _resolve_jobs, execute
 
-    workers = default_jobs() if jobs is None else max(jobs, 1)
+    workers = max(_resolve_jobs(jobs), 1)
     fold_sets = np.array_split(np.arange(n_splits), min(n_splits, workers))
     tasks, members = [], []
     for params, stages in _candidate_groups(kind, list(candidates)):

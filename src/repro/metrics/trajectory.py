@@ -41,7 +41,7 @@ def peeling_trajectory(boxes: Sequence[Hyperbox], x: np.ndarray,
     """``(len(boxes), 2)`` array of (recall, precision) per box.
 
     With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous box chunks
-    fan out over the executor layer of
+    fan out over the plan engine of
     :mod:`repro.experiments.parallel`: the box list ships once per
     worker while the test arrays cross process boundaries zero-copy
     through the data plane.  Every box's point runs through the very

@@ -764,7 +764,7 @@ def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
     every derived measure bit-identical to its reference.
 
     With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous box chunks
-    fan out over the executor layer — the large-test-set path of the
+    fan out over the plan engine — the large-test-set path of the
     harness: ``x``/``y`` cross process boundaries zero-copy through the
     data plane, each worker runs this very function on its slice, and
     the per-box statistics concatenate in box order.  Every per-box

@@ -69,26 +69,13 @@ class TestParser:
     def test_shard_and_executor_parse(self):
         args = build_parser().parse_args(
             ["compare", "--function", "m", "--store", "d",
-             "--shard", "1/4", "--executor", "sharded"])
+             "--shard", "1/4"])
         assert args.shard == "1/4"
-        assert args.executor == "sharded"
 
     def test_shard_requires_store(self, capsys):
         code = main(["compare", "--function", "morris", "--shard", "0/2"])
         assert code == 2
         assert "--store" in capsys.readouterr().err
-
-    def test_shard_conflicts_with_other_executors(self, capsys):
-        code = main(["compare", "--function", "morris", "--store", "d",
-                     "--shard", "0/2", "--executor", "process"])
-        assert code == 2
-        assert "sharded executor" in capsys.readouterr().err
-
-    def test_sharded_executor_needs_shard(self, capsys):
-        code = main(["compare", "--function", "morris", "--store", "d",
-                     "--executor", "sharded"])
-        assert code == 2
-        assert "--shard" in capsys.readouterr().err
 
     def test_shard_conflicts_with_no_cache(self, capsys):
         code = main(["compare", "--function", "morris", "--store", "d",

@@ -9,6 +9,7 @@ retry budget are quarantined with a structured post-mortem instead of
 killing the grid on first error.
 """
 
+import math
 import multiprocessing
 import os
 import signal
@@ -28,7 +29,6 @@ from repro.experiments.harness import run_batch
 from repro.experiments.parallel import (
     GridFailureError,
     RetryPolicy,
-    ShardedExecutor,
     execute,
 )
 from repro.experiments.store import MISSING, open_store
@@ -536,41 +536,41 @@ class TestClaimReclamation:
         os.utime(store.claim_path(key), (old, old))
 
     def test_expired_claim_is_reclaimed_and_executed(self, tmp_path,
-                                                     caplog):
+                                                     caplog, fast_shards):
         store = open_store(tmp_path / "store")
         tasks = [{"value": v} for v in range(4)]
         keys = [store.key(_double, task) for task in tasks]
         self._stale_claim(store, keys[2])
-        executor = ShardedExecutor(0, 1, jobs=1, poll_interval=0.02,
-                                   timeout=30.0, claim_ttl=5.0)
+        fast_shards(timeout=30.0, claim_ttl=5.0, poll=0.02)
         with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
-            out = execute(_double, tasks, store=store, executor=executor)
+            out = execute(_double, tasks, store=store, shard=(0, 1))
         assert out == [0, 2, 4, 6]
         assert store.claim_owner(keys[2]) == "shard-0/1"
         assert "reclaimed 1 expired claim" in caplog.text
 
-    def test_claim_ttl_none_disables_reclamation(self, tmp_path):
+    def test_claim_ttl_none_disables_reclamation(self, tmp_path,
+                                                 fast_shards):
+        # An infinite lease is never old enough to reclaim.
         store = open_store(tmp_path / "store")
         tasks = [{"value": v} for v in range(3)]
         keys = [store.key(_double, task) for task in tasks]
         self._stale_claim(store, keys[1])
-        executor = ShardedExecutor(0, 1, jobs=1, poll_interval=0.02,
-                                   timeout=0.5, claim_ttl=None)
+        fast_shards(timeout=0.5, claim_ttl=math.inf, poll=0.02)
         with pytest.raises(TimeoutError, match="claimed by sibling"):
-            execute(_double, tasks, store=store, executor=executor)
+            execute(_double, tasks, store=store, shard=(0, 1))
 
-    def test_fresh_claims_are_waited_on_not_reclaimed(self, tmp_path):
+    def test_fresh_claims_are_waited_on_not_reclaimed(self, tmp_path,
+                                                      fast_shards):
         store = open_store(tmp_path / "store")
         tasks = [{"value": v} for v in range(3)]
         keys = [store.key(_double, task) for task in tasks]
         assert store.claim(keys[1], "shard-1/2")  # live sibling, fresh lease
-        executor = ShardedExecutor(0, 1, jobs=1, poll_interval=0.02,
-                                   timeout=0.5, claim_ttl=3600.0)
+        fast_shards(timeout=0.5, claim_ttl=3600.0, poll=0.02)
         with pytest.raises(TimeoutError, match="claimed by sibling"):
-            execute(_double, tasks, store=store, executor=executor)
+            execute(_double, tasks, store=store, shard=(0, 1))
         assert store.claim_owner(keys[1]) == "shard-1/2"
 
-    def test_sibling_quarantine_is_inherited(self, tmp_path):
+    def test_sibling_quarantine_is_inherited(self, tmp_path, fast_shards):
         store = open_store(tmp_path / "store")
         tasks = [{"value": v} for v in range(4)]
         keys = [store.key(_double, task) for task in tasks]
@@ -578,11 +578,9 @@ class TestClaimReclamation:
         store.record_failure(keys[1], attempts=2,
                              error="ValueError: sibling boom",
                              quarantined=True)
-        executor = ShardedExecutor(0, 1, jobs=1, poll_interval=0.02,
-                                   timeout=30.0, claim_ttl=None)
+        fast_shards(timeout=30.0, claim_ttl=math.inf, poll=0.02)
         with pytest.raises(GridFailureError) as err:
-            execute(_double, tasks, store=store, executor=executor,
-                    retries=1)
+            execute(_double, tasks, store=store, shard=(0, 1), retries=1)
         exc = err.value
         assert len(exc.failures) == 1
         failure = exc.failures[0]
@@ -686,6 +684,19 @@ class TestOrphanSweep:
         assert not orphan.exists()
         assert own.exists()
         assert other.exists()
+
+    def test_sweep_removes_only_dead_pid_heartbeats(self, shm, dead_pid):
+        # A dispatcher SIGKILLed mid-plan never reaches the pool loop's
+        # ``finally``, so its in-flight heartbeat files stay behind.
+        orphan = shm(f"{dataplane.HEARTBEAT_PREFIX}{dead_pid}-0123abcd-t3")
+        own = shm(f"{dataplane.HEARTBEAT_PREFIX}{os.getpid()}-0123abcd-t0")
+        live = shm(f"{dataplane.HEARTBEAT_PREFIX}{os.getppid()}-4567ef-t1")
+        removed = dataplane.sweep_orphan_segments(force=True)
+        assert orphan.name in removed
+        assert not orphan.exists()
+        for kept in (own, live):
+            assert kept.name not in removed
+            assert kept.exists()
 
     def test_sweep_is_gated_by_env(self, shm, dead_pid, monkeypatch):
         orphan = shm(f"{dataplane.SEGMENT_PREFIX}{dead_pid}-feedface")

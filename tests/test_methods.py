@@ -128,3 +128,38 @@ class TestDiscover:
                           tune_metamodel=False)
         for box in result.boxes:
             assert box.contains(x).sum() >= 20
+
+
+class TestInputValidation:
+    """Bad data is rejected at the ``discover`` boundary, before any
+    method returns a plausible-looking box for it."""
+
+    @pytest.mark.parametrize("name", ["P", "BI", "RPx"])
+    @pytest.mark.parametrize("where,value,match", [
+        ("x", np.nan, "x column 1"),
+        ("x", np.inf, "x column 1"),
+        ("x", -np.inf, "x column 1"),
+        ("y", np.nan, "y holds"),
+    ])
+    def test_non_finite_input_is_rejected(self, name, where, value, match):
+        x, y, _ = planted_box_data(120, 3, seed=11)
+        x, y = x.copy(), y.astype(float)
+        if where == "x":
+            x[7, 1] = value
+            x[9, 2] = value
+        else:
+            y[7] = value
+        with pytest.raises(ValueError, match=match):
+            discover(name, x, y, seed=0, n_new=300, tune_metamodel=False)
+
+    @pytest.mark.parametrize("name", ["Pc", "PBc", "BIc", "RPcx", "RBIcxp"])
+    def test_too_few_rows_for_sd_cross_validation(self, name):
+        x = np.random.default_rng(0).random((4, 2))
+        y = np.array([0.0, 1.0, 0.0, 1.0])
+        with pytest.raises(ValueError, match=rf"'{name}'.*at least 5 rows"):
+            discover(name, x, y, seed=0, n_new=100, tune_metamodel=False)
+
+    def test_cross_validation_needs_exactly_the_fold_count(self):
+        x, y, _ = planted_box_data(5, 2, seed=12)
+        result = discover("BIc", x, y.astype(float), seed=0)
+        assert result.chosen_box.dim == 2

@@ -1,11 +1,11 @@
-"""Determinism tests for the plan/executor experiment engine.
+"""Determinism tests for the plan experiment engine.
 
 ``run_batch(..., jobs=4)`` must return ``RunRecord``s identical field
 by field (boxes and trajectories included) to the serial run, in the
 same grid order, no matter how the pool schedules the tasks.  Runtime
 is the one legitimate difference: it is wall-clock measured inside
-each run.  The same contract holds for every executor — serial,
-process, and store-coordinated shards — and sharded invocations that
+each run.  The same contract holds for every run path — inline,
+process pool, and store-coordinated shards — and sharded invocations that
 cooperate on one store must never execute a task twice.
 """
 
@@ -101,7 +101,7 @@ class TestExecute:
         assert parallel.execute(_delayed_echo, tasks, jobs=4) == list(range(8))
 
     def test_jobs_none_uses_all_cpus(self):
-        assert parallel.default_jobs() >= 1
+        assert parallel.cpu_budget() >= 1
         tasks = [dict(index=i) for i in range(3)]
         assert parallel.execute(_delayed_echo, tasks, jobs=None) == [0, 1, 2]
 
@@ -131,7 +131,6 @@ class TestWorkerBudget:
         if hasattr(os, "sched_getaffinity"):
             assert budget == len(os.sched_getaffinity(0))
         assert budget <= (os.cpu_count() or 1)
-        assert parallel.default_jobs() == budget
 
     def test_serial_tasks_see_lease_one(self):
         tasks = [dict(index=i) for i in range(3)]
@@ -165,7 +164,7 @@ class TestWorkerBudget:
         # test (and everything else) through an explicit multi-worker
         # budget even when the developer machine has one core.
         raw = int(os.environ.get("REDS_BENCH_JOBS", "2"))
-        budget = parallel.default_jobs() if raw < 1 else max(raw, 2)
+        budget = parallel.cpu_budget() if raw < 1 else max(raw, 2)
         tasks = [dict(index=i, n_rows=77 + 13 * i) for i in range(3)]
         serial = parallel.execute(_fanout_task, tasks, jobs=1)
         assert parallel.execute(_fanout_task, tasks, jobs=budget) == serial
@@ -279,21 +278,6 @@ class TestExecutionPlan:
         assert sub.keys == ("k1", "k4")
         assert [t["index"] for t in sub.tasks] == [1, 4]
 
-    def test_get_executor_resolution(self):
-        assert isinstance(parallel.get_executor(jobs=1),
-                          parallel.SerialExecutor)
-        assert isinstance(parallel.get_executor(jobs=4),
-                          parallel.ProcessExecutor)
-        assert isinstance(parallel.get_executor(jobs=None),
-                          parallel.ProcessExecutor)
-        sharded = parallel.get_executor(shard="1/3", jobs=1)
-        assert isinstance(sharded, parallel.ShardedExecutor)
-        assert (sharded.shard, sharded.of) == (1, 3)
-        with pytest.raises(ValueError, match="sharded"):
-            parallel.get_executor("sharded")
-        with pytest.raises(ValueError, match="unknown executor"):
-            parallel.get_executor("mystery")
-
     def test_parse_shard(self):
         assert parallel.parse_shard(None) is None
         assert parallel.parse_shard("0/4") == (0, 4)
@@ -304,20 +288,12 @@ class TestExecutionPlan:
             with pytest.raises(ValueError, match="0 <= i < k"):
                 parallel.parse_shard(bad)
 
-    def test_executor_instance_shard_mismatch_is_an_error(self):
-        executor = parallel.ShardedExecutor(0, 2)
-        assert parallel.get_executor(executor, shard=(0, 2)) is executor
-        with pytest.raises(ValueError, match="disagrees"):
-            parallel.get_executor(executor, shard=(1, 2))
-
 
 class TestExecutors:
     def test_all_executors_agree(self, tmp_path):
         tasks = [dict(index=i) for i in range(6)]
-        serial = parallel.execute(_delayed_echo, tasks,
-                                  executor="serial")
-        process = parallel.execute(_delayed_echo, tasks, jobs=3,
-                                   executor="process")
+        serial = parallel.execute(_delayed_echo, tasks, jobs=1)
+        process = parallel.execute(_delayed_echo, tasks, jobs=3)
         sharded = parallel.execute(_delayed_echo, tasks, jobs=1,
                                    store=str(tmp_path / "s"), shard=(0, 1))
         assert serial == process == sharded == list(range(6))
@@ -330,8 +306,7 @@ class TestExecutors:
         def invoke(which: int) -> None:
             values = np.full(30, float(which))
             tasks = [dict(index=i) for i in range(30)]
-            out[which] = parallel.execute(_context_row, tasks,
-                                          executor="serial",
+            out[which] = parallel.execute(_context_row, tasks, jobs=1,
                                           shared={"values": values})
 
         threads = [threading.Thread(target=invoke, args=(w,))
@@ -346,8 +321,7 @@ class TestExecutors:
     def test_context_shared_array_reaches_every_executor(self, tmp_path):
         values = np.linspace(0.0, 1.0, 5)
         tasks = [dict(index=i) for i in range(5)]
-        for kwargs in (dict(executor="serial"),
-                       dict(jobs=2, executor="process")):
+        for kwargs in (dict(jobs=1), dict(jobs=2)):
             out = parallel.execute(_context_row, tasks,
                                    shared={"values": values}, **kwargs)
             assert out == list(values)
@@ -364,25 +338,18 @@ class TestExecutors:
                              store=str(tmp_path / "s"), shard=(0, 2),
                              resume=False)
 
-    def test_shard_with_non_sharded_executor_is_an_error(self):
-        # Silently dropping the shard would make every invocation run
-        # the full grid — k-fold duplicated work.
-        with pytest.raises(ValueError, match="sharded"):
-            parallel.get_executor("process", shard=(0, 2))
-        with pytest.raises(ValueError, match="sharded"):
-            parallel.get_executor(parallel.SerialExecutor(), shard=(0, 2))
-
-    def test_lone_shard_steals_and_completes_the_grid(self, tmp_path):
+    def test_lone_shard_steals_and_completes_the_grid(self, tmp_path,
+                                                      fast_shards):
         # A shard whose siblings never start is not stuck: after its own
         # modulo slice it claims the unowned remainder and finishes.
-        executor = parallel.ShardedExecutor(0, 2, poll_interval=0.01,
-                                            timeout=0.15)
+        fast_shards(timeout=0.15)
         tasks = [dict(index=i) for i in range(4)]
-        out = parallel.execute(_delayed_echo, tasks, executor=executor,
+        out = parallel.execute(_delayed_echo, tasks, jobs=None, shard=(0, 2),
                                store=str(tmp_path / "s"))
         assert out == list(range(4))
 
-    def test_sharded_times_out_on_claimed_but_dead_tasks(self, tmp_path):
+    def test_sharded_times_out_on_claimed_but_dead_tasks(self, tmp_path,
+                                                         fast_shards):
         # Stealing only covers *unclaimed* work: tasks claimed by a
         # sibling that stopped publishing records must surface as a
         # timeout, not hang or get duplicated.
@@ -392,10 +359,9 @@ class TestExecutors:
         tasks = [dict(index=i) for i in range(4)]
         for task in tasks[1::2]:
             assert store.claim(store.key(_delayed_echo, task), "shard-1/2")
-        executor = parallel.ShardedExecutor(0, 2, poll_interval=0.01,
-                                            timeout=0.15)
+        fast_shards(timeout=0.15)
         with pytest.raises(TimeoutError, match="claimed by sibling"):
-            parallel.execute(_delayed_echo, tasks, executor=executor,
+            parallel.execute(_delayed_echo, tasks, jobs=None, shard=(0, 2),
                              store=store)
 
 
@@ -433,17 +399,16 @@ class TestShardedCooperation:
         assert executed == list(range(8)), \
             f"duplicated or missing executions: {executed}"
 
-    def test_sequential_shards_also_cooperate(self, tmp_path):
+    def test_sequential_shards_also_cooperate(self, tmp_path, fast_shards):
         outdir = tmp_path / "executions"
         outdir.mkdir()
         store_dir = str(tmp_path / "store")
         tasks = [dict(index=i, outdir=str(outdir)) for i in range(5)]
         # Shard 1 runs alone: after draining its own slice it steals the
         # unclaimed remainder and returns the full grid by itself...
-        first = parallel.execute(_touch_and_echo, tasks, jobs=1,
-                                 store=store_dir,
-                                 executor=parallel.ShardedExecutor(
-                                     1, 2, poll_interval=0.01, timeout=0.2))
+        fast_shards(timeout=0.2)
+        first = parallel.execute(_touch_and_echo, tasks, jobs=None,
+                                 store=store_dir, shard=(1, 2))
         assert first == list(range(5))
         # ...after which shard 0 serves everything from the store —
         # zero new executions, still zero duplicates.
@@ -453,7 +418,8 @@ class TestShardedCooperation:
         executed = sorted(int(p.name.split("-")[1]) for p in outdir.iterdir())
         assert executed == list(range(5))
 
-    def test_skewed_grid_is_rebalanced_by_stealing(self, tmp_path):
+    def test_skewed_grid_is_rebalanced_by_stealing(self, tmp_path,
+                                                   fast_shards):
         # Shard 0 starts late; shard 1 drains its own slice and must
         # steal from shard 0's still-unclaimed slice instead of idling —
         # with every task still executing exactly once.
@@ -465,14 +431,14 @@ class TestShardedCooperation:
         tasks = [dict(index=i, outdir=str(outdir)) for i in range(8)]
         results: dict[int, list] = {}
         errors: list[BaseException] = []
+        fast_shards(timeout=5.0)
 
         def invoke(shard: int, delay: float) -> None:
             try:
                 time.sleep(delay)
                 results[shard] = parallel.execute(
-                    _touch_and_echo, tasks, jobs=1, store=store,
-                    executor=parallel.ShardedExecutor(
-                        shard, 2, poll_interval=0.01, timeout=5.0))
+                    _touch_and_echo, tasks, jobs=None, store=store,
+                    shard=(shard, 2))
             except BaseException as exc:  # pragma: no cover - surfaced below
                 errors.append(exc)
 
