@@ -8,6 +8,10 @@ accurate one.  The replaced search fits every (candidate, fold) pair
 from scratch, 2250 trees in all; the grouped search grows one chain per
 (depth, fold) to 150 rounds, snapshots the 60-round labels on the way,
 and grows the five fold chains of a depth as one block per round.
+Both searches are timed as a whole and split into their two stages:
+the cross-validation that scores the grid, and the refit of the chosen
+configuration on all rows (a single 150-round chain, the same code in
+both searches).
 
 Every run doubles as an equivalence check: the per-candidate
 accuracies of :func:`grid_accuracies` must equal the per-candidate loop
@@ -18,9 +22,11 @@ floor was met.  Results land in ``benchmarks/results/BENCH_tune_kernel.json``
 and are mirrored to the tracked repo-root ``results/``.
 """
 
+import time
+
 import numpy as np
 
-from _common import best_of as _best_of, emit, emit_json
+from _common import emit, emit_json
 from repro.data import get_model
 from repro.experiments.harness import make_train_data
 from repro.metamodels.tuning import (
@@ -42,13 +48,33 @@ TUNE_FLOOR = 2.0
 
 def _per_candidate_search(x, y, grid):
     """The replaced search: one CV loop per candidate, then a refit."""
-    accuracies = [
+    return _search(x, y, grid, lambda: [
         cross_val_accuracy(lambda p=params: make_metamodel("boosting", **p),
                            x, y)
         for params in grid
-    ]
+    ])
+
+
+def _grouped_search(x, y, grid):
+    """``tune_metamodel``'s search: grouped CV, then the same refit."""
+    return _search(x, y, grid,
+                   lambda: grid_accuracies("boosting", x, y, grid))
+
+
+def _search(x, y, grid, cross_validate):
+    """``(accuracies, model, cv_seconds, refit_seconds)`` of one search."""
+    t0 = time.perf_counter()
+    accuracies = cross_validate()
+    t1 = time.perf_counter()
     best = int(np.argmax(accuracies))
-    return accuracies, make_metamodel("boosting", **grid[best]).fit(x, y)
+    model = make_metamodel("boosting", **grid[best]).fit(x, y)
+    return accuracies, model, t1 - t0, time.perf_counter() - t1
+
+
+def _seconds(runs):
+    """Best total, CV and refit seconds over repeated searches."""
+    return (min(r[2] + r[3] for r in runs), min(r[2] for r in runs),
+            min(r[3] for r in runs))
 
 
 def test_tune_kernel_speedup(benchmark):
@@ -56,23 +82,25 @@ def test_tune_kernel_speedup(benchmark):
     grid = DEFAULT_GRIDS["boosting"](x.shape[1])
 
     def run():
-        old_s, (oracle, old_model) = _best_of(
-            lambda: _per_candidate_search(x, y, grid), REPEATS)
-        new_s, new_model = _best_of(
-            lambda: tune_metamodel("boosting", x, y), REPEATS)
-        return old_s, new_s, oracle, old_model, new_model
+        return ([_per_candidate_search(x, y, grid) for _ in range(REPEATS)],
+                [_grouped_search(x, y, grid) for _ in range(REPEATS)])
 
-    old_s, new_s, oracle, old_model, new_model = benchmark.pedantic(
-        run, rounds=1, iterations=1)
-    accuracies = grid_accuracies("boosting", x, y, grid)
+    old_runs, new_runs = benchmark.pedantic(run, rounds=1, iterations=1)
+    oracle, old_model = old_runs[-1][:2]
+    accuracies, new_model = new_runs[-1][:2]
+    old_s, old_cv, old_refit = _seconds(old_runs)
+    new_s, new_cv, new_refit = _seconds(new_runs)
+    tuned = tune_metamodel("boosting", x, y)
     speedup = old_s / new_s
     chosen = {"max_depth": new_model.max_depth, "n_rounds": new_model.n_rounds}
 
     emit("tune_kernel", "\n".join([
         f"Boosting tuning, {FUNCTION} N={N}, grid {grid} "
         f"(best of {REPEATS}):",
-        f"  per-candidate CV + refit {old_s * 1e3:8.0f} ms",
+        f"  per-candidate CV + refit {old_s * 1e3:8.0f} ms   "
+        f"(CV {old_cv * 1e3:.0f} ms, refit {old_refit * 1e3:.0f} ms)",
         f"  grouped lockstep search  {new_s * 1e3:8.0f} ms   "
+        f"(CV {new_cv * 1e3:.0f} ms, refit {new_refit * 1e3:.0f} ms)   "
         f"{speedup:5.2f} x (floor {TUNE_FLOOR})",
         f"  accuracies {accuracies}, chosen {chosen}",
     ]))
@@ -81,6 +109,10 @@ def test_tune_kernel_speedup(benchmark):
         "grid": grid, "n_splits": 5, "repeats": REPEATS,
         "per_candidate_seconds": old_s,
         "grouped_seconds": new_s,
+        "per_candidate_cv_seconds": old_cv,
+        "per_candidate_refit_seconds": old_refit,
+        "grouped_cv_seconds": new_cv,
+        "grouped_refit_seconds": new_refit,
         "speedup": speedup,
         "accuracies": accuracies,
         "accuracies_identical": accuracies == oracle,
@@ -92,5 +124,6 @@ def test_tune_kernel_speedup(benchmark):
 
     assert accuracies == oracle
     assert (old_model.max_depth, old_model.n_rounds) == \
-        (new_model.max_depth, new_model.n_rounds)
+        (new_model.max_depth, new_model.n_rounds) == \
+        (tuned.max_depth, tuned.n_rounds)
     assert speedup >= TUNE_FLOOR

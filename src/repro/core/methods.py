@@ -116,13 +116,17 @@ class DiscoveryResult:
 
 
 def _check_inputs(spec: MethodSpec, x: np.ndarray, y: np.ndarray) -> None:
-    """Reject data no method can use, before any work starts."""
+    """Reject data the method cannot use, before any work starts."""
     bad = ~np.isfinite(x).all(axis=0)
     if bad.any():
         raise ValueError(f"x column {int(np.argmax(bad))} holds NaN or inf; "
                          "discover needs finite inputs")
     if not np.isfinite(y).all():
         raise ValueError("y holds NaN or inf; discover needs finite labels")
+    if spec.is_reds and not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError(
+            f"method {spec.name!r} relabels through a {spec.metamodel} "
+            "classifier and needs binary labels: y must hold only 0 and 1")
     if spec.optimize and len(x) < hp.CV_FOLDS:
         raise ValueError(
             f"method {spec.name!r} tunes its hyperparameters by "
@@ -190,6 +194,14 @@ def discover(
             raise ValueError(
                 f"cat_levels columns {bad} out of range for {x.shape[1]} inputs")
         cat_levels = {int(j): int(k) for j, k in cat_levels.items()}
+        for j, k in cat_levels.items():
+            codes = x[:, j]
+            if not ((codes == np.floor(codes)) & (codes >= 0)
+                    & (codes < k)).all():
+                raise ValueError(
+                    f"cat_levels column {j} must hold integer codes in "
+                    f"[0, {k}), got values in [{codes.min():g}, "
+                    f"{codes.max():g}]")
     cat_cols = tuple(sorted(cat_levels)) if cat_levels else ()
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()

@@ -60,6 +60,7 @@ import hashlib
 import logging
 import os
 import secrets
+import tempfile
 import weakref
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -98,6 +99,12 @@ SEGMENT_PREFIX = "reds-dp-"
 #: Prefix of the per-task heartbeat files of the process-pool loop
 #: (``reds-hb-<pid>-<token>-t<j>``), swept alongside orphan segments.
 HEARTBEAT_PREFIX = "reds-hb-"
+
+#: Where heartbeat files go: tmpfs when the host has one, because every
+#: pooled task creates and unlinks one on its critical path, and the
+#: temp directory otherwise.
+_HEARTBEAT_ROOT = ("/dev/shm" if os.access("/dev/shm", os.W_OK)
+                   else tempfile.gettempdir())
 
 
 def dataplane_enabled() -> bool:
@@ -432,10 +439,12 @@ def sweep_orphan_segments(*, force: bool = False) -> list[str]:
 
     Segment and heartbeat names embed the creator's pid
     (``reds-dp-<pid>-<token>``, ``reds-hb-<pid>-<token>-t<j>``); any
-    such entry under ``/dev/shm`` whose pid no longer maps to a live
-    process was leaked by a crashed or SIGKILLed run — ``atexit`` and
-    the pool loop's ``finally`` never ran there — and is removed.
-    Entries of live processes (including this one) are never touched.
+    such entry under ``/dev/shm`` — or, for heartbeats, under the temp
+    directory they fall back to on hosts without a writable
+    ``/dev/shm`` — whose pid no longer maps to a live process was
+    leaked by a crashed or SIGKILLed run (``atexit`` and the pool
+    loop's ``finally`` never ran there) and is removed.  Entries of
+    live processes (including this one) are never touched.
 
     Gated by ``REDS_DATAPLANE_SWEEP=1`` unless ``force`` is given,
     because pid liveness is a heuristic: a recycled pid makes a true
@@ -448,30 +457,30 @@ def sweep_orphan_segments(*, force: bool = False) -> list[str]:
     """
     if not force and os.environ.get("REDS_DATAPLANE_SWEEP", "") != "1":
         return []
-    if not _SHM_ROOT.is_dir():  # pragma: no cover - non-Linux
-        return []
+    roots = {_SHM_ROOT: (SEGMENT_PREFIX, HEARTBEAT_PREFIX)}
+    roots.setdefault(Path(_HEARTBEAT_ROOT), (HEARTBEAT_PREFIX,))
     removed: list[str] = []
-    try:
-        entries = list(_SHM_ROOT.iterdir())
-    except OSError:  # pragma: no cover - /dev/shm unreadable
-        return []
-    for entry in entries:
-        name = entry.name
-        prefix = next((p for p in (SEGMENT_PREFIX, HEARTBEAT_PREFIX)
-                       if name.startswith(p)), None)
-        if prefix is None:
-            continue
-        pid_text = name[len(prefix):].split("-", 1)[0]
-        if not pid_text.isdigit():
-            continue
-        pid = int(pid_text)
-        if pid == os.getpid() or _pid_alive(pid):
-            continue
+    for root, prefixes in roots.items():
         try:
-            entry.unlink()
-        except OSError:
+            entries = list(root.iterdir())
+        except OSError:  # pragma: no cover - missing (non-Linux) or unreadable
             continue
-        removed.append(name)
+        for entry in entries:
+            name = entry.name
+            prefix = next((p for p in prefixes if name.startswith(p)), None)
+            if prefix is None:
+                continue
+            pid_text = name[len(prefix):].split("-", 1)[0]
+            if not pid_text.isdigit():
+                continue
+            pid = int(pid_text)
+            if pid == os.getpid() or _pid_alive(pid):
+                continue
+            try:
+                entry.unlink()
+            except OSError:
+                continue
+            removed.append(name)
     if removed:
         logger.warning("swept %d orphan shared-memory segment(s) and "
                        "heartbeat(s) left by dead processes: %s", len(removed),

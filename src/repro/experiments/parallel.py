@@ -101,7 +101,6 @@ import multiprocessing
 import os
 import pickle
 import secrets
-import tempfile
 import threading
 import time
 from collections import deque
@@ -113,6 +112,7 @@ from dataclasses import dataclass, replace
 from repro import warm
 from repro.experiments import faults
 from repro.experiments.dataplane import (
+    _HEARTBEAT_ROOT,
     HEARTBEAT_PREFIX,
     DataPlane,
     dataplane_enabled,
@@ -536,12 +536,6 @@ def _invoke(func: Callable, task: dict, token: str | None):
             faults.maybe_inject("worker_crash", token)
             faults.maybe_inject("task_hang", token)
         return func(**task)
-
-
-#: Where heartbeat files go: tmpfs when the host has one, because every
-#: pooled task creates and unlinks one on its critical path.
-_HEARTBEAT_ROOT = ("/dev/shm" if os.access("/dev/shm", os.W_OK)
-                   else tempfile.gettempdir())
 
 
 def _guarded_call(func: Callable, task: dict, token: str | None,

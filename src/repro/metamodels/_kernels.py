@@ -28,7 +28,13 @@ array passes) to the metamodel layer:
   :func:`grow_forest` additionally grows whole blocks of bootstrap
   trees level-synchronously (independent spawned generators make tree
   interleaving immaterial), amortizing per-level call overhead — the
-  cost floor of deep-tree growth — across the block.
+  cost floor of deep-tree growth — across the block.  A block's
+  response-independent inputs live in a :class:`BlockLayout`; callers
+  that grow many blocks on the same rows (boosting rounds) build it
+  once, so the column-flat copies, the NaN map and the root level's
+  sorted scan layout are not rebuilt per block.  A grown block comes
+  back as one set of flat arrays (:class:`GrownBlock`), its trees as
+  views of them.
 
 * :class:`StackedEnsemble` pads the flat arrays of all trees of a
   forest / boosting model into one array set and replaces the per-tree
@@ -265,6 +271,149 @@ def grow_forest(
     return results
 
 
+class BlockLayout:
+    """What a block's split scans read from its values ``xb`` and ranks.
+
+    The column-flat (Fortran order) values and ranks, the NaN map and,
+    once a :func:`_grow_block` call finds every tree eligible at the
+    root, the root level's scan layout (:func:`_scan_chunks`).  None of
+    it depends on the response or the weights, so a caller that grows
+    block after block on the same ``(xb, ranks)`` — boosting rounds
+    whose chains train on all rows and all columns — builds one layout
+    and passes it to every call, which then skips the prologue and the
+    root-level sort.  The cached root assumes every call shares the
+    block shape, ``min_samples_leaf`` and an unsubsampled feature set.
+    """
+
+    def __init__(self, xb: np.ndarray, ranks: np.ndarray) -> None:
+        self.V, self.m = xb.shape
+        self.x_flat = np.asfortranarray(xb).reshape(-1, order="F")
+        self.rk_flat = np.asfortranarray(ranks).reshape(-1, order="F")
+        self.rank_dtype = ranks.dtype
+        # NaN feature values sort last and never admit a split on either
+        # side of them (any comparison with NaN is False in the reference
+        # scan).  The check reads the values themselves, not a per-column
+        # NaN rank, so stacked trees may carry rank matrices of their own
+        # (boosting's fold chains).  Slot V*m absorbs padding-row lookups.
+        nan = np.isnan(self.x_flat)
+        self.nan_flat = np.append(nan, False) if nan.any() else None
+        self.root: list | None = None
+
+
+def _scan_chunks(lay: BlockLayout, node_rows: np.ndarray, starts: np.ndarray,
+                 seg_counts: np.ndarray, elig: np.ndarray, cand: np.ndarray,
+                 k: int, min_leaf: int) -> list[tuple]:
+    """The padded, rank-sorted scan layout of one level's eligible nodes.
+
+    Nodes are chunked largest-first so each chunk's padding waste stays
+    bounded.  A chunk lays every (node, candidate feature) pair out as
+    one row of a zero-padded ``(n_cols, max_len)`` matrix of row ids,
+    sorted per row by a stable radix argsort of the integer rank keys,
+    and returns ``(sel, e_idx, col_len, row_srt, valid, fcol, x_lo,
+    x_hi)``: the chunk's nodes (positions in ``elig`` and segment ids),
+    the column lengths, the sorted row ids, the split positions that
+    the data alone admits, and each column's feature and value range.
+    Everything here is independent of the response and the weights.
+    """
+    V = lay.V
+    x_flat = lay.x_flat
+    lengths = seg_counts[elig]
+    by_size = np.argsort(-lengths, kind="stable")
+    sorted_len = lengths[by_size]
+    chunks = []
+    ptr = 0
+    while ptr < by_size.size:
+        # Greedy waste-bounded chunking: extend while the padded area
+        # stays under twice the actual data (and the element budget),
+        # so big and small nodes never share a block unless the small
+        # ones are numerous enough to amortize.
+        max_len = int(sorted_len[ptr])
+        actual = 0
+        q = 0
+        while ptr + q < by_size.size:
+            nxt = int(sorted_len[ptr + q])
+            if q and (max_len * (q + 1) * k > _SCAN_CHUNK_ELEMENTS
+                      or max_len * (q + 1) > 2 * (actual + nxt)):
+                break
+            actual += nxt
+            q += 1
+        sel = by_size[ptr:ptr + q]
+        ptr += q
+        e_idx = elig[sel]
+        n_cols = q * k
+
+        # One flat scatter builds all padded columns; a stable argsort
+        # of the integer rank keys then sorts every column at once
+        # (radix for uint16 ranks), with padding (the largest rank, row V)
+        # sinking to the bottom.
+        col_len = np.repeat(lengths[sel], k)
+        tot = int(col_len.sum())
+        col_off = np.concatenate(([0], np.cumsum(col_len)[:-1]))
+        ar = np.arange(tot) - np.repeat(col_off, col_len)
+        src_pos = np.repeat(np.repeat(starts[e_idx], k), col_len) + ar
+        src_col = np.repeat(cand[sel].ravel(), col_len)
+        src_row = node_rows[src_pos]
+        dst = np.repeat(np.arange(n_cols) * max_len, col_len) + ar
+
+        # Columns live as contiguous rows of (n_cols, max_len) matrices,
+        # so the per-column sorts, prefix sums and argmaxes all run over
+        # contiguous memory.
+        row_pad = np.full((n_cols, max_len), V, dtype=np.int64)
+        rank_pad = np.full((n_cols, max_len), np.iinfo(lay.rank_dtype).max,
+                           dtype=lay.rank_dtype)
+        row_pad.ravel()[dst] = src_row
+        rank_pad.ravel()[dst] = lay.rk_flat[src_row + V * src_col]
+        perm = np.argsort(rank_pad, axis=1, kind="stable")
+        # Column-flat gathers (take_along_axis builds full index grids in
+        # Python; one add does the same job).
+        pflat = perm + (np.arange(n_cols) * max_len)[:, None]
+        row_srt = row_pad.ravel()[pflat]
+        rank_srt = rank_pad.ravel()[pflat]
+
+        # Split after sorted position p: left spans [0, p].
+        n_pos = max_len - 1
+        pos_grid = np.arange(n_pos)[None, :]
+        valid = (pos_grid >= min_leaf - 1) \
+            & (pos_grid <= (col_len - min_leaf - 1)[:, None])
+        # Distinct-value check on ranks (dense ranks embed the value
+        # order with ties collapsed).
+        valid &= rank_srt[:, :n_pos] < rank_srt[:, 1:]
+        fcol = src_col[col_off]
+        if lay.nan_flat is not None:
+            # x < NaN is False in the reference scan, so the position
+            # just before a column's NaN run admits no split either.
+            valid &= ~lay.nan_flat[row_srt[:, 1:] + V * fcol[:, None]]
+        x_lo = x_flat[row_srt[:, 0] + V * fcol]
+        x_hi = x_flat[row_srt[np.arange(n_cols), col_len - 1] + V * fcol]
+        chunks.append((sel, e_idx, col_len, row_srt, valid, fcol, x_lo, x_hi))
+    return chunks
+
+
+class GrownBlock:
+    """The flat arrays of a block's trees; ``block[t]`` views tree ``t``.
+
+    ``arrays`` holds ``(feature, threshold, left, right, value,
+    train_leaf)`` with every tree's nodes back to back — tree ``t`` spans
+    ``offsets[t]:offsets[t + 1]`` and numbers its children locally — and
+    every tree's ``n_samp`` training-row leaves back to back.
+    """
+
+    def __init__(self, arrays: tuple, offsets: np.ndarray, n_samp: int) -> None:
+        self.arrays = arrays
+        self.offsets = offsets
+        self.n_samp = n_samp
+
+    def __len__(self) -> int:
+        return len(self.offsets) - 1
+
+    def __getitem__(self, t: int) -> tuple:
+        t = range(len(self))[t]
+        lo, hi = self.offsets[t], self.offsets[t + 1]
+        *nodes, train_leaf = self.arrays
+        return (*(a[lo:hi] for a in nodes),
+                train_leaf[t * self.n_samp:(t + 1) * self.n_samp])
+
+
 def _grow_block(
     xb: np.ndarray,
     yb: np.ndarray,
@@ -278,11 +427,13 @@ def _grow_block(
     min_child_weight: float,
     max_features: int | None,
     rngs,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    layout: BlockLayout | None = None,
+) -> GrownBlock:
     """Level-synchronous growth of ``n_trees`` independent trees whose
     rows are stacked tree-major in ``xb``/``yb``/``wb`` (``n_samp`` rows
     each); ``ranks`` holds each row's per-column dense value rank.
-    Returns per-tree flat arrays.
+    ``layout`` is ``BlockLayout(xb, ranks)``, built here when not given.
+    Returns the block's flat arrays, trees as views of them.
 
     The only per-row state carried between levels is ``node_rows`` (row
     ids grouped by node, ascending within each node).  Each level's
@@ -291,26 +442,16 @@ def _grow_block(
     reproduces the reference's tie order (ascending row position), and
     re-sorting small integers per level is cheaper than maintaining
     every feature's sorted order through an m-wide stable partition.
+    The root level's layout is the one exception: when every tree is
+    eligible there and no features are subsampled, it comes from (and
+    is cached on) ``layout``, so repeated calls sort the root once.
     """
-    V, m = xb.shape
+    lay = BlockLayout(xb, ranks) if layout is None else layout
+    V, m = lay.V, lay.m
     min_leaf = min_samples_leaf
     subsample = max_features is not None and max_features < m
     k = max_features if subsample else m
-
-    xF = np.asfortranarray(xb)
-    x_flat = xF.reshape(-1, order="F")
-    rkF = np.asfortranarray(ranks)
-    rk_flat = rkF.reshape(-1, order="F")
-    sent = np.iinfo(ranks.dtype).max
-
-    # NaN feature values sort last and never admit a split on either
-    # side of them (any comparison with NaN is False in the reference
-    # scan).  The check reads the values themselves, not a per-column
-    # NaN rank, so stacked trees may carry rank matrices of their own
-    # (boosting's fold chains).  Slot V*m absorbs padding-row lookups.
-    has_nan = bool(np.isnan(xb).any())
-    if has_nan:
-        nan_flat = np.append(np.isnan(x_flat), False)
+    x_flat = lay.x_flat
 
     # With unit weights and a binary response — the random-forest hot
     # path — every per-node sum is integer-exact: segmented cumsum
@@ -420,66 +561,25 @@ def _grow_block(
         split_thr = np.zeros(n_seg)
 
         if elig.size:
-            lengths = seg_counts[elig]
-            by_size = np.argsort(-lengths, kind="stable")
-            sorted_len = lengths[by_size]
-            ptr = 0
-            while ptr < by_size.size:
-                # Greedy waste-bounded chunking: extend while the padded
-                # area stays under twice the actual data (and the element
-                # budget), so big and small nodes never share a block
-                # unless the small ones are numerous enough to amortize.
-                max_len = int(sorted_len[ptr])
-                actual = 0
-                q = 0
-                while ptr + q < by_size.size:
-                    nxt = int(sorted_len[ptr + q])
-                    if q and (max_len * (q + 1) * k > _SCAN_CHUNK_ELEMENTS
-                              or max_len * (q + 1) > 2 * (actual + nxt)):
-                        break
-                    actual += nxt
-                    q += 1
-                sel = by_size[ptr:ptr + q]
-                ptr += q
-                e_idx = elig[sel]
-                n_cols = q * k
-
-                # One flat scatter builds all padded columns; a stable
-                # argsort of the integer rank keys then sorts every
-                # column at once (radix for uint16 ranks), with padding
-                # (rank `sent`, row V) sinking to the bottom.
-                col_len = np.repeat(lengths[sel], k)
-                tot = int(col_len.sum())
-                col_off = np.concatenate(([0], np.cumsum(col_len)[:-1]))
-                ar = np.arange(tot) - np.repeat(col_off, col_len)
-                src_pos = np.repeat(np.repeat(starts[e_idx], k), col_len) + ar
-                src_col = np.repeat(cand[sel].ravel(), col_len)
-                src_row = node_rows[src_pos]
-                dst = np.repeat(np.arange(n_cols) * max_len, col_len) + ar
-
-                # Columns live as contiguous rows of (n_cols, max_len)
-                # matrices, so the per-column sorts, prefix sums and
-                # argmaxes below all run over contiguous memory.
-                row_pad = np.full((n_cols, max_len), V, dtype=np.int64)
-                rank_pad = np.full((n_cols, max_len), sent,
-                                   dtype=ranks.dtype)
-                row_pad.ravel()[dst] = src_row
-                rank_pad.ravel()[dst] = rk_flat[src_row + V * src_col]
-                perm = np.argsort(rank_pad, axis=1, kind="stable")
-                # Column-flat gathers (take_along_axis builds full index
-                # grids in Python; one add does the same job).
-                pflat = perm + (np.arange(n_cols) * max_len)[:, None]
-                row_srt = row_pad.ravel()[pflat]
-                rank_srt = rank_pad.ravel()[pflat]
+            if depth == 0 and not subsample and elig.size == n_trees:
+                if lay.root is None:
+                    lay.root = _scan_chunks(lay, node_rows, starts, seg_counts,
+                                            elig, cand, k, min_leaf)
+                chunks = lay.root
+            else:
+                chunks = _scan_chunks(lay, node_rows, starts, seg_counts,
+                                      elig, cand, k, min_leaf)
+            for sel, e_idx, col_len, row_srt, valid, fcol, x_lo, x_hi in chunks:
+                q = sel.size
+                cix = np.arange(q * k)
+                n_pos = row_srt.shape[1] - 1
+                pos_grid = np.arange(n_pos)[None, :]
 
                 # Per-column prefix sums: trailing zero padding leaves
                 # the running prefixes identical to per-node cumsums.
                 # Split after sorted position p: left spans [0, p]; the
                 # gain expression mirrors the reference line for line so
                 # every surviving element is bit-identical.
-                cix = np.arange(n_cols)
-                n_pos = max_len - 1
-                pos_grid = np.arange(n_pos)[None, :]
                 if exact_int:
                     # Integer fast path: weights are position counts and
                     # response sums are ones counts, so prefix sums stay
@@ -523,21 +623,13 @@ def _grow_block(
                         gain -= (total_wy * total_wy
                                  / np.where(total_w > 0, total_w, 1.0))[:, None]
 
-                valid = (pos_grid >= min_leaf - 1) \
-                    & (pos_grid <= (col_len - min_leaf - 1)[:, None])
-                # Distinct-value check on ranks (dense ranks embed the
-                # value order with ties collapsed).
-                valid &= rank_srt[:, :n_pos] < rank_srt[:, 1:]
-                fcol = src_col[col_off]
-                if has_nan:
-                    # x < NaN is False in the reference scan, so the
-                    # position just before a column's NaN run admits no
-                    # split either.
-                    valid &= ~nan_flat[row_srt[:, 1:] + V * fcol[:, None]]
+                # ``valid`` may be the cached root layout's: never
+                # narrow it in place.
                 if min_child_weight > 0:
-                    valid &= (wl >= min_child_weight) & (wr >= min_child_weight)
+                    valid = valid & (wl >= min_child_weight) \
+                        & (wr >= min_child_weight)
                 if not exact_sums:
-                    valid &= (total_w > 0)[:, None]
+                    valid = valid & (total_w > 0)[:, None]
                 gain[~valid] = -np.inf
 
                 # First maximum per column (argmax keeps the reference's
@@ -557,8 +649,6 @@ def _grow_block(
                 # the across-feature argmax.
                 thr_col = 0.5 * (x_flat[row_srt[cix, best_pos] + V * fcol]
                                  + x_flat[row_srt[cix, best_pos + 1] + V * fcol])
-                x_lo = x_flat[row_srt[:, 0] + V * fcol]
-                x_hi = x_flat[row_srt[cix, col_len - 1] + V * fcol]
                 degenerate = ~((x_lo <= thr_col)
                                & ((thr_col < x_hi) | np.isnan(x_hi)))
                 bg = np.where(np.isnan(best_gain) | degenerate, -np.inf,
@@ -671,21 +761,10 @@ def _grow_block(
         out[gidx] = src
         return out
 
-    feat_all = _assemble(feat_parts)
-    thr_all = _assemble(thr_parts)
-    left_all = _assemble(left_parts)
-    right_all = _assemble(right_parts)
-    val_all = _assemble(val_parts)
-    leaf2d = train_leaf.reshape(n_trees, n_samp)
-    return [
-        (feat_all[offsets[t]:offsets[t + 1]],
-         thr_all[offsets[t]:offsets[t + 1]],
-         left_all[offsets[t]:offsets[t + 1]],
-         right_all[offsets[t]:offsets[t + 1]],
-         val_all[offsets[t]:offsets[t + 1]],
-         leaf2d[t])
-        for t in range(n_trees)
-    ]
+    return GrownBlock(
+        tuple(_assemble(parts) for parts in (
+            feat_parts, thr_parts, left_parts, right_parts, val_parts))
+        + (train_leaf,), offsets, n_samp)
 
 
 # ----------------------------------------------------------------------

@@ -11,26 +11,45 @@ and distributed execution — irrelevant for N <= 3200 — are not.
 One round loop (:meth:`GradientBoostingModel._rounds`) advances any
 number of independent chains in lockstep: a fit is the one-chain case,
 and cross-validated tuning runs one chain per fold
-(:meth:`~GradientBoostingModel.staged_fold_predict`), growing each
-round's trees of equal sample size as one block through the level-wise
-kernel.  The Newton step reuses the training-row leaf assignments
-recorded during growth (``tree.train_leaf_``) and reduces per-leaf
-gradient/hessian sums with one ``np.bincount`` over inverse leaf
-indices.  The vectorized and native engines compute the
+(:meth:`~GradientBoostingModel.staged_fold_predict`).  The chains are
+stacked, not looped over:
+
+* every chain's raw score, gradient and hessian is one slice of one
+  vector, so a round takes one sigmoid;
+* a round's trees of equal sample size grow as one block through the
+  level-wise kernel (the reference and native engines run their own
+  per-tree growers instead), and the round's trees come back as one
+  set of flat arrays with the trees as views of them (:class:`_Round`);
+* the Newton step is one ``np.bincount`` over block-global leaf ids,
+  reusing the training-row leaves recorded during growth, and the
+  training scores update with one gather over those leaves;
+* rows a tree did not train on (held-out folds, subsampled rows) take
+  one level-wise walk of every chain's rows through the stacked node
+  tables.
+
+Work that does not change between rounds is done once: the vectorized
+and native engines compute the
 :func:`~repro.metamodels._kernels.dense_ranks` of each chain's rows
-once and reuse them every round, so no round re-sorts the unchanged
-features.
+once, and a block whose chains train on all rows and all columns
+stacks its inputs and builds its
+:class:`~repro.metamodels._kernels.BlockLayout` (column-flat values and
+ranks, NaN map, root-level scan layout) once per round loop.  Every step keeps
+the per-tree order of floating-point operations, so fits are
+bit-identical to growing and updating each tree alone.
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from repro.engines import resolve as _resolve_engine
-from repro.metamodels._kernels import StackedEnsemble, _grow_block, dense_ranks
-from repro.metamodels.tree import DecisionTreeRegressor
+from repro.metamodels._kernels import (
+    BlockLayout,
+    StackedEnsemble,
+    _grow_block,
+    dense_ranks,
+)
+from repro.metamodels.tree import _NO_FEATURE, DecisionTreeRegressor
 
 __all__ = ["GradientBoostingModel"]
 
@@ -59,15 +78,84 @@ def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
     return x, y
 
 
-class _Draw(NamedTuple):
-    """One chain's round: its subsample and the tree's training inputs."""
+class _Round:
+    """One boosting round: every chain's tree, stacked in chain order.
 
-    rows: np.ndarray | None  # sampled rows, None for all of them
-    cols: np.ndarray
-    x: np.ndarray
-    grad: np.ndarray
-    hess: np.ndarray
-    ranks: np.ndarray | None
+    ``feature``/``threshold``/``left``/``right``/``value`` hold all trees'
+    flat arrays back to back — chain ``c``'s tree spans
+    ``offsets[c]:offsets[c + 1]`` and numbers its children locally — and
+    ``train_leaf`` their training-row leaves back to back, ``sizes[c]``
+    rows per chain.  :meth:`tree` hands out views, so leaf values the
+    Newton step writes here are the trees' own.
+    """
+
+    def __init__(self, arrays, offsets: np.ndarray, sizes: np.ndarray,
+                 cols: list[np.ndarray]) -> None:
+        (self.feature, self.threshold, self.left, self.right, self.value,
+         self.train_leaf) = arrays
+        self.offsets = offsets
+        self.sizes = sizes
+        self.cols = cols
+
+    @classmethod
+    def stack(cls, parts, sizes, cols) -> "_Round":
+        """Concatenate per-chain ``(feature, ..., train_leaf)`` tuples."""
+        offsets = np.cumsum([0] + [len(part[0]) for part in parts])
+        return cls([np.concatenate(a) for a in zip(*parts)], offsets,
+                   sizes, cols)
+
+    def newton(self, grad: np.ndarray, hess: np.ndarray,
+               reg_lambda: float) -> np.ndarray:
+        """Set every leaf to its regularised Newton step ``-G / (H + lambda)``.
+
+        One ``np.bincount`` over block-global leaf ids sums each leaf's
+        rows in row order, exactly as a per-tree bincount over its
+        ``np.unique`` leaves would.  Only leaves hold training rows, and
+        every hessian is positive, so ``H > 0`` selects exactly them;
+        internal nodes keep their grown values.  Returns the global leaf
+        id of every training row.
+        """
+        gid = self.train_leaf + np.repeat(self.offsets[:-1], self.sizes)
+        g_sum = np.bincount(gid, weights=grad, minlength=self.offsets[-1])
+        h_sum = np.bincount(gid, weights=hess, minlength=self.offsets[-1])
+        leaf = h_sum > 0
+        self.value[leaf] = -g_sum[leaf] / (h_sum[leaf] + reg_lambda)
+        return gid
+
+    def walk(self, x: np.ndarray, owner: np.ndarray) -> np.ndarray:
+        """Leaf value of every row ``x[i]`` in chain ``owner[i]``'s tree.
+
+        One level-wise descent of all chains' rows through the stacked
+        node tables, taking the same ``x <= thr`` branches as
+        :meth:`DecisionTreeRegressor.apply` (tree features map back to
+        the chain's drawn columns of ``x``).
+        """
+        tree_of = np.repeat(np.arange(len(self.cols)), np.diff(self.offsets))
+        shift = self.offsets[tree_of]
+        feature = self.feature
+        if self.cols[0].size < x.shape[1]:
+            feature = np.where(feature != _NO_FEATURE,
+                               np.stack(self.cols)[tree_of, feature],
+                               _NO_FEATURE)
+        node = self.offsets[owner]
+        active = np.flatnonzero(feature[node] != _NO_FEATURE)
+        while active.size:
+            cur = node[active]
+            go_left = x[active, feature[cur]] <= self.threshold[cur]
+            node[active] = shift[cur] + np.where(go_left, self.left[cur],
+                                                 self.right[cur])
+            active = active[feature[node[active]] != _NO_FEATURE]
+        return self.value[node]
+
+    def tree(self, c: int, tree: DecisionTreeRegressor) -> DecisionTreeRegressor:
+        """Point an unfitted ``tree`` at chain ``c``'s views."""
+        lo, hi = self.offsets[c], self.offsets[c + 1]
+        start = int(self.sizes[:c].sum())
+        tree.feature, tree.threshold, tree.left, tree.right, tree.value = (
+            a[lo:hi] for a in (self.feature, self.threshold, self.left,
+                               self.right, self.value))
+        tree.train_leaf_ = self.train_leaf[start:start + self.sizes[c]]
+        return tree
 
 
 class GradientBoostingModel:
@@ -127,7 +215,8 @@ class GradientBoostingModel:
         x, y = _check_xy(x, y)
         self.base_score_ = _log_odds(y)
         self._stacked = None
-        self.trees_ = [grown for (grown,) in self._rounds([x], [y])]
+        self.trees_ = [(rnd.tree(0, self._new_tree()), rnd.cols[0])
+                       for rnd in self._rounds([x], [y])]
         return self
 
     def staged_fold_predict(self, x: np.ndarray, y: np.ndarray, splits,
@@ -139,29 +228,31 @@ class GradientBoostingModel:
         lockstep through :meth:`_rounds`.  Each chain's held-out raw
         score starts at its training log-odds and accumulates
         ``raw += learning_rate * tree.predict(test)`` in round order —
-        the elementwise sums :meth:`decision_function` performs — so
-        ``out[r][k]`` is bit-identical to ``predict(x[test_k])`` of an
-        ``r``-round model fitted on ``x[train_k]``: a round-``r`` model
-        is the round-``r`` prefix of any longer chain with its seed.
+        the elementwise sums :meth:`decision_function` performs, here
+        for every chain's held-out rows at once — so ``out[r][k]`` is
+        bit-identical to ``predict(x[test_k])`` of an ``r``-round model
+        fitted on ``x[train_k]``: a round-``r`` model is the round-``r``
+        prefix of any longer chain with its seed.
         """
         x, y = _check_xy(x, y)
         stages = sorted(set(stages))
         if not stages or stages[0] < 1 or stages[-1] > self.n_rounds:
             raise ValueError(
                 f"stages must lie in [1, {self.n_rounds}], got {stages}")
-        tests = [x[test] for _, test in splits]
-        raws = [np.full(len(test), _log_odds(y[train]))
-                for train, test in splits]
+        tests = [test for _, test in splits]
+        x_test = x[np.concatenate(tests)]
+        owner = np.repeat(np.arange(len(tests)), [len(t) for t in tests])
+        cuts = np.cumsum([len(t) for t in tests])[:-1]
+        raw = np.concatenate([np.full(len(test), _log_odds(y[train]))
+                              for train, test in splits])
         chains = self._rounds([x[train] for train, _ in splits],
                               [y[train] for train, _ in splits])
         out: dict[int, list[np.ndarray]] = {}
-        for done, grown in enumerate(chains, start=1):
-            for raw, x_test, (tree, cols) in zip(raws, tests, grown):
-                raw += self.learning_rate * tree.predict(
-                    x_test if cols.size == x.shape[1] else x_test[:, cols])
+        for done, rnd in enumerate(chains, start=1):
+            raw += self.learning_rate * rnd.walk(x_test, owner)
             if done in stages:
-                out[done] = [(_sigmoid(raw) > 0.5).astype(np.int64)
-                             for raw in raws]
+                out[done] = np.split(
+                    (_sigmoid(raw) > 0.5).astype(np.int64), cuts)
                 if done == stages[-1]:
                     break
         return out
@@ -172,95 +263,142 @@ class GradientBoostingModel:
         A plain fit is the one-chain case; cross-validation runs one
         chain per fold.  Every chain owns a ``default_rng(seed)`` and
         draws its row/column subsamples in the same order a lone fit
-        does, so chains never perturb each other.  Yields each chain's
-        ``(tree, cols)`` after every round.
+        does, so chains never perturb each other.  All chains' raw
+        scores, gradients and hessians live in one stacked vector, so a
+        round takes one sigmoid, grows its trees (:meth:`_grow_round`),
+        sets every leaf with one Newton step and updates every training
+        score with one gather — or, when rows are subsampled, one walk.
+        Yields each round's :class:`_Round`.
         """
         m = xs[0].shape[1]
         n_cols = max(1, int(round(self.colsample * m)))
         full_cols = n_cols >= m
         all_cols = np.arange(m)
+        lens = [len(x) for x in xs]
+        sizes = np.array([min(n, max(2, int(round(self.subsample * n))))
+                          for n in lens])
+        sub = sizes < lens
+        # A chain on a row subsample updates its other rows by a walk.
+        subsampled = bool(sub.any())
         rngs = [np.random.default_rng(self.seed) for _ in xs]
-        raws = [np.full(len(y), _log_odds(y)) for y in ys]
-        n_rows = [max(2, int(round(self.subsample * len(x)))) for x in xs]
+        y = np.concatenate(ys)
+        raw = np.concatenate([np.full(len(yc), _log_odds(yc)) for yc in ys])
+        if subsampled:
+            x_all = np.concatenate(xs)
+            owner = np.repeat(np.arange(len(xs)), lens)
+            row_start = np.cumsum([0] + lens)
         # Features never change across rounds: rank each chain's rows
         # once and let every round's tree reuse the (gathered) integer
         # ranks — dense ranks order-embed any row/column subset.
         ranks = [dense_ranks(x) if self.engine != "reference" else None
                  for x in xs]
+        blocks = self._blocks(xs, ranks, sizes, sub, full_cols)
+        draws = [(None, all_cols)] * len(xs)
         for _ in range(self.n_rounds):
-            draws = []
-            for x, y, raw, rng, k, rk in zip(xs, ys, raws, rngs, n_rows,
-                                             ranks):
-                prob = _sigmoid(raw)
-                grad = prob - y
-                hess = np.maximum(prob * (1.0 - prob), 1e-12)
-                rows = (rng.choice(len(x), size=k, replace=False)
-                        if k < len(x) else None)
-                cols = (np.sort(rng.choice(m, size=n_cols, replace=False))
-                        if not full_cols else all_cols)
-                if rows is None:
-                    draws.append(_Draw(
-                        rows, cols, x if full_cols else x[:, cols], grad,
-                        hess, rk if rk is None or full_cols else rk[:, cols]))
-                else:
-                    draws.append(_Draw(
-                        rows, cols, x[np.ix_(rows, cols)], grad[rows],
-                        hess[rows], None if rk is None else rk[np.ix_(rows, cols)]))
-            trees = self._grow_round(draws)
+            prob = _sigmoid(raw)
+            grad = prob - y
+            hess = np.maximum(prob * (1.0 - prob), 1e-12)
+            if subsampled or not full_cols:
+                draws = [
+                    (rng.choice(n, size=k, replace=False) if s else None,
+                     all_cols if full_cols
+                     else np.sort(rng.choice(m, size=n_cols, replace=False)))
+                    for rng, n, k, s in zip(rngs, lens, sizes, sub)]
+            if subsampled:
+                take = np.concatenate([
+                    start + (rows if rows is not None else np.arange(n))
+                    for start, n, (rows, _) in zip(row_start, lens, draws)])
+                grad, hess = grad[take], hess[take]
+            rnd = self._grow_round(xs, ranks, draws, sizes, grad, hess,
+                                   blocks)
+            gid = rnd.newton(grad, hess, self.reg_lambda)
+            # Growth partitions rows by the ``x <= thr`` rule prediction
+            # walks, so full-row trees' recorded leaves are exactly their
+            # predictions on the training rows.
+            raw += self.learning_rate * (
+                rnd.walk(x_all, owner) if subsampled else rnd.value[gid])
+            yield rnd
 
-            grown = []
-            for draw, tree, x, raw in zip(draws, trees, xs, raws):
-                # Replace leaf means with the regularised Newton step:
-                # one bincount over the leaf assignments recorded
-                # during growth.
-                leaves, inv = np.unique(tree.train_leaf_, return_inverse=True)
-                g_sum = np.bincount(inv, weights=draw.grad)
-                h_sum = np.bincount(inv, weights=draw.hess)
-                tree.set_leaf_values(leaves, -g_sum / (h_sum + self.reg_lambda))
-                # Growth partitions rows by the ``x <= thr`` rule
-                # prediction walks, so a full-row tree's recorded leaves
-                # are exactly its predictions on the training rows.
-                raw += self.learning_rate * (
-                    tree.value[tree.train_leaf_] if draw.rows is None
-                    else tree.predict(x if full_cols else x[:, draw.cols]))
-                grown.append((tree, draw.cols))
-            yield grown
+    def _new_tree(self) -> DecisionTreeRegressor:
+        return DecisionTreeRegressor(
+            max_depth=self.max_depth, min_samples_leaf=1,
+            min_child_weight=self.min_child_weight, engine=self.engine)
 
-    def _grow_round(self, draws: list[_Draw]) -> list[DecisionTreeRegressor]:
+    def _blocks(self, xs, ranks, sizes, sub, full_cols) -> list[tuple]:
+        """The vectorized engine's blocks: chains of equal sample size.
+
+        Each is ``(chains, xb, ranks, layout)``.  A block whose chains
+        train on all their rows and all columns sees the same inputs
+        every round, so its stacked values, ranks and
+        :class:`~repro.metamodels._kernels.BlockLayout` are built here
+        once; any other block holds ``None`` for all three and gathers
+        its inputs every round.
+        """
+        if self.engine != "vectorized":
+            return []
+        blocks = []
+        for size in dict.fromkeys(sizes.tolist()):
+            chains = np.flatnonzero(sizes == size)
+            if full_cols and not sub[chains].any():
+                xb = np.concatenate([xs[c] for c in chains])
+                rb = np.concatenate([ranks[c] for c in chains])
+                blocks.append((chains, xb, rb, BlockLayout(xb, rb)))
+            else:
+                blocks.append((chains, None, None, None))
+        return blocks
+
+    def _grow_round(self, xs, ranks, draws, sizes, grad, hess,
+                    blocks) -> _Round:
         """One round's tree per chain, fit to ``-grad/hess`` weighted by ``hess``.
 
-        The vectorized engine grows all chains whose trees sample the
-        same number of rows as one level-synchronous block (trees of a
-        block never share a node, so each comes out exactly as grown
-        alone); the other engines run their own per-tree growers.
+        ``grad``/``hess`` hold every chain's ``sizes[c]`` sampled rows in
+        chain order.  The vectorized engine grows each block's trees as one
+        level-synchronous :func:`_grow_block` call (trees of a block
+        never share a node, so each comes out exactly as grown alone);
+        the other engines run their own per-tree growers.
         """
-        def new_tree() -> DecisionTreeRegressor:
-            return DecisionTreeRegressor(
-                max_depth=self.max_depth, min_samples_leaf=1,
-                min_child_weight=self.min_child_weight, engine=self.engine)
+        cols = [c for _, c in draws]
+        bounds = np.cumsum(np.concatenate(([0], sizes)))
+
+        def inputs(c):
+            (rows, cl), x, rk = draws[c], xs[c], ranks[c]
+            if rows is not None:
+                return (x[np.ix_(rows, cl)],
+                        None if rk is None else rk[np.ix_(rows, cl)])
+            if cl.size == x.shape[1]:
+                return x, rk
+            return x[:, cl], None if rk is None else rk[:, cl]
 
         if self.engine != "vectorized":
-            return [new_tree().fit(d.x, -d.grad / d.hess, sample_weight=d.hess,
-                                   ranks=d.ranks)
-                    for d in draws]
-        trees: list = [None] * len(draws)
-        sizes = [len(d.grad) for d in draws]
-        for size in dict.fromkeys(sizes):
-            chains = [c for c, s in enumerate(sizes) if s == size]
-            block = [draws[c] for c in chains]
-            grad, hess = (np.concatenate([d.grad for d in block]),
-                          np.concatenate([d.hess for d in block]))
+            parts = []
+            for c in range(len(xs)):
+                x, rk = inputs(c)
+                g, h = grad[bounds[c]:bounds[c + 1]], hess[bounds[c]:bounds[c + 1]]
+                tree = self._new_tree().fit(x, -g / h, sample_weight=h, ranks=rk)
+                parts.append((tree.feature, tree.threshold, tree.left,
+                              tree.right, tree.value, tree.train_leaf_))
+            return _Round.stack(parts, sizes, cols)
+        parts: list = [None] * len(xs)
+        for chains, xb, rb, layout in blocks:
+            if layout is None:
+                xb, rb = (np.concatenate(a) for a in zip(*map(inputs, chains)))
+            if len(chains) == len(xs):
+                gb, hb = grad, hess
+            else:
+                gb, hb = (np.concatenate([a[bounds[c]:bounds[c + 1]]
+                                          for c in chains])
+                          for a in (grad, hess))
             grown = _grow_block(
-                np.concatenate([d.x for d in block]), -grad / hess, hess,
-                np.concatenate([d.ranks for d in block]),
-                n_trees=len(block), n_samp=size, max_depth=self.max_depth,
-                min_samples_leaf=1, min_child_weight=self.min_child_weight,
-                max_features=None, rngs=[None] * len(block))
-            for c, arrays in zip(chains, grown):
-                tree = trees[c] = new_tree()
-                (tree.feature, tree.threshold, tree.left, tree.right,
-                 tree.value, tree.train_leaf_) = arrays
-        return trees
+                xb, -gb / hb, hb, rb, layout=layout,
+                n_trees=len(chains), n_samp=int(sizes[chains[0]]),
+                max_depth=self.max_depth, min_samples_leaf=1,
+                min_child_weight=self.min_child_weight, max_features=None,
+                rngs=[None] * len(chains))
+            if len(chains) == len(xs):
+                return _Round(grown.arrays, grown.offsets, sizes, cols)
+            for c, tree in zip(chains, grown):
+                parts[c] = tree
+        return _Round.stack(parts, sizes, cols)
 
     def _ensure_stacked(self) -> StackedEnsemble | None:
         """Build (once) the stacked prediction tables of a fitted model."""

@@ -343,7 +343,7 @@ class DecisionTreeRegressor:
         return self.value[self.apply(x)]
 
     def set_leaf_values(self, leaf_values, values: np.ndarray | None = None) -> None:
-        """Overwrite leaf predictions (used by Newton boosting).
+        """Overwrite leaf predictions, e.g. with a Newton step.
 
         Accepts either a ``{leaf: value}`` dict or two parallel arrays
         of leaf indices and values; both forms validate that every

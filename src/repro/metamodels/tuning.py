@@ -8,7 +8,7 @@ metamodel family and also provides the generic k-fold splitter used by
 the subgroup-discovery hyperparameter search.
 
 The boosting grid (depth {2, 4} x rounds {60, 150} x 5 folds) is the
-costliest step of a tuned REDS cell.  Two levers cut its work without
+costliest step of a tuned REDS cell.  Three levers cut its work without
 changing a single bit of any accuracy:
 
 * **Round-prefix sharing.**  Candidates that differ only in
@@ -27,6 +27,17 @@ changing a single bit of any accuracy:
   node, and every scan, prefix sum and argmax stays inside its tree,
   so each tree comes out exactly as grown alone.  The reference and
   native engines run their own per-tree growers in the same loop.
+* **Round-invariant, chain-stacked rounds.**  Work that repeats every
+  round is done once per group: without row or column subsampling
+  (the default grid) the fold chains train on all their rows and
+  columns, so a block's stacked inputs and its root-level scan layout
+  never change and are built once.  Work done once per
+  chain is done once per round: the chains' scores, gradients and
+  hessians form one stacked vector (one sigmoid), every leaf gets its
+  Newton step from one ``np.bincount``, and the held-out rows of all
+  folds take one walk through the round's stacked trees.  Each leaf
+  still sums its rows in row order, and each held-out score still adds
+  ``lr * v`` in tree order, so nothing changes by a bit.
 
 Forest and SVM candidates are one-candidate groups on the same task
 path.  :func:`cross_val_accuracy` stays the plain per-candidate loop:

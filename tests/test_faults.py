@@ -698,6 +698,27 @@ class TestOrphanSweep:
             assert kept.name not in removed
             assert kept.exists()
 
+    def test_sweep_removes_dead_pid_heartbeats_in_the_temp_dir(
+            self, tmp_path, dead_pid, monkeypatch):
+        # Hosts without a writable /dev/shm keep heartbeats in the temp
+        # directory; a SIGKILLed dispatcher leaks them there too.
+        monkeypatch.setattr(dataplane, "_HEARTBEAT_ROOT", str(tmp_path))
+        names = {
+            "orphan": f"{dataplane.HEARTBEAT_PREFIX}{dead_pid}-0123abcd-t3",
+            "own": f"{dataplane.HEARTBEAT_PREFIX}{os.getpid()}-0123abcd-t0",
+            "live": f"{dataplane.HEARTBEAT_PREFIX}{os.getppid()}-4567ef-t1",
+            # Only heartbeats fall back there; segments never do.
+            "segment": f"{dataplane.SEGMENT_PREFIX}{dead_pid}-deadbeef",
+        }
+        for name in names.values():
+            (tmp_path / name).write_bytes(b"x")
+        removed = dataplane.sweep_orphan_segments(force=True)
+        assert names["orphan"] in removed
+        assert not (tmp_path / names["orphan"]).exists()
+        for kept in ("own", "live", "segment"):
+            assert names[kept] not in removed
+            assert (tmp_path / names[kept]).exists()
+
     def test_sweep_is_gated_by_env(self, shm, dead_pid, monkeypatch):
         orphan = shm(f"{dataplane.SEGMENT_PREFIX}{dead_pid}-feedface")
         monkeypatch.delenv("REDS_DATAPLANE_SWEEP", raising=False)

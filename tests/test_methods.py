@@ -163,3 +163,34 @@ class TestInputValidation:
         x, y, _ = planted_box_data(5, 2, seed=12)
         result = discover("BIc", x, y.astype(float), seed=0)
         assert result.chosen_box.dim == 2
+
+    @pytest.mark.parametrize("name", ["RPf", "RPs", "RPx", "RBIcxp"])
+    def test_reds_needs_binary_labels(self, name):
+        x, y, _ = planted_box_data(120, 3, seed=13)
+        with pytest.raises(ValueError, match=rf"'{name}'.*binary labels"):
+            discover(name, x, 2.0 * y, seed=0, n_new=300,
+                     tune_metamodel=False)
+
+    def test_plain_methods_keep_real_valued_labels(self):
+        x, y, _ = planted_box_data(120, 3, seed=13)
+        result = discover("P", x, 2.0 * y, seed=0)
+        assert result.chosen_box.dim == 3
+
+    @pytest.mark.parametrize("codes,match", [
+        ([0, 1, 2, 3, 4], r"column 2 .*\[0, 3\)"),
+        ([0, 1, -1], r"column 2 .*\[0, 3\)"),
+        ([0.0, 0.5, 2.0], r"column 2 .*\[0, 3\)"),
+    ])
+    def test_categorical_codes_must_lie_in_range(self, codes, match):
+        x, y, _ = planted_box_data(120, 3, seed=14)
+        x = x.copy()
+        x[:, 2] = np.resize(codes, len(x))
+        with pytest.raises(ValueError, match=match):
+            discover("P", x, y, seed=0, cat_levels={2: 3})
+
+    def test_valid_categorical_codes_are_accepted(self):
+        x, y, _ = planted_box_data(120, 3, seed=14)
+        x = x.copy()
+        x[:, 2] = np.resize([0, 1, 2], len(x))
+        result = discover("P", x, y, seed=0, cat_levels={2: 3})
+        assert result.chosen_box.dim == 3

@@ -14,8 +14,12 @@ import pytest
 from repro.data import get_model
 from repro.engines import HAVE_NUMBA
 from repro.experiments.harness import make_train_data
+from repro.metamodels._kernels import BlockLayout, _grow_block, dense_ranks
+from repro.metamodels.boosting import GradientBoostingModel, _log_odds, _sigmoid
+from repro.metamodels.tree import DecisionTreeRegressor
 from repro.metamodels.tuning import (
     DEFAULT_GRIDS,
+    KFold,
     cross_val_accuracy,
     grid_accuracies,
     make_metamodel,
@@ -34,6 +38,17 @@ def _with_nans(n: int, seed: int):
     x = x.copy()
     x[np.random.default_rng(seed).random(n) < 0.15, 1] = np.nan
     return x, y
+
+
+def _positives_in_one_fold(n: int, seed: int):
+    # Every positive sits in the first KFold test fold, so that fold's
+    # chain trains on negatives only: its root is pure in every round
+    # while the other four chains of its block stay eligible.
+    x, y = _borehole(n, seed)
+    test = next(KFold(5, seed=0).split(n))[1]
+    only = np.zeros(n)
+    only[test] = y[test]
+    return x, only
 
 
 def _linear(n: int, seed: int):
@@ -57,6 +72,12 @@ CASES = {
         {"max_depth": 3, "n_rounds": 9}, {"max_depth": 2, "n_rounds": 12},
         {"max_depth": 3, "n_rounds": 2}, {"max_depth": 2, "n_rounds": 4}]),
     "nan-column": (lambda: _with_nans(150, seed=9), _SMALL),
+    "pure-root-fold": (lambda: _positives_in_one_fold(200, seed=10), _SMALL),
+    # Unequal folds draw different columns per chain: the stacked walk
+    # must map each tree's features through its own chain's draw.
+    "subsample-unequal-folds": (lambda: _borehole(163, seed=12), [
+        {"max_depth": d, "n_rounds": r, "subsample": 0.7, "colsample": 0.5}
+        for d in (2, 3) for r in (6, 15)]),
     # Formerly test_tuning_fanned_folds_pick_identical_model.
     "fanned-folds": (lambda: _linear(200, seed=7), [
         {"max_depth": 2, "n_rounds": 15}, {"max_depth": 3, "n_rounds": 15}]),
@@ -153,3 +174,90 @@ class TestTuningEquivalence:
             lambda p=params: make_metamodel(kind, **p), x, y)
             for params in grid]
         assert grid_accuracies(kind, x, y, grid, jobs=jobs) == oracle
+
+
+class TestRoundInvariants:
+    """The stacked round loop's shortcuts: a root layout reused across
+    rounds, a Newton step written through views of stacked arrays and
+    subsampled scores updated by a walk of the stacked trees."""
+
+    def test_pure_root_fold_case_has_a_pure_chain(self):
+        x, y = CASES["pure-root-fold"][0]()
+        folds = list(KFold(5, seed=0).split(len(x)))
+        assert y[folds[0][0]].max() == 0.0
+        assert all(0.0 < y[train].mean() < 1.0 for train, _ in folds[1:])
+
+    def test_cached_root_is_not_reused_when_a_root_turns_pure(self):
+        x, y = _borehole(120, seed=11)
+        xb, rb = np.vstack((x, x)), np.vstack((dense_ranks(x),) * 2)
+        layout = BlockLayout(xb, rb)
+        kw = dict(n_trees=2, n_samp=len(x), max_depth=3, min_samples_leaf=1,
+                  min_child_weight=0.5, max_features=None, rngs=[None] * 2)
+        weight = np.full(2 * len(x), 0.25)
+        mixed = np.concatenate((y, 1.0 - y))
+        # A large constant: a wrongly scanned pure root would find
+        # rounding-noise gains above MIN_GAIN and split.
+        pure = np.concatenate((y, np.full(len(x), 1e7 + 0.1)))
+        for yb in (mixed, pure, mixed):
+            grown = _grow_block(xb, yb, weight, rb, layout=layout, **kw)
+            fresh = _grow_block(xb, yb, weight, rb, **kw)
+            for t in range(2):
+                for a, b in zip(grown[t], fresh[t]):
+                    assert np.array_equal(a, b)
+            assert layout.root is not None
+            assert (grown[1][0].tolist() == [-1]) == (yb is pure)
+
+    @pytest.mark.parametrize("n,kw", [
+        (400, dict(n_rounds=150, max_depth=4)),
+        # Subsampled rows update their scores by the stacked walk.
+        (200, dict(n_rounds=30, max_depth=3, subsample=0.7, colsample=0.5,
+                   seed=4)),
+    ], ids=["full-scale", "subsample"])
+    def test_fit_matches_per_tree_boosting(self, n, kw):
+        x, y = _borehole(n, seed=0)
+        oracle = _per_tree_boosting(x, y, **kw)
+        for engine in ("vectorized", "reference"):
+            model = GradientBoostingModel(engine=engine, **kw).fit(x, y)
+            assert len(model.trees_) == len(oracle)
+            for (tree, cols), (want, want_cols) in zip(model.trees_, oracle):
+                assert np.array_equal(cols, want_cols)
+                for attr in ("feature", "threshold", "left", "right",
+                             "value", "train_leaf_"):
+                    assert np.array_equal(getattr(tree, attr),
+                                          getattr(want, attr)), attr
+
+
+def _per_tree_boosting(x, y, *, n_rounds, max_depth, subsample=1.0,
+                       colsample=1.0, seed=0):
+    """Newton boosting one tree at a time, the Newton step per tree.
+
+    The oracle of the stacked round loop: each leaf's value is set
+    from its own rows' ``np.unique`` + ``bincount`` sums, internal
+    nodes keep their grown values, and the training scores update from
+    the tree's own recorded leaves, or from ``tree.predict`` when rows
+    are subsampled.
+    """
+    n, m = x.shape
+    rng = np.random.default_rng(seed)
+    k = max(2, int(round(subsample * n)))
+    n_cols = max(1, int(round(colsample * m)))
+    raw = np.full(n, _log_odds(y))
+    trees = []
+    for _ in range(n_rounds):
+        prob = _sigmoid(raw)
+        grad = prob - y
+        hess = np.maximum(prob * (1.0 - prob), 1e-12)
+        rows = rng.choice(n, size=k, replace=False) if k < n else np.arange(n)
+        cols = (np.sort(rng.choice(m, size=n_cols, replace=False))
+                if n_cols < m else np.arange(m))
+        g, h = grad[rows], hess[rows]
+        tree = DecisionTreeRegressor(
+            max_depth=max_depth, min_child_weight=1.0, engine="reference",
+        ).fit(x[np.ix_(rows, cols)], -g / h, sample_weight=h)
+        leaves, inv = np.unique(tree.train_leaf_, return_inverse=True)
+        tree.set_leaf_values(leaves, -np.bincount(inv, weights=g)
+                             / (np.bincount(inv, weights=h) + 1.0))
+        raw += 0.1 * (tree.value[tree.train_leaf_] if k >= n
+                      else tree.predict(x[:, cols]))
+        trees.append((tree, cols))
+    return trees
