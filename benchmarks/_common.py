@@ -11,8 +11,7 @@ points at a persistent result-store directory: finished grid cells are
 cached there, so re-running a benchmark recomputes only what is missing
 (delete the directory, or change any result-affecting source file, to
 force a cold run).  ``REDS_ENGINE`` selects the kernel engine for every
-grid cell (``vectorized`` default / ``reference`` / ``native``, the
-latter resolving to ``vectorized`` when numba is missing), and
+grid cell (``vectorized`` default / ``reference``), and
 ``REDS_BENCH_SHARD=i/k`` runs only shard ``i`` of ``k`` of each grid,
 reading the other shards' records from the store — launch ``k``
 invocations against one ``REDS_BENCH_STORE`` to split a benchmark
@@ -118,17 +117,17 @@ def store_from_env():
 def engine_from_env() -> str:
     """Kernel engine from ``REDS_ENGINE`` (default ``"vectorized"``).
 
-    Validated through the central registry, so ``native`` is accepted
-    (and silently resolves to ``vectorized`` on runners without numba).
+    Validated through the central registry; an unknown name raises a
+    ``ValueError`` listing the valid ones.
     """
-    from repro.engines import available_engines, resolve
+    from repro.engines import KNOWN_ENGINES, resolve
 
     engine = os.environ.get("REDS_ENGINE", "vectorized").strip().lower()
     try:
         return resolve(engine)
     except ValueError:
         raise ValueError(
-            f"REDS_ENGINE must be one of {available_engines()}, "
+            f"REDS_ENGINE must be one of {KNOWN_ENGINES}, "
             f"got {engine!r}") from None
 
 

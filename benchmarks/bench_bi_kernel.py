@@ -16,7 +16,6 @@ import time
 import numpy as np
 
 from _common import emit, emit_json
-from repro.engines import HAVE_NUMBA, warmup_native
 from repro.subgroup._kernels import evaluate_boxes
 from repro.subgroup.best_interval import best_interval
 from repro.subgroup.bumping import (
@@ -34,10 +33,8 @@ REPEATS = 5
 BI_SPEEDUP_FLOOR = 5.0
 BOX_EVAL_SPEEDUP_FLOOR = 3.0
 
-#: Engines timed in the beam-search comparison; the native row appears
-#: only on runners with numba installed.
-TIMED_ENGINES = (("reference", "vectorized", "native") if HAVE_NUMBA
-                 else ("reference", "vectorized"))
+#: Engines timed in the beam-search comparison.
+TIMED_ENGINES = ("reference", "vectorized")
 
 
 def _best_of(f, repeats=REPEATS):
@@ -68,8 +65,6 @@ def test_bi_kernel_speedup(benchmark):
                     x, y, beam_size=BEAM_SIZE, engine=engine))
         return times, results
 
-    if "native" in TIMED_ENGINES:
-        warmup_native()  # compile outside the timed region
     times, results = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = times["reference"] / times["vectorized"]
 
@@ -80,17 +75,12 @@ def test_bi_kernel_speedup(benchmark):
         f"  vectorized  {times['vectorized'] * 1e3:8.1f} ms",
         f"  speedup     {speedup:8.2f} x",
     ]
-    if "native" in times:
-        lines.append(f"  native      {times['native'] * 1e3:8.1f} ms   "
-                     f"({times['reference'] / times['native']:.2f} x ref)")
     emit("bi_kernel", "\n".join(lines))
     emit_json("BENCH_bi_kernel", {
         "n": N, "m": M, "beam_size": BEAM_SIZE, "repeats": REPEATS,
         "engines": list(TIMED_ENGINES),
         **{f"{engine}_seconds": times[engine] for engine in TIMED_ENGINES},
         "speedup": speedup,
-        **({"native_speedup": times["reference"] / times["native"]}
-           if "native" in times else {}),
         "speedup_floor": BI_SPEEDUP_FLOOR,
     })
 
@@ -99,12 +89,6 @@ def test_bi_kernel_speedup(benchmark):
     np.testing.assert_array_equal(ref.box.upper, vec.box.upper)
     assert ref.wracc == vec.wracc
     assert ref.n_iterations == vec.n_iterations
-    if "native" in results:
-        nat = results["native"]
-        np.testing.assert_array_equal(ref.box.lower, nat.box.lower)
-        np.testing.assert_array_equal(ref.box.upper, nat.box.upper)
-        assert ref.wracc == nat.wracc
-        assert ref.n_iterations == nat.n_iterations
     assert speedup >= BI_SPEEDUP_FLOOR, \
         f"sort-once BI kernel only {speedup:.2f}x faster"
 

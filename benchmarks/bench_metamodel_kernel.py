@@ -2,9 +2,7 @@
 
 Times the two ensemble metamodels at paper scale (N = 3200, M = 10
 training points; L = 100 000 query points — the REDS ``train_time`` /
-``label_time`` workload) under both numpy engines, plus per-engine
-``native`` rows when numba is installed (see also
-``bench_native_kernel.py`` for the dedicated native floors):
+``label_time`` workload) under both engines:
 
 * random forest (100 fully-grown bootstrap trees): block-level-wise
   growth through ``grow_forest`` against the per-node re-sorting
@@ -30,14 +28,11 @@ compares and loop-free leaf spins.  Machine-readable results land in
 import numpy as np
 
 from _common import best_of as _best_of, emit, emit_json
-from repro.engines import HAVE_NUMBA, warmup_native
 from repro.metamodels.boosting import GradientBoostingModel
 from repro.metamodels.forest import RandomForestModel
 
-#: Engines timed per phase: the native rows appear only on runners with
-#: numba actually installed (pure-Python kernel timings would mislead).
-TIMED_ENGINES = (("reference", "vectorized", "native") if HAVE_NUMBA
-                 else ("reference", "vectorized"))
+#: Engines timed per phase.
+TIMED_ENGINES = ("reference", "vectorized")
 
 N, M = 3200, 10
 N_PREDICT = 100_000
@@ -98,8 +93,6 @@ def test_metamodel_kernel_speedups(benchmark):
                 FIT_REPEATS)
             out[f"forest_{engine}"] = model
         _assert_same_model(out["forest_vectorized"], out["forest_reference"])
-        if "native" in TIMED_ENGINES:
-            _assert_same_model(out["forest_native"], out["forest_reference"])
         out["forest_fit"] = fits
 
         preds = {}
@@ -110,9 +103,6 @@ def test_metamodel_kernel_speedups(benchmark):
             out[f"forest_proba_{engine}"] = proba
         assert np.array_equal(out["forest_proba_vectorized"],
                               out["forest_proba_reference"])
-        if "native" in TIMED_ENGINES:
-            assert np.array_equal(out["forest_proba_native"],
-                                  out["forest_proba_reference"])
         out["forest_predict"] = preds
 
         fits = {}
@@ -123,8 +113,6 @@ def test_metamodel_kernel_speedups(benchmark):
                 FIT_REPEATS)
             out[f"boost_{engine}"] = model
         _assert_same_model(out["boost_vectorized"], out["boost_reference"])
-        if "native" in TIMED_ENGINES:
-            _assert_same_model(out["boost_native"], out["boost_reference"])
         out["boost_fit"] = fits
 
         preds = {}
@@ -135,14 +123,9 @@ def test_metamodel_kernel_speedups(benchmark):
             out[f"boost_raw_{engine}"] = raw
         assert np.array_equal(out["boost_raw_vectorized"],
                               out["boost_raw_reference"])
-        if "native" in TIMED_ENGINES:
-            assert np.array_equal(out["boost_raw_native"],
-                                  out["boost_raw_reference"])
         out["boost_predict"] = preds
         return out
 
-    if "native" in TIMED_ENGINES:
-        warmup_native()  # compile outside the timed region
     out = benchmark.pedantic(run, rounds=1, iterations=1)
 
     speedups = {
@@ -162,13 +145,9 @@ def test_metamodel_kernel_speedups(benchmark):
         ("boost_predict", "boosting decision_function"),
     ):
         t = out[phase]
-        line = (f"  {label:34s} ref {t['reference'] * 1e3:8.0f} ms   "
-                f"vec {t['vectorized'] * 1e3:8.0f} ms   "
-                f"{speedups[phase]:5.2f} x")
-        if "native" in t:
-            line += (f"   nat {t['native'] * 1e3:8.0f} ms   "
-                     f"{t['reference'] / t['native']:5.2f} x")
-        lines.append(line)
+        lines.append(f"  {label:34s} ref {t['reference'] * 1e3:8.0f} ms   "
+                     f"vec {t['vectorized'] * 1e3:8.0f} ms   "
+                     f"{speedups[phase]:5.2f} x")
     emit("metamodel_kernel", "\n".join(lines))
 
     emit_json("BENCH_metamodel_kernel", {
@@ -179,9 +158,6 @@ def test_metamodel_kernel_speedups(benchmark):
         **{f"{phase}_{engine}_seconds": out[phase][engine]
            for phase in speedups for engine in TIMED_ENGINES},
         **{f"{phase}_speedup": speedups[phase] for phase in speedups},
-        **({f"{phase}_native_speedup":
-            out[phase]["reference"] / out[phase]["native"]
-            for phase in speedups} if "native" in TIMED_ENGINES else {}),
         "forest_fit_floor": FOREST_FIT_FLOOR,
         "forest_predict_floor": FOREST_PREDICT_FLOOR,
         "boost_fit_floor": BOOST_FIT_FLOOR,

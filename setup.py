@@ -6,9 +6,4 @@ setup(
     name="repro",
     package_dir={"": "src"},
     packages=find_packages("src"),
-    extras_require={
-        # Optional compiled kernels (engine="native"); everything works
-        # without it — the name resolves to "vectorized" with a warning.
-        "native": ["numba"],
-    },
 )

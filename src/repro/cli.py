@@ -30,7 +30,7 @@ from repro.experiments.parallel import (
 from repro.experiments.report import format_table
 from repro.experiments.store import open_store
 from repro.metrics import precision_recall, trajectory_of
-from repro.engines import available_engines
+from repro.engines import KNOWN_ENGINES
 from repro.subgroup.describe import describe_box, describe_trajectory
 
 __all__ = ["main", "build_parser"]
@@ -54,12 +54,10 @@ def build_parser() -> argparse.ArgumentParser:
     one.add_argument("--no-tune", action="store_true",
                      help="skip metamodel hyperparameter tuning")
     one.add_argument("--test-size", type=int, default=10_000)
-    one.add_argument("--engine", choices=available_engines(),
+    one.add_argument("--engine", choices=KNOWN_ENGINES,
                      default="vectorized",
                      help="kernel engine for every layer of the run "
-                          "(reference = slow exact twin; native = "
-                          "compiled kernels, falls back to vectorized "
-                          "without numba)")
+                          "(reference = slow exact twin)")
     one.add_argument("--jobs", type=int, default=1,
                      help="worker processes for the run's data-parallel "
                           "stages — REDS pool labeling and metamodel "
@@ -78,12 +76,10 @@ def build_parser() -> argparse.ArgumentParser:
     many.add_argument("--n-new", type=int, default=20_000)
     many.add_argument("--no-tune", action="store_true")
     many.add_argument("--test-size", type=int, default=10_000)
-    many.add_argument("--engine", choices=available_engines(),
+    many.add_argument("--engine", choices=KNOWN_ENGINES,
                       default="vectorized",
                       help="kernel engine threaded into every grid cell "
-                           "(reference = slow exact twin; native = "
-                           "compiled kernels, falls back to vectorized "
-                           "without numba)")
+                           "(reference = slow exact twin)")
     many.add_argument("--jobs", type=int, default=1,
                       help="total worker budget for the whole run "
                            "(0 = all CPUs): the planner splits it "
@@ -130,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--n-new", type=int, default=20_000)
     warm.add_argument("--no-tune", action="store_true")
     warm.add_argument("--test-size", type=int, default=10_000)
-    warm.add_argument("--engine", choices=available_engines(),
+    warm.add_argument("--engine", choices=KNOWN_ENGINES,
                       default="vectorized",
                       help="kernel engine threaded into every request")
     warm.add_argument("--jobs", type=int, default=1,

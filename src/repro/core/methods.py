@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import hyperparams as hp
-from repro.core.reds import Sampler, reds
+from repro.core.reds import Sampler, check_training_data, reds
+from repro.engines import resolve as resolve_engine
 from repro.sampling.designs import quantize_levels
 from repro.subgroup.best_interval import best_interval
 from repro.subgroup.box import Hyperbox
@@ -117,16 +118,11 @@ class DiscoveryResult:
 
 def _check_inputs(spec: MethodSpec, x: np.ndarray, y: np.ndarray) -> None:
     """Reject data the method cannot use, before any work starts."""
-    bad = ~np.isfinite(x).all(axis=0)
-    if bad.any():
-        raise ValueError(f"x column {int(np.argmax(bad))} holds NaN or inf; "
-                         "discover needs finite inputs")
-    if not np.isfinite(y).all():
-        raise ValueError("y holds NaN or inf; discover needs finite labels")
-    if spec.is_reds and not ((y == 0.0) | (y == 1.0)).all():
-        raise ValueError(
-            f"method {spec.name!r} relabels through a {spec.metamodel} "
-            "classifier and needs binary labels: y must hold only 0 and 1")
+    check_training_data(
+        x, y, caller="discover",
+        binary_for=(f"method {spec.name!r} relabels through a "
+                    f"{spec.metamodel} classifier and")
+        if spec.is_reds else None)
     if spec.optimize and len(x) < hp.CV_FOLDS:
         raise ValueError(
             f"method {spec.name!r} tunes its hyperparameters by "
@@ -185,6 +181,7 @@ def discover(
     :mod:`repro.metamodels._kernels`).
     """
     spec = parse_method(name)
+    engine = resolve_engine(engine)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_inputs(spec, x, y)

@@ -24,10 +24,30 @@ from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 
-__all__ = ["clear_fit_cache", "fit_metamodel", "fit_stats",
-           "reset_fit_stats", "reds", "REDSResult"]
+__all__ = ["check_training_data", "clear_fit_cache", "fit_metamodel",
+           "fit_stats", "reset_fit_stats", "reds", "REDSResult"]
 
 Sampler = Callable[[int, int, np.random.Generator], np.ndarray]
+
+
+def check_training_data(x: np.ndarray, y: np.ndarray, *, caller: str,
+                        binary_for: str | None = None) -> None:
+    """Reject training data no metamodel or subgroup search can use.
+
+    Every column of ``x`` and every label must be finite.  When
+    ``binary_for`` is given, ``y`` must also hold only 0 and 1; the
+    phrase names who needs binary labels in the error message.
+    ``caller`` names the entry point in the finiteness messages.
+    """
+    bad = ~np.isfinite(x).all(axis=0)
+    if bad.any():
+        raise ValueError(f"x column {int(np.argmax(bad))} holds NaN or inf; "
+                         f"{caller} needs finite inputs")
+    if not np.isfinite(y).all():
+        raise ValueError(f"y holds NaN or inf; {caller} needs finite labels")
+    if binary_for is not None and not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError(f"{binary_for} needs binary labels: y must hold "
+                         "only 0 and 1")
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +155,9 @@ def reds(
     Parameters
     ----------
     x, y:
-        The simulated dataset ``D`` (inputs in unit-cube coordinates,
-        binary labels).
+        The simulated dataset ``D`` (finite inputs in unit-cube
+        coordinates, binary labels); anything else raises
+        ``ValueError``.
     sd:
         Subgroup-discovery algorithm applied to the relabelled data.
     metamodel:
@@ -180,6 +201,8 @@ def reds(
     y = np.asarray(y)
     if len(x) != len(y):
         raise ValueError(f"x and y disagree: {len(x)} vs {len(y)}")
+    check_training_data(x, y, caller="reds",
+                        binary_for="reds fits a classifier metamodel and")
     if n_new < 1 and pool is None:
         raise ValueError(f"n_new must be >= 1, got {n_new}")
     if rng is None:

@@ -1,135 +1,31 @@
-"""Central kernel-engine registry: one name check, one numba gate.
+"""Central kernel-engine registry: one name check.
 
 Every layer that takes an ``engine=`` knob (tree/forest/boosting,
 PRIM, BestInterval, ``discover``, the harness, the CLI, benchmarks)
 resolves the name through :func:`resolve` instead of scattering
-``engine in (...)`` string checks.  Three engines exist:
+``engine in (...)`` string checks.  Two engines exist:
 
 * ``"vectorized"`` — the numpy sort-once kernels (the default);
-* ``"reference"`` — the pinned per-item reference loops;
-* ``"native"`` — compiled numba kernels
-  (:mod:`repro.metamodels._native`, :mod:`repro.subgroup._native`)
-  that break the gather-bound prediction ceiling measured in PR 4.
-
-``"native"`` degrades gracefully: when numba is not importable,
-:func:`resolve` returns ``"vectorized"`` and emits **one**
-``RuntimeWarning`` per process — never an exception — so every
-pipeline, store key and test stays green on a runner without the
-optional ``[native]`` extra installed.
-
-Testing hook: ``REDS_NATIVE_PUREPY=1`` forces the native kernels to
-run as plain Python (the ``@njit`` decorator becomes the identity).
-That keeps the *logic* of the kernels testable on numba-less runners —
-the equivalence suites exercise the exact code numba would compile —
-at interpreter speed, so only small inputs should go through it.
+* ``"reference"`` — the pinned per-item reference loops that the
+  equivalence suites compare the vectorized kernels against.
 """
 
 from __future__ import annotations
 
-import os
-import warnings
-
-__all__ = [
-    "HAVE_NUMBA",
-    "KNOWN_ENGINES",
-    "available_engines",
-    "native_ready",
-    "njit",
-    "prange",
-    "resolve",
-    "warmup_native",
-]
+__all__ = ["KNOWN_ENGINES", "resolve"]
 
 #: Every engine name any layer accepts, in default-first order.
-KNOWN_ENGINES = ("vectorized", "reference", "native")
-
-try:  # pragma: no cover - exercised only on numba-enabled runners
-    from numba import njit, prange
-
-    HAVE_NUMBA = True
-except Exception:  # pragma: no cover - the ubiquitous fallback path
-    HAVE_NUMBA = False
-    prange = range
-
-    def njit(*args, **kwargs):
-        """Identity decorator: the kernels run as plain Python."""
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(func):
-            return func
-
-        return wrap
-
-
-def _purepy_forced() -> bool:
-    """Whether ``REDS_NATIVE_PUREPY`` asks for pure-Python kernels."""
-    return os.environ.get("REDS_NATIVE_PUREPY", "").strip() not in ("", "0")
-
-
-def native_ready() -> bool:
-    """Whether ``engine="native"`` can actually execute its kernels.
-
-    True with numba importable, or with ``REDS_NATIVE_PUREPY`` set
-    (the kernels then run undecorated — the testing hook).
-    """
-    return HAVE_NUMBA or _purepy_forced()
-
-
-def available_engines() -> tuple[str, ...]:
-    """Engine names accepted everywhere (``"native"`` is always
-    listed: it resolves to a working engine even without numba)."""
-    return KNOWN_ENGINES
-
-
-_warned_fallback = False
+KNOWN_ENGINES = ("vectorized", "reference")
 
 
 def resolve(engine: str) -> str:
-    """Validate an engine name and return the engine that will run.
+    """Validate an engine name and return it.
 
     Raises one early ``ValueError`` listing the valid names for any
     unknown engine — the single place a bad ``--engine`` /
-    ``REDS_ENGINE`` value surfaces.  ``"native"`` without a usable
-    backend returns ``"vectorized"`` after warning once per process.
+    ``REDS_ENGINE`` value surfaces.
     """
     if engine not in KNOWN_ENGINES:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {KNOWN_ENGINES}")
-    if engine == "native":
-        if native_ready():
-            # Let forked/spawned pool workers know they should warm
-            # the compiled kernels at startup (see _init_worker).
-            os.environ["REDS_NATIVE_ACTIVE"] = "1"
-            return "native"
-        global _warned_fallback
-        if not _warned_fallback:
-            warnings.warn(
-                "engine='native' requested but numba is not installed; "
-                "falling back to engine='vectorized' (install the native "
-                "extra: pip install -e .[native])",
-                RuntimeWarning, stacklevel=2)
-            _warned_fallback = True
-        return "vectorized"
     return engine
-
-
-def warmup_native() -> bool:
-    """Compile-or-load every native kernel on tiny inputs.
-
-    With ``cache=True`` on the kernels this is a disk-cache load after
-    the first process has compiled, so pool workers pay milliseconds,
-    not a recompilation, before their first real task.  Returns whether
-    the kernels are usable; never raises.
-    """
-    if not native_ready():
-        return False
-    try:
-        from repro.metamodels import _native as _mm_native
-        from repro.subgroup import _native as _sg_native
-
-        _mm_native.warmup()
-        _sg_native.warmup()
-        return True
-    except Exception:  # pragma: no cover - defensive: warmup is advisory
-        return False

@@ -405,15 +405,6 @@ def _init_worker(warmup, test_refs, context, lease: int | None = None,
     _WORKER_LEASE = lease
     if warm_scope and not warm.active():
         warm.enter()
-    if os.environ.get("REDS_NATIVE_ACTIVE"):
-        # An engine="native" run is live in this process tree: load the
-        # disk-cached compiled kernels now so no task pays a compile.
-        try:
-            from repro.engines import warmup_native
-
-            warmup_native()
-        except Exception:
-            pass
     try:
         if test_refs:
             from repro.experiments.harness import register_test_data

@@ -69,8 +69,8 @@ class Session:
         chunked labeling) — the planner splits it across levels exactly
         as the one-shot path does.
     ``engine``
-        Kernel engine (``"reference"`` / ``"vectorized"`` /
-        ``"native"``) for subgroup discovery and the metamodel layer.
+        Kernel engine (``"vectorized"`` / ``"reference"``) for subgroup
+        discovery and the metamodel layer.
     ``tune``
         Whether string metamodels run the caret-style tuning grid
         (the expensive path the fit memo amortizes best).
@@ -153,13 +153,18 @@ class Session:
         ``(kind, tune, engine, x, y)``), labeling fans out through
         :func:`repro.metamodels.base.predict_chunked` against the
         cached pool.  ``soft=True`` returns probabilities
-        (``predict_proba``) instead of hard labels.
+        (``predict_proba``) instead of hard labels.  ``(x, y)`` must be
+        finite with binary ``y``, as for :func:`repro.core.reds.reds`.
         """
         self._require_open()
-        from repro.core.reds import fit_metamodel
+        from repro.core.reds import check_training_data, fit_metamodel
         from repro.metamodels.base import predict_chunked
 
         kind = self.metamodel if metamodel is None else metamodel
+        x, y = np.asarray(x, dtype=float), np.asarray(y)
+        check_training_data(
+            x, y, caller="Session.label",
+            binary_for=f"Session.label fits a {kind} classifier and")
         do_tune = self.tune if tune is None else tune
         jobs = 1 if self.jobs is None else self.jobs
         fitted = fit_metamodel(kind, x, y, tune=do_tune,

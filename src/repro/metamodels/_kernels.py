@@ -871,7 +871,6 @@ class StackedEnsemble:
         self._feature = featf
         self._thr_rank = rank.astype(np.int32)
         self._left = left.ravel()
-        self._native_tables_cache = None
 
         if self._depth <= _HEAP_MAX_DEPTH:
             self._build_heap(feature, internal2d, value)
@@ -921,28 +920,6 @@ class StackedEnsemble:
         self._heap = (h_feat.ravel(), h_rank.ravel(), h_val.ravel(), size)
 
     # ------------------------------------------------------------------
-    def _native_tables(self):
-        """Flattened struct-of-arrays node layout for the compiled walk.
-
-        Built once per fitted ensemble and cached: contiguous
-        feature / threshold-rank / left-child / leaf-value arrays plus
-        per-tree root offsets.  Indices shrink to int32 whenever the
-        flattened node space fits, keeping the hot tables SIMD- and
-        cache-friendly at typical ensemble sizes.
-        """
-        if self._native_tables_cache is None:
-            total = self.n_trees * self.max_nodes
-            idx_dtype = np.int32 if total < np.iinfo(np.int32).max else np.int64
-            self._native_tables_cache = (
-                np.ascontiguousarray(self._feature, dtype=idx_dtype),
-                np.ascontiguousarray(self._thr_rank, dtype=np.int32),
-                np.ascontiguousarray(self._left, dtype=idx_dtype),
-                np.ascontiguousarray(self._value, dtype=np.float64),
-                np.arange(self.n_trees, dtype=np.int64) * self.max_nodes,
-            )
-        return self._native_tables_cache
-
-    # ------------------------------------------------------------------
     def _rank_queries(self, x: np.ndarray) -> np.ndarray:
         """``out[i, j] = #(ensemble thresholds on feature j < x[i, j])``."""
         n = len(x)
@@ -958,8 +935,7 @@ class StackedEnsemble:
                        init: float = 0.0,
                        chunk: int = _PREDICT_ROW_CHUNK,
                        jobs: int | None = 1,
-                       chunk_rows: int | None = None,
-                       native: bool = False) -> np.ndarray:
+                       chunk_rows: int | None = None) -> np.ndarray:
         """``init + sum_t scale * value_t(row)`` for every row of ``x``.
 
         The per-tree accumulation runs in tree order with the same
@@ -988,29 +964,15 @@ class StackedEnsemble:
             parts = run_chunked(
                 _stacked_chunk, n, jobs=jobs, chunk_rows=chunk_rows,
                 context={"ensemble": self, "scale": scale, "init": init,
-                         "chunk": chunk, "native": native},
+                         "chunk": chunk},
                 shared={"ranks": ranks},
             )
             return np.concatenate(parts)
-        return self._sum_ranked(ranks, scale=scale, init=init, chunk=chunk,
-                                native=native)
+        return self._sum_ranked(ranks, scale=scale, init=init, chunk=chunk)
 
     def _sum_ranked(self, ranks: np.ndarray, *, scale: float | None,
-                    init: float, chunk: int = _PREDICT_ROW_CHUNK,
-                    native: bool = False) -> np.ndarray:
+                    init: float, chunk: int = _PREDICT_ROW_CHUNK) -> np.ndarray:
         """The walk itself, over precomputed query ranks (row-wise)."""
-        if native:
-            from repro.engines import native_ready
-
-            if native_ready():
-                from repro.metamodels import _native
-
-                feature, thr_rank, left, value, roots = self._native_tables()
-                return _native.stacked_sum(
-                    feature, thr_rank, left, value, roots,
-                    np.ascontiguousarray(ranks, dtype=np.int32),
-                    float(init), 0.0 if scale is None else float(scale),
-                    scale is not None, _RANK_INF)
         n = len(ranks)
         m = ranks.shape[1]
         T = self.n_trees
@@ -1107,5 +1069,4 @@ def _stacked_chunk(context, start: int, stop: int) -> np.ndarray:
     ensemble: StackedEnsemble = context["ensemble"]
     ranks = context["ranks"][start:stop]
     return ensemble._sum_ranked(ranks, scale=context["scale"],
-                                init=context["init"], chunk=context["chunk"],
-                                native=context.get("native", False))
+                                init=context["init"], chunk=context["chunk"])

@@ -17,8 +17,8 @@ stacked, not looped over:
 * every chain's raw score, gradient and hessian is one slice of one
   vector, so a round takes one sigmoid;
 * a round's trees of equal sample size grow as one block through the
-  level-wise kernel (the reference and native engines run their own
-  per-tree growers instead), and the round's trees come back as one
+  level-wise kernel (the reference engine runs its own per-tree
+  grower instead), and the round's trees come back as one
   set of flat arrays with the trees as views of them (:class:`_Round`);
 * the Newton step is one ``np.bincount`` over block-global leaf ids,
   reusing the training-row leaves recorded during growth, and the
@@ -28,13 +28,12 @@ stacked, not looped over:
   tables.
 
 Work that does not change between rounds is done once: the vectorized
-and native engines compute the
-:func:`~repro.metamodels._kernels.dense_ranks` of each chain's rows
-once, and a block whose chains train on all rows and all columns
-stacks its inputs and builds its
+engine computes the :func:`~repro.metamodels._kernels.dense_ranks` of
+each chain's rows once, and a block whose chains train on all rows and
+all columns stacks its inputs and builds its
 :class:`~repro.metamodels._kernels.BlockLayout` (column-flat values and
-ranks, NaN map, root-level scan layout) once per round loop.  Every step keeps
-the per-tree order of floating-point operations, so fits are
+ranks, NaN map, root-level scan layout) once per round loop.  Every
+step keeps the per-tree order of floating-point operations, so fits are
 bit-identical to growing and updating each tree alone.
 """
 
@@ -165,9 +164,9 @@ class GradientBoostingModel:
     (nrounds), ``learning_rate`` (eta), ``max_depth``, ``reg_lambda``
     (L2 on leaf values), ``subsample``, ``colsample`` (per tree),
     ``min_child_weight`` (hessian floor per leaf).  ``engine`` selects
-    the tree-growing and prediction kernels (``"vectorized"`` /
-    ``"reference"`` / ``"native"``); fitted models and predictions are
-    bit-identical across all three.  ``jobs``/``chunk_rows`` fan the stacked
+    the tree-growing and prediction kernels (``"vectorized"`` or
+    ``"reference"``); fitted models and predictions are bit-identical
+    across both.  ``jobs``/``chunk_rows`` fan the stacked
     prediction walk out over worker processes against shared-memory
     query ranks — a pure throughput knob, bit-identical at every
     setting and irrelevant to fitting.
@@ -290,7 +289,7 @@ class GradientBoostingModel:
         # Features never change across rounds: rank each chain's rows
         # once and let every round's tree reuse the (gathered) integer
         # ranks — dense ranks order-embed any row/column subset.
-        ranks = [dense_ranks(x) if self.engine != "reference" else None
+        ranks = [dense_ranks(x) if self.engine == "vectorized" else None
                  for x in xs]
         blocks = self._blocks(xs, ranks, sizes, sub, full_cols)
         draws = [(None, all_cols)] * len(xs)
@@ -355,7 +354,7 @@ class GradientBoostingModel:
         chain order.  The vectorized engine grows each block's trees as one
         level-synchronous :func:`_grow_block` call (trees of a block
         never share a node, so each comes out exactly as grown alone);
-        the other engines run their own per-tree growers.
+        the reference engine grows each tree alone.
         """
         cols = [c for _, c in draws]
         bounds = np.cumsum(np.concatenate(([0], sizes)))
@@ -402,7 +401,7 @@ class GradientBoostingModel:
 
     def _ensure_stacked(self) -> StackedEnsemble | None:
         """Build (once) the stacked prediction tables of a fitted model."""
-        if (self.engine in ("vectorized", "native") and self.trees_
+        if (self.engine == "vectorized" and self.trees_
                 and self._stacked is None):
             self._stacked = StackedEnsemble(
                 [tree for tree, _ in self.trees_],
@@ -414,11 +413,10 @@ class GradientBoostingModel:
         if not self.trees_:
             raise RuntimeError("model is not fitted; call fit() first")
         x = np.asarray(x, dtype=float)
-        if self.engine in ("vectorized", "native"):
+        if self.engine == "vectorized":
             return self._ensure_stacked().leaf_value_sum(
                 x, scale=self.learning_rate, init=self.base_score_,
-                jobs=self.jobs, chunk_rows=self.chunk_rows,
-                native=self.engine == "native")
+                jobs=self.jobs, chunk_rows=self.chunk_rows)
         raw = np.full(len(x), self.base_score_)
         for tree, cols in self.trees_:
             raw += self.learning_rate * tree.predict(x[:, cols])

@@ -43,11 +43,8 @@ class RandomForestModel:
         Seed of the internal generator (bootstraps + feature draws).
     engine:
         ``"vectorized"`` (block tree growth + stacked prediction,
-        default), ``"reference"`` (per-tree loops) or ``"native"``
-        (compiled numba kernels for the level-wise split scan and the
-        stacked walk; silently resolves to ``"vectorized"`` when numba
-        is missing).  Fitted trees and predictions are bit-identical
-        across all three.
+        default) or ``"reference"`` (per-tree loops).  Fitted trees and
+        predictions are bit-identical across both.
     jobs:
         Worker processes (None = all CPUs, default 1) for prediction
         *and* for the vectorized fit: the stacked walk fans contiguous
@@ -112,21 +109,12 @@ class RandomForestModel:
 
         self.trees_ = []
         self._stacked = None
-        if self.engine in ("vectorized", "native"):
-            if self.engine == "native":
-                from repro.metamodels._native import grow_forest_native
-
-                grown = grow_forest_native(
-                    x, y, n_trees=self.n_trees, max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    max_features=mtry, rng=rng, jobs=self.jobs,
-                )
-            else:
-                grown = grow_forest(
-                    x, y, n_trees=self.n_trees, max_depth=self.max_depth,
-                    min_samples_leaf=self.min_samples_leaf,
-                    max_features=mtry, rng=rng, jobs=self.jobs,
-                )
+        if self.engine == "vectorized":
+            grown = grow_forest(
+                x, y, n_trees=self.n_trees, max_depth=self.max_depth,
+                min_samples_leaf=self.min_samples_leaf,
+                max_features=mtry, rng=rng, jobs=self.jobs,
+            )
             for arrays in grown:
                 tree = DecisionTreeRegressor(
                     max_depth=self.max_depth,
@@ -152,7 +140,7 @@ class RandomForestModel:
 
     def _ensure_stacked(self) -> StackedEnsemble | None:
         """Build (once) the stacked prediction tables of a fitted forest."""
-        if (self.engine in ("vectorized", "native") and self.trees_
+        if (self.engine == "vectorized" and self.trees_
                 and self._stacked is None):
             self._stacked = StackedEnsemble(self.trees_)
         return self._stacked
@@ -162,10 +150,9 @@ class RandomForestModel:
         if not self.trees_:
             raise RuntimeError("forest is not fitted; call fit() first")
         x = np.asarray(x, dtype=float)
-        if self.engine in ("vectorized", "native"):
+        if self.engine == "vectorized":
             total = self._ensure_stacked().leaf_value_sum(
-                x, jobs=self.jobs, chunk_rows=self.chunk_rows,
-                native=self.engine == "native")
+                x, jobs=self.jobs, chunk_rows=self.chunk_rows)
         else:
             total = np.zeros(len(x))
             for tree in self.trees_:

@@ -14,7 +14,7 @@ sorted-scan with prefix sums; for a binary response this is equivalent
 to Gini-impurity splitting, so nothing is lost relative to a dedicated
 classification tree.
 
-Three engines grow the same tree breadth-first:
+Two engines grow the same tree breadth-first:
 
 * ``engine="vectorized"`` (default) — the sort-once level-wise kernel
   of :mod:`repro.metamodels._kernels`: each column is float-sorted once
@@ -22,24 +22,18 @@ Three engines grow the same tree breadth-first:
   one padded radix-sorted prefix-sum scan over all (node, feature)
   pairs at once, and rows partition into children arithmetically;
 * ``engine="reference"`` — the pinned per-node scan that re-argsorts
-  every candidate feature at every node;
-* ``engine="native"`` — compiled numba split scans
-  (:mod:`repro.metamodels._native`), resolved through
-  :func:`repro.engines.resolve` (falls back to ``"vectorized"`` when
-  numba is absent).
+  every candidate feature at every node.
 
-All produce bit-identical flat arrays (feature, threshold, children,
-value — pinned by ``tests/test_tree_equivalence.py`` and
-``tests/test_native_equivalence.py``), which make batch prediction a
-handful of vectorised index operations per tree level instead of a
-Python recursion per row.
+Both produce bit-identical flat arrays (feature, threshold, children,
+value — pinned by ``tests/test_tree_equivalence.py``), which make batch
+prediction a handful of vectorised index operations per tree level
+instead of a Python recursion per row.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.engines import KNOWN_ENGINES as _ENGINES
 from repro.engines import resolve as _resolve_engine
 from repro.metamodels._kernels import draw_candidates, grow_tree
 
@@ -71,10 +65,8 @@ class DecisionTreeRegressor:
         (:func:`~repro.metamodels._kernels.draw_candidates`), so fits
         are bit-reproducible across engines.
     engine:
-        ``"vectorized"`` (sort-once level-wise kernel, default),
-        ``"reference"`` (per-node re-sorting scan) or ``"native"``
-        (compiled numba split scan; resolves to ``"vectorized"`` with
-        one warning when numba is absent).
+        ``"vectorized"`` (sort-once level-wise kernel, default) or
+        ``"reference"`` (per-node re-sorting scan).
     """
 
     def __init__(
@@ -140,18 +132,6 @@ class DecisionTreeRegressor:
 
         if self.engine == "vectorized":
             arrays = grow_tree(
-                x, y, weight,
-                max_depth=self.max_depth,
-                min_samples_leaf=self.min_samples_leaf,
-                min_child_weight=self.min_child_weight,
-                max_features=self.max_features,
-                rng=self.rng,
-                ranks=ranks,
-            )
-        elif self.engine == "native":
-            from repro.metamodels._native import grow_tree_native
-
-            arrays = grow_tree_native(
                 x, y, weight,
                 max_depth=self.max_depth,
                 min_samples_leaf=self.min_samples_leaf,

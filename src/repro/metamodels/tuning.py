@@ -25,8 +25,8 @@ changing a single bit of any accuracy:
   vectorized engine each round's trees with equal training-set size
   grow as one level-synchronous block.  Trees of a block never share a
   node, and every scan, prefix sum and argmax stays inside its tree,
-  so each tree comes out exactly as grown alone.  The reference and
-  native engines run their own per-tree growers in the same loop.
+  so each tree comes out exactly as grown alone.  The reference engine
+  runs its own per-tree grower in the same loop.
 * **Round-invariant, chain-stacked rounds.**  Work that repeats every
   round is done once per group: without row or column subsampling
   (the default grid) the fold chains train on all their rows and

@@ -478,19 +478,13 @@ class SortedDataset:
         labels in [0, 1].
     base_rate:
         Precomputed ``pi = y.mean()``; ``None`` computes it here.
-    native:
-        Route the max-sum-run search through the compiled kernel
-        (:func:`repro.subgroup._native.max_sum_run_native`) — set by
-        ``engine="native"`` callers; refined bounds stay bit-identical.
     """
 
     __slots__ = ("x", "y", "n", "dim", "base_rate", "order", "values",
-                 "sorted_weights", "columns", "use_native")
+                 "sorted_weights", "columns")
 
     def __init__(self, x: np.ndarray, y: np.ndarray,
-                 base_rate: float | None = None,
-                 native: bool = False) -> None:
-        self.use_native = bool(native)
+                 base_rate: float | None = None) -> None:
         self.x = np.asarray(x, dtype=float)
         self.y = np.asarray(y, dtype=float)
         self.n, self.dim = self.x.shape
@@ -588,12 +582,7 @@ class SortedDataset:
         if groups is None:
             return None
         group_values, group_sums = groups
-        if self.use_native:
-            from repro.subgroup._native import max_sum_run_native
-
-            start, end, _ = max_sum_run_native(group_sums)
-        else:
-            start, end, _ = max_sum_run(group_sums)
+        start, end, _ = max_sum_run(group_sums)
         lower = -np.inf if start == 0 else float(group_values[start])
         upper = (np.inf if end == len(group_values) - 1
                  else float(group_values[end]))
@@ -627,7 +616,7 @@ class SortedDataset:
 _CONTAINS_CHUNK_ELEMENTS = 1 << 23
 
 
-def contains_many(boxes, x: np.ndarray, native: bool = False) -> np.ndarray:
+def contains_many(boxes, x: np.ndarray) -> np.ndarray:
     """Membership of every row of ``x`` in every box, batched.
 
     The batched replacement for per-box :meth:`Hyperbox.contains`
@@ -642,12 +631,6 @@ def contains_many(boxes, x: np.ndarray, native: bool = False) -> np.ndarray:
         Sequence of hyperboxes (anything exposing ``lower``/``upper``).
     x:
         Data matrix of shape ``(n, dim)``.
-    native:
-        Run the interval comparisons through the compiled
-        :func:`repro.subgroup._native.box_membership` kernel
-        (``prange`` over boxes); categorical restrictions still apply
-        per box through the shared ``cat_mask`` helper, so rows stay
-        bit-identical.
 
     Returns
     -------
@@ -666,27 +649,6 @@ def contains_many(boxes, x: np.ndarray, native: bool = False) -> np.ndarray:
         return out
     lowers = np.array([box.lower for box in boxes])
     uppers = np.array([box.upper for box in boxes])
-    if native:
-        from repro.engines import native_ready
-
-        if native_ready():
-            from repro.subgroup._native import box_membership
-
-            # x.T of the Fortran-order matrix is C-order: each
-            # dimension's sweep streams contiguous memory, the same
-            # locality the chunked numpy path gets from its columns.
-            inside = box_membership(
-                np.ascontiguousarray(lowers, dtype=float),
-                np.ascontiguousarray(uppers, dtype=float),
-                np.ascontiguousarray(x.T))
-            for b, box in enumerate(boxes):
-                cats = getattr(box, "cats", None)
-                if cats is not None:
-                    for j, allowed in enumerate(cats):
-                        if allowed is not None:
-                            inside[b] &= cat_mask(x[:, j], allowed)
-            out[:] = inside
-            return out
     chunk = max(1, _CONTAINS_CHUNK_ELEMENTS // max(n, 1))
     for s in range(0, n_boxes, chunk):
         lo = lowers[s:s + chunk]

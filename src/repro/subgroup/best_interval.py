@@ -47,8 +47,7 @@ __all__ = ["BIResult", "BI_ENGINES", "best_interval", "best_interval_for_dim",
            "wracc"]
 
 #: Valid beam-search engines — the central registry's names: the
-#: sort-once kernel, the re-sorting masking reference, and the compiled
-#: (numba) kernels riding the same sort-once index.
+#: sort-once kernel and the re-sorting masking reference.
 BI_ENGINES = KNOWN_ENGINES
 
 
@@ -213,10 +212,8 @@ class _VectorizedRefiner:
     incremental candidate scoring."""
 
     def __init__(self, x: np.ndarray, y: np.ndarray, base_rate: float,
-                 cat_cols: frozenset = frozenset(),
-                 native: bool = False) -> None:
-        self.native = bool(native)
-        self.dataset = SortedDataset(x, y, base_rate, native=native)
+                 cat_cols: frozenset = frozenset()) -> None:
+        self.dataset = SortedDataset(x, y, base_rate)
         self.binary = bool(np.all((y == 0.0) | (y == 1.0)))
         self.positives = (y == 1.0) if self.binary else None
         self.cat_cols = cat_cols
@@ -296,8 +293,7 @@ class _VectorizedRefiner:
         if stashed is None:
             # columns is already Fortran-ordered, so the kernel's
             # column-contiguous conversion is a no-op.
-            inside = contains_many((box,), dataset.columns,
-                                   native=self.native)[0]
+            inside = contains_many((box,), dataset.columns)[0]
         else:
             except_mask, j = stashed
             column = dataset.columns[:, j]
@@ -345,12 +341,8 @@ def best_interval(
         ``"vectorized"`` (the default) runs refinements over a shared
         sort-once column index with memoization and batched candidate
         scoring; ``"reference"`` keeps the original per-call re-sorting
-        loops; ``"native"`` rides the same sort-once index with the
-        compiled max-sum-run and membership kernels (silently resolving
-        to ``"vectorized"`` when numba is missing).  All return
-        identical results bit for bit (see
-        ``tests/test_bi_equivalence.py`` and
-        ``tests/test_native_equivalence.py``).
+        loops.  Both return identical results bit for bit (see
+        ``tests/test_bi_equivalence.py``).
     cat_cols:
         Column indices holding categorical codes.  Refining such a
         dimension selects the WRAcc-optimal unordered *subset* of its
@@ -383,8 +375,7 @@ def best_interval(
     base_rate = float(y.mean())
     refiner = (_ReferenceRefiner(x, y, base_rate, cat_cols)
                if engine == "reference"
-               else _VectorizedRefiner(x, y, base_rate, cat_cols,
-                                       native=engine == "native"))
+               else _VectorizedRefiner(x, y, base_rate, cat_cols))
 
     start = Hyperbox.unrestricted(dim)
     beam: dict[tuple, tuple[Hyperbox, float]] = {start.key(): (start, 0.0)}

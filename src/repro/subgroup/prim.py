@@ -76,9 +76,7 @@ def _mean(values: np.ndarray) -> float:
 #: Valid peeling objectives (see module docstring).
 OBJECTIVES = ("mean", "gain", "wracc")
 
-#: Valid peeling engines — the central registry's names.  PRIM has no
-#: gather-bound walk of its own, so ``"native"`` shares the vectorized
-#: peeler (all engines are bit-identical anyway).
+#: Valid peeling engines — the central registry's names.
 ENGINES = KNOWN_ENGINES
 
 
@@ -115,11 +113,9 @@ def prim_peel(
         Peeling criterion: ``"mean"`` (original PRIM), ``"gain"`` or
         ``"wracc"`` (Kwakkel & Jaxa-Rozen style alternatives).
     engine:
-        ``"vectorized"`` (sort-once/prefix-sum kernel, the default),
-        ``"reference"`` (per-candidate masking) or ``"native"`` (the
-        registry's compiled-kernel engine — PRIM's peeling has no
-        gather-bound walk, so it shares the vectorized peeler); all
-        return identical results.
+        ``"vectorized"`` (sort-once/prefix-sum kernel, the default) or
+        ``"reference"`` (per-candidate masking); both return identical
+        results.
     cat_cols:
         Column indices holding categorical codes.  Those dimensions
         peel one category at a time — one candidate per removable level,

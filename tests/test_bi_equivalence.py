@@ -106,11 +106,25 @@ class TestEngineEquivalence:
             ]
             assert_identical_results(results[0], results[1])
 
+    def test_categorical_column(self):
+        """A coded column refines to a category subset, identically."""
+        gen = np.random.default_rng(21)
+        x = gen.random((150, 4))
+        x[:, 3] = gen.integers(0, 4, size=150)
+        y = ((x[:, 0] > 0.4) & (x[:, 3] >= 2)).astype(float)
+        results = [
+            best_interval(x, y, beam_size=2, cat_cols=(3,), engine=engine)
+            for engine in ("reference", "vectorized")
+        ]
+        assert_identical_results(results[0], results[1])
+        assert results[0].box.key() == results[1].box.key()
+
     def test_unknown_engine_rejected(self):
         x, y = make_dataset("continuous", seed=0)
-        with pytest.raises(ValueError, match="engine"):
-            best_interval(x, y, engine="turbo")
-        assert set(BI_ENGINES) == {"vectorized", "reference", "native"}
+        for name in ("turbo", "native"):
+            with pytest.raises(ValueError, match="vectorized.*reference"):
+                best_interval(x, y, engine=name)
+        assert set(BI_ENGINES) == {"vectorized", "reference"}
 
 
 class TestSortedDatasetRefinement:

@@ -60,6 +60,14 @@ class TestParser:
         assert many.engine == "reference"
         assert many.jobs == 4
 
+    @pytest.mark.parametrize("engine", ["turbo", "native"])
+    def test_unknown_engine_rejected(self, engine, capsys):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(
+                ["discover", "--function", "morris", "--engine", engine])
+        err = capsys.readouterr().err
+        assert "'vectorized', 'reference'" in err
+
     def test_engine_defaults_to_vectorized(self):
         assert build_parser().parse_args(
             ["discover", "--function", "m"]).engine == "vectorized"

@@ -16,6 +16,11 @@ class TestRandomForest:
         with pytest.raises(RuntimeError):
             RandomForestModel().predict_proba(rng.random((3, 2)))
 
+    @pytest.mark.parametrize("engine", ["turbo", "native"])
+    def test_rejects_unknown_engine(self, engine):
+        with pytest.raises(ValueError, match="vectorized.*reference"):
+            RandomForestModel(engine=engine)
+
     def test_probability_range(self, rng):
         x, y, _ = planted_box_data(300, 4)
         p = RandomForestModel(n_trees=20, seed=0).fit(x, y).predict_proba(rng.random((50, 4)))

@@ -152,6 +152,12 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=match):
             discover(name, x, y, seed=0, n_new=300, tune_metamodel=False)
 
+    @pytest.mark.parametrize("engine", ["turbo", "native"])
+    def test_unknown_engine_is_rejected(self, engine):
+        x, y, _ = planted_box_data(120, 3, seed=15)
+        with pytest.raises(ValueError, match="vectorized.*reference"):
+            discover("Pc", x, y, seed=0, engine=engine)
+
     @pytest.mark.parametrize("name", ["Pc", "PBc", "BIc", "RPcx", "RBIcxp"])
     def test_too_few_rows_for_sd_cross_validation(self, name):
         x = np.random.default_rng(0).random((4, 2))

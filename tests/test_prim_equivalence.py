@@ -115,11 +115,26 @@ class TestEngineEquivalence:
             ]
             assert_identical_results(results[0], results[1])
 
+    def test_categorical_column(self):
+        """A coded column peels one category at a time, identically."""
+        gen = np.random.default_rng(22)
+        x = gen.random((150, 4))
+        x[:, 3] = gen.integers(0, 3, size=150)
+        y = ((x[:, 0] > 0.3) & (x[:, 3] <= 1)).astype(float)
+        results = [
+            prim_peel(x, y, min_support=10, cat_cols=(3,), engine=engine)
+            for engine in ("reference", "vectorized")
+        ]
+        assert_identical_results(results[0], results[1])
+        assert ([b.key() for b in results[0].boxes]
+                == [b.key() for b in results[1].boxes])
+
     def test_unknown_engine_rejected(self):
         x, y = make_dataset("continuous", seed=0)
-        with pytest.raises(ValueError, match="engine"):
-            prim_peel(x, y, engine="turbo")
-        assert set(ENGINES) == {"vectorized", "reference", "native"}
+        for name in ("turbo", "native"):
+            with pytest.raises(ValueError, match="vectorized.*reference"):
+                prim_peel(x, y, engine=name)
+        assert set(ENGINES) == {"vectorized", "reference"}
 
 
 class TestSingleStepKernel:

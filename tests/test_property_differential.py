@@ -8,6 +8,7 @@ differential check of one pinned invariant:
 * PRIM peeling only ever shrinks coverage (nested trajectory), under
   both engines, and the engines are bit-identical throughout;
 * BestInterval's engines agree and its WRAcc is achieved by its box;
+* a whole REDS ``discover`` run gives the same boxes under both engines;
 * ``pareto_front`` returns a mutually non-dominated subset and never
   drops a non-dominated point.
 
@@ -23,7 +24,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.engines import native_ready
+from repro.core.methods import discover
 from repro.subgroup import (
     Hyperbox,
     best_interval,
@@ -34,10 +35,8 @@ from repro.subgroup import (
 )
 from repro.subgroup.bumping import _pareto_front_reference
 
-#: Engines differentially tested; ``native`` joins when its kernels can
-#: execute (numba installed, or ``REDS_NATIVE_PUREPY=1``).
-DIFF_ENGINES = (("reference", "vectorized", "native") if native_ready()
-                else ("reference", "vectorized"))
+#: Engines differentially tested.
+DIFF_ENGINES = ("reference", "vectorized")
 
 
 # ----------------------------------------------------------------------
@@ -95,9 +94,6 @@ def test_contains_many_agrees_with_per_row_contains(data, payload):
     batched = contains_many(boxes, x)
     for row, box in zip(batched, boxes):
         np.testing.assert_array_equal(row, box.contains(x))
-    if native_ready():
-        np.testing.assert_array_equal(
-            contains_many(boxes, x, native=True), batched)
 
 
 @given(payload=mixed_datasets())
@@ -160,6 +156,24 @@ def test_best_interval_engines_agree_and_wracc_is_consistent(payload):
     wracc = (inside.sum() / n) * (
         (y[inside].mean() if inside.any() else 0.0) - y.mean())
     assert np.isclose(vec.wracc, wracc, rtol=1e-9, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# REDS end to end
+# ----------------------------------------------------------------------
+
+def test_discover_reds_engines_agree():
+    """A whole REDS run (metamodel fit, labeling, PRIM) is engine-free."""
+    rng = np.random.default_rng(23)
+    x = rng.random((120, 3))
+    y = ((x[:, 0] > 0.4) & (x[:, 1] < 0.7)).astype(float)
+    outs = []
+    for engine in DIFF_ENGINES:
+        result = discover("RPx", x, y, seed=5, n_new=300,
+                          tune_metamodel=False, engine=engine)
+        outs.append((tuple(b.key() for b in result.boxes),
+                     result.chosen_box.key(), result.train_quality))
+    assert outs[0] == outs[1]
 
 
 # ----------------------------------------------------------------------

@@ -28,6 +28,29 @@ class TestInterface:
         with pytest.raises(ValueError):
             reds(x, y, _prim_sd, pool=rng.random((100, 3)), rng=rng)
 
+    @pytest.mark.parametrize("case,match", [
+        ("non-binary y", "binary labels"),
+        ("non-binary y, instance", "binary labels"),
+        ("NaN in y", "y holds NaN or inf"),
+        ("inf in x", "x column 1 holds NaN or inf"),
+    ], ids=["non-binary", "non-binary-instance", "nan-y", "inf-x"])
+    def test_rejects_unusable_training_data(self, rng, case, match):
+        from repro.metamodels import RandomForestModel
+        x, y, _ = planted_box_data(100, 2, seed=7)
+        x, y = x.copy(), y.astype(float)
+        metamodel = "forest"
+        if case.startswith("non-binary"):
+            y = 2 * y
+            if case.endswith("instance"):
+                metamodel = RandomForestModel(n_trees=3)
+        elif case == "NaN in y":
+            y[3] = np.nan
+        else:
+            x[5, 1] = np.inf
+        with pytest.raises(ValueError, match=match):
+            reds(x, y, _prim_sd, metamodel=metamodel, n_new=100, tune=False,
+                 rng=rng)
+
     def test_result_fields(self, rng):
         x, y, _ = planted_box_data(150, 2, seed=1)
         result = reds(x, y, _prim_sd, metamodel="forest", n_new=500,

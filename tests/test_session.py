@@ -112,6 +112,12 @@ class TestSessionLifecycle:
         with pytest.raises(RuntimeError, match="not open"):
             session.label(x, y, x)
 
+    def test_label_rejects_non_binary_labels(self):
+        x, y = _toy_data()
+        with Session(tune=False) as session:
+            with pytest.raises(ValueError, match="binary labels"):
+                session.label(x, 2 * y, x, metamodel="forest")
+
     def test_close_is_idempotent(self):
         session = Session().open()
         session.close()

@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.data import get_model
-from repro.engines import HAVE_NUMBA
 from repro.experiments.harness import make_train_data
 from repro.metamodels._kernels import BlockLayout, _grow_block, dense_ranks
 from repro.metamodels.boosting import GradientBoostingModel, _log_odds, _sigmoid
@@ -117,31 +116,14 @@ class TestTuningEquivalence:
         assert grid_accuracies("boosting", x, y, grid) == oracle
 
     @pytest.mark.parametrize("engine,jobs", [
-        ("vectorized", 2), ("reference", 1), ("native", 1)])
+        ("vectorized", 2), ("reference", 1)])
     @pytest.mark.parametrize("case", CASES)
     def test_choice_and_refit_identical(self, case, engine, jobs, baseline):
-        if engine == "native" and not HAVE_NUMBA:
-            pytest.skip("without numba 'native' resolves to the baseline's "
-                        "engine; the pure-Python kernels are pinned below")
         x, y, grid, xq, base = baseline(case)
         model = tune_metamodel("boosting", x, y, grid=grid, engine=engine,
                                jobs=jobs)
         assert _config(model) == _config(base)
         assert np.array_equal(model.predict_proba(xq), base.predict_proba(xq))
-
-    def test_pure_python_native_kernels(self, monkeypatch):
-        monkeypatch.setenv("REDS_NATIVE_PUREPY", "1")
-        x, y = _borehole(60, seed=4)
-        grid = [{"max_depth": 2, "n_rounds": 3}, {"max_depth": 3, "n_rounds": 2},
-                {"max_depth": 2, "n_rounds": 1}]
-        xq = np.random.default_rng(5).random((200, x.shape[1]))
-        base = tune_metamodel("boosting", x, y, grid=grid, engine="vectorized")
-        native = tune_metamodel("boosting", x, y, grid=grid, engine="native")
-        assert native.engine == "native"
-        assert (grid_accuracies("boosting", x, y, grid, engine="native")
-                == grid_accuracies("boosting", x, y, grid))
-        assert _config(native) == _config(base)
-        assert np.array_equal(native.predict_proba(xq), base.predict_proba(xq))
 
     def test_tie_goes_to_the_first_candidate(self):
         x, y = _borehole(120, seed=5)
