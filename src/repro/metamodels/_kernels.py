@@ -28,7 +28,11 @@ array passes) to the metamodel layer:
   :func:`grow_forest` additionally grows whole blocks of bootstrap
   trees level-synchronously (independent spawned generators make tree
   interleaving immaterial), amortizing per-level call overhead — the
-  cost floor of deep-tree growth — across the block.  A block's
+  cost floor of deep-tree growth — across the block.  Blocks have a
+  row budget rather than a tree count (``_FOREST_BLOCK_ROWS``: about
+  2^15 bootstrap rows), so small samples grow about a hundred trees per
+  block and large ones a few dozen, and they may span several forests
+  over one shared dataset (cross-validation's fold forests).  A block's
   response-independent inputs live in a :class:`BlockLayout`; callers
   that grow many blocks on the same rows (boosting rounds) build it
   once, so the column-flat copies, the NaN map and the root level's
@@ -53,8 +57,9 @@ array passes) to the metamodel layer:
   reference loops, so ensemble predictions are bit-identical as well.
 
 Feature subsampling draws one batched ``rng.random`` per tree level
-(:func:`draw_candidates`, shared by both engines), which keeps random
-forests bit-reproducible across engines too.
+(the draw of :func:`draw_candidates`, which the reference engine
+calls), which keeps random forests bit-reproducible across engines
+too; a block ranks all its trees' draws with one argsort.
 
 Categorical inputs: the ordinal fallback
 ----------------------------------------
@@ -77,7 +82,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = ["grow_tree", "grow_forest", "draw_candidates", "dense_ranks",
-           "StackedEnsemble"]
+           "walk_flat", "StackedEnsemble"]
 
 _NO_FEATURE = -1
 
@@ -162,113 +167,120 @@ def grow_tree(
     )[0]
 
 
-#: Trees grown level-synchronously per forest block: per-level numpy
-#: call overhead (the cost floor for one deep tree) amortizes over the
-#: whole block while its working set stays cache-sized.
-_FOREST_TREE_BLOCK = 16
+#: Row budget of one forest growth block: a block holds
+#: ``max(1, _FOREST_BLOCK_ROWS // n_samp)`` trees of ``n_samp`` bootstrap
+#: rows each.  Per-level numpy call overhead, the cost floor of a deep
+#: tree, amortizes over many trees when samples are small, while the
+#: block's padded scan temporaries stay bounded at any ``n_samp``.  A
+#: budget of 2^16 rows grew no faster and raised the peak memory of a
+#: tuned forest fit at N=400 by about 20 MB.
+_FOREST_BLOCK_ROWS = 1 << 15
 
 
 def _forest_chunk(context, start: int, stop: int) -> list:
-    """Trees ``[start, stop)`` of a fanned-out :func:`grow_forest`.
+    """Trees ``[start, stop)`` of a :func:`grow_forest` call, in blocks.
 
-    The parent drew every bootstrap and spawned every per-tree
-    generator before chunking, so this range grows exactly the trees
-    the serial loop grows at the same positions — whatever the chunk
-    boundaries, and whatever block the range sub-divides into.
+    Trees are numbered forest by forest; ``rows[bounds[i]:bounds[i +
+    1]]`` are tree ``i``'s bootstrap rows of ``x``.  A block holds
+    consecutive trees of one sample size.  The caller drew every
+    bootstrap and spawned every per-tree generator first, so any range
+    grows exactly the trees the serial call grows at the same
+    positions, whatever the block or chunk boundaries.
     """
-    x = context["x"]
-    y = context["y"]
-    boot = context["boot"]
-    ranks = context["ranks"]
-    rngs = context["rngs"]
-    block = context["block"]
-    n_samp = context["n_samp"]
-    results = []
-    for b in range(start, stop, block):
-        hi = min(b + block, stop)
-        # Rows of consecutive bootstrap draws, stacked tree-major —
-        # identical to concatenating the per-tree index vectors.
-        idx = boot[b:hi].reshape(-1)
-        results.extend(_grow_block(
+    x, y, ranks = context["x"], context["y"], context["ranks"]
+    rows, bounds = context["rows"], context["bounds"]
+    sizes = np.diff(bounds[start:stop + 1])
+    blocks = []
+    b = start
+    while b < stop:
+        n_samp = int(sizes[b - start])
+        hi = min(stop, b + max(1, _FOREST_BLOCK_ROWS // n_samp))
+        other = np.flatnonzero(sizes[b - start:hi - start] != n_samp)
+        if other.size:
+            hi = b + int(other[0])
+        idx = rows[bounds[b]:bounds[hi]]
+        blocks.append((b, _grow_block(
             x[idx], y[idx], np.ones(idx.size), ranks[idx],
             n_trees=hi - b, n_samp=n_samp,
             max_depth=context["max_depth"],
             min_samples_leaf=context["min_samples_leaf"],
             min_child_weight=0.0,
             max_features=context["max_features"],
-            rngs=list(rngs[b:hi]),
-        ))
-    return results
+            rngs=context["rngs"][b:hi],
+        )))
+        b = hi
+    return blocks
 
 
 def grow_forest(
     x: np.ndarray,
     y: np.ndarray,
+    rngs: list[np.random.Generator],
     *,
+    rows: list[np.ndarray] | None = None,
     n_trees: int,
     max_depth: int | None,
     min_samples_leaf: int,
     max_features: int | None,
-    rng: np.random.Generator,
-    block: int = _FOREST_TREE_BLOCK,
     jobs: int | None = 1,
-    chunk_trees: int | None = None,
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
-    """Grow all bootstrap trees of a random forest, block-level-wise.
+) -> list[tuple[int, "GrownBlock"]]:
+    """Grow one random forest per generator in ``rngs``, in row-budget blocks.
 
-    Consumes the generator exactly like the reference engine: all
-    ``n_trees`` bootstrap draws first, then one spawned child generator
-    per tree for its feature subsampling — which makes every tree's
-    stream independent of how trees are interleaved, so whole blocks of
-    trees grow level-synchronously through one kernel loop (per-level
-    call overhead amortizes across the block) while staying
-    bit-identical to fitting each tree alone.  The dense rank matrix is
-    computed once and gathered per bootstrap sample; no per-tree float
-    sorting happens at all.
+    Forest ``f`` trains on ``x[rows[f]]`` (all of ``x`` when ``rows`` is
+    None) and consumes ``rngs[f]`` exactly like the reference engine:
+    all ``n_trees`` bootstrap draws first, then one spawned child
+    generator per tree for its feature subsampling.  Every tree's
+    stream is thus independent of how trees are interleaved, so
+    consecutive trees of equal sample size, from one forest or from
+    several (the training sets of ``KFold`` folds come in runs of equal
+    size), grow level-synchronously in blocks of about
+    ``_FOREST_BLOCK_ROWS`` rows while each comes out bit-identical to
+    fitting it alone.  The dense rank matrix of ``x`` is computed once
+    and gathered per bootstrap sample: the ranks of any row subset sort
+    exactly like that subset's own.
 
-    The same independence makes the fit data-parallel: with ``jobs`` >
-    1 (or ``None`` for all CPUs) contiguous tree ranges fan out over
-    the plan engine — ``x``/``y``, the bootstrap index matrix and
+    With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous tree ranges
+    fan out over the plan engine: ``x``/``y``, the bootstrap rows and
     the rank matrix cross process boundaries zero-copy through the data
     plane, the spawned generators ship once per worker, and each worker
-    runs the very same block loop over its range.  Trees come back in
-    tree order, bit-identical to the serial fit for any
-    ``jobs``/``chunk_trees`` setting.
+    runs the very same block loop over its range.  The trees are
+    bit-identical for every ``jobs``.
 
-    Returns one ``(feature, threshold, left, right, value, train_leaf)``
-    tuple per tree, where ``train_leaf`` indexes the tree's bootstrap
-    sample rows.
+    Returns ``(first, block)`` pairs in tree order, trees numbered
+    forest by forest (tree ``t`` of forest ``f`` is ``f * n_trees +
+    t``): ``block[i]`` is the ``(feature, threshold, left, right,
+    value, train_leaf)`` tuple of tree ``first + i``, whose
+    ``train_leaf`` indexes its bootstrap sample rows.
     """
-    n, m = x.shape
-    boot = [rng.integers(0, n, size=n) for _ in range(n_trees)]
-    rngs = rng.spawn(n_trees)
-    ranks = dense_ranks(x)
-    if (jobs is None or jobs > 1) and n_trees > 1:
+    if rows is None:
+        rows = [None] * len(rngs)
+    boots, tree_rngs = [], []
+    for rng, train in zip(rngs, rows):
+        n = len(x) if train is None else len(train)
+        boot = [rng.integers(0, n, size=n) for _ in range(n_trees)]
+        boots += boot if train is None else [train[b] for b in boot]
+        tree_rngs += rng.spawn(n_trees)
+    context = {
+        "rngs": tree_rngs,
+        "max_depth": max_depth,
+        "min_samples_leaf": min_samples_leaf,
+        "max_features": max_features,
+    }
+    shared = {
+        "x": np.ascontiguousarray(x, dtype=float),
+        "y": np.ascontiguousarray(y, dtype=float),
+        "rows": np.concatenate(boots),
+        "bounds": np.cumsum([0] + [len(b) for b in boots]),
+        "ranks": dense_ranks(x),
+    }
+    total = len(boots)
+    if (jobs is None or jobs > 1) and total > 1:
         from repro.experiments.parallel import run_chunked
 
-        parts = run_chunked(
-            _forest_chunk, n_trees, jobs=jobs, chunk_rows=chunk_trees,
-            context={
-                "rngs": rngs, "block": int(block), "n_samp": n,
-                "max_depth": max_depth,
-                "min_samples_leaf": min_samples_leaf,
-                "max_features": max_features,
-            },
-            shared={"x": np.ascontiguousarray(x, dtype=float),
-                    "y": np.ascontiguousarray(y, dtype=float),
-                    "boot": np.stack(boot), "ranks": ranks})
-        return [tree for part in parts for tree in part]
-    results = []
-    for b in range(0, n_trees, block):
-        tb = range(b, min(b + block, n_trees))
-        idx = np.concatenate([boot[t] for t in tb])
-        results.extend(_grow_block(
-            x[idx], y[idx], np.ones(idx.size), ranks[idx],
-            n_trees=len(tb), n_samp=n, max_depth=max_depth,
-            min_samples_leaf=min_samples_leaf, min_child_weight=0.0,
-            max_features=max_features, rngs=[rngs[t] for t in tb],
-        ))
-    return results
+        parts = run_chunked(_forest_chunk, total, jobs=jobs,
+                            context=context, shared=shared)
+        return [block for part in parts for block in part]
+    return _forest_chunk({**context, **shared}, 0, total)
 
 
 class BlockLayout:
@@ -413,6 +425,32 @@ class GrownBlock:
         return (*(a[lo:hi] for a in nodes),
                 train_leaf[t * self.n_samp:(t + 1) * self.n_samp])
 
+    def walk(self, x: np.ndarray, tree: np.ndarray) -> np.ndarray:
+        """Leaf value of every row ``x[i]`` in the block's tree ``tree[i]``."""
+        return walk_flat(self.arrays[:5], self.offsets, x, tree)
+
+
+def walk_flat(arrays, offsets: np.ndarray, x: np.ndarray,
+              tree: np.ndarray) -> np.ndarray:
+    """Leaf value of every row ``x[i]`` in tree ``tree[i]``.
+
+    ``arrays`` holds ``(feature, threshold, left, right, value)`` of
+    trees stored back to back, tree ``t`` at ``offsets[t]:offsets[t +
+    1]`` with children numbered locally.  One level-wise descent of all
+    rows takes the same ``x <= thr`` branches as
+    :meth:`DecisionTreeRegressor.apply`.
+    """
+    feature, threshold, left, right, value = arrays
+    shift = np.repeat(offsets[:-1], np.diff(offsets))
+    node = offsets[tree]
+    active = np.flatnonzero(feature[node] != _NO_FEATURE)
+    while active.size:
+        cur = node[active]
+        go_left = x[active, feature[cur]] <= threshold[cur]
+        node[active] = shift[cur] + np.where(go_left, left[cur], right[cur])
+        active = active[feature[node[active]] != _NO_FEATURE]
+    return value[node]
+
 
 def _grow_block(
     xb: np.ndarray,
@@ -541,14 +579,14 @@ def _grow_block(
         # Candidate features per eligible node, one batched draw per
         # (tree, level) from the tree's own generator — the reference
         # draws the identical matrices in the identical order.
+        # Segments are grouped by tree, so the key matrices stack in
+        # segment order and one row-wise argsort (draw_candidates' sort)
+        # ranks every tree's keys at once.
         if elig.size and subsample:
-            if n_trees == 1:
-                cand = draw_candidates(rngs[0], elig.size, m, k)
-            else:
-                cnt = np.bincount(seg_tree[elig], minlength=n_trees)
-                cand = np.concatenate(
-                    [draw_candidates(rngs[t], int(c), m, k)
-                     for t, c in enumerate(cnt) if c])
+            cnt = np.bincount(seg_tree[elig], minlength=n_trees)
+            keys = np.concatenate([rngs[t].random((int(c), m))
+                                   for t, c in enumerate(cnt) if c])
+            cand = np.argsort(keys, axis=1, kind="stable")[:, :k]
         else:
             cand = np.broadcast_to(np.arange(m), (elig.size, m))
 

@@ -21,7 +21,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
-__all__ = ["Metamodel", "predict_chunked"]
+__all__ = ["Metamodel", "predict_chunked", "check_fit_data",
+           "check_query"]
 
 
 @runtime_checkable
@@ -39,6 +40,34 @@ class Metamodel(Protocol):
     def predict(self, x: np.ndarray) -> np.ndarray:
         """Hard 0/1 labels: ``I(f_am(x) > bnd)`` of Algorithm 4, line 5."""
         ...
+
+
+def check_fit_data(x, y) -> tuple[np.ndarray, np.ndarray]:
+    """``(x, y)`` as float arrays, or ``ValueError``.
+
+    ``x`` must be a non-empty 2-D array with one finite response in
+    ``y`` per row.  The tree ensembles call this before growing
+    anything, so both engines reject the same inputs with one message.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.ndim != 2 or len(x) == 0:
+        raise ValueError(f"x must be a non-empty 2-D array, got shape {x.shape}")
+    if len(x) != len(y):
+        raise ValueError(f"x and y disagree: {len(x)} vs {len(y)}")
+    if not np.isfinite(y).all():
+        raise ValueError("y holds NaN or inf; the model fits finite responses only")
+    return x, y
+
+
+def check_query(x, n_features: int) -> np.ndarray:
+    """Query rows ``x`` as a float array of the fitted width, or ``ValueError``."""
+    x = np.asarray(x, dtype=float)
+    if x.ndim != 2 or x.shape[1] != n_features:
+        raise ValueError(
+            f"x must be 2-D with the {n_features} columns the model was "
+            f"fitted on, got shape {x.shape}")
+    return x
 
 
 def _label_chunk(context, start: int, stop: int) -> np.ndarray:

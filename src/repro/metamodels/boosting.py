@@ -47,7 +47,9 @@ from repro.metamodels._kernels import (
     StackedEnsemble,
     _grow_block,
     dense_ranks,
+    walk_flat,
 )
+from repro.metamodels.base import check_fit_data, check_query
 from repro.metamodels.tree import _NO_FEATURE, DecisionTreeRegressor
 
 __all__ = ["GradientBoostingModel"]
@@ -64,12 +66,7 @@ def _log_odds(y: np.ndarray) -> float:
 
 
 def _check_xy(x, y) -> tuple[np.ndarray, np.ndarray]:
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2 or len(x) == 0:
-        raise ValueError(f"x must be a non-empty 2-D array, got shape {x.shape}")
-    if len(x) != len(y):
-        raise ValueError(f"x and y disagree: {len(x)} vs {len(y)}")
+    x, y = check_fit_data(x, y)
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError(
             "boosting fits binary labels: y must hold only 0 and 1 "
@@ -129,22 +126,15 @@ class _Round:
         :meth:`DecisionTreeRegressor.apply` (tree features map back to
         the chain's drawn columns of ``x``).
         """
-        tree_of = np.repeat(np.arange(len(self.cols)), np.diff(self.offsets))
-        shift = self.offsets[tree_of]
         feature = self.feature
         if self.cols[0].size < x.shape[1]:
+            tree_of = np.repeat(np.arange(len(self.cols)),
+                                np.diff(self.offsets))
             feature = np.where(feature != _NO_FEATURE,
                                np.stack(self.cols)[tree_of, feature],
                                _NO_FEATURE)
-        node = self.offsets[owner]
-        active = np.flatnonzero(feature[node] != _NO_FEATURE)
-        while active.size:
-            cur = node[active]
-            go_left = x[active, feature[cur]] <= self.threshold[cur]
-            node[active] = shift[cur] + np.where(go_left, self.left[cur],
-                                                 self.right[cur])
-            active = active[feature[node[active]] != _NO_FEATURE]
-        return self.value[node]
+        return walk_flat((feature, self.threshold, self.left, self.right,
+                          self.value), self.offsets, x, owner)
 
     def tree(self, c: int, tree: DecisionTreeRegressor) -> DecisionTreeRegressor:
         """Point an unfitted ``tree`` at chain ``c``'s views."""
@@ -207,11 +197,13 @@ class GradientBoostingModel:
         self.jobs = jobs
         self.chunk_rows = chunk_rows
         self.trees_: list[tuple[DecisionTreeRegressor, np.ndarray]] = []
+        self.n_features_: int | None = None
         self.base_score_: float = 0.0
         self._stacked: StackedEnsemble | None = None
 
     def fit(self, x: np.ndarray, y: np.ndarray) -> "GradientBoostingModel":
         x, y = _check_xy(x, y)
+        self.n_features_ = x.shape[1]
         self.base_score_ = _log_odds(y)
         self._stacked = None
         self.trees_ = [(rnd.tree(0, self._new_tree()), rnd.cols[0])
@@ -412,7 +404,7 @@ class GradientBoostingModel:
         """Raw additive score (log-odds scale)."""
         if not self.trees_:
             raise RuntimeError("model is not fitted; call fit() first")
-        x = np.asarray(x, dtype=float)
+        x = check_query(x, self.n_features_)
         if self.engine == "vectorized":
             return self._ensure_stacked().leaf_value_sum(
                 x, scale=self.learning_rate, init=self.base_score_,

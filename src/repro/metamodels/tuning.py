@@ -39,10 +39,17 @@ changing a single bit of any accuracy:
   still sums its rows in row order, and each held-out score still adds
   ``lr * v`` in tree order, so nothing changes by a bit.
 
-Forest and SVM candidates are one-candidate groups on the same task
-path.  :func:`cross_val_accuracy` stays the plain per-candidate loop:
-it is the oracle ``tests/test_tuning_equivalence.py`` pins
-:func:`grid_accuracies` against.
+Forest candidates (the ``max_features`` grid) are one-candidate groups
+whose fold forests also grow in lockstep:
+:meth:`RandomForestModel.fold_predict` grows every fold's trees through
+one :func:`~repro.metamodels._kernels.grow_forest` call over the shared
+dataset, in row-budget blocks that may span folds of equal size, and
+labels each fold's held-out rows with one walk over that fold's trees.
+Each fold keeps its own generator stream, so its trees and labels are
+those of a forest fitted on the fold alone.  SVM candidates fit one
+model per fold.  :func:`cross_val_accuracy` stays the plain
+per-candidate loop: it is the oracle ``tests/test_tuning_equivalence.py``
+pins :func:`grid_accuracies` against.
 """
 
 from __future__ import annotations
@@ -114,7 +121,10 @@ def _cv_task(params: dict, stages: list, folds: list[int], *, kind: str,
 
     One count per entry of ``stages``: boosting groups share their
     chains across the group's ``n_rounds`` stages; other families are
-    one-candidate groups with the single stage ``None``.  The dataset
+    one-candidate groups with the single stage ``None``.  A forest
+    candidate grows all its fold forests in one
+    :meth:`~RandomForestModel.fold_predict` call; an SVM candidate fits
+    one model per fold.  The dataset
     arrives through the execution-plan context (zero-copy shared memory
     in a pool worker) and the fold split is rebuilt from its
     seed, so a worker reaches the exact same train and test rows as an
@@ -127,15 +137,18 @@ def _cv_task(params: dict, stages: list, folds: list[int], *, kind: str,
     x, y = context["x"], context["y"]
     every = list(KFold(n_splits, seed).split(len(x)))
     splits = [every[k] for k in folds]
-    if stages == [None]:
+    if kind == "boosting":
+        model = make_metamodel(kind, engine=engine, **params,
+                               n_rounds=max(stages))
+        labels = model.staged_fold_predict(x, y, splits, stages)
+    elif kind == "forest":
+        model = make_metamodel(kind, engine=engine, **params)
+        labels = {None: model.fold_predict(x, y, splits)}
+    else:
         labels = {None: [
             make_metamodel(kind, engine=engine, **params)
             .fit(x[train], y[train]).predict(x[test])
             for train, test in splits]}
-    else:
-        model = make_metamodel(kind, engine=engine, **params,
-                               n_rounds=max(stages))
-        labels = model.staged_fold_predict(x, y, splits, stages)
     return [sum(int((predicted == y[test]).sum())
                 for predicted, (_, test) in zip(labels[stage], splits))
             for stage in stages]
@@ -298,6 +311,10 @@ def tune_metamodel(
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
+    if x.ndim != 2 or y.ndim != 1 or len(x) != len(y):
+        raise ValueError(
+            f"tuning needs a 2-D x with one row per label in a 1-D y, got "
+            f"shapes {x.shape} and {y.shape}")
     candidates = list(grid) if grid is not None else DEFAULT_GRIDS[kind](x.shape[1])
     if not candidates:
         raise ValueError(f"tuning grid for {kind!r} is empty")

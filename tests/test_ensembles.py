@@ -21,6 +21,34 @@ class TestRandomForest:
         with pytest.raises(ValueError, match="vectorized.*reference"):
             RandomForestModel(engine=engine)
 
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    @pytest.mark.parametrize("bad", [
+        {"min_samples_leaf": 0}, {"max_depth": 0}])
+    def test_rejects_bad_tree_params_at_construction(self, engine, bad):
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            RandomForestModel(n_trees=3, engine=engine, **bad)
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    @pytest.mark.parametrize("case,match", [
+        ("empty x", "non-empty 2-D"),
+        ("NaN in y", "NaN or inf"),
+    ], ids=["empty-x", "nan-y"])
+    def test_rejects_unusable_training_data(self, engine, case, match):
+        x, y, _ = planted_box_data(40, 3, seed=2)
+        y = y.astype(float)
+        if case == "empty x":
+            x, y = x[:0], y[:0]
+        else:
+            y[3] = np.nan
+        with pytest.raises(ValueError, match=match):
+            RandomForestModel(n_trees=3, engine=engine).fit(x, y)
+
+    def test_fits_a_continuous_response(self):
+        # Non-binary finite responses stay legal: the forest regresses.
+        x, _, _ = planted_box_data(60, 2, seed=3)
+        model = RandomForestModel(n_trees=4, seed=0).fit(x, 3.0 * x[:, 0])
+        assert model.predict_proba(x).max() > 1.0
+
     def test_probability_range(self, rng):
         x, y, _ = planted_box_data(300, 4)
         p = RandomForestModel(n_trees=20, seed=0).fit(x, y).predict_proba(rng.random((50, 4)))
@@ -140,3 +168,31 @@ class TestGradientBoosting:
         a = GradientBoostingModel(n_rounds=20, subsample=0.8, seed=2).fit(x, y)
         b = GradientBoostingModel(n_rounds=20, subsample=0.8, seed=2).fit(x, y)
         np.testing.assert_array_equal(a.predict_proba(grid), b.predict_proba(grid))
+
+
+class TestFittedWidth:
+    """Both families, under both engines, label only inputs of the
+    width they were fitted on."""
+
+    @pytest.fixture(scope="class")
+    def data(self):
+        x, y, _ = planted_box_data(120, 8, seed=8)
+        return x, y
+
+    @pytest.mark.parametrize("engine", ["vectorized", "reference"])
+    @pytest.mark.parametrize("family", ["forest", "boosting"])
+    @pytest.mark.parametrize("width", [7, 9])
+    def test_rejects_other_widths(self, data, family, engine, width):
+        x, y = data
+        model = (RandomForestModel(n_trees=4, seed=0, engine=engine)
+                 if family == "forest"
+                 else GradientBoostingModel(n_rounds=4, engine=engine))
+        model.fit(x, y)
+        query = np.random.default_rng(1).random((10, width))
+        methods = ["predict", "predict_proba"]
+        if family == "boosting":
+            methods.append("decision_function")
+        for method in methods:
+            with pytest.raises(ValueError, match="8 columns the model was fitted on"):
+                getattr(model, method)(query)
+        assert model.predict(x[:10]).shape == (10,)

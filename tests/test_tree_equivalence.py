@@ -19,7 +19,11 @@ from repro.metamodels import (
     GradientBoostingModel,
     RandomForestModel,
 )
-from repro.metamodels._kernels import StackedEnsemble, dense_ranks
+from repro.metamodels._kernels import (
+    _FOREST_BLOCK_ROWS,
+    StackedEnsemble,
+    dense_ranks,
+)
 
 TREE_ARRAYS = ("feature", "threshold", "left", "right", "value", "train_leaf_")
 
@@ -247,10 +251,13 @@ class TestForestEquivalence:
 
     def test_forest_block_boundary(self):
         # More trees than one growth block, so block-synchronous growth
-        # and the per-tree spawned streams are both exercised.
+        # and the per-tree spawned streams are both exercised: a block
+        # holds _FOREST_BLOCK_ROWS // n trees, 16 at n = 2048.
+        n = 2048
+        assert 19 > _FOREST_BLOCK_ROWS // n
         r = np.random.default_rng(0)
-        x = np.round(r.normal(size=(60, 3)), 1)
-        y = (r.random(60) < 0.4).astype(float)
+        x = np.round(r.normal(size=(n, 3)), 1)
+        y = (r.random(n) < 0.4).astype(float)
         fv = RandomForestModel(n_trees=19, seed=1, engine="vectorized").fit(x, y)
         fr = RandomForestModel(n_trees=19, seed=1, engine="reference").fit(x, y)
         for t, (tv, tr) in enumerate(zip(fv.trees_, fr.trees_)):

@@ -108,3 +108,14 @@ class TestTuning:
         with pytest.raises(ValueError,
                            match="metamodel tuning.*tune_metamodel=False"):
             tune_metamodel("boosting", x, y)
+
+    @pytest.mark.parametrize("kind", ["forest", "boosting", "svm"])
+    @pytest.mark.parametrize("case", ["1-D x", "short y"], ids=["1d-x", "short-y"])
+    def test_misshapen_data_rejected_before_the_grid(self, kind, case):
+        x, y, _ = planted_box_data(60, 3, seed=6)
+        if case == "1-D x":
+            x = x[:, 0]
+        else:
+            y = y[:-1]
+        with pytest.raises(ValueError, match="tuning needs a 2-D x"):
+            tune_metamodel(kind, x, y)

@@ -1,7 +1,8 @@
 """Tuning equivalence: the grouped metamodel search matches plain CV.
 
 ``grid_accuracies`` shares boosting rounds across ``n_rounds`` stages
-and grows all fold chains of a group in lockstep.  Neither may change a
+and grows all fold chains of a group in lockstep; it grows all fold
+forests of a forest candidate together.  None of it may change a
 bit: every candidate's accuracy must equal :func:`cross_val_accuracy`
 of that candidate (exact float equality), and the configuration
 ``tune_metamodel`` picks, with its refit model, must be the same for
@@ -15,6 +16,7 @@ from repro.data import get_model
 from repro.experiments.harness import make_train_data
 from repro.metamodels._kernels import BlockLayout, _grow_block, dense_ranks
 from repro.metamodels.boosting import GradientBoostingModel, _log_odds, _sigmoid
+from repro.metamodels.forest import RandomForestModel
 from repro.metamodels.tree import DecisionTreeRegressor
 from repro.metamodels.tuning import (
     DEFAULT_GRIDS,
@@ -156,6 +158,85 @@ class TestTuningEquivalence:
             lambda p=params: make_metamodel(kind, **p), x, y)
             for params in grid]
         assert grid_accuracies(kind, x, y, grid, jobs=jobs) == oracle
+
+
+_FOREST_SMALL = [{"n_trees": 20, "max_features": k} for k in (2, 5)]
+
+#: name -> (dataset, grid); ``None`` is the default forest grid.
+FOREST_CASES = {
+    "default-n400": (lambda: _borehole(400, seed=0), None),
+    # 203 rows: fold training sets of 162 and 163, so the fold forests
+    # grow in two separate runs of blocks.
+    "n203": (lambda: _borehole(203, seed=1), _FOREST_SMALL),
+    "nan-column": (lambda: _with_nans(150, seed=9), _FOREST_SMALL),
+    # The first fold's forest trains on one class: every root is pure.
+    "pure-root-fold": (lambda: _positives_in_one_fold(200, seed=10),
+                       _FOREST_SMALL),
+    # max_features = m: no feature subsampling, no candidate draws.
+    "all-features": (lambda: _borehole(160, seed=4), [
+        {"n_trees": 20, "max_features": k} for k in (8, 3)]),
+}
+
+
+def _forest_config(model) -> tuple:
+    return (model.n_trees, model.max_features, model.min_samples_leaf,
+            model.max_depth, model.seed)
+
+
+@pytest.fixture(scope="module")
+def forest_baseline():
+    """Per forest case: data, grid, query rows and the vectorized fit."""
+    cache = {}
+
+    def get(case: str):
+        if case not in cache:
+            make, grid = FOREST_CASES[case]
+            x, y = make()
+            grid = grid or DEFAULT_GRIDS["forest"](x.shape[1])
+            xq = np.random.default_rng(98).random((500, x.shape[1]))
+            model = tune_metamodel("forest", x, y, grid=grid)
+            cache[case] = (x, y, grid, xq, model)
+        return cache[case]
+
+    return get
+
+
+class TestForestTuningEquivalence:
+    """Forest candidates grow all fold forests in row-budget blocks that
+    span folds; every accuracy must still equal the per-fold loop."""
+
+    @pytest.mark.parametrize("case", FOREST_CASES)
+    def test_accuracies_equal_the_oracle(self, case, forest_baseline):
+        x, y, grid, _, _ = forest_baseline(case)
+        oracle = [cross_val_accuracy(
+            lambda p=params: make_metamodel("forest", **p), x, y)
+            for params in grid]
+        assert grid_accuracies("forest", x, y, grid) == oracle
+
+    @pytest.mark.parametrize("engine,jobs", [
+        ("vectorized", 2), ("reference", 1)])
+    @pytest.mark.parametrize("case", FOREST_CASES)
+    def test_choice_and_refit_identical(self, case, engine, jobs,
+                                        forest_baseline):
+        x, y, grid, xq, base = forest_baseline(case)
+        model = tune_metamodel("forest", x, y, grid=grid, engine=engine,
+                               jobs=jobs)
+        assert _forest_config(model) == _forest_config(base)
+        assert np.array_equal(model.predict_proba(xq), base.predict_proba(xq))
+
+    @pytest.mark.parametrize("engine,jobs", [
+        ("vectorized", 1), ("vectorized", 2), ("reference", 1)])
+    def test_fold_predict_equals_per_fold_fits(self, engine, jobs):
+        # jobs=2 fans tree ranges of all fold forests out over workers.
+        x, y = _borehole(203, seed=13)
+        splits = list(KFold(5, seed=3).split(len(x)))
+        model = RandomForestModel(n_trees=30, max_features=3, seed=7,
+                                  engine=engine, jobs=jobs)
+        labels = model.fold_predict(x, y, splits)
+        for (train, test), got in zip(splits, labels):
+            want = RandomForestModel(n_trees=30, max_features=3, seed=7) \
+                .fit(x[train], y[train]).predict(x[test])
+            assert np.array_equal(got, want)
 
 
 class TestRoundInvariants:
