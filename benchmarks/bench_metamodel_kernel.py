@@ -20,7 +20,18 @@ are the measured-with-margin speedups on a single core: ensemble
 is irreducibly a handful of dependent gathers, and the per-tree
 reference already amortizes its Python overhead over 100k-row vector
 ops, so the stacked walk's wins come only from cache blocking, rank
-compares and loop-free leaf spins.  Machine-readable results land in
+compares and loop-free leaf spins.
+
+A third leg times REDS step 3, hard labelling, on the models a tuned
+paper cell fits: ``borehole`` training sets 3-5 (N = 400), each family
+tuned by ``tune_metamodel``, labelling L = 100 000 uniform points.  It
+compares ``predict``, whose walk settles rows early once their
+remaining trees can no longer flip the label, with the full walk
+(``predict_proba(x) > 0.5``).  Labels must be identical; the floors are
+on each family's time summed over the three training sets, and the
+share of rows that settle before the last tree is recorded.
+
+Machine-readable results land in
 ``benchmarks/results/BENCH_metamodel_kernel.json`` and are mirrored to
 ``results/`` at the repo root so the perf trajectory is tracked in git.
 """
@@ -28,8 +39,11 @@ compares and loop-free leaf spins.  Machine-readable results land in
 import numpy as np
 
 from _common import best_of as _best_of, emit, emit_json
+from repro.data import get_model
+from repro.experiments.harness import make_train_data
 from repro.metamodels.boosting import GradientBoostingModel
 from repro.metamodels.forest import RandomForestModel
+from repro.metamodels.tuning import tune_metamodel
 
 #: Engines timed per phase.
 TIMED_ENGINES = ("reference", "vectorized")
@@ -50,6 +64,16 @@ FOREST_FIT_FLOOR = 4.5
 FOREST_PREDICT_FLOOR = 1.8
 BOOST_FIT_FLOOR = 1.25
 BOOST_PREDICT_FLOOR = 2.0
+
+#: Hard-label leg: the tuned cell's training sets and label count.
+HARD_FUNCTION, HARD_N, HARD_SEEDS = "borehole", 400, (3, 4, 5)
+HARD_L = 100_000
+
+#: Floors of the settled ``predict`` over the full walk, on time summed
+#: over the training sets.  Measured 2.3-2.7x (boosting) and 1.2-1.4x
+#: (forest) in five runs on a shared 2-CPU x86_64 host.
+HARD_BOOST_FLOOR = 1.8
+HARD_FOREST_FLOOR = 1.1
 
 
 def _dataset():
@@ -77,6 +101,40 @@ def _assert_same_model(mv, mr):
             tv, tr = tv[0], tr[0]
         for a in ("feature", "threshold", "left", "right", "value"):
             assert np.array_equal(getattr(tv, a), getattr(tr, a)), a
+
+
+def _settled_share(model, xq) -> float:
+    """Share of rows whose hard label settles before the last tree."""
+    if isinstance(model, GradientBoostingModel):
+        sums = model._raw(xq, cut=0.0)
+    else:
+        sums = model._leaf_sum(xq, cut=0.5 * model.n_trees)
+    return float(np.isinf(sums).mean())
+
+
+def _hard_label_leg() -> dict:
+    """Settled ``predict`` vs the full walk on tuned cell models."""
+    xq = np.random.default_rng(0).random((HARD_L, get_model(HARD_FUNCTION).dim))
+    out = {}
+    for family, kind in (("boost", "boosting"), ("forest", "forest")):
+        full = settled = 0.0
+        shares = []
+        for seed in HARD_SEEDS:
+            x, y = make_train_data(get_model(HARD_FUNCTION), HARD_N, seed)
+            model = tune_metamodel(kind, x, y)
+            t_full, proba = _best_of(lambda: model.predict_proba(xq),
+                                     PREDICT_REPEATS)
+            t_settled, hard = _best_of(lambda: model.predict(xq),
+                                       PREDICT_REPEATS)
+            assert np.array_equal(hard, (proba > 0.5).astype(np.int64))
+            full += t_full
+            settled += t_settled
+            shares.append(_settled_share(model, xq))
+        out[f"hard_{family}_full_seconds"] = full
+        out[f"hard_{family}_settled_seconds"] = settled
+        out[f"hard_{family}_speedup"] = full / settled
+        out[f"hard_{family}_settled_share"] = shares
+    return out
 
 
 def test_metamodel_kernel_speedups(benchmark):
@@ -124,6 +182,7 @@ def test_metamodel_kernel_speedups(benchmark):
         assert np.array_equal(out["boost_raw_vectorized"],
                               out["boost_raw_reference"])
         out["boost_predict"] = preds
+        out["hard"] = _hard_label_leg()
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -148,6 +207,16 @@ def test_metamodel_kernel_speedups(benchmark):
         lines.append(f"  {label:34s} ref {t['reference'] * 1e3:8.0f} ms   "
                      f"vec {t['vectorized'] * 1e3:8.0f} ms   "
                      f"{speedups[phase]:5.2f} x")
+    hard = out["hard"]
+    lines.append(f"Hard labels, tuned {HARD_FUNCTION} N={HARD_N} sets "
+                 f"{HARD_SEEDS}, L={HARD_L} (summed best of "
+                 f"{PREDICT_REPEATS}):")
+    for family in ("boost", "forest"):
+        share = ", ".join(f"{v:.3f}" for v in hard[f"hard_{family}_settled_share"])
+        lines.append(
+            f"  {family:6s} full walk {hard[f'hard_{family}_full_seconds'] * 1e3:6.0f} ms"
+            f"   settled {hard[f'hard_{family}_settled_seconds'] * 1e3:6.0f} ms"
+            f"   {hard[f'hard_{family}_speedup']:5.2f} x   settled share {share}")
     emit("metamodel_kernel", "\n".join(lines))
 
     emit_json("BENCH_metamodel_kernel", {
@@ -162,9 +231,16 @@ def test_metamodel_kernel_speedups(benchmark):
         "forest_predict_floor": FOREST_PREDICT_FLOOR,
         "boost_fit_floor": BOOST_FIT_FLOOR,
         "boost_predict_floor": BOOST_PREDICT_FLOOR,
+        "hard_function": HARD_FUNCTION, "hard_n": HARD_N,
+        "hard_seeds": list(HARD_SEEDS), "hard_l": HARD_L,
+        **hard,
+        "hard_boost_floor": HARD_BOOST_FLOOR,
+        "hard_forest_floor": HARD_FOREST_FLOOR,
     })
 
     assert speedups["forest_fit"] >= FOREST_FIT_FLOOR
     assert speedups["forest_predict"] >= FOREST_PREDICT_FLOOR
     assert speedups["boost_fit"] >= BOOST_FIT_FLOOR
     assert speedups["boost_predict"] >= BOOST_PREDICT_FLOOR
+    assert hard["hard_boost_speedup"] >= HARD_BOOST_FLOOR
+    assert hard["hard_forest_speedup"] >= HARD_FOREST_FLOOR

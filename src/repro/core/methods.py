@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core import hyperparams as hp
-from repro.core.reds import Sampler, check_training_data, reds
+from repro.core.reds import (Sampler, check_label_rows, check_training_data,
+                              reds)
 from repro.engines import resolve as resolve_engine
 from repro.sampling.designs import quantize_levels
 from repro.subgroup.best_interval import best_interval
@@ -185,20 +186,25 @@ def discover(
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_inputs(spec, x, y)
+    rows = {"x": x}
+    if spec.is_reds and pool is not None:
+        pool = rows["pool"] = check_label_rows(pool, x.shape[1],
+                                               caller="discover", what="pool")
     if cat_levels:
         bad = [j for j in cat_levels if not 0 <= int(j) < x.shape[1]]
         if bad:
             raise ValueError(
                 f"cat_levels columns {bad} out of range for {x.shape[1]} inputs")
         cat_levels = {int(j): int(k) for j, k in cat_levels.items()}
-        for j, k in cat_levels.items():
-            codes = x[:, j]
-            if not ((codes == np.floor(codes)) & (codes >= 0)
-                    & (codes < k)).all():
-                raise ValueError(
-                    f"cat_levels column {j} must hold integer codes in "
-                    f"[0, {k}), got values in [{codes.min():g}, "
-                    f"{codes.max():g}]")
+        for what, data in rows.items():
+            for j, k in cat_levels.items():
+                codes = data[:, j]
+                if not ((codes == np.floor(codes)) & (codes >= 0)
+                        & (codes < k)).all():
+                    raise ValueError(
+                        f"cat_levels column {j} of {what} must hold integer "
+                        f"codes in [0, {k}), got values in "
+                        f"[{codes.min():g}, {codes.max():g}]")
     cat_cols = tuple(sorted(cat_levels)) if cat_levels else ()
     rng = np.random.default_rng(seed)
     t0 = time.perf_counter()

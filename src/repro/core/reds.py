@@ -24,8 +24,9 @@ from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 
-__all__ = ["check_training_data", "clear_fit_cache", "fit_metamodel",
-           "fit_stats", "reset_fit_stats", "reds", "REDSResult"]
+__all__ = ["check_label_rows", "check_training_data", "clear_fit_cache",
+           "fit_metamodel", "fit_stats", "reset_fit_stats", "reds",
+           "REDSResult"]
 
 Sampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
@@ -48,6 +49,30 @@ def check_training_data(x: np.ndarray, y: np.ndarray, *, caller: str,
     if binary_for is not None and not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError(f"{binary_for} needs binary labels: y must hold "
                          "only 0 and 1")
+
+
+def check_label_rows(x_new, width: int, *, caller: str,
+                     what: str) -> np.ndarray:
+    """``x_new`` as a float array of rows a metamodel can label, or ``ValueError``.
+
+    The rows REDS labels (a pool, a sampler's draw, a
+    ``Session.label`` query) must form a non-empty 2-D array of finite
+    values with the training data's ``width`` columns.  ``what`` names
+    the rows and ``caller`` the entry point in the messages.
+    """
+    x_new = np.asarray(x_new, dtype=float)
+    if x_new.ndim != 2 or x_new.shape[1] != width:
+        raise ValueError(
+            f"{what} must be a 2-D array with the {width} columns of the "
+            f"training data, got shape {x_new.shape}; {caller} labels "
+            "rows of the training inputs")
+    if not len(x_new):
+        raise ValueError(f"{what} holds no rows; {caller} needs rows to label")
+    bad = ~np.isfinite(x_new).all(axis=0)
+    if bad.any():
+        raise ValueError(f"{what} column {int(np.argmax(bad))} holds NaN or "
+                         f"inf; {caller} labels finite rows only")
+    return x_new
 
 
 # ----------------------------------------------------------------------
@@ -177,6 +202,8 @@ def reds(
     pool:
         Optional pre-existing unlabeled points from ``p(x)``
         (semi-supervised mode); used verbatim instead of sampling.
+        The pool, or the sampler's output, must be a non-empty, finite
+        2-D array with the columns of ``x`` (:func:`check_label_rows`).
     tune:
         Cross-validate the metamodel's hyperparameters (the paper's
         caret default) before the final fit.  Ignored when an instance
@@ -203,7 +230,9 @@ def reds(
         raise ValueError(f"x and y disagree: {len(x)} vs {len(y)}")
     check_training_data(x, y, caller="reds",
                         binary_for="reds fits a classifier metamodel and")
-    if n_new < 1 and pool is None:
+    if pool is not None:
+        pool = check_label_rows(pool, x.shape[1], caller="reds", what="pool")
+    elif n_new < 1:
         raise ValueError(f"n_new must be >= 1, got {n_new}")
     if rng is None:
         rng = np.random.default_rng()
@@ -218,14 +247,11 @@ def reds(
 
     t0 = time.perf_counter()
     if pool is not None:
-        x_new = np.asarray(pool, dtype=float)
-        if x_new.shape[1] != x.shape[1]:
-            raise ValueError(
-                f"pool has {x_new.shape[1]} inputs, training data has {x.shape[1]}"
-            )
+        x_new = pool
     else:
         draw = sampler if sampler is not None else _uniform
-        x_new = draw(n_new, x.shape[1], rng)
+        x_new = check_label_rows(draw(n_new, x.shape[1], rng), x.shape[1],
+                                 caller="reds", what="the sampler's output")
     if soft_labels:
         y_new = np.clip(
             predict_chunked(fitted, x_new, soft=True, jobs=jobs,

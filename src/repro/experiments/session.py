@@ -154,10 +154,12 @@ class Session:
         :func:`repro.metamodels.base.predict_chunked` against the
         cached pool.  ``soft=True`` returns probabilities
         (``predict_proba``) instead of hard labels.  ``(x, y)`` must be
-        finite with binary ``y``, as for :func:`repro.core.reds.reds`.
+        finite with binary ``y``, and ``x_new`` a non-empty, finite 2-D
+        array with the columns of ``x``, as for :func:`repro.core.reds.reds`.
         """
         self._require_open()
-        from repro.core.reds import check_training_data, fit_metamodel
+        from repro.core.reds import (check_label_rows, check_training_data,
+                                     fit_metamodel)
         from repro.metamodels.base import predict_chunked
 
         kind = self.metamodel if metamodel is None else metamodel
@@ -165,12 +167,13 @@ class Session:
         check_training_data(
             x, y, caller="Session.label",
             binary_for=f"Session.label fits a {kind} classifier and")
+        x_new = check_label_rows(x_new, x.shape[1], caller="Session.label",
+                                 what="x_new")
         do_tune = self.tune if tune is None else tune
         jobs = 1 if self.jobs is None else self.jobs
         fitted = fit_metamodel(kind, x, y, tune=do_tune,
                                engine=self.engine, jobs=jobs)
-        return predict_chunked(fitted, np.asarray(x_new, dtype=float),
-                               soft=soft, jobs=self.jobs,
+        return predict_chunked(fitted, x_new, soft=soft, jobs=self.jobs,
                                chunk_rows=chunk_rows)
 
     def label_batch(self, requests: Iterable[Mapping]) -> list[np.ndarray]:

@@ -56,6 +56,29 @@ array passes) to the metamodel layer:
   accumulated in tree order with the same elementwise operations as the
   reference loops, so ensemble predictions are bit-identical as well.
 
+* Hard labels **settle early**.  A label only asks which side of a cut
+  a row's sum ends on (``T/2`` on a forest's leaf sum, 0 on boosting's
+  raw score), so the walk adds trees in tree-order segments and, after
+  each, drops the rows whose side is already decided; later segments
+  walk the survivors only.  After the first ``t`` trees the rest can
+  add no less than ``lo[t]`` and no more than ``hi[t]``, the suffix
+  sums of each tree's smallest and largest leaf contribution.  The
+  bound is monotone (each later tree only narrows it), so a partial
+  sum ``s`` with ``s + lo[t] > cut + slack`` ends above the cut
+  whatever leaves the row reaches, and ``s + hi[t] < cut - slack`` ends
+  below it.  The slack has a relative term that covers the float
+  rounding of the remaining adds and of the check, plus an absolute
+  1e-6 that keeps the family's final expression (``sum / T > 0.5``,
+  ``sigmoid(raw) > 0.5``) far from its rounding boundary.  A settled
+  row's sum becomes ``+/-inf``, which that expression maps to the
+  decided label; rows that never settle keep adding in tree order with
+  the same operations, so their sums, and so their labels, are
+  bit-identical to the full walk's.  Checks start where the remaining
+  bound width first falls below half its full width and then run every
+  :data:`_SETTLE_EVERY` trees; the pointer walk sorts trees by depth
+  within a segment.  Soft labels walk all trees as one segment with no
+  cut.
+
 Feature subsampling draws one batched ``rng.random`` per tree level
 (the draw of :func:`draw_candidates`, which the reference engine
 calls), which keeps random forests bit-reproducible across engines
@@ -829,6 +852,14 @@ _COMPACT_EVERY = 6
 
 _RANK_INF = np.iinfo(np.int32).max
 
+#: Settling walk: trees between two settle checks once checking starts.
+_SETTLE_EVERY = 8
+
+#: Settling walk: absolute margin by which a settled row's bound must
+#: clear the cut, so the family's final label expression sits far from
+#: its rounding boundary.
+_SETTLE_MARGIN = 1e-6
+
 
 class StackedEnsemble:
     """All trees of a fitted ensemble padded into one array set.
@@ -892,6 +923,12 @@ class StackedEnsemble:
         self._depths = depths
         self._depth = int(depths.max())
         self._value = value.ravel()
+        # Each tree's smallest and largest leaf value: the range of what
+        # it can add to any row's sum (the settling walk's bound).
+        n_nodes = np.array([tree.n_nodes for tree in trees])
+        leaf = ~internal2d & (np.arange(max_nodes) < n_nodes[:, None])
+        self._leaf_lo = np.where(leaf, value, np.inf).min(axis=1)
+        self._leaf_hi = np.where(leaf, value, -np.inf).max(axis=1)
 
         # Per-feature sorted unique thresholds + per-node threshold
         # ranks; leaves/padding keep rank INT32_MAX so every comparison
@@ -914,7 +951,6 @@ class StackedEnsemble:
             self._build_heap(feature, internal2d, value)
         else:
             self._heap = None
-            self._depth_order = np.argsort(depths, kind="stable")
 
     # ------------------------------------------------------------------
     def _build_heap(self, feature, internal2d, value) -> None:
@@ -970,7 +1006,7 @@ class StackedEnsemble:
 
     # ------------------------------------------------------------------
     def leaf_value_sum(self, x: np.ndarray, *, scale: float | None = None,
-                       init: float = 0.0,
+                       init: float = 0.0, cut: float | None = None,
                        chunk: int = _PREDICT_ROW_CHUNK,
                        jobs: int | None = 1,
                        chunk_rows: int | None = None) -> np.ndarray:
@@ -980,6 +1016,13 @@ class StackedEnsemble:
         elementwise operations as the reference per-tree loops
         (``out += tree.predict(x)`` / ``out += lr * tree.predict(x)``),
         so results are bit-identical to them.
+
+        With ``cut`` the walk settles hard labels (see
+        :meth:`_settle_plan`): a row whose sum the remaining trees can
+        no longer carry across ``cut`` stops walking and comes back as
+        ``+inf`` (its sum ends above ``cut``) or ``-inf`` (below), by
+        a margin that keeps the caller's label expression exact.  Every
+        other row's sum is bit-identical to the full walk's.
 
         With ``jobs`` > 1 (or None for all CPUs) contiguous row chunks
         of ``chunk_rows`` fan out over worker processes through
@@ -1002,45 +1045,112 @@ class StackedEnsemble:
             parts = run_chunked(
                 _stacked_chunk, n, jobs=jobs, chunk_rows=chunk_rows,
                 context={"ensemble": self, "scale": scale, "init": init,
-                         "chunk": chunk},
+                         "cut": cut, "chunk": chunk},
                 shared={"ranks": ranks},
             )
             return np.concatenate(parts)
-        return self._sum_ranked(ranks, scale=scale, init=init, chunk=chunk)
+        return self._sum_ranked(ranks, scale=scale, init=init, cut=cut,
+                                chunk=chunk)
+
+    def _settle_plan(self, scale: float | None, init: float, cut: float):
+        """Where a settling walk checks, and what it checks against.
+
+        Returns ``(bounds, lo, hi, slack)``.  The walk adds trees
+        ``bounds[i]:bounds[i + 1]`` as one segment and checks after
+        every segment but the last.  After the first ``t`` trees, the
+        rest add between ``lo[t]`` and ``hi[t]`` to any row's sum (the
+        suffix sums of each tree's smallest and largest contribution),
+        so a row whose partial sum ``s`` has ``s + lo[t] > cut + slack``
+        ends above ``cut`` and one with ``s + hi[t] < cut - slack`` ends
+        below it.  ``slack`` covers the float rounding of the remaining
+        adds and of the check itself, plus :data:`_SETTLE_MARGIN`.
+        Checks start at the first ``t`` whose bound width
+        ``hi[t] - lo[t]`` is below half the full width, then come every
+        :data:`_SETTLE_EVERY` trees.
+        """
+        lo, hi = self._leaf_lo, self._leaf_hi
+        if scale is not None:
+            lo, hi = np.minimum(scale * lo, scale * hi), \
+                np.maximum(scale * lo, scale * hi)
+        T = self.n_trees
+        lo_suf = np.append(np.cumsum(lo[::-1])[::-1], 0.0)
+        hi_suf = np.append(np.cumsum(hi[::-1])[::-1], 0.0)
+        width = hi_suf - lo_suf
+        narrow = np.flatnonzero(width < 0.5 * width[0])
+        first = int(narrow[0]) if narrow.size else T
+        bounds = [0, *range(first, T, _SETTLE_EVERY), T]
+        # Every partial sum, bound and check value is at most ``mag`` in
+        # magnitude, and each of the <= T + 2 roundings on the way to
+        # the final sum or the check errs by at most eps * mag.
+        mag = abs(init) + abs(cut) + np.maximum(np.abs(lo), np.abs(hi)).sum()
+        slack = _SETTLE_MARGIN + 4 * (T + 2) * np.finfo(float).eps * mag
+        return bounds, lo_suf, hi_suf, slack
 
     def _sum_ranked(self, ranks: np.ndarray, *, scale: float | None,
-                    init: float, chunk: int = _PREDICT_ROW_CHUNK) -> np.ndarray:
-        """The walk itself, over precomputed query ranks (row-wise)."""
+                    init: float, cut: float | None = None,
+                    chunk: int = _PREDICT_ROW_CHUNK) -> np.ndarray:
+        """The walk itself, over precomputed query ranks (row-wise).
+
+        Trees are walked in tree-order segments; without ``cut`` the
+        whole ensemble is one segment.  With ``cut``, the rows of a
+        chunk that settle after a segment leave it (their output
+        becomes ``+/-inf``) and later segments walk the rest only.
+        """
         n = len(ranks)
-        m = ranks.shape[1]
         T = self.n_trees
         out = np.full(n, init)
+        if cut is None:
+            bounds = [0, T]
+        else:
+            bounds, lo, hi, slack = self._settle_plan(scale, init, cut)
 
         for s in range(0, n, chunk):
             rc = np.ascontiguousarray(ranks[s:s + chunk])
-            c = len(rc)
-            rc_flat = rc.ravel()
-            rowm = np.arange(c, dtype=np.int64) * m
-            if self._heap is not None:
-                vals = self._walk_heap(rc_flat, rowm, c)
-            else:
-                vals = self._walk_pointer(rc_flat, rowm, c)
-            oc = out[s:s + c]
-            if scale is None:
-                for t in range(T):
-                    oc += vals[t]
-            else:
-                for t in range(T):
-                    oc += scale * vals[t]
+            acc = out[s:s + len(rc)]
+            rows = None  # chunk positions of rows still walking, if any left
+            for a, b in zip(bounds[:-1], bounds[1:]):
+                vals = self._walk(rc, a, b)
+                if scale is None:
+                    for v in vals:
+                        acc += v
+                else:
+                    for v in vals:
+                        acc += scale * v
+                if b == T:
+                    break
+                up = acc + lo[b] > cut + slack
+                settled = up | (acc + hi[b] < cut - slack)
+                if not settled.any():
+                    continue
+                if rows is None:
+                    rows = np.arange(len(rc))
+                out[s + rows[settled]] = np.where(up[settled], np.inf, -np.inf)
+                keep = ~settled
+                rows, acc, rc = rows[keep], acc[keep], rc[keep]
+                if not rows.size:
+                    break
+            if rows is not None:
+                out[s + rows] = acc
         return out
 
-    def _walk_heap(self, rc_flat, rowm, c):
+    def _walk(self, rc: np.ndarray, a: int, b: int) -> np.ndarray:
+        """Leaf values ``(b - a, len(rc))`` of trees ``a:b`` at rank rows ``rc``."""
+        c = len(rc)
+        rc_flat = rc.ravel()
+        rowm = np.arange(c, dtype=np.int64) * rc.shape[1]
+        if self._heap is not None:
+            return self._walk_heap(rc_flat, rowm, c, a, b)
+        return self._walk_pointer(rc_flat, rowm, c, a, b)
+
+    def _walk_heap(self, rc_flat, rowm, c, a, b):
         h_feat, h_rank, h_val, size = self._heap
-        T = self.n_trees
-        tbase = np.repeat(np.arange(T, dtype=np.int64) * size, c)
-        rm = np.tile(rowm, T)
-        node = np.zeros(T * c, dtype=np.int64)
-        for _ in range(self._depth):
+        # Leaves replicate down their left spine, so a segment's walkers
+        # all stand on their leaf's value after its own deepest level.
+        depth = int(self._depths[a:b].max())
+        tbase = np.repeat(np.arange(a, b, dtype=np.int64) * size, c)
+        rm = np.tile(rowm, b - a)
+        node = np.zeros((b - a) * c, dtype=np.int64)
+        for _ in range(depth):
             g = tbase + node
             fv = np.take(h_feat, g)
             rv = np.take(rc_flat, rm + fv)
@@ -1048,18 +1158,21 @@ class StackedEnsemble:
             node += node
             node += 1
             node += go
-        return np.take(h_val, tbase + node).reshape(T, c)
+        return np.take(h_val, tbase + node).reshape(b - a, c)
 
-    def _walk_pointer(self, rc_flat, rowm, c):
+    def _walk_pointer(self, rc_flat, rowm, c, a, b):
         feature, thr_rank = self._feature, self._thr_rank
         left, value = self._left, self._value
-        T, max_nodes = self.n_trees, self.max_nodes
-        vals = np.empty((T, c))
-        for b in range(0, T, _PREDICT_TREE_BLOCK):
-            tb = self._depth_order[b:b + _PREDICT_TREE_BLOCK]
+        max_nodes = self.max_nodes
+        vals = np.empty((b - a, c))
+        # Depth-sorted tree blocks within the segment, so a block's
+        # walkers finish at about the same level.
+        order = np.argsort(self._depths[a:b], kind="stable")
+        for k in range(0, b - a, _PREDICT_TREE_BLOCK):
+            tb = order[k:k + _PREDICT_TREE_BLOCK]
             nb = tb.size
-            d = int(self._depths[tb].max())
-            node = np.repeat(tb * max_nodes, c)
+            d = int(self._depths[a + tb].max())
+            node = np.repeat((a + tb) * max_nodes, c)
             rm = np.tile(rowm, nb)
             vbuf = np.empty(nb * c)
             out_idx = None
@@ -1107,4 +1220,5 @@ def _stacked_chunk(context, start: int, stop: int) -> np.ndarray:
     ensemble: StackedEnsemble = context["ensemble"]
     ranks = context["ranks"][start:stop]
     return ensemble._sum_ranked(ranks, scale=context["scale"],
-                                init=context["init"], chunk=context["chunk"])
+                                init=context["init"], cut=context["cut"],
+                                chunk=context["chunk"])

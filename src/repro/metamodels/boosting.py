@@ -400,24 +400,36 @@ class GradientBoostingModel:
                 columns=[cols for _, cols in self.trees_])
         return self._stacked
 
-    def decision_function(self, x: np.ndarray) -> np.ndarray:
-        """Raw additive score (log-odds scale)."""
+    def _raw(self, x: np.ndarray, cut: float | None = None) -> np.ndarray:
+        """Raw additive score per row (``cut``: see predict)."""
         if not self.trees_:
             raise RuntimeError("model is not fitted; call fit() first")
         x = check_query(x, self.n_features_)
         if self.engine == "vectorized":
             return self._ensure_stacked().leaf_value_sum(
-                x, scale=self.learning_rate, init=self.base_score_,
+                x, scale=self.learning_rate, init=self.base_score_, cut=cut,
                 jobs=self.jobs, chunk_rows=self.chunk_rows)
         raw = np.full(len(x), self.base_score_)
         for tree, cols in self.trees_:
             raw += self.learning_rate * tree.predict(x[:, cols])
         return raw
 
+    def decision_function(self, x: np.ndarray) -> np.ndarray:
+        """Raw additive score (log-odds scale)."""
+        return self._raw(x)
+
     def predict_proba(self, x: np.ndarray) -> np.ndarray:
         """Calibrated-by-loss probability estimate ``P(y=1|x)``."""
         return _sigmoid(self.decision_function(x))
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Hard labels with the 0.5 probability threshold."""
-        return (self.predict_proba(x) > 0.5).astype(np.int64)
+        """Hard labels with the 0.5 probability threshold.
+
+        Bit-identical to ``predict_proba(x) > 0.5``.  The vectorized
+        engine settles rows early: a row stops walking once the scaled
+        leaf ranges of its remaining rounds can no longer move its raw
+        score across 0 (:meth:`StackedEnsemble.leaf_value_sum` with
+        ``cut``), and comes back as a score of ``+/-inf`` that the same
+        ``_sigmoid(raw) > 0.5`` expression turns into its label.
+        """
+        return (_sigmoid(self._raw(x, cut=0.0)) > 0.5).astype(np.int64)

@@ -206,20 +206,32 @@ class RandomForestModel:
             self._stacked = StackedEnsemble(self.trees_)
         return self._stacked
 
-    def predict_proba(self, x: np.ndarray) -> np.ndarray:
-        """Mean leaf response across trees, an estimate of ``P(y=1|x)``."""
+    def _leaf_sum(self, x: np.ndarray, cut: float | None = None) -> np.ndarray:
+        """Sum of every tree's leaf value per row (``cut``: see predict)."""
         if not self.trees_:
             raise RuntimeError("forest is not fitted; call fit() first")
         x = check_query(x, self.n_features_)
         if self.engine == "vectorized":
-            total = self._ensure_stacked().leaf_value_sum(
-                x, jobs=self.jobs, chunk_rows=self.chunk_rows)
-        else:
-            total = np.zeros(len(x))
-            for tree in self.trees_:
-                total += tree.predict(x)
-        return total / len(self.trees_)
+            return self._ensure_stacked().leaf_value_sum(
+                x, cut=cut, jobs=self.jobs, chunk_rows=self.chunk_rows)
+        total = np.zeros(len(x))
+        for tree in self.trees_:
+            total += tree.predict(x)
+        return total
+
+    def predict_proba(self, x: np.ndarray) -> np.ndarray:
+        """Mean leaf response across trees, an estimate of ``P(y=1|x)``."""
+        return self._leaf_sum(x) / len(self.trees_)
 
     def predict(self, x: np.ndarray) -> np.ndarray:
-        """Hard labels with the majority (0.5) threshold."""
-        return (self.predict_proba(x) > 0.5).astype(np.int64)
+        """Hard labels with the majority (0.5) threshold.
+
+        Bit-identical to ``predict_proba(x) > 0.5``.  The vectorized
+        engine settles rows early: a row stops walking once the leaf
+        ranges of its remaining trees can no longer move its tree sum
+        across ``T/2`` (:meth:`StackedEnsemble.leaf_value_sum` with
+        ``cut``), and comes back as a sum of ``+/-inf`` that the same
+        ``sum / T > 0.5`` expression turns into its label.
+        """
+        total = self._leaf_sum(x, cut=0.5 * len(self.trees_))
+        return (total / len(self.trees_) > 0.5).astype(np.int64)

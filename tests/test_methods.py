@@ -194,6 +194,44 @@ class TestInputValidation:
         with pytest.raises(ValueError, match=match):
             discover("P", x, y, seed=0, cat_levels={2: 3})
 
+    @pytest.mark.parametrize("case,match", [
+        ("nan", "pool column 1 holds NaN or inf"),
+        ("inf", "pool column 1 holds NaN or inf"),
+        ("1-D", "pool must be a 2-D array with the 3 columns"),
+        ("empty", "pool holds no rows"),
+    ])
+    def test_reds_pool_rows_are_validated(self, case, match):
+        x, y, _ = planted_box_data(120, 3, seed=16)
+        pool = np.random.default_rng(2).random((300, 3))
+        if case in ("nan", "inf"):
+            pool[5, 1] = np.nan if case == "nan" else np.inf
+        elif case == "1-D":
+            pool = pool[0]
+        else:
+            pool = pool[:0]
+        with pytest.raises(ValueError, match=match):
+            discover("RPf", x, y, seed=0, pool=pool, tune_metamodel=False)
+
+    def test_sampler_of_wrong_width_is_rejected(self):
+        x, y, _ = planted_box_data(120, 3, seed=16)
+
+        def sampler(n, m, gen):
+            return gen.random((n, m + 1))
+
+        with pytest.raises(ValueError, match="sampler's output must be"):
+            discover("RPf", x, y, seed=0, n_new=200, sampler=sampler,
+                     tune_metamodel=False)
+
+    def test_pool_categorical_codes_must_lie_in_range(self):
+        x, y, _ = planted_box_data(120, 3, seed=14)
+        x = x.copy()
+        x[:, 2] = np.resize([0, 1, 2], len(x))
+        pool = np.random.default_rng(3).random((200, 3))
+        pool[:, 2] = np.resize([0, 1, 2, 3], len(pool))
+        with pytest.raises(ValueError, match=r"column 2 of pool .*\[0, 3\)"):
+            discover("RPf", x, y, seed=0, pool=pool, tune_metamodel=False,
+                     cat_levels={2: 3})
+
     def test_valid_categorical_codes_are_accepted(self):
         x, y, _ = planted_box_data(120, 3, seed=14)
         x = x.copy()

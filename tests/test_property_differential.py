@@ -9,6 +9,9 @@ differential check of one pinned invariant:
   both engines, and the engines are bit-identical throughout;
 * BestInterval's engines agree and its WRAcc is achieved by its box;
 * a whole REDS ``discover`` run gives the same boxes under both engines;
+* hard labels of small random forests and boosting models, which the
+  vectorized walk settles early, equal the reference labels and the
+  full walk's ``predict_proba > 0.5``;
 * ``pareto_front`` returns a mutually non-dominated subset and never
   drops a non-dominated point.
 
@@ -25,6 +28,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.methods import discover
+from repro.metamodels import GradientBoostingModel, RandomForestModel
 from repro.subgroup import (
     Hyperbox,
     best_interval,
@@ -174,6 +178,45 @@ def test_discover_reds_engines_agree():
         outs.append((tuple(b.key() for b in result.boxes),
                      result.chosen_box.key(), result.train_quality))
     assert outs[0] == outs[1]
+
+
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    family=st.sampled_from(["forest", "boosting"]),
+    n_trees=st.integers(min_value=1, max_value=24),
+    max_depth=st.sampled_from([None, 1, 2, 3, 5]),
+    n=st.integers(min_value=6, max_value=80),
+    m=st.integers(min_value=1, max_value=3),
+    coarse=st.booleans(),
+)
+@settings(max_examples=40)
+def test_settled_hard_labels_match_full_walk(seed, family, n_trees,
+                                             max_depth, n, m, coarse):
+    """Settled hard labels are the full walk's labels, for both engines."""
+    rng = np.random.default_rng(seed)
+    x = rng.random((n, m))
+    if coarse:
+        # Few distinct values: ties, shallow trees, sums on the cut.
+        x = np.round(x * 2) / 2
+    y = (rng.random(n) < rng.uniform(0.2, 0.8)).astype(float)
+    if family == "forest":
+        kw = {"n_trees": n_trees, "max_depth": max_depth}
+        cls = RandomForestModel
+    else:
+        kw = {"n_rounds": n_trees, "max_depth": max_depth or 6,
+              "learning_rate": float(rng.uniform(0.05, 1.0))}
+        cls = GradientBoostingModel
+    vec, ref = (cls(seed=seed % 1000, engine=engine, **kw).fit(x, y)
+                for engine in DIFF_ENGINES[::-1])
+    xq = rng.random((300, m))
+    if coarse:
+        xq = np.round(xq * 2) / 2
+    xq[:5] = np.nan
+    proba = vec.predict_proba(xq)
+    np.testing.assert_array_equal(proba, ref.predict_proba(xq))
+    hard = vec.predict(xq)
+    np.testing.assert_array_equal(hard, (proba > 0.5).astype(np.int64))
+    np.testing.assert_array_equal(hard, ref.predict(xq))
 
 
 # ----------------------------------------------------------------------

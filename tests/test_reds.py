@@ -51,6 +51,40 @@ class TestInterface:
             reds(x, y, _prim_sd, metamodel=metamodel, n_new=100, tune=False,
                  rng=rng)
 
+    @pytest.mark.parametrize("case,match", [
+        ("nan", "pool column 1 holds NaN or inf"),
+        ("inf", "pool column 0 holds NaN or inf"),
+        ("1-D", "pool must be a 2-D array with the 2 columns"),
+        ("empty", "pool holds no rows"),
+    ])
+    def test_rejects_unusable_pool(self, rng, case, match):
+        x, y, _ = planted_box_data(100, 2, seed=7)
+        pool = rng.random((200, 2))
+        if case == "nan":
+            pool[4, 1] = np.nan
+        elif case == "inf":
+            pool[9, 0] = -np.inf
+        elif case == "1-D":
+            pool = pool[0]
+        else:
+            pool = pool[:0]
+        with pytest.raises(ValueError, match=match):
+            reds(x, y, _prim_sd, metamodel="forest", pool=pool, tune=False,
+                 rng=rng)
+
+    @pytest.mark.parametrize("draw,match", [
+        (lambda n, m, g: g.random((n, m + 1)),
+         "sampler's output must be a 2-D array with the 2 columns"),
+        (lambda n, m, g: np.full((n, m), np.nan),
+         "sampler's output column 0 holds NaN or inf"),
+        (lambda n, m, g: g.random((0, m)), "sampler's output holds no rows"),
+    ], ids=["wide", "nan", "empty"])
+    def test_rejects_unusable_sampler_output(self, rng, draw, match):
+        x, y, _ = planted_box_data(100, 2, seed=7)
+        with pytest.raises(ValueError, match=match):
+            reds(x, y, _prim_sd, metamodel="forest", sampler=draw,
+                 n_new=100, tune=False, rng=rng)
+
     def test_result_fields(self, rng):
         x, y, _ = planted_box_data(150, 2, seed=1)
         result = reds(x, y, _prim_sd, metamodel="forest", n_new=500,

@@ -118,6 +118,28 @@ class TestSessionLifecycle:
             with pytest.raises(ValueError, match="binary labels"):
                 session.label(x, 2 * y, x, metamodel="forest")
 
+    @pytest.mark.parametrize("case,match", [
+        ("nan", "x_new column 1 holds NaN or inf"),
+        ("inf", "x_new column 1 holds NaN or inf"),
+        ("1-D", "x_new must be a 2-D array with the 4 columns"),
+        ("wide", "x_new must be a 2-D array with the 4 columns"),
+        ("empty", "x_new holds no rows"),
+    ])
+    def test_label_rejects_unusable_rows(self, case, match):
+        x, y = _toy_data()
+        x_new = np.random.default_rng(1).random((50, 4))
+        if case in ("nan", "inf"):
+            x_new[3, 1] = np.nan if case == "nan" else np.inf
+        elif case == "1-D":
+            x_new = x_new[0]
+        elif case == "wide":
+            x_new = np.random.default_rng(1).random((50, 5))
+        else:
+            x_new = x_new[:0]
+        with Session(tune=False) as session:
+            with pytest.raises(ValueError, match=match):
+                session.label(x, y, x_new, metamodel="forest")
+
     def test_close_is_idempotent(self):
         session = Session().open()
         session.close()

@@ -356,9 +356,11 @@ class TestStackedEnsemble:
         assert heap._heap is not None
         pointer = StackedEnsemble(trees)
         pointer._heap = None
-        pointer._depth_order = np.argsort(pointer._depths, kind="stable")
         assert np.array_equal(heap.leaf_value_sum(xq),
                               pointer.leaf_value_sum(xq))
+        cut = float(np.median(heap.leaf_value_sum(xq)))
+        assert np.array_equal(heap.leaf_value_sum(xq, cut=cut),
+                              pointer.leaf_value_sum(xq, cut=cut))
 
     def test_root_only_ensemble(self):
         x = np.ones((10, 2))
@@ -380,6 +382,130 @@ class TestStackedEnsemble:
         for tree in trees:
             expect += tree.predict(xq)
         assert np.array_equal(stacked.leaf_value_sum(xq), expect)
+
+
+def assert_hard_labels_exact(vec, ref, xq):
+    """Vectorized ``predict`` equals the reference ``predict`` and the
+    vectorized ``predict_proba(xq) > 0.5``; soft outputs stay bit-equal
+    to the reference."""
+    proba = vec.predict_proba(xq)
+    assert np.array_equal(proba, ref.predict_proba(xq))
+    if isinstance(vec, GradientBoostingModel):
+        assert np.array_equal(vec.decision_function(xq),
+                              ref.decision_function(xq))
+    hard = vec.predict(xq)
+    assert hard.dtype == np.int64
+    assert np.array_equal(hard, (proba > 0.5).astype(np.int64))
+    assert np.array_equal(hard, ref.predict(xq))
+    return hard, proba
+
+
+def fit_family(family, x, y, **kw):
+    """``(vectorized, reference)`` fits of one forest or boosting model."""
+    cls = RandomForestModel if family == "forest" else GradientBoostingModel
+    return (cls(engine="vectorized", **kw).fit(x, y),
+            cls(engine="reference", **kw).fit(x, y))
+
+
+class TestSettledLabels:
+    """Hard labels settle early (the walk drops rows the remaining trees
+    cannot flip) and must still equal the full walk's labels exactly,
+    above all where a row's sum lands on the cut itself."""
+
+    def _noisy(self, seed=0, n=160, m=3):
+        r = np.random.default_rng(seed)
+        x = r.random((n, m))
+        y = ((x[:, 0] > 0.5) ^ (r.random(n) < 0.3)).astype(float)
+        return x, y, r
+
+    @pytest.mark.parametrize("n_trees", [4, 10])
+    @pytest.mark.parametrize("max_depth", [None, 3])
+    def test_forest_sum_exactly_half_is_label_zero(self, n_trees, max_depth):
+        # Distinct inputs and full depth give pure 0/1 leaves, so an even
+        # forest sums to exactly T/2 wherever its trees split evenly.
+        x, y, r = self._noisy(seed=n_trees)
+        fv, fr = fit_family("forest", x, y, n_trees=n_trees, seed=1,
+                            max_depth=max_depth)
+        xq = r.random((3000, 3))
+        hard, proba = assert_hard_labels_exact(fv, fr, xq)
+        if max_depth is None:
+            tie = proba == 0.5
+            assert tie.any() and not hard[tie].any()
+
+    @pytest.mark.parametrize("n_rounds", [1, 5])
+    def test_boosting_raw_score_exactly_zero_is_label_zero(self, n_rounds):
+        # A constant column admits no split and balanced labels give a
+        # zero base score and zero Newton steps: every raw score is 0.
+        x = np.ones((40, 1))
+        y = np.tile([0.0, 1.0], 20)
+        gv, gr = fit_family("boosting", x, y, n_rounds=n_rounds, seed=0)
+        xq = np.array([[0.0], [1.0], [2.0], [np.nan]])
+        assert not gv.decision_function(xq).any()
+        hard, _ = assert_hard_labels_exact(gv, gr, xq)
+        assert not hard.any()
+
+    @pytest.mark.parametrize("family", ["forest", "boosting"])
+    def test_single_tree(self, family):
+        x, y, r = self._noisy(seed=2)
+        kw = {"n_trees": 1} if family == "forest" else {"n_rounds": 1}
+        vec, ref = fit_family(family, x, y, seed=4, **kw)
+        assert_hard_labels_exact(vec, ref, r.random((500, 3)))
+
+    @pytest.mark.parametrize("family", ["forest", "boosting"])
+    def test_nan_and_huge_query_rows(self, family):
+        x, y, r = self._noisy(seed=3)
+        kw = {"n_trees": 12} if family == "forest" else {"n_rounds": 30}
+        vec, ref = fit_family(family, x, y, seed=5, **kw)
+        xq = r.random((400, 3))
+        xq[::7, 0] = np.nan
+        xq[1::7, 1] = 1e300
+        xq[2::7, 2] = -1e300
+        xq[3::7] = np.nan
+        xq[4::7] = 1e300
+        xq[5::7] = -1e300
+        assert_hard_labels_exact(vec, ref, xq)
+
+    @pytest.mark.parametrize("family", ["forest", "boosting"])
+    @pytest.mark.parametrize("n", [4095, 4097, 8191, 8193])
+    def test_row_chunk_edges(self, family, n):
+        x, y, r = self._noisy(seed=6)
+        kw = {"n_trees": 16} if family == "forest" else {"n_rounds": 40}
+        vec, ref = fit_family(family, x, y, seed=6, **kw)
+        assert_hard_labels_exact(vec, ref, r.random((n, 3)))
+
+    @pytest.mark.parametrize("family", ["forest", "boosting"])
+    def test_predict_chunked_jobs_two(self, family):
+        from repro.metamodels.base import predict_chunked
+
+        x, y, r = self._noisy(seed=7)
+        kw = {"n_trees": 20} if family == "forest" else {"n_rounds": 40}
+        vec, ref = fit_family(family, x, y, seed=7, **kw)
+        xq = r.random((5000, 3))
+        hard, proba = assert_hard_labels_exact(vec, ref, xq)
+        assert np.array_equal(predict_chunked(vec, xq, jobs=2), hard)
+        assert np.array_equal(predict_chunked(vec, xq, soft=True, jobs=2),
+                              proba)
+
+    @pytest.mark.parametrize("heap", [True, False])
+    def test_settled_rows_are_decided_and_the_rest_exact(self, heap):
+        # Most rows settle; those that do carry the sign of their full
+        # sum's side of the cut, and every other sum is bit-identical.
+        x, y, r = self._noisy(seed=8, n=300)
+        forest = RandomForestModel(n_trees=40, seed=8,
+                                   max_depth=6 if heap else None).fit(x, y)
+        stacked = StackedEnsemble(forest.trees_)
+        assert (stacked._heap is not None) == heap
+        xq = r.random((6000, 3))
+        full = stacked.leaf_value_sum(xq)
+        cut = 20.0
+        got = stacked.leaf_value_sum(xq, cut=cut)
+        settled = np.isinf(got)
+        assert settled.mean() > 0.5
+        assert np.array_equal(got[~settled], full[~settled])
+        assert (full[got == np.inf] > cut + 1e-6).all()
+        assert (full[got == -np.inf] < cut - 1e-6).all()
+        assert np.array_equal(
+            stacked.leaf_value_sum(xq, cut=cut, jobs=2, chunk_rows=1000), got)
 
 
 class TestChunkedPrediction:
