@@ -1,24 +1,60 @@
-"""Microbenchmark: vectorized peel kernel and parallel experiment engine.
+"""Microbenchmark: lockstep peel kernel and parallel experiment engine.
 
-Times one full PRIM peeling run on N = 10000, M = 10 synthetic data
-under both engines (the acceptance bar is a >= 3x speedup of the
-sort-once/slice-sum kernel over the per-candidate masking reference)
-and a small ``run_batch`` grid serial vs fanned out over all CPUs.
-Both comparisons double as equivalence checks: same boxes, same
-records.
+Three legs:
+
+* **one run** — one full PRIM peeling run on N = 10000, M = 10
+  synthetic data under both engines.  The vectorized engine peels it
+  as a one-run lockstep batch; the acceptance bar is >= 3x over the
+  per-candidate masking reference, which guards the single-run path.
+* **SD search** — the hyperparameter searches of the paper's "c"
+  cells on ``borehole``, N = 400, training sets 3-5: ``optimize_alpha``
+  (7 alphas x 5 folds), ``optimize_bumping_features`` at the chosen
+  alpha (depth grid x 5 folds x Q = 10 repeats) and ``prim_bumping``
+  with Q = 50 at the chosen alpha and m.  Each runs batched — every
+  run of a search peeled as one lockstep batch — against a per-run
+  loop that calls ``prim_peel`` once per run, as the searches did
+  before batching.  Both must pick the same alpha and m from
+  identical per-candidate CV scores and return identical fronts; the
+  floor is >= 3x on the summed searches.
+* **parallel harness** — a small ``run_batch`` grid serial vs fanned
+  out over all CPUs (identical records asserted elsewhere).
+
+Both kernel legs land in ``benchmarks/results/BENCH_peel_kernel.json``,
+mirrored to the tracked repo-root ``results/``.
 """
 
 import time
 
 import numpy as np
 
-from _common import emit
-from repro.experiments.harness import run_batch
+from _common import emit, emit_json
+from repro.core.hyperparams import (ALPHA_GRID, CV_BUMPING_REPEATS, CV_FOLDS,
+                                    _alpha_scores, _best, _feature_scores,
+                                    depth_grid)
+from repro.data import get_model
+from repro.experiments.harness import make_train_data, run_batch
 from repro.experiments.parallel import cpu_budget
+from repro.metamodels.tuning import KFold
+from repro.metrics.trajectory import trajectory_of
+from repro.subgroup._kernels import BoxStack, evaluate_boxes
+from repro.subgroup.bumping import (_embed_box, draw_repeats,
+                                    pareto_trajectory, prim_bumping)
 from repro.subgroup.prim import prim_peel
 
 N, M = 10_000, 10
 REPEATS = 5
+
+SEARCH_FUNCTION, SEARCH_N, SEARCH_SEEDS = "borehole", 400, (3, 4, 5)
+SEARCH_REPEATS = 2
+BUMPING_REPEATS = 50
+MIN_SUPPORT = 20
+#: Speedup floors: the one-run kernel over the masking reference, and
+#: the batched searches over the per-run loop.
+ONE_RUN_FLOOR = 3.0
+SEARCH_FLOOR = 3.0
+
+#: Legs of the tracked JSON, filled in by the tests that run.
+LEGS: dict = {}
 
 
 def _best_of(f, repeats=REPEATS):
@@ -57,7 +93,123 @@ def test_peel_kernel_speedup(benchmark):
     for a, b in zip(ref.boxes, vec.boxes):
         np.testing.assert_array_equal(a.lower, b.lower)
         np.testing.assert_array_equal(a.upper, b.upper)
-    assert speedup >= 3.0, f"vectorized kernel only {speedup:.2f}x faster"
+    LEGS["one_run"] = {
+        "n": N, "m": M, "repeats": REPEATS,
+        "reference_seconds": times["reference"],
+        "vectorized_seconds": times["vectorized"],
+        "speedup": speedup, "floor": ONE_RUN_FLOOR,
+        "floor_asserted": True, "floor_met": speedup >= ONE_RUN_FLOOR,
+    }
+    emit_json("BENCH_peel_kernel", {"legs": LEGS})
+    assert speedup >= ONE_RUN_FLOOR, (
+        f"vectorized kernel only {speedup:.2f}x faster")
+
+
+# ----------------------------------------------------------------------
+# SD-search leg: the per-run loops the searches replaced.
+# ----------------------------------------------------------------------
+
+def _per_run_front(x, y, alpha, m, n_repeats, rng):
+    """``prim_bumping`` as one ``prim_peel`` call per repeat."""
+    dim = x.shape[1]
+    samples, subsets = draw_repeats(rng, len(x), dim, m, n_repeats)
+    boxes = []
+    for sample, subset in zip(samples, subsets):
+        result = prim_peel(x[np.ix_(sample, subset)], y[sample], alpha=alpha,
+                           min_support=MIN_SUPPORT)
+        boxes.extend(_embed_box(b, subset, dim) for b in result.boxes)
+    evaluation = evaluate_boxes(boxes, x, y)
+    return pareto_trajectory(BoxStack.of(boxes), evaluation.n_inside,
+                             evaluation.y_sums, len(y), float(y.sum()))
+
+
+def _per_run_searches(x, y, seed):
+    folds = list(KFold(CV_FOLDS, seed).split(len(x)))
+    alpha_scores = [[trajectory_of(
+        prim_peel(x[train], y[train], alpha=alpha,
+                  min_support=MIN_SUPPORT).boxes, x[test], y[test])[1]
+        for train, test in folds] for alpha in ALPHA_GRID]
+    alpha = _best(ALPHA_GRID, alpha_scores)
+    grid = depth_grid(x.shape[1])
+    rng = np.random.default_rng(seed)
+    feature_scores = [[trajectory_of(
+        _per_run_front(x[train], y[train], alpha, m, CV_BUMPING_REPEATS,
+                       rng)[0], x[test], y[test])[1]
+        for train, test in folds] for m in grid]
+    m = _best(grid, feature_scores)
+    front = _per_run_front(x, y, alpha, m, BUMPING_REPEATS,
+                           np.random.default_rng(seed))
+    return alpha_scores, feature_scores, front
+
+
+def _batched_searches(x, y, seed):
+    folds = list(KFold(CV_FOLDS, seed).split(len(x)))
+    alpha_scores = _alpha_scores(x, y, ALPHA_GRID, folds, MIN_SUPPORT,
+                                 "vectorized")
+    alpha = _best(ALPHA_GRID, alpha_scores)
+    grid = depth_grid(x.shape[1])
+    feature_scores = _feature_scores(
+        x, y, alpha, grid, folds, np.random.default_rng(seed), MIN_SUPPORT,
+        CV_BUMPING_REPEATS, "vectorized")
+    m = _best(grid, feature_scores)
+    result = prim_bumping(x, y, alpha=alpha, min_support=MIN_SUPPORT,
+                          n_repeats=BUMPING_REPEATS, n_features=m,
+                          rng=np.random.default_rng(seed))
+    front = (BoxStack.of(result.boxes), result.precisions, result.recalls)
+    return alpha_scores, feature_scores, front
+
+
+def _front_key(front):
+    stack, precisions, recalls = front
+    return ([b.key() for b in stack.boxes()], precisions.tolist(),
+            recalls.tolist())
+
+
+def test_sd_search_speedup(benchmark):
+    model = get_model(SEARCH_FUNCTION)
+    sets = [make_train_data(model, SEARCH_N, seed) for seed in SEARCH_SEEDS]
+
+    def run():
+        times, outputs = {}, {}
+        for name, search in (("per_run", _per_run_searches),
+                             ("batched", _batched_searches)):
+            times[name], outputs[name] = _best_of(
+                lambda search=search: [search(x, y, seed) for (x, y), seed
+                                       in zip(sets, SEARCH_SEEDS)],
+                repeats=SEARCH_REPEATS)
+        return times, outputs
+
+    times, outputs = benchmark.pedantic(run, rounds=1, iterations=1)
+    speedup = times["per_run"] / times["batched"]
+    chosen = []
+    for old, new in zip(outputs["per_run"], outputs["batched"]):
+        assert old[0] == new[0], "alpha CV scores differ"
+        assert old[1] == new[1], "m CV scores differ"
+        assert _front_key(old[2]) == _front_key(new[2]), "fronts differ"
+        chosen.append({"alpha": _best(ALPHA_GRID, new[0]),
+                       "m": _best(depth_grid(len(new[2][0].lower[0])), new[1])})
+
+    emit("sd_search", "\n".join([
+        f"SD-hyperparameter searches, {SEARCH_FUNCTION} N={SEARCH_N}, "
+        f"training sets {SEARCH_SEEDS} (best of {SEARCH_REPEATS}):",
+        f"  per-run loop  {times['per_run']:8.3f} s",
+        f"  batched       {times['batched']:8.3f} s",
+        f"  speedup       {speedup:8.2f} x",
+    ]))
+    LEGS["sd_search"] = {
+        "function": SEARCH_FUNCTION, "n": SEARCH_N,
+        "training_sets": list(SEARCH_SEEDS), "repeats": SEARCH_REPEATS,
+        "bumping_repeats": BUMPING_REPEATS,
+        "cv_bumping_repeats": CV_BUMPING_REPEATS,
+        "per_run_seconds": times["per_run"],
+        "batched_seconds": times["batched"],
+        "speedup": speedup, "floor": SEARCH_FLOOR,
+        "chosen": chosen, "outputs_identical": True,
+        "floor_asserted": True, "floor_met": speedup >= SEARCH_FLOOR,
+    }
+    emit_json("BENCH_peel_kernel", {"legs": LEGS})
+    assert speedup >= SEARCH_FLOOR, (
+        f"batched SD searches only {speedup:.2f}x faster")
 
 
 def test_parallel_harness_timings(benchmark):

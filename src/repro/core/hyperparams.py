@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.engines import resolve as resolve_engine
 from repro.metamodels.tuning import KFold
-from repro.metrics.trajectory import trajectory_of
+from repro.metrics.trajectory import pr_auc, trajectory_of
 from repro.metrics.quality import wracc_score
+from repro.subgroup._kernels import PeelRun, peel_runs
 from repro.subgroup.best_interval import best_interval
-from repro.subgroup.bumping import prim_bumping
+from repro.subgroup.bumping import draw_repeats, pareto_trajectory, prim_bumping
+from repro.subgroup.inputs import check_peel_params, check_sd_data
 from repro.subgroup.prim import prim_peel
 
 __all__ = [
@@ -53,6 +56,23 @@ def depth_grid(dim: int) -> tuple[int, ...]:
     return tuple(values)
 
 
+def _check_search(x, y, caller: str, engine: str):
+    """The search's data as float arrays and its resolved engine."""
+    x, y, _, _ = check_sd_data(x, y, caller=caller)
+    return x, y, resolve_engine(engine)
+
+
+def _best(grid, scores):
+    """The first grid value with the highest mean fold score."""
+    best_value, best_score = grid[0], -np.inf
+    for value, fold_scores in zip(grid, scores):
+        score = float(np.mean(fold_scores))
+        if score > best_score:
+            best_score = score
+            best_value = value
+    return best_value
+
+
 def optimize_alpha(
     x: np.ndarray,
     y: np.ndarray,
@@ -61,25 +81,41 @@ def optimize_alpha(
     min_support: int = 20,
     n_splits: int = CV_FOLDS,
     seed: int = 0,
+    engine: str = "vectorized",
 ) -> float:
-    """Best PRIM ``alpha`` by cross-validated test-fold PR AUC."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    best_alpha = grid[0]
-    best_score = -np.inf
-    folds = list(KFold(n_splits, seed).split(len(x)))
+    """Best PRIM ``alpha`` by cross-validated test-fold PR AUC.
+
+    The vectorized engine peels all ``len(grid) * n_splits`` (alpha,
+    fold) runs as one lockstep batch whose tracked validation rows are
+    the test folds, so every box's test precision/recall falls out of
+    the peel; ``engine="reference"`` peels them one by one through the
+    per-candidate oracle and evaluates each trajectory.  Both pick the
+    same alpha from bit-identical scores.
+    """
+    x, y, engine = _check_search(x, y, "optimize_alpha", engine)
+    if not len(grid):
+        raise ValueError("optimize_alpha needs a non-empty alpha grid")
     for alpha in grid:
-        scores = []
-        for train, test in folds:
-            result = prim_peel(x[train], y[train], alpha=alpha,
-                               min_support=min_support)
-            _, auc = trajectory_of(result.boxes, x[test], y[test])
-            scores.append(auc)
-        score = float(np.mean(scores))
-        if score > best_score:
-            best_score = score
-            best_alpha = alpha
-    return best_alpha
+        check_peel_params(alpha, min_support)
+    folds = list(KFold(n_splits, seed).split(len(x)))
+    return _best(grid, _alpha_scores(x, y, grid, folds, min_support, engine))
+
+
+def _alpha_scores(x, y, grid, folds, min_support: int,
+                  engine: str) -> list[list[float]]:
+    """Test-fold PR AUC of every (alpha, fold) run, alpha-major."""
+    if engine == "reference":
+        return [[trajectory_of(
+            prim_peel(x[train], y[train], alpha=alpha,
+                      min_support=min_support, engine=engine).boxes,
+            x[test], y[test])[1] for train, test in folds] for alpha in grid]
+    trace = peel_runs(
+        x, y, [PeelRun(alpha, rows=train, val_rows=test)
+               for alpha in grid for train, test in folds],
+        min_support=min_support, x_val=x, y_val=y)
+    n_folds = len(folds)
+    return [[pr_auc(trace.trajectory(i * n_folds + k)) for k in range(n_folds)]
+            for i in range(len(grid))]
 
 
 def optimize_bumping_features(
@@ -91,28 +127,60 @@ def optimize_bumping_features(
     n_splits: int = CV_FOLDS,
     seed: int = 0,
     n_repeats: int = CV_BUMPING_REPEATS,
+    engine: str = "vectorized",
 ) -> int:
-    """Best bumping ``m`` (random-subset size) by cross-validated PR AUC."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    rng = np.random.default_rng(seed)
-    best_m = x.shape[1]
-    best_score = -np.inf
+    """Best bumping ``m`` (random-subset size) by cross-validated PR AUC.
+
+    The vectorized engine draws every repeat's bootstrap rows and
+    feature subset up front, in the order per-fold
+    :func:`~repro.subgroup.bumping.prim_bumping` calls would (for m,
+    for fold, for repeat), peels all of them as one lockstep batch, and
+    builds each (m, fold)'s Pareto trajectory from the tracked
+    train-fold statistics; ``engine="reference"`` runs one
+    ``prim_bumping`` per (m, fold) through the per-candidate oracle.
+    """
+    x, y, engine = _check_search(x, y, "optimize_bumping_features", engine)
+    check_peel_params(alpha, min_support)
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    grid = depth_grid(x.shape[1])
     folds = list(KFold(n_splits, seed).split(len(x)))
-    for m in depth_grid(x.shape[1]):
-        scores = []
+    return _best(grid, _feature_scores(
+        x, y, alpha, grid, folds, np.random.default_rng(seed), min_support,
+        n_repeats, engine))
+
+
+def _feature_scores(x, y, alpha: float, grid, folds, rng, min_support: int,
+                    n_repeats: int, engine: str) -> list[list[float]]:
+    """Test-fold PR AUC of every (m, fold) bumping front, m-major."""
+    if engine == "reference":
+        return [[trajectory_of(
+            prim_bumping(x[train], y[train], alpha=alpha,
+                         min_support=min_support, n_repeats=n_repeats,
+                         n_features=m, rng=rng, engine=engine).boxes,
+            x[test], y[test])[1] for train, test in folds] for m in grid]
+    dim = x.shape[1]
+    runs = []
+    for m in grid:
+        for train, _ in folds:
+            samples, subsets = draw_repeats(rng, len(train), dim, m, n_repeats)
+            runs.extend(PeelRun(alpha, rows=train[sample], cols=subset,
+                                val_rows=train)
+                        for sample, subset in zip(samples, subsets))
+    trace = peel_runs(x, y, runs, min_support=min_support, x_val=x, y_val=y)
+    scores = []
+    first = 0
+    for _ in grid:
+        fold_scores = []
         for train, test in folds:
-            result = prim_bumping(
-                x[train], y[train], alpha=alpha, min_support=min_support,
-                n_repeats=n_repeats, n_features=m, rng=rng,
-            )
-            _, auc = trajectory_of(result.boxes, x[test], y[test])
-            scores.append(auc)
-        score = float(np.mean(scores))
-        if score > best_score:
-            best_score = score
-            best_m = m
-    return best_m
+            boxes = slice(trace.starts[first], trace.starts[first + n_repeats])
+            front, _, _ = pareto_trajectory(
+                trace.stack[boxes], trace.val_n[boxes], trace.val_sum[boxes],
+                len(train), float(trace.val_total[first]))
+            fold_scores.append(trajectory_of(front, x[test], y[test])[1])
+            first += n_repeats
+        scores.append(fold_scores)
+    return scores
 
 
 def optimize_bi_depth(
@@ -122,21 +190,14 @@ def optimize_bi_depth(
     beam_size: int = 1,
     n_splits: int = CV_FOLDS,
     seed: int = 0,
+    engine: str = "vectorized",
 ) -> int:
     """Best BI ``m`` (max restricted inputs) by cross-validated WRAcc."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    best_m = x.shape[1]
-    best_score = -np.inf
+    x, y, engine = _check_search(x, y, "optimize_bi_depth", engine)
     folds = list(KFold(n_splits, seed).split(len(x)))
-    for m in depth_grid(x.shape[1]):
-        scores = []
-        for train, test in folds:
-            result = best_interval(x[train], y[train], depth=m,
-                                   beam_size=beam_size)
-            scores.append(wracc_score(result.box, x[test], y[test]))
-        score = float(np.mean(scores))
-        if score > best_score:
-            best_score = score
-            best_m = m
-    return best_m
+    grid = depth_grid(x.shape[1])
+    scores = [[wracc_score(
+        best_interval(x[train], y[train], depth=m, beam_size=beam_size,
+                      engine=engine).box, x[test], y[test])
+        for train, test in folds] for m in grid]
+    return _best(grid, scores)

@@ -159,7 +159,8 @@ def discover(
     distribution (Sections 9.1.2 / 9.4); ``tune_metamodel`` can disable
     the caret-style metamodel grid search for quick runs; ``engine``
     selects the kernel engine (``"vectorized"`` / ``"reference"``) for
-    PRIM peeling, the BestInterval beam search (see
+    PRIM peeling, the SD-hyperparameter searches of the ``c`` methods,
+    the BestInterval beam search (see
     :func:`repro.subgroup.prim.prim_peel` and
     :func:`repro.subgroup.best_interval.best_interval`) *and* the
     metamodel layer of REDS methods (tree growth and stacked ensemble
@@ -215,19 +216,22 @@ def discover(
     # ------------------------------------------------------------------
     if spec.sd in ("prim", "bumping"):
         if spec.optimize:
-            alpha = hp.optimize_alpha(x, y, min_support=min_support, seed=seed)
+            alpha = hp.optimize_alpha(x, y, min_support=min_support,
+                                      seed=seed, engine=engine)
         chosen_params["alpha"] = alpha
     depth = None
     if spec.sd == "bumping":
         if spec.optimize:
             depth = hp.optimize_bumping_features(
-                x, y, alpha=alpha, min_support=min_support, seed=seed)
+                x, y, alpha=alpha, min_support=min_support, seed=seed,
+                engine=engine)
         else:
             depth = x.shape[1]
         chosen_params["m"] = depth
     if spec.sd == "bi":
         if spec.optimize:
-            depth = hp.optimize_bi_depth(x, y, beam_size=spec.beam_size, seed=seed)
+            depth = hp.optimize_bi_depth(x, y, beam_size=spec.beam_size,
+                                         seed=seed, engine=engine)
         else:
             depth = x.shape[1]
         chosen_params["m"] = depth

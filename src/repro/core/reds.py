@@ -23,6 +23,7 @@ import numpy as np
 from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
+from repro.subgroup.inputs import check_finite
 
 __all__ = ["check_label_rows", "check_training_data", "clear_fit_cache",
            "fit_metamodel", "fit_stats", "reset_fit_stats", "reds",
@@ -40,12 +41,7 @@ def check_training_data(x: np.ndarray, y: np.ndarray, *, caller: str,
     phrase names who needs binary labels in the error message.
     ``caller`` names the entry point in the finiteness messages.
     """
-    bad = ~np.isfinite(x).all(axis=0)
-    if bad.any():
-        raise ValueError(f"x column {int(np.argmax(bad))} holds NaN or inf; "
-                         f"{caller} needs finite inputs")
-    if not np.isfinite(y).all():
-        raise ValueError(f"y holds NaN or inf; {caller} needs finite labels")
+    check_finite(x, y, caller=caller)
     if binary_for is not None and not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError(f"{binary_for} needs binary labels: y must hold "
                          "only 0 and 1")

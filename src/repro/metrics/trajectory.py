@@ -17,22 +17,10 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.metrics.quality import precision_recall
+from repro.subgroup._kernels import evaluate_boxes
 from repro.subgroup.box import Hyperbox
 
 __all__ = ["peeling_trajectory", "pr_auc", "trajectory_of"]
-
-
-def _trajectory_chunk(context, start: int, stop: int) -> np.ndarray:
-    """Boxes ``[start, stop)`` of a fanned-out trajectory evaluation."""
-    boxes = context["boxes"]
-    x = context["x"]
-    y = context["y"]
-    points = np.empty((stop - start, 2))
-    for i in range(start, stop):
-        prec, rec = precision_recall(boxes[i], x, y)
-        points[i - start] = (rec, prec)
-    return points
 
 
 def peeling_trajectory(boxes: Sequence[Hyperbox], x: np.ndarray,
@@ -40,31 +28,21 @@ def peeling_trajectory(boxes: Sequence[Hyperbox], x: np.ndarray,
                        chunk_boxes: int | None = None) -> np.ndarray:
     """``(len(boxes), 2)`` array of (recall, precision) per box.
 
-    With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous box chunks
-    fan out over the plan engine of
-    :mod:`repro.experiments.parallel`: the box list ships once per
-    worker while the test arrays cross process boundaries zero-copy
-    through the data plane.  Every box's point runs through the very
-    same scalar :func:`precision_recall`, so the concatenated result is
-    bit-identical to the serial loop for any ``jobs``/``chunk_boxes``
-    setting — the knob a budgeted grid task threads its worker lease
-    into when evaluating a long trajectory on a large test set.
+    One batched :func:`~repro.subgroup._kernels.evaluate_boxes` call:
+    its per-box statistics go through the scalar
+    :func:`~repro.metrics.quality.precision_recall` convention element
+    for element, so every point is bit-identical to evaluating the box
+    alone.  With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous box
+    chunks fan out over the plan engine of
+    :mod:`repro.experiments.parallel`, the test arrays crossing process
+    boundaries zero-copy through the data plane — the knob a budgeted
+    grid task threads its worker lease into when evaluating a long
+    trajectory on a large test set.  ``boxes`` may also be a
+    :class:`~repro.subgroup._kernels.BoxStack`.
     """
-    boxes = list(boxes)
-    if (jobs is not None and jobs <= 1) or len(boxes) <= 1:
-        points = np.empty((len(boxes), 2))
-        for i, box in enumerate(boxes):
-            prec, rec = precision_recall(box, x, y)
-            points[i] = (rec, prec)
-        return points
-    from repro.experiments.parallel import run_chunked
-
-    parts = run_chunked(
-        _trajectory_chunk, len(boxes), jobs=jobs, chunk_rows=chunk_boxes,
-        context={"boxes": boxes},
-        shared={"x": np.ascontiguousarray(x, dtype=float),
-                "y": np.ascontiguousarray(y, dtype=float)})
-    return np.concatenate(parts)
+    precisions, recalls = evaluate_boxes(
+        boxes, x, y, jobs=jobs, chunk_boxes=chunk_boxes).precision_recall()
+    return np.column_stack((recalls, precisions))
 
 
 def pr_auc(trajectory: np.ndarray) -> float:

@@ -2,33 +2,51 @@
 
 The reference peel (:func:`repro.subgroup.prim._best_peel`) builds a
 boolean mask and recomputes a mean for every one of the 2M candidate
-cuts of a peeling step.  :class:`VectorizedPeeler` instead sorts every
-dimension once per run and keeps the per-dimension sorted orders up to
-date as the box shrinks (removing rows preserves sortedness, so each
-peel is a filter, not a re-sort).  Every candidate cut keeps a
-contiguous run of a column's sorted points: its support comes from two
-binary searches and its output sum from the box total minus one slice
-sum over the short removed run (about ``alpha * n`` rows) — no
-per-candidate masking at all.
+cuts of a peeling step.  :func:`peel_runs` instead advances R
+independent PRIM runs in lockstep — the (alpha, fold) runs of an alpha
+search, the bootstrap repeats of bumping, or a single ``prim_peel``
+call as the one-run case.  Each run has its own rows (repeats allowed),
+column subset, alpha and validation rows.
 
-The kernel reproduces the reference semantics exactly:
+Layout.  Every ``(run, column)`` pair is one ascending segment of two
+flat arrays: ``rid``, the entry's row, and ``keys``, the value's dense
+rank within its column plus a per-segment offset — shared by equal
+values, disjoint between segments, so ``keys`` ascends across all
+segments.  Segments are
+built by one counting sort over the base table's column orders, and an
+accepted peel never re-sorts: removing rows keeps every segment sorted,
+so each step ends with one boolean compaction of ``rid``/``keys`` that
+applies every run's peel (runs that stop leave the batch the same way).
 
-* quantile cuts keep ties at the boundary inside (``values >= low_q``
-  / ``values <= high_q``), with the quantiles computed from the sorted
-  columns by :func:`sorted_quantile`, a bit-identical replication of
-  ``np.quantile``'s default linear interpolation;
-* when the whole box ties at an extreme value (discrete inputs), the
-  cut falls back to peeling that entire level;
-* all three peeling objectives (``mean`` / ``gain`` / ``wracc``) use
-  :func:`peel_score`, shared with the scalar reference;
-* candidates are ordered as in the reference iteration — dimension
-  major, lower cut before upper cut — and the first maximum wins.  For
-  binary outputs every candidate sum is an exact integer, so the
-  vectorized scores equal the reference's bit for bit and the argmax
-  breaks ties identically; for soft labels, near-tied candidates are
-  re-scored through the reference formula (a pairwise-summed mean over
-  the kept rows in original order) before picking the winner, so exact
-  ties cannot be flipped by slice-sum rounding.
+One peeling step for all runs is:
+
+* one batched binary search (``np.searchsorted`` over ``keys``) for
+  every segment's lower and upper cut positions and their tie-fallback
+  positions — the alpha-quantiles come from the segments' order
+  statistics by :func:`sorted_quantile`'s formula, a bit-identical
+  replication of ``np.quantile``'s default linear interpolation, and a
+  cut keeps ties at the quantile inside; when a whole box ties at an
+  extreme, the cut peels that entire level instead;
+* output sums over the removed ranges only — about ``alpha * n`` entries
+  per cut, never a full prefix sum — from one cumulative sum, the kept
+  sum being the run's maintained in-box total minus the removed one;
+* one first-maximum argmax per run in the reference's candidate order
+  (dimension major, lower cut before upper cut, categorical levels
+  ascending), which is simply the order of the candidates' flat start
+  positions; all three objectives score through :func:`peel_score`'s
+  formulas;
+* validation tracking, where asked for: each run's in-box validation
+  rows shrink with its accepted cut, giving every box's validation
+  count and output sum without re-evaluating it (the validation stop of
+  ``prim_peel``, and the test-fold / Pareto statistics of the searches).
+
+Exactness.  For binary outputs every candidate sum is an exact integer,
+so each score equals the reference's bit for bit and the argmax breaks
+ties identically.  For soft labels, candidates within ``_TIE_RTOL`` of a
+run's maximum are re-scored through the reference formula (a pairwise
+mean over the kept rows in the run's own row order) before the winner is
+picked, so exact ties cannot be flipped by summation order; box means
+reduce over the same rows in the same order as the reference.
 
 :func:`sorted_group_sums` and :func:`max_sum_run` are the analogous
 sort-once machinery for BestInterval's exact one-dimensional
@@ -47,7 +65,8 @@ chunked broadcasted comparison instead of ``B`` Python-level
 through the same reductions as the scalar code paths (pairwise
 ``ndarray.sum``/``mean`` over the masked rows; exact integer counts
 for binary labels), so batched consumers stay bit-identical to their
-per-box references.
+per-box references.  Both take a :class:`BoxStack` — stacked bound
+arrays, as a lockstep batch produces them — or a sequence of boxes.
 """
 
 from __future__ import annotations
@@ -56,11 +75,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.subgroup.box import cat_mask
+from repro.subgroup.box import Hyperbox, cat_mask
 
 __all__ = [
     "PeelCandidate",
-    "VectorizedPeeler",
+    "PeelRun",
+    "PeelTrace",
+    "peel_runs",
     "best_peel",
     "peel_score",
     "sorted_quantile",
@@ -68,7 +89,9 @@ __all__ = [
     "max_sum_run",
     "best_cat_subset",
     "SortedDataset",
+    "BoxStack",
     "BoxBatchEvaluation",
+    "precision_recall_of",
     "contains_many",
     "evaluate_boxes",
 ]
@@ -105,23 +128,31 @@ def sorted_quantile(v: np.ndarray, q: float) -> np.ndarray:
     if virtual >= n - 1:
         return v[n - 1]
     previous = int(np.floor(virtual))
-    gamma = virtual - previous
-    a = v[previous]
-    b = v[previous + 1]
+    return _lerp(v[previous], v[previous + 1], virtual - previous)
+
+
+def _lerp(a, b, gamma):
+    """numpy's branching linear interpolation between order statistics."""
     diff = b - a
-    if gamma >= 0.5:
-        return b - diff * (1.0 - gamma)
-    return a + diff * gamma
+    return np.where(gamma >= 0.5, b - diff * (1.0 - gamma), a + diff * gamma)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Concatenated ``arange(s, s + l)`` for every ``(s, l)`` pair."""
+    total = int(lengths.sum())
+    if total == 0:
+        return np.zeros(0, dtype=np.int64)
+    offsets = np.cumsum(lengths) - lengths
+    return np.repeat(starts - offsets, lengths) + np.arange(total)
 
 
 @dataclass(frozen=True)
 class PeelCandidate:
-    """The winning cut of one peeling step.
+    """The winning cut of one peeling step (see :func:`best_peel`).
 
-    ``keep_rows`` holds the ascending row indices (into the arrays the
-    peeler was built from) that survive the cut.  A categorical winner
-    sets ``new_cats`` — the remaining allowed codes after removing one
-    category — and leaves both bounds ``None``.
+    ``keep_rows`` holds the ascending row indices that survive the cut.
+    A categorical winner sets ``new_cats`` — the remaining allowed codes
+    after removing one category — and leaves both bounds ``None``.
     """
 
     dim: int
@@ -132,169 +163,484 @@ class PeelCandidate:
     new_cats: tuple | None = None
 
 
-class VectorizedPeeler:
-    """Incremental candidate-cut evaluator for one PRIM peeling run.
+@dataclass(frozen=True)
+class PeelRun:
+    """One PRIM peeling run of a lockstep batch (:func:`peel_runs`).
 
-    Construction sorts every dimension once; :meth:`best_peel` scores
-    every candidate cut of the current box from prefix sums — two
-    alpha-cuts per numeric dimension, one removed level per categorical
-    dimension (``cat_cols``) — and :meth:`apply` shrinks the maintained
-    sorted orders to the rows kept by an accepted cut.  Categorical
-    candidates ride the same sort-once machinery: equal codes form one
-    contiguous run of the sorted column, so removing a category is a
-    slice sum exactly like an alpha-cut.
+    ``rows`` index the batch's training arrays — repeats allowed (a
+    bootstrap sample), and their order is the run's own row order,
+    which soft-label reductions follow; ``cols`` are the columns the
+    run may restrict, in candidate order; ``val_rows`` index the
+    batch's validation arrays.  ``None`` means every row / column.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, alpha: float,
-                 objective: str, total_mean: float, total_n: int,
-                 cat_cols=()) -> None:
-        self.y = y
-        self.alpha = alpha
-        self.objective = objective
-        self.total_mean = total_mean
-        self.total_n = total_n
-        self.cat_cols = frozenset(int(c) for c in cat_cols)
-        self.in_box = np.arange(len(x))
-        # Column j of sorted_rows: row indices ordered by x[:, j];
-        # values holds the corresponding (column-sorted) x values.
-        # Fortran order keeps every column contiguous for the
-        # per-column binary searches and slice sums of the hot loop.
-        self.sorted_rows = np.asfortranarray(np.argsort(x, axis=0))
-        self.values = np.asfortranarray(
-            np.take_along_axis(x, self.sorted_rows, axis=0))
-        self._member = np.zeros(len(x), dtype=bool)
-        # Binary outputs make every candidate sum an exact integer, so
-        # the vectorized scores already equal the reference's bit for
-        # bit and no near-tie re-scoring is ever needed.
-        self._exact_sums = bool(np.all((y == 0.0) | (y == 1.0)))
+    alpha: float
+    rows: np.ndarray | None = None
+    cols: np.ndarray | None = None
+    val_rows: np.ndarray | None = None
 
-    def best_peel(self) -> PeelCandidate | None:
-        """The best-scoring candidate peel across all faces, or None."""
-        v = self.values
-        n, n_dim = v.shape
-        if n < 2:
-            return None
-        y, rows = self.y, self.sorted_rows
-        y_box = y[self.in_box]
-        total_y = float(y_box.sum())
-        mean_before = float(y_box.mean())
-        low_q = sorted_quantile(v, self.alpha)
-        high_q = sorted_quantile(v, 1.0 - self.alpha)
 
-        # Candidate layout matches the reference iteration order:
-        # dimension major; a numeric dimension contributes its lower
-        # then its upper alpha-cut, a categorical dimension one
-        # candidate per in-box level in ascending code order.  Every
-        # candidate removes one contiguous run [start, stop) of its
-        # column's sorted order (equal codes are adjacent after the
-        # sort), so each candidate sum is one slice sum over the short
-        # removed run, never a full pass.
-        dims: list[int] = []
-        bounds: list[float] = []
-        starts: list[int] = []
-        stops: list[int] = []
-        cat_flags: list[bool] = []
-        kept_counts: list[int] = []
-        kept_sums: list[float] = []
-        for j in range(n_dim):
-            vj = v[:, j]
+@dataclass(frozen=True)
+class PeelTrace:
+    """The box sequences of a lockstep batch, run-major.
 
-            if j in self.cat_cols:
-                # One candidate per removable category: drop the whole
-                # level's run; a single remaining level cannot be peeled.
-                group_starts = np.flatnonzero(
-                    np.concatenate(([True], vj[1:] > vj[:-1])))
-                if len(group_starts) < 2:
-                    continue
-                group_stops = np.append(group_starts[1:], n)
-                for g0, g1 in zip(group_starts.tolist(), group_stops.tolist()):
-                    dims.append(j)
-                    bounds.append(float(vj[g0]))
-                    starts.append(g0)
-                    stops.append(g1)
-                    cat_flags.append(True)
-                    kept_counts.append(n - (g1 - g0))
-                    kept_sums.append(total_y - float(y[rows[g0:g1, j]].sum()))
-                continue
+    Run ``r`` owns rows ``starts[r]:starts[r + 1]`` of ``stack`` and of
+    every per-box array: its unrestricted box first, then one box per
+    accepted peel.  ``train_n`` counts the in-box training rows (with
+    bootstrap multiplicity) and ``train_mean`` is their mean output.
+    With validation data, ``val_n``/``val_sum`` are each box's count and
+    output sum on its run's validation rows and ``val_total`` the
+    output sum over all of them.
+    """
 
-            # Lower cut: drop everything below the alpha-quantile; if
-            # the whole box ties at the minimum, peel that entire level.
-            cut = int(np.searchsorted(vj, low_q[j], side="left"))
-            bound = low_q[j]
-            if cut == 0:
-                cut = int(np.searchsorted(vj, vj[0], side="right"))
-                if cut < n:
-                    bound = vj[cut]
-            if 0 < cut < n:
-                dims.append(j)
-                bounds.append(float(bound))
-                starts.append(0)
-                stops.append(cut)
-                cat_flags.append(False)
-                kept_counts.append(n - cut)
-                kept_sums.append(total_y - float(y[rows[:cut, j]].sum()))
+    starts: np.ndarray
+    stack: "BoxStack"
+    train_n: np.ndarray
+    train_mean: np.ndarray
+    val_n: np.ndarray | None
+    val_sum: np.ndarray | None
+    val_total: np.ndarray | None
 
-            # Upper cut: drop everything above the (1 - alpha)-quantile;
-            # same whole-level fallback at the maximum.
-            cut = int(np.searchsorted(vj, high_q[j], side="right"))
-            bound = high_q[j]
-            if cut == n:
-                cut = int(np.searchsorted(vj, vj[n - 1], side="left"))
-                if cut > 0:
-                    bound = vj[cut - 1]
-            if 0 < cut < n:
-                dims.append(j)
-                bounds.append(float(bound))
-                starts.append(cut)
-                stops.append(n)
-                cat_flags.append(False)
-                kept_counts.append(cut)
-                kept_sums.append(total_y - float(y[rows[cut:, j]].sum()))
+    def run(self, r: int) -> slice:
+        """Box rows of run ``r``."""
+        return slice(int(self.starts[r]), int(self.starts[r + 1]))
 
-        if not dims:
-            return None
+    def trajectory(self, r: int) -> np.ndarray:
+        """Run ``r``'s ``(k, 2)`` (recall, precision) on its validation
+        rows — :func:`repro.metrics.trajectory.peeling_trajectory` of its
+        boxes, read off the tracked statistics."""
+        rows = self.run(r)
+        precisions, recalls = precision_recall_of(
+            self.val_sum[rows], self.val_n[rows], float(self.val_total[r]))
+        return np.column_stack((recalls, precisions))
 
-        kept = np.array(kept_counts, dtype=np.int64)
-        sums = np.array(kept_sums)
-        mean_after = sums / np.maximum(kept, 1)
-        if self.objective == "mean":
-            scores = mean_after
-        elif self.objective == "gain":
-            scores = (mean_after - mean_before) / np.maximum(n - kept, 1)
-        else:  # "wracc"
-            scores = (kept / self.total_n) * (mean_after - self.total_mean)
 
-        best = int(np.argmax(scores))
-        if not self._exact_sums:
-            best = self._resolve_near_ties(scores, best, dims, starts, stops,
-                                           mean_before)
+#: Entry budget of one lockstep batch, counted at base-table width
+#: (the initial counting sort walks every base row once per segment).
+#: Larger searches peel as consecutive batches — runs are independent,
+#: so the grouping never changes a result — which bounds the batch's
+#: memory to a few hundred MB.
+_BATCH_ENTRIES = 1 << 22
 
-        dim = dims[best]
-        start, stop = starts[best], stops[best]
-        bound = bounds[best]
-        # The removed run is short (about alpha * n rows, or one
-        # category's level), so the ascending kept set comes cheaper
-        # from deleting its positions in the ascending in_box than from
-        # sorting the kept slice.
-        removed = np.sort(rows[start:stop, dim])
-        keep_rows = np.delete(self.in_box, np.searchsorted(self.in_box, removed))
-        if cat_flags[best]:
-            new_cats = tuple(float(c) for c in np.unique(v[:, dim])
-                             if c != bound)
-            return PeelCandidate(dim=dim, new_lower=None, new_upper=None,
-                                 keep_rows=keep_rows,
-                                 score=float(scores[best]), new_cats=new_cats)
-        is_lower = start == 0
-        return PeelCandidate(
-            dim=dim,
-            new_lower=bound if is_lower else None,
-            new_upper=None if is_lower else bound,
-            keep_rows=keep_rows,
-            score=float(scores[best]),
+
+def peel_runs(x: np.ndarray, y: np.ndarray, runs, *, min_support: int,
+              objective: str = "mean", cat_cols=(),
+              x_val: np.ndarray | None = None, y_val: np.ndarray | None = None,
+              val_stop: bool = False) -> PeelTrace:
+    """Peel every :class:`PeelRun` to completion, all runs in lockstep.
+
+    Each run follows :func:`repro.subgroup.prim.prim_peel` exactly: it
+    stops when no candidate cut is valid or the best one would leave
+    fewer than ``min_support`` training rows — or, with ``val_stop``,
+    validation rows.  ``x_val``/``y_val`` switch on validation tracking:
+    every box's in-box count and output sum on its run's ``val_rows``,
+    which is the run's precision/recall trajectory without re-evaluating
+    a box.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    runs = list(runs)
+    n_base, dim = x.shape
+    context = dict(
+        min_support=min_support, objective=objective,
+        cat_cols=frozenset(int(c) for c in cat_cols),
+        exact=bool(np.all((y == 0.0) | (y == 1.0))),
+        val=None, val_stop=val_stop)
+    if x_val is not None:
+        y_val = np.asarray(y_val, dtype=float)
+        context["val"] = (np.asarray(x_val, dtype=float), y_val,
+                          bool(np.all((y_val == 0.0) | (y_val == 1.0))))
+    records = _Records(len(runs))
+    start = 0
+    while start < len(runs):
+        stop, width = start, 0
+        while stop < len(runs) and (stop == start or width < _BATCH_ENTRIES):
+            run = runs[stop]
+            width += ((dim if run.cols is None else len(run.cols))
+                      * max(n_base, 0 if run.rows is None else len(run.rows)))
+            stop += 1
+        _Lockstep(x, y, runs[start:stop], start, records, **context).run()
+        start = stop
+    return records.trace(dim, x_val is not None)
+
+
+def best_peel(x: np.ndarray, y: np.ndarray, alpha: float,
+              objective: str = "mean", cat_cols=()) -> PeelCandidate | None:
+    """The first peeling step of a one-run batch over all of ``x``/``y``."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    batch = _Lockstep(
+        x, y, [PeelRun(alpha)], 0, _Records(1), min_support=1,
+        objective=objective, cat_cols=frozenset(int(c) for c in cat_cols),
+        exact=bool(np.all((y == 0.0) | (y == 1.0))), val=None,
+        val_stop=False)
+    step = batch.decide()
+    if step is None:
+        return None
+    removed = batch.rid[step.start[0]:step.stop[0]]
+    keep_rows = np.setdiff1d(np.arange(len(x)), removed)
+    kind, bound = int(step.kind[0]), float(step.bound[0])
+    return PeelCandidate(
+        dim=int(step.col[0]),
+        new_lower=bound if kind == 0 else None,
+        new_upper=bound if kind == 1 else None,
+        keep_rows=keep_rows, score=float(step.score[0]),
+        new_cats=(tuple(sorted(step.new_cats[0])) if kind == 2 else None))
+
+
+class _Records:
+    """Per-box columns accumulated step by step, ordered at the end."""
+
+    def __init__(self, n_runs: int) -> None:
+        self.n_runs = n_runs
+        self.columns: list[tuple] = []
+        self.cats: dict[tuple[int, int], tuple[int, frozenset]] = {}
+        self.val_total = np.zeros(n_runs)
+
+    def add(self, run, step, col, kind, bound, train_n, train_mean,
+            val_n=None, val_sum=None) -> None:
+        self.columns.append((run, step, col, kind, bound, train_n,
+                             train_mean, val_n, val_sum))
+
+    def trace(self, dim: int, has_val: bool) -> PeelTrace:
+        runs, steps, *rest = zip(*self.columns)
+        run = np.concatenate(runs)
+        step = np.repeat(steps, [len(r) for r in runs])
+        order = np.lexsort((step, run))
+        run, step = run[order], step[order]
+        (col, kind, bound, train_n, train_mean, val_n, val_sum) = (
+            np.concatenate(c)[order] if c[0] is not None else None
+            for c in rest)
+        n_boxes = len(run)
+        # Every run opens with its unrestricted box; a peel sets one
+        # bound and every other bound carries over from the box above
+        # (a forward fill that never crosses into the previous run).
+        lower = np.full((n_boxes, dim), np.nan)
+        upper = np.full((n_boxes, dim), np.nan)
+        first = kind < 0
+        lower[first] = -np.inf
+        upper[first] = np.inf
+        for side, bounds in ((0, lower), (1, upper)):
+            rows = np.flatnonzero(kind == side)
+            bounds[rows, col[rows]] = bound[rows]
+            source = np.where(np.isnan(bounds), 0, np.arange(n_boxes)[:, None])
+            np.maximum.accumulate(source, axis=0, out=source)
+            bounds[:] = np.take_along_axis(bounds, source, axis=0)
+        starts = np.searchsorted(run, np.arange(self.n_runs + 1))
+        cats = None
+        if self.cats:
+            cats = [None] * n_boxes
+            for r in sorted({r for r, _ in self.cats}):
+                current: list = [None] * dim
+                for i in range(starts[r], starts[r + 1]):
+                    entry = self.cats.get((r, int(step[i])))
+                    if entry is not None:
+                        current[entry[0]] = entry[1]
+                    if any(c is not None for c in current):
+                        cats[i] = tuple(current)
+            cats = tuple(cats)
+        return PeelTrace(
+            starts=starts,
+            stack=BoxStack(lower, upper, cats),
+            train_n=train_n,
+            train_mean=train_mean,
+            val_n=val_n,
+            val_sum=val_sum,
+            val_total=self.val_total if has_val else None,
         )
 
-    def _resolve_near_ties(self, scores: np.ndarray, best: int, dims, starts,
-                           stops, mean_before: float) -> int:
+
+@dataclass
+class _Step:
+    """The winning candidate of every run that has one, run-ascending."""
+
+    run: np.ndarray
+    col: np.ndarray
+    start: np.ndarray
+    stop: np.ndarray
+    kind: np.ndarray      # 0 lower cut, 1 upper cut, 2 removed category
+    bound: np.ndarray     # the new bound, or the removed category code
+    kept: np.ndarray
+    kept_sum: np.ndarray
+    score: np.ndarray
+    new_cats: dict        # winner index -> remaining allowed codes
+
+
+class _Lockstep:
+    """One batch of PRIM runs peeled together over flat segment arrays.
+
+    Every ``(run, column)`` pair is a segment: the run's in-box rows
+    sorted by that column, bootstrap repeats kept as repeated entries.
+    Segments lie back to back, run-major, in two flat arrays: ``rid``
+    (each entry's row as ``run * N + base row``, which also locates its
+    value in ``x``) and ``keys``, the value's dense rank within its base
+    column plus a per-segment offset — equal values within a segment
+    share a key and segments own disjoint key ranges, so ``keys``
+    ascends globally and one ``searchsorted`` over it finds cut
+    positions in all segments at once.  An accepted peel clears its
+    removed rows in the ``alive`` row table, and one boolean compaction
+    of ``rid``/``keys`` applies every run's peel; removing rows keeps
+    each segment sorted.
+    """
+
+    def __init__(self, x, y, runs, offset, records, *, min_support,
+                 objective, cat_cols, exact, val, val_stop):
+        n_base, dim = x.shape
+        n_runs = len(runs)
+        self.records, self.offset = records, offset
+        self.min_support, self.objective = min_support, objective
+        self.exact, self.val, self.val_stop = exact, val, val_stop
+        self.x, self.n_base = x, n_base
+        rows = [np.arange(n_base) if run.rows is None
+                else np.asarray(run.rows, dtype=np.int64) for run in runs]
+        cols = [np.arange(dim) if run.cols is None
+                else np.asarray(run.cols, dtype=np.int64) for run in runs]
+        self.alpha = np.array([run.alpha for run in runs], dtype=float)
+        self.n = np.array([len(r) for r in rows], dtype=np.int64)
+        self.total_n = self.n.copy()
+        # Each run's in-box output total: exact integers for binary
+        # outputs, else the pairwise sum over its rows in its own order.
+        self.total = np.array([float(y[r].sum()) for r in rows])
+        self.total_mean = np.divide(self.total, self.n,
+                                    out=np.zeros(n_runs), where=self.n > 0)
+        self.y = y if n_runs == 1 else np.tile(y, n_runs)
+
+        # Counting sort: walk each base column in sorted order once per
+        # segment, emitting every row as often as the run holds it.  An
+        # entry's key is its value's dense rank within the base column,
+        # offset so that every segment owns its own key range.
+        self.seg_run = np.repeat(np.arange(n_runs), [len(c) for c in cols])
+        self.seg_col = np.concatenate(cols)
+        self.seg_cat = np.isin(self.seg_col, list(cat_cols))
+        self.has_cat = bool(self.seg_cat.any())
+        n_segs = len(self.seg_col)
+        key_type = np.int32 if n_segs * (n_base + 1) < 2**31 else np.int64
+        order = np.argsort(x, axis=0)
+        ranks = np.zeros((dim, n_base), dtype=key_type)
+        if n_base:
+            ordered = np.take_along_axis(x, order, axis=0)
+            np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=ranks.T[1:])
+            del ordered
+        walk = order.T[self.seg_col]
+        del order
+        keys = ranks[self.seg_col]
+        keys += (np.arange(n_segs, dtype=key_type) * (n_base + 1))[:, None]
+        if n_runs > 1:
+            walk += (self.seg_run * n_base)[:, None]
+        if any(run.rows is not None for run in runs):
+            held = np.bincount(
+                np.repeat(np.arange(n_runs) * n_base, self.n)
+                + np.concatenate(rows),
+                minlength=n_runs * n_base).astype(np.int32)
+            held = held[walk].ravel()
+            self.keys = np.repeat(keys.ravel(), held)
+            self.rid = np.repeat(walk.ravel(), held)
+        else:
+            self.keys = keys.ravel()
+            self.rid = walk.ravel()
+        self.alive = np.ones(n_runs * n_base, dtype=bool)
+        # Soft labels need each run's in-box rows in its own row order:
+        # the near-tie re-scoring and the training means reduce over
+        # them exactly as the reference does.
+        self.rows = None
+        if not exact:
+            self.rows = np.concatenate(
+                [r * n_base + rr for r, rr in enumerate(rows)])
+
+        val_n = val_sum = None
+        if val is not None:
+            x_val, y_val, _ = val
+            val_rows = [np.arange(len(x_val)) if run.val_rows is None
+                        else np.asarray(run.val_rows, dtype=np.int64)
+                        for run in runs]
+            self.vrid = np.concatenate(val_rows)
+            self.vn = np.array([len(v) for v in val_rows], dtype=np.int64)
+            val_n = self.vn.copy()
+            val_sum = np.array([float(y_val[v].sum()) for v in val_rows])
+            records.val_total[offset:offset + n_runs] = val_sum
+        self.act = np.arange(n_runs)
+        records.add(self.act + offset, 0, np.full(n_runs, -1),
+                    np.full(n_runs, -1), np.zeros(n_runs), self.n.copy(),
+                    self.total_mean.copy(), val_n, val_sum)
+
+    def run(self) -> None:
+        step = 0
+        while len(self.act):
+            step += 1
+            self._apply(step, self.decide())
+
+    # ------------------------------------------------------------------
+    # One step: candidates, winners, acceptance.
+    # ------------------------------------------------------------------
+    def decide(self) -> _Step | None:
+        """Every active run's winning cut, or None when none has one."""
+        seg_n = self.n[self.seg_run]
+        seg_lo = np.cumsum(seg_n) - seg_n
+        cand = self._candidates(seg_lo, seg_n)
+        if cand is None:
+            return None
+        seg, start, stop, kind, bound, kept, kept_sum = cand
+        scores = self._scores(seg, kept, kept_sum)
+        win = self._winners(seg, start, stop, kept, scores)
+        seg = seg[win]
+        step = _Step(run=self.seg_run[seg], col=self.seg_col[seg],
+                     start=start[win], stop=stop[win], kind=kind[win],
+                     bound=bound[win], kept=kept[win],
+                     kept_sum=kept_sum[win], score=scores[win], new_cats={})
+        for i in np.flatnonzero(step.kind == 2).tolist():
+            at = np.arange(seg_lo[seg[i]], seg_lo[seg[i]] + seg_n[seg[i]])
+            present = np.unique(self._values(at, np.full(len(at), seg[i])))
+            step.new_cats[i] = frozenset(
+                float(c) for c in present if c != step.bound[i])
+        return step
+
+    def _values(self, at: np.ndarray, seg: np.ndarray) -> np.ndarray:
+        """Values of the flat entries ``at`` of segments ``seg``."""
+        base = self.rid[at] - self.seg_run[seg] * self.n_base
+        return self.x[base, self.seg_col[seg]]
+
+    def _candidates(self, seg_lo, seg_n):
+        """Every valid cut of every active run, in reference order.
+
+        Per-candidate arrays ``(seg, start, stop, kind, bound, kept,
+        kept_sum)``: the cut removes flat entries ``[start, stop)``, and
+        ``kind`` is 0/1/2 for a lower cut, an upper cut and a removed
+        category.  ``start`` doubles as the reference iteration order —
+        run-major, then column, lower cut before upper cut, category
+        levels ascending — because segments lie run-major and a lower
+        cut starts at its segment's first entry, an upper cut after it,
+        and a level at its own run of equal codes.
+        """
+        keys = self.keys
+        peelable = seg_n >= 2
+        num = np.flatnonzero(peelable & ~self.seg_cat)
+        count = len(num)
+        lo, n = seg_lo[num], seg_n[num]
+        alpha = self.alpha[self.seg_run[num]]
+        # Both quantiles of every segment in one pass, lower cuts first:
+        # sorted_quantile's formula over the order statistics a/b at
+        # offsets below/below + 1 of each segment.
+        seg2 = np.concatenate((num, num))
+        lo2, n2 = np.concatenate((lo, lo)), np.concatenate((n, n))
+        virtual = (n2 - 1) * np.concatenate((alpha, 1.0 - alpha))
+        below = np.minimum(np.floor(virtual).astype(np.int64), n2 - 2)
+        a, b = self._values(np.concatenate((lo2 + below, lo2 + below + 1)),
+                            np.concatenate((seg2, seg2))).reshape(2, -1)
+        quantile = _lerp(a, b, virtual - below)
+        # One binary search for all four cut positions of every segment.
+        # Cuts keep ties at the quantile inside: the lower cut drops the
+        # entries below it, the upper cut those above it.  A quantile
+        # equals one of its two order statistics or lies strictly
+        # between them, so the lower cut ends where the tie run of ``a``
+        # (quantile == a) or of ``b`` starts, and the upper cut where the
+        # tie run of ``b`` (quantile == b) or of ``a`` ends; keys are
+        # integers, so "right of key k" is "left of k + 1".  When the
+        # whole box ties at an extreme, the cut falls back to peeling
+        # that entire level: the tie run of the first / last entry.
+        probe = keys[lo2 + below + np.concatenate(
+            (quantile[:count] != a[:count], quantile[count:] == b[count:]))]
+        probe[count:] += 1
+        cut = np.searchsorted(keys, np.concatenate(
+            (probe, keys[lo] + 1, keys[lo + n - 1]))) - np.concatenate((lo2, lo2))
+        low, high, low_tie, high_tie = cut.reshape(4, count)
+        tied = np.concatenate((low == 0, high == n))
+        low = np.where(tied[:count], low_tie, low)
+        high = np.where(tied[count:], high_tie, high)
+        fallback = self._values(lo2 + np.concatenate(
+            (np.minimum(low, n - 1), np.maximum(high - 1, 0))), seg2)
+
+        columns = [
+            seg2,
+            np.concatenate((lo, lo + high)),
+            np.concatenate((lo + low, lo + n)),
+            np.repeat(np.array([0, 1]), count),
+            np.where(tied, fallback, quantile),
+            np.concatenate((n - low, high)),
+        ]
+        valid = (columns[5] > 0) & (columns[5] < n2)
+        if self.has_cat:
+            columns = [np.concatenate((c[valid], extra)) for c, extra in
+                       zip(columns, self._cat_candidates(seg_lo, seg_n, peelable))]
+            order = np.argsort(columns[1])
+        else:
+            # Interleave each segment's lower and upper cut.
+            order = np.arange(2 * count).reshape(2, count).T.ravel()
+            order = order[valid[order]]
+        seg, start, stop, kind, bound, kept = (c[order] for c in columns)
+        if not len(seg):
+            return None
+
+        # Output sums over the removed entries only (about alpha * n per
+        # cut), from one cumulative sum.
+        lengths = stop - start
+        sums = np.cumsum(self.y[self.rid[_ranges(start, lengths)]])
+        ends = np.cumsum(lengths)
+        removed = sums[ends - 1] - np.where(ends > lengths,
+                                            sums[ends - lengths - 1], 0.0)
+        kept_sum = self.total[self.seg_run[seg]] - removed
+        return seg, start, stop, kind, bound, kept, kept_sum
+
+    def _cat_candidates(self, seg_lo, seg_n, peelable):
+        """One candidate per in-box level of every categorical segment."""
+        segs = np.flatnonzero(peelable & self.seg_cat)
+        at = _ranges(seg_lo[segs], seg_n[segs])
+        seg_of = np.repeat(segs, seg_n[segs])
+        # Every segment opens with a fresh key, so key changes alone
+        # mark both level and segment boundaries.
+        fresh = np.ones(len(at), dtype=bool)
+        np.not_equal(self.keys[at[1:]], self.keys[at[:-1]], out=fresh[1:])
+        start, seg = at[fresh], seg_of[fresh]
+        last = np.append(seg[1:] != seg[:-1], True)
+        stop = np.where(last, seg_lo[seg] + seg_n[seg], np.append(start[1:], 0))
+        several = np.bincount(seg, minlength=len(seg_n))[seg] >= 2
+        seg, start, stop = seg[several], start[several], stop[several]
+        return (seg, start, stop, np.full(len(seg), 2),
+                self._values(start, seg), seg_n[seg] - (stop - start))
+
+    def _scores(self, seg, kept, kept_sum):
+        """Candidate scores through the formulas of :func:`peel_score`.
+
+        For binary outputs every sum is an exact integer, so these equal
+        the reference's scores bit for bit.
+        """
+        run = self.seg_run[seg]
+        mean_after = kept_sum / kept
+        if self.objective == "mean":
+            return mean_after
+        n = self.n[run]
+        if self.objective == "gain":
+            return ((mean_after - self.total[run] / n)
+                    / np.maximum(n - kept, 1))
+        return (kept / self.total_n[run]) * (mean_after - self.total_mean[run])
+
+    def _winners(self, seg, start, stop, kept, scores):
+        """Each run's first maximum-score candidate."""
+        run = self.seg_run[seg]
+        opens = np.ones(len(run), dtype=bool)
+        np.not_equal(run[1:], run[:-1], out=opens[1:])
+        firsts = np.flatnonzero(opens)
+        group = np.cumsum(opens) - 1
+        best = np.maximum.reduceat(scores, firsts)
+        winners = np.minimum.reduceat(
+            np.where(scores == best[group], np.arange(len(run)), len(run)),
+            firsts)
+        if not self.exact:
+            tolerance = _TIE_RTOL * np.maximum(1.0, np.abs(best))
+            contender = scores >= (best - tolerance)[group]
+            ties = np.bincount(group[contender], minlength=len(best))
+            for g in np.flatnonzero(ties >= 2).tolist():
+                members = np.flatnonzero(contender & (group == g))
+                winners[g] = self._resolve_near_tie(
+                    int(run[members[0]]), members, start, stop, kept)
+        return winners
+
+    def _in_box_rows(self, r: int) -> np.ndarray:
+        """Run ``r``'s in-box rows in its own row order (soft labels)."""
+        before = self.act[:np.searchsorted(self.act, r)]
+        lo = int(self.n[before].sum())
+        return self.rows[lo:lo + int(self.n[r])]
+
+    def _resolve_near_tie(self, r, members, start, stop, kept) -> int:
         """First candidate winning under exact reference scoring.
 
         Slice sums of soft labels carry rounding noise, so candidates
@@ -302,56 +648,105 @@ class VectorizedPeeler:
         rows through different dimensions) may come out of the argmax
         in the wrong order.  Re-score every near-tied candidate the way
         the reference does — a numpy pairwise mean over the kept rows
-        in original order — and keep the first strict maximum.
+        in the run's row order — and keep the first strict maximum.
         """
-        best_score = scores[best]
-        tol = _TIE_RTOL * max(1.0, abs(best_score))
-        contenders = np.nonzero(scores >= best_score - tol)[0]
-        if len(contenders) < 2:
-            return best
-        n = self.values.shape[0]
-        winner, winner_score = best, -np.inf
-        for i in contenders:
-            i = int(i)
-            col = self.sorted_rows[:, dims[i]]
-            rows = np.sort(np.concatenate((col[:starts[i]], col[stops[i]:])))
+        rows = self._in_box_rows(r)
+        outputs = self.y[rows]
+        mean_before = float(outputs.mean())
+        winner, winner_score = int(members[0]), -np.inf
+        for i in members.tolist():
+            removed = self.rid[start[i]:stop[i]]
+            self.alive[removed] = False
+            keep = self.alive[rows]
+            self.alive[removed] = True
             exact = peel_score(
-                self.objective, float(self.y[rows].mean()), len(rows), n,
-                mean_before, self.total_mean, self.total_n,
-            )
+                self.objective, float(outputs[keep].mean()), int(kept[i]),
+                int(self.n[r]), mean_before, float(self.total_mean[r]),
+                int(self.total_n[r]))
             if exact > winner_score:
                 winner, winner_score = i, exact
         return winner
 
-    def apply(self, step: PeelCandidate) -> None:
-        """Shrink the maintained sorted orders to ``step.keep_rows``."""
-        rows = self.sorted_rows
-        n_dim = rows.shape[1]
-        self._member[step.keep_rows] = True
-        keep = self._member[rows]
-        self._member[step.keep_rows] = False
-        n_new = len(step.keep_rows)
-        # Row removal preserves each column's sortedness, so peeling is
-        # a per-column compaction (via the transpose, since each column
-        # keeps a different pattern of positions), never a re-sort.
-        self.sorted_rows = rows.T[keep.T].reshape(n_dim, n_new).T
-        self.values = self.values.T[keep.T].reshape(n_dim, n_new).T
-        self.in_box = step.keep_rows
+    def _val_inside(self, step: _Step):
+        """Which validation entries each winning cut keeps, per run."""
+        x_val = self.val[0]
+        owner = np.repeat(self.act, self.vn[self.act])
+        slot = np.full(len(self.n), -1)
+        slot[step.run] = np.arange(len(step.run))
+        pick = slot[owner]
+        has = pick >= 0
+        pick[~has] = 0
+        bound = step.bound[pick]
+        values = x_val[self.vrid, step.col[pick]]
+        inside = has & np.where(step.kind[pick] == 0, values >= bound,
+                                values <= bound)
+        for i, allowed in step.new_cats.items():
+            mine = owner == step.run[i]
+            inside[mine] = cat_mask(values[mine], allowed)
+        return owner, inside
 
+    # ------------------------------------------------------------------
+    # Apply: clear removed rows, drop stopped runs, compact once.
+    # ------------------------------------------------------------------
+    def _apply(self, step_no: int, step: _Step | None) -> None:
+        if step is None:
+            self.act = self.act[:0]
+            return
+        n_runs = len(self.n)
+        accept = step.kept >= self.min_support
+        if self.val is not None:
+            owner, inside = self._val_inside(step)
+            counts = np.bincount(owner[inside], minlength=n_runs)
+            if self.val_stop:
+                accept &= counts[step.run] >= self.min_support
+        accepted = np.zeros(n_runs, dtype=bool)
+        accepted[step.run[accept]] = True
+        stopped = self.act[~accepted[self.act]]
 
-def best_peel(
-    x_box: np.ndarray,
-    y_box: np.ndarray,
-    alpha: float,
-    objective: str = "mean",
-    total_mean: float = 0.0,
-    total_n: int = 1,
-    cat_cols=(),
-) -> PeelCandidate | None:
-    """One-shot candidate search over the rows of ``x_box``/``y_box``."""
-    peeler = VectorizedPeeler(x_box, y_box, alpha, objective,
-                              total_mean, total_n, cat_cols=cat_cols)
-    return peeler.best_peel()
+        removed = _ranges(step.start[accept], (step.stop - step.start)[accept])
+        self.alive[self.rid[removed]] = False
+        if len(stopped):
+            self.alive.reshape(n_runs, self.n_base)[stopped] = False
+            self.n[stopped] = 0
+            on = accepted[self.seg_run]
+            self.seg_run, self.seg_col, self.seg_cat = (
+                self.seg_run[on], self.seg_col[on], self.seg_cat[on])
+        keep = self.alive[self.rid]
+        self.keys, self.rid = self.keys[keep], self.rid[keep]
+        if self.rows is not None:
+            self.rows = self.rows[self.alive[self.rows]]
+        runs, kept = step.run[accept], step.kept[accept]
+        self.n[runs] = kept
+        self.act = runs
+
+        val_n = val_sum = None
+        if self.val is not None:
+            _, y_val, exact_val = self.val
+            kept_val = inside & accepted[owner]
+            self.vrid = self.vrid[kept_val]
+            self.vn[:] = 0
+            self.vn[runs] = val_n = counts[runs]
+            if exact_val:
+                val_sum = np.bincount(owner[kept_val],
+                                      weights=y_val[self.vrid],
+                                      minlength=n_runs)[runs]
+            else:
+                lo = np.cumsum(val_n) - val_n
+                val_sum = np.array([float(y_val[self.vrid[a:a + b]].sum())
+                                    for a, b in zip(lo.tolist(), val_n.tolist())])
+        if self.exact:
+            self.total[runs] = step.kept_sum[accept]
+        else:
+            lo = np.cumsum(kept) - kept
+            self.total[runs] = [float(self.y[self.rows[a:a + b]].sum())
+                                for a, b in zip(lo.tolist(), kept.tolist())]
+        for j, i in enumerate(np.flatnonzero(accept).tolist()):
+            if i in step.new_cats:
+                self.records.cats[(int(runs[j]) + self.offset, step_no)] = (
+                    int(step.col[i]), step.new_cats[i])
+        self.records.add(runs + self.offset, step_no, step.col[accept],
+                         step.kind[accept], step.bound[accept], kept,
+                         self.total[runs] / kept, val_n, val_sum)
 
 
 def sorted_group_sums(values: np.ndarray,
@@ -611,9 +1006,84 @@ class SortedDataset:
         return tuple(float(v) for v in group_values[selected])
 
 
-#: Boolean-element budget per chunk of the batched membership kernel
-#: (chunk_boxes * n_points); bounds peak temporaries to a few MB.
-_CONTAINS_CHUNK_ELEMENTS = 1 << 23
+@dataclass(frozen=True)
+class BoxStack:
+    """Many boxes as stacked ``(B, M)`` bound arrays.
+
+    The batched box-evaluation kernels consume the bounds directly, so
+    :class:`~repro.subgroup.box.Hyperbox` objects are built only for the
+    boxes a caller hands out.  ``cats`` is ``None`` when no box carries
+    a categorical restriction, else one :attr:`Hyperbox.cats` entry
+    (``None`` or a per-column tuple) per box.
+    """
+
+    lower: np.ndarray
+    upper: np.ndarray
+    cats: tuple | None = None
+
+    @classmethod
+    def of(cls, boxes) -> "BoxStack":
+        """Stack a sequence of boxes; a :class:`BoxStack` passes through."""
+        if isinstance(boxes, BoxStack):
+            return boxes
+        boxes = list(boxes)
+        dim = boxes[0].dim if boxes else 0
+        cats = tuple(box.cats for box in boxes)
+        return cls(
+            np.array([box.lower for box in boxes]).reshape(len(boxes), dim),
+            np.array([box.upper for box in boxes]).reshape(len(boxes), dim),
+            cats if any(c is not None for c in cats) else None)
+
+    @classmethod
+    def concat(cls, stacks) -> "BoxStack":
+        stacks = list(stacks)
+        cats = None
+        if any(s.cats is not None for s in stacks):
+            cats = tuple(c for s in stacks for c in (s.cats or (None,) * len(s)))
+        return cls(np.concatenate([s.lower for s in stacks]),
+                   np.concatenate([s.upper for s in stacks]), cats)
+
+    def __len__(self) -> int:
+        return len(self.lower)
+
+    def __getitem__(self, index) -> "BoxStack":
+        """The boxes at ``index`` (a slice or an index sequence), stacked."""
+        index = np.arange(len(self))[index]
+        cats = None
+        if self.cats is not None:
+            cats = tuple(self.cats[i] for i in index.tolist())
+            if all(c is None for c in cats):
+                cats = None
+        return BoxStack(self.lower[index], self.upper[index], cats)
+
+    def box(self, i: int) -> Hyperbox:
+        return Hyperbox(self.lower[i].copy(), self.upper[i].copy(),
+                        None if self.cats is None else self.cats[i])
+
+    def boxes(self) -> list[Hyperbox]:
+        return [self.box(i) for i in range(len(self))]
+
+
+def precision_recall_of(y_sums, n_inside, y_total: float):
+    """Per-box ``(n+/n, n+/N+)``, empty boxes / no positives = 0.
+
+    The one shared derivation of the scalar convention
+    (:func:`repro.metrics.quality.precision_recall`): element for
+    element, ``y_sums[i]/n_inside[i]`` and ``y_sums[i]/y_total`` with
+    the same zero-guards.
+    """
+    y_sums = np.asarray(y_sums, dtype=float)
+    n_inside = np.asarray(n_inside)
+    precisions = np.divide(y_sums, n_inside, out=np.zeros(len(y_sums)),
+                           where=n_inside > 0)
+    recalls = y_sums / y_total if y_total else np.zeros(len(y_sums))
+    return precisions, recalls
+
+
+#: Boolean-element budget of the batched membership kernel's scratch
+#: buffer (chunk_boxes * n_points): comparisons land in it and are
+#: folded into the output, so temporaries stay about 1 MB.
+_CONTAINS_CHUNK_ELEMENTS = 1 << 20
 
 
 def contains_many(boxes, x: np.ndarray) -> np.ndarray:
@@ -628,7 +1098,7 @@ def contains_many(boxes, x: np.ndarray) -> np.ndarray:
     Parameters
     ----------
     boxes:
-        Sequence of hyperboxes (anything exposing ``lower``/``upper``).
+        A :class:`BoxStack`, or a sequence of hyperboxes.
     x:
         Data matrix of shape ``(n, dim)``.
 
@@ -642,32 +1112,30 @@ def contains_many(boxes, x: np.ndarray) -> np.ndarray:
     # striding through C-order rows, for one cheap copy).
     x = np.asfortranarray(x, dtype=float)
     n, dim = x.shape
-    boxes = list(boxes)
-    n_boxes = len(boxes)
-    out = np.empty((n_boxes, n), dtype=bool)
+    stack = BoxStack.of(boxes)
+    n_boxes = len(stack)
+    out = np.ones((n_boxes, n), dtype=bool)
     if n_boxes == 0:
         return out
-    lowers = np.array([box.lower for box in boxes])
-    uppers = np.array([box.upper for box in boxes])
     chunk = max(1, _CONTAINS_CHUNK_ELEMENTS // max(n, 1))
+    scratch = np.empty((min(chunk, n_boxes), n), dtype=bool)
     for s in range(0, n_boxes, chunk):
-        lo = lowers[s:s + chunk]
-        hi = uppers[s:s + chunk]
-        inside = np.ones((len(lo), n), dtype=bool)
+        lo = stack.lower[s:s + chunk]
+        hi = stack.upper[s:s + chunk]
+        inside = out[s:s + chunk]
+        compared = scratch[:len(lo)]
         for j in range(dim):
             column = x[:, j]
-            inside &= column >= lo[:, j, None]
-            inside &= column <= hi[:, j, None]
+            inside &= np.greater_equal(column, lo[:, j, None], out=compared)
+            inside &= np.less_equal(column, hi[:, j, None], out=compared)
         # Categorical restrictions (a minority of boxes in mixed runs)
         # apply per box through the same shared membership helper as
         # Hyperbox.contains, so batched rows stay bit-identical.
-        for offset in range(len(lo)):
-            cats = getattr(boxes[s + offset], "cats", None)
-            if cats is not None:
-                for j, allowed in enumerate(cats):
+        if stack.cats is not None:
+            for offset, cats in enumerate(stack.cats[s:s + chunk]):
+                for j, allowed in enumerate(cats or ()):
                     if allowed is not None:
                         inside[offset] &= cat_mask(x[:, j], allowed)
-        out[s:s + chunk] = inside
     return out
 
 
@@ -690,20 +1158,8 @@ class BoxBatchEvaluation:
     base_rate: float
 
     def precision_recall(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-box ``(n+/n, n+/N+)``, empty boxes / no positives = 0.
-
-        The one shared derivation of the scalar convention
-        (:func:`repro.metrics.quality.precision_recall`): element for
-        element, ``y_sums[i]/n_inside[i]`` and ``y_sums[i]/y_total``
-        with the same zero-guards.
-        """
-        count = len(self.n_inside)
-        precisions = np.divide(
-            self.y_sums, self.n_inside,
-            out=np.zeros(count), where=self.n_inside > 0)
-        recalls = (self.y_sums / self.y_total if self.y_total
-                   else np.zeros(count))
-        return precisions, recalls
+        """Per-box ``(n+/n, n+/N+)`` (see :func:`precision_recall_of`)."""
+        return precision_recall_of(self.y_sums, self.n_inside, self.y_total)
 
 
 def _evaluate_boxes_chunk(context, start: int, stop: int) -> "BoxBatchEvaluation":
@@ -738,7 +1194,7 @@ def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
     y = np.asarray(y, dtype=float)
     if binary is None:
         binary = bool(np.all((y == 0.0) | (y == 1.0)))
-    boxes = list(boxes)
+    boxes = BoxStack.of(boxes)
     if (jobs is None or jobs > 1) and len(boxes) > 1:
         from repro.experiments.parallel import run_chunked
 

@@ -42,6 +42,7 @@ from repro.subgroup._kernels import (
     sorted_group_sums,
 )
 from repro.subgroup.box import Hyperbox, cat_mask
+from repro.subgroup.inputs import check_sd_data
 
 __all__ = ["BIResult", "BI_ENGINES", "best_interval", "best_interval_for_dim",
            "wracc"]
@@ -356,12 +357,7 @@ def best_interval(
         The best box found, its training WRAcc, and the number of beam
         iterations until convergence.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-D, got shape {x.shape}")
-    if len(x) != len(y):
-        raise ValueError(f"x and y disagree: {len(x)} vs {len(y)}")
+    x, y, _, _ = check_sd_data(x, y, caller="best_interval")
     if beam_size < 1:
         raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     engine = _resolve_engine(engine)

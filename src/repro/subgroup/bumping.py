@@ -15,11 +15,15 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.subgroup._kernels import evaluate_boxes
+from repro.engines import resolve as _resolve_engine
+from repro.subgroup._kernels import (BoxStack, PeelRun, evaluate_boxes,
+                                     peel_runs, precision_recall_of)
 from repro.subgroup.box import Hyperbox
+from repro.subgroup.inputs import check_peel_params, check_sd_data
 from repro.subgroup.prim import prim_peel
 
-__all__ = ["BumpingResult", "pareto_front", "prim_bumping"]
+__all__ = ["BumpingResult", "draw_repeats", "pareto_front",
+           "pareto_trajectory", "prim_bumping"]
 
 
 @dataclass
@@ -48,6 +52,8 @@ class BumpingResult:
 
 def _precision_recall(box: Hyperbox, x: np.ndarray, y: np.ndarray,
                       total_pos: float) -> tuple[float, float]:
+    """One box's (precision, recall): the per-box reference of the
+    batched evaluation (``benchmarks/bench_bi_kernel.py``)."""
     inside = box.contains(x)
     n = int(inside.sum())
     pos = float(y[inside].sum())
@@ -138,18 +144,80 @@ def _embed_box(small_box: Hyperbox, subset: np.ndarray, dim: int) -> Hyperbox:
     return Hyperbox(lower, upper, cats)
 
 
-def _bumping_chunk(context: dict, start: int, stop: int) -> list[Hyperbox]:
-    """Run bumping repeats ``[start, stop)`` and pool their boxes.
+def draw_repeats(rng: np.random.Generator, n: int, dim: int, m: int,
+                 n_repeats: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every repeat's bootstrap rows and sorted feature subset.
+
+    Drawn in the order the historical sequential loop consumed the
+    stream — per repeat, the rows, then the subset — so callers that
+    pre-draw (the fan-out below, the batched feature search of
+    :func:`repro.core.hyperparams.optimize_bumping_features`) see the
+    same repeats as one-at-a-time peeling.
+    """
+    samples = np.empty((n_repeats, n), dtype=np.int64)
+    subsets = np.empty((n_repeats, m), dtype=np.int64)
+    for r in range(n_repeats):
+        samples[r] = rng.integers(0, n, size=n)
+        subsets[r] = np.sort(rng.choice(dim, size=m, replace=False))
+    return samples, subsets
+
+
+def pareto_trajectory(pooled: BoxStack, n_inside: np.ndarray,
+                      y_sums: np.ndarray, n_val: int, y_total: float):
+    """Algorithm 2's output from the pooled boxes' validation statistics.
+
+    ``n_inside``/``y_sums`` are each pooled box's count and output sum
+    on the ``n_val`` validation rows, whose outputs sum to ``y_total``.
+    Returns ``(front, precisions, recalls)``: the boxes not dominated in
+    (precision, recall), one per distinct point (the first pooled box
+    wins), by decreasing recall.  The trajectory is anchored at the
+    unrestricted box — the common starting point A of every peeling
+    trajectory, Figure 5 of the paper — so the PR AUC of the front is
+    comparable with PRIM's; the front may legitimately dominate it, but
+    as the trajectory origin it is kept.
+    """
+    stats = np.column_stack(precision_recall_of(y_sums, n_inside, y_total))
+    seen: dict[tuple[float, float], int] = {}
+    for idx in pareto_front(stats).tolist():
+        seen.setdefault((stats[idx, 0], stats[idx, 1]), idx)
+    kept = sorted(seen.values(), key=lambda i: -stats[i, 1])
+    front = pooled[kept]
+    precisions, recalls = stats[kept, 0], stats[kept, 1]
+    full_precision, full_recall = (
+        float(v[0]) for v in precision_recall_of([y_total], [n_val], y_total))
+    if not kept or recalls[0] < 1.0 or precisions[0] > full_precision:
+        dim = pooled.lower.shape[1]
+        anchor = BoxStack(np.full((1, dim), -np.inf), np.full((1, dim), np.inf))
+        front = BoxStack.concat((anchor, front))
+        precisions = np.concatenate([[full_precision], precisions])
+        recalls = np.concatenate([[full_recall], recalls])
+    return front, precisions, recalls
+
+
+def _bumping_chunk(context: dict, start: int, stop: int):
+    """Peel bumping repeats ``[start, stop)``: pooled boxes and their
+    ``(count, output sum)`` on the validation data.
 
     Module-level so :func:`repro.experiments.parallel.run_chunked` can
     fan repeats out over worker processes: the repeat randomness
     (bootstrap rows, feature subsets) is pre-drawn in the parent and
     shipped through the shared-memory data plane, so every repeat does
-    identical work wherever it runs.
+    identical work wherever it runs.  The vectorized engine peels the
+    chunk's repeats as one lockstep batch and reads the validation
+    statistics off its tracked rows; the reference engine peels them
+    one by one and evaluates every box.
     """
     x, y = context["x"], context["y"]
+    x_val, y_val = context["x_val"], context["y_val"]
     samples, subsets = context["samples"], context["subsets"]
     cat_cols = frozenset(context["cat_cols"])
+    if context["engine"] != "reference":
+        trace = peel_runs(
+            x, y, [PeelRun(context["alpha"], rows=samples[r], cols=subsets[r])
+                   for r in range(start, stop)],
+            min_support=context["min_support"], cat_cols=cat_cols,
+            x_val=x_val, y_val=y_val)
+        return trace.stack, trace.val_n, trace.val_sum
     dim = x.shape[1]
     boxes: list[Hyperbox] = []
     for r in range(start, stop):
@@ -160,11 +228,13 @@ def _bumping_chunk(context: dict, start: int, stop: int) -> list[Hyperbox]:
         result = prim_peel(
             x[np.ix_(sample, subset)], y[sample],
             alpha=context["alpha"], min_support=context["min_support"],
-            engine=context["engine"], cat_cols=local_cats,
+            engine="reference", cat_cols=local_cats,
         )
         boxes.extend(
             _embed_box(small_box, subset, dim) for small_box in result.boxes)
-    return boxes
+    stack = BoxStack.of(boxes)
+    evaluation = evaluate_boxes(stack, x_val, y_val)
+    return stack, evaluation.n_inside, evaluation.y_sums
 
 
 def prim_bumping(
@@ -202,7 +272,9 @@ def prim_bumping(
     rng:
         Source of bootstrap/subset randomness (fresh default if None).
     engine:
-        Peeling engine of the inner PRIM runs (see :func:`prim_peel`).
+        Peeling engine of the inner PRIM runs (see :func:`prim_peel`):
+        the vectorized engine peels the repeats (of each fan-out chunk)
+        as one lockstep batch, the reference engine one by one.
     cat_cols:
         Column indices of categorical inputs (full-space indices).
         Inner PRIM runs peel those columns category-wise; repeats whose
@@ -228,17 +300,16 @@ def prim_bumping(
         decreasing recall — the trajectory for PR AUC — with the
         highest-precision box as ``chosen_box``.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
+    x, y, x_val, y_val = check_sd_data(x, y, x_val, y_val,
+                                       caller="prim_bumping")
+    check_peel_params(alpha, min_support)
+    if n_repeats < 1:
+        raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    engine = _resolve_engine(engine)
     if rng is None:
         rng = np.random.default_rng()
-    if (x_val is None) != (y_val is None):
-        raise ValueError("x_val and y_val must be provided together")
     if x_val is None:
         x_val, y_val = x, y
-    else:
-        x_val = np.asarray(x_val, dtype=float)
-        y_val = np.asarray(y_val, dtype=float)
 
     n, dim = x.shape
     m = dim if n_features is None else min(max(n_features, 1), dim)
@@ -246,14 +317,9 @@ def prim_bumping(
     if not all(0 <= c < dim for c in cat_set):
         raise ValueError(f"cat_cols must lie in [0, {dim}), got {sorted(cat_set)}")
 
-    # Draw every repeat's randomness up front, in the exact order the
-    # historical sequential loop consumed the stream (rows, then
-    # subset, per repeat) — the fan-out below then cannot perturb it.
-    samples = np.empty((n_repeats, n), dtype=np.int64)
-    subsets = np.empty((n_repeats, m), dtype=np.int64)
-    for r in range(n_repeats):
-        samples[r] = rng.integers(0, n, size=n)
-        subsets[r] = np.sort(rng.choice(dim, size=m, replace=False))
+    # Draw every repeat's randomness up front, so the fan-out below
+    # cannot perturb the stream.
+    samples, subsets = draw_repeats(rng, n, dim, m, n_repeats)
 
     from repro.experiments.parallel import run_chunked
 
@@ -262,37 +328,13 @@ def prim_bumping(
         jobs=jobs, chunk_rows=chunk_repeats,
         context=dict(alpha=alpha, min_support=min_support, engine=engine,
                      cat_cols=tuple(sorted(cat_set))),
-        shared=dict(x=x, y=y, samples=samples, subsets=subsets),
+        shared=dict(x=x, y=y, samples=samples, subsets=subsets,
+                    x_val=x_val, y_val=y_val),
     )
-    all_boxes: list[Hyperbox] = [box for chunk in chunks for box in chunk]
-
-    # Precision/recall of every pooled box in one batched kernel call
-    # (bit-identical to mapping _precision_recall over the boxes).
-    total_pos = float(y_val.sum())
-    evaluation = evaluate_boxes(all_boxes, x_val, y_val)
-    stats = np.column_stack(evaluation.precision_recall())
-    front = pareto_front(stats)
-
-    # Deduplicate identical (precision, recall) pairs, keeping one box
-    # per point, then sort by decreasing recall to form a trajectory.
-    seen: dict[tuple[float, float], int] = {}
-    for idx in front:
-        seen.setdefault((stats[idx, 0], stats[idx, 1]), int(idx))
-    kept = sorted(seen.values(), key=lambda i: -stats[i, 1])
-
-    boxes = [all_boxes[i] for i in kept]
-    precisions = stats[kept, 0]
-    recalls = stats[kept, 1]
-
-    # Anchor the trajectory at the unrestricted box (the common starting
-    # point A of every peeling trajectory, Figure 5 of the paper) so the
-    # PR AUC of the front is comparable with PRIM's.  The front may
-    # legitimately dominate it, but as the trajectory origin it is kept.
-    full_box = Hyperbox.unrestricted(dim)
-    full_precision, full_recall = _precision_recall(full_box, x_val, y_val, total_pos)
-    if not boxes or recalls[0] < 1.0 or precisions[0] > full_precision:
-        boxes.insert(0, full_box)
-        precisions = np.concatenate([[full_precision], precisions])
-        recalls = np.concatenate([[full_recall], recalls])
-
-    return BumpingResult(boxes=boxes, precisions=precisions, recalls=recalls)
+    front, precisions, recalls = pareto_trajectory(
+        BoxStack.concat(chunk[0] for chunk in chunks),
+        np.concatenate([chunk[1] for chunk in chunks]),
+        np.concatenate([chunk[2] for chunk in chunks]),
+        len(y_val), float(y_val.sum()))
+    return BumpingResult(boxes=front.boxes(), precisions=precisions,
+                         recalls=recalls)

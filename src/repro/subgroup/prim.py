@@ -26,10 +26,10 @@ the ``objective`` parameter:
   against coverage at every step.
 
 Two peeling engines produce identical results: ``engine="vectorized"``
-(the default) evaluates all candidate cuts through the sort-once /
-prefix-sum kernel in :mod:`repro.subgroup._kernels`, while
-``engine="reference"`` keeps the original per-candidate masking loop
-for differential testing (see ``tests/test_prim_equivalence.py``).
+(the default) is the one-run case of the lockstep peeler
+:func:`repro.subgroup._kernels.peel_runs`, while ``engine="reference"``
+keeps the original per-candidate masking loop for differential testing
+(see ``tests/test_prim_equivalence.py``).
 """
 
 from __future__ import annotations
@@ -42,6 +42,7 @@ from repro.engines import KNOWN_ENGINES
 from repro.engines import resolve as _resolve_engine
 from repro.subgroup import _kernels
 from repro.subgroup.box import Hyperbox, cat_mask
+from repro.subgroup.inputs import check_peel_params, check_sd_data
 
 __all__ = ["PRIMResult", "prim_peel", "OBJECTIVES", "ENGINES"]
 
@@ -113,7 +114,7 @@ def prim_peel(
         Peeling criterion: ``"mean"`` (original PRIM), ``"gain"`` or
         ``"wracc"`` (Kwakkel & Jaxa-Rozen style alternatives).
     engine:
-        ``"vectorized"`` (sort-once/prefix-sum kernel, the default) or
+        ``"vectorized"`` (the lockstep kernel, the default) or
         ``"reference"`` (per-candidate masking); both return identical
         results.
     cat_cols:
@@ -132,82 +133,34 @@ def prim_peel(
         of the box with the highest validation mean, the paper's "last
         box" (Section 8.5).
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 2:
-        raise ValueError(f"x must be 2-D, got shape {x.shape}")
-    if len(x) != len(y):
-        raise ValueError(f"x and y disagree: {len(x)} vs {len(y)}")
-    if not 0.0 < alpha < 1.0:
-        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
-    if min_support < 1:
-        raise ValueError(f"min_support must be >= 1, got {min_support}")
-    if (x_val is None) != (y_val is None):
-        raise ValueError("x_val and y_val must be provided together")
+    x, y, x_val, y_val = check_sd_data(x, y, x_val, y_val, caller="prim_peel")
+    check_peel_params(alpha, min_support)
     if objective not in OBJECTIVES:
         raise ValueError(f"objective must be one of {OBJECTIVES}, got {objective!r}")
     engine = _resolve_engine(engine)
-    if x_val is None:
-        x_val, y_val = x, y
-    else:
-        x_val = np.asarray(x_val, dtype=float)
-        y_val = np.asarray(y_val, dtype=float)
     cat_cols = frozenset(int(c) for c in cat_cols)
     if any(c < 0 or c >= x.shape[1] for c in cat_cols):
         raise ValueError(f"cat_cols out of range for {x.shape[1]} columns: "
                          f"{sorted(cat_cols)}")
 
-    dim = x.shape[1]
-    box = Hyperbox.unrestricted(dim)
-    in_box = np.arange(len(x))
-    in_val = np.arange(len(x_val))
-
-    boxes = [box]
-    train_means = [_mean(y)]
-    train_support = [len(x)]
-    val_means = [_mean(y_val)]
-
-    total_mean = _mean(y)
-    total_n = len(y)
-    peeler = (None if engine == "reference" else
-              _kernels.VectorizedPeeler(x, y, alpha, objective,
-                                        total_mean, total_n,
-                                        cat_cols=cat_cols))
-    while True:
-        if peeler is None:
-            step = _best_peel(x, y, in_box, alpha, objective, total_mean,
-                              total_n, cat_cols)
-            new_in_box = None if step is None else in_box[step.keep_mask]
-        else:
-            step = peeler.best_peel()
-            new_in_box = None if step is None else step.keep_rows
-        if step is None:
-            break
-        if step.new_cats is not None:
-            new_box = box.with_cats(step.dim, step.new_cats)
-        else:
-            new_box = box.replace(step.dim, lower=step.new_lower,
-                                  upper=step.new_upper)
-        # A peel only tightens one dimension, and in_val already
-        # satisfies the current box, so one column check updates
-        # membership (set membership for a categorical peel).
-        if step.new_cats is not None:
-            new_in_val = in_val[cat_mask(x_val[in_val, step.dim],
-                                         step.new_cats)]
-        elif step.new_lower is not None:
-            new_in_val = in_val[x_val[in_val, step.dim] >= step.new_lower]
-        else:
-            new_in_val = in_val[x_val[in_val, step.dim] <= step.new_upper]
-        if len(new_in_box) < min_support or len(new_in_val) < min_support:
-            break
-
-        if peeler is not None:
-            peeler.apply(step)
-        box, in_box, in_val = new_box, new_in_box, new_in_val
-        boxes.append(box)
-        train_means.append(_mean(y[in_box]))
-        train_support.append(len(in_box))
-        val_means.append(_mean(y_val[in_val]))
+    if engine == "reference":
+        boxes, train_means, train_support, val_means = _peel_reference(
+            x, y, x_val, y_val, alpha, min_support, objective, cat_cols)
+    else:
+        trace = _kernels.peel_runs(
+            x, y, [_kernels.PeelRun(alpha)], min_support=min_support,
+            objective=objective, cat_cols=cat_cols, x_val=x_val, y_val=y_val,
+            val_stop=True)
+        boxes = trace.stack.boxes()
+        train_means = list(trace.train_mean)
+        train_support = trace.train_n
+        # Without validation data the validation rows are the training
+        # rows, so the validation means are the training means.
+        val_means = train_means if x_val is None else list(np.divide(
+            trace.val_sum, trace.val_n, out=np.zeros(len(boxes)),
+            where=trace.val_n > 0))
+    if x_val is None:
+        x_val, y_val = x, y
 
     val_means_arr = np.array(val_means)
     chosen = int(np.argmax(val_means_arr))
@@ -229,6 +182,54 @@ def prim_peel(
         val_means=val_means_arr,
         chosen=chosen,
     )
+
+
+def _peel_reference(x, y, x_val, y_val, alpha, min_support, objective,
+                    cat_cols):
+    """The per-candidate masking peel loop: boxes and per-box statistics."""
+    if x_val is None:
+        x_val, y_val = x, y
+    box = Hyperbox.unrestricted(x.shape[1])
+    in_box = np.arange(len(x))
+    in_val = np.arange(len(x_val))
+
+    boxes = [box]
+    train_means = [_mean(y)]
+    train_support = [len(x)]
+    val_means = [_mean(y_val)]
+
+    total_mean = _mean(y)
+    total_n = len(y)
+    while True:
+        step = _best_peel(x, y, in_box, alpha, objective, total_mean,
+                          total_n, cat_cols)
+        if step is None:
+            break
+        new_in_box = in_box[step.keep_mask]
+        if step.new_cats is not None:
+            new_box = box.with_cats(step.dim, step.new_cats)
+        else:
+            new_box = box.replace(step.dim, lower=step.new_lower,
+                                  upper=step.new_upper)
+        # A peel only tightens one dimension, and in_val already
+        # satisfies the current box, so one column check updates
+        # membership (set membership for a categorical peel).
+        if step.new_cats is not None:
+            new_in_val = in_val[cat_mask(x_val[in_val, step.dim],
+                                         step.new_cats)]
+        elif step.new_lower is not None:
+            new_in_val = in_val[x_val[in_val, step.dim] >= step.new_lower]
+        else:
+            new_in_val = in_val[x_val[in_val, step.dim] <= step.new_upper]
+        if len(new_in_box) < min_support or len(new_in_val) < min_support:
+            break
+
+        box, in_box, in_val = new_box, new_in_box, new_in_val
+        boxes.append(box)
+        train_means.append(_mean(y[in_box]))
+        train_support.append(len(in_box))
+        val_means.append(_mean(y_val[in_val]))
+    return boxes, train_means, train_support, val_means
 
 
 @dataclass(frozen=True)

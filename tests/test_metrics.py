@@ -136,6 +136,41 @@ class TestPeelingTrajectory:
         points = peeling_trajectory([Hyperbox.unrestricted(1)], x, y)
         np.testing.assert_allclose(points[0], [1.0, 0.5])
 
+    @staticmethod
+    def _scalar(boxes, x, y):
+        """The per-box reference: one scalar precision_recall per box."""
+        points = np.empty((len(boxes), 2))
+        for i, box in enumerate(boxes):
+            prec, rec = precision_recall(box, x, y)
+            points[i] = (rec, prec)
+        return points
+
+    @pytest.mark.parametrize("labels", ["binary", "soft", "no positives"])
+    def test_bit_equal_to_scalar_loop(self, labels):
+        """Mixed boxes — nested, empty and categorical — on one test set."""
+        gen = np.random.default_rng(8)
+        x = gen.random((500, 3))
+        x[:, 2] = np.floor(x[:, 2] * 4)
+        if labels == "soft":
+            y = gen.random(500)
+        elif labels == "binary":
+            y = (x[:, 0] > 0.4).astype(float)
+        else:
+            y = np.zeros(500)
+        boxes = [Hyperbox.unrestricted(3)]
+        for k in range(1, 12):
+            boxes.append(boxes[-1].replace(0, lower=k / 30).replace(
+                1, upper=1 - k / 40))
+        boxes.append(_box([2.0, 0.0, -np.inf], [3.0, 1.0, np.inf]))  # empty
+        boxes.append(Hyperbox.unrestricted(3).with_cats(2, {1.0, 3.0}))
+        boxes.append(boxes[5].with_cats(2, {0.0}))
+        points = peeling_trajectory(boxes, x, y)
+        assert points.tobytes() == self._scalar(boxes, x, y).tobytes()
+
+    def test_no_boxes(self):
+        x = np.random.default_rng(1).random((10, 2))
+        assert peeling_trajectory([], x, np.ones(10)).shape == (0, 2)
+
 
 class TestConsistency:
     def test_identical_boxes(self):
