@@ -13,7 +13,15 @@ requests through one warm session and records the observable reuse:
 pool spawns (``REDS_SPAWN_LOG`` lines), segment publications, fit-memo
 hits, and the number of shm segments left after session close (must be
 zero).  Outputs are asserted bit-identical — warm serving is a cache,
-never a different computation.
+never a different computation.  The label memo would serve these
+repeats without touching a pool, so this leg runs with its byte cap at
+zero: it measures the fit memo and the cached pools.
+
+A second leg runs the method stream RPx -> RPcx -> RPxp -> RBIcxp on
+one dataset and seed, cold and in a session, and counts labelling
+passes.  Cold, each method labels its pool (4 passes); warm, the label
+memo serves RPcx from RPx's hard labels and RBIcxp's 10^4 rows from
+RPxp's 10^5 soft ones (2 passes).  Results are asserted identical.
 
 The ``>= 3x`` steady-state floor is asserted on the cached-metamodel
 path: a warm call that hits the fit memo skips the dominant cost, so
@@ -25,6 +33,7 @@ the same numbers).  Machine-readable results land in
 tracked repo-root ``results/``.
 """
 
+import importlib
 import os
 import tempfile
 import time
@@ -33,7 +42,9 @@ from pathlib import Path
 import numpy as np
 
 from _common import emit, emit_json
-from repro.core.reds import fit_metamodel, fit_stats, reset_fit_stats
+from repro.core.methods import discover
+from repro.core.reds import (LABEL_MEMO, fit_metamodel, fit_stats,
+                             reset_fit_stats)
 from repro.experiments import dataplane
 from repro.experiments.dataplane import resident_stats, reset_resident_stats
 from repro.experiments.parallel import pool_stats, reset_pool_stats
@@ -44,6 +55,12 @@ N, M = 1200, 8
 L = 30_000
 CALLS = 5
 JOBS = 2
+
+#: The method stream of the second leg: two pairs of methods that label
+#: one pool (hard labels, then the soft labels of a 10^5-row pool and
+#: its first 10^4 rows).
+STREAM = ("RPx", "RPcx", "RPxp", "RBIcxp")
+STREAM_SEED = 3
 
 #: Asserted whenever the warm loop actually hit the fit memo: a
 #: steady-state warm request must beat the one-shot cold path by at
@@ -69,6 +86,47 @@ def _shm_segments() -> set:
             if name.startswith(dataplane.SEGMENT_PREFIX)}
 
 
+def _method_stream(x, y):
+    """Cold and warm runs of :data:`STREAM`: seconds and label passes."""
+    reds_module = importlib.import_module("repro.core.reds")
+    label = reds_module.predict_chunked
+    passes = []
+
+    def counting(*args, **kwargs):
+        passes.append(len(args[1]))
+        return label(*args, **kwargs)
+
+    def run_stream():
+        t0 = time.perf_counter()
+        results = [discover(method, x, y, seed=STREAM_SEED,
+                            tune_metamodel=False, jobs=JOBS)
+                   for method in STREAM]
+        return results, time.perf_counter() - t0
+
+    reds_module.predict_chunked = counting
+    try:
+        cold, cold_s = run_stream()
+        cold_passes = len(passes)
+        LABEL_MEMO.reset_counters()
+        with Session(jobs=JOBS, tune=False):
+            warm, warm_s = run_stream()
+            memo = LABEL_MEMO.stats()
+    finally:
+        reds_module.predict_chunked = label
+    for a, b in zip(cold, warm):
+        assert a.hyperparams == b.hyperparams
+        assert a.train_quality == b.train_quality
+        for box_a, box_b in zip(a.boxes + [a.chosen_box],
+                                b.boxes + [b.chosen_box]):
+            assert np.array_equal(box_a.lower, box_b.lower)
+            assert np.array_equal(box_a.upper, box_b.upper), \
+                "the label memo changed a result"
+    return {"cold_seconds": cold_s, "warm_seconds": warm_s,
+            "cold_passes": cold_passes,
+            "warm_passes": len(passes) - cold_passes,
+            "memo_hits": memo["hits"]}
+
+
 def test_session_warm_speedup(benchmark):
     x, y, pool = _dataset()
     spawn_log = Path(tempfile.mkdtemp()) / "spawns.log"
@@ -92,14 +150,18 @@ def test_session_warm_speedup(benchmark):
         reset_resident_stats()
         reset_fit_stats()
         warm_times, warm_labels = [], []
-        with Session(jobs=JOBS, tune=False) as session:
-            for _ in range(CALLS):
-                t0 = time.perf_counter()
-                warm_labels.append(session.label(x, y, pool))
-                warm_times.append(time.perf_counter() - t0)
-            out["pools"] = pool_stats()
-            out["dataplane"] = resident_stats()
-            out["metamodel"] = fit_stats()
+        memo_cap, LABEL_MEMO.cap = LABEL_MEMO.cap, 0
+        try:
+            with Session(jobs=JOBS, tune=False) as session:
+                for _ in range(CALLS):
+                    t0 = time.perf_counter()
+                    warm_labels.append(session.label(x, y, pool))
+                    warm_times.append(time.perf_counter() - t0)
+                out["pools"] = pool_stats()
+                out["dataplane"] = resident_stats()
+                out["metamodel"] = fit_stats()
+        finally:
+            LABEL_MEMO.cap = memo_cap
         out["cold_times"] = cold_times
         out["warm_times"] = warm_times
         out["cold_spawns"] = cold_spawns
@@ -108,6 +170,7 @@ def test_session_warm_speedup(benchmark):
         for labels in cold_labels + warm_labels:
             assert np.array_equal(labels, cold_labels[0]), \
                 "warm serving changed the labels"
+        out["stream"] = _method_stream(x, y)
         return out
 
     out = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -120,6 +183,7 @@ def test_session_warm_speedup(benchmark):
     speedup = cold_mean / warm_steady
     hits = out["metamodel"]["hits"]
     floor_asserted = hits > 0
+    stream = out["stream"]
 
     emit("session_warm", "\n".join([
         f"warm session vs one-shot, N={N}, M={M}, L={L}, "
@@ -134,6 +198,12 @@ def test_session_warm_speedup(benchmark):
         f"{out['dataplane']['published']} published, "
         f"{out['dataplane']['reused']} republishes avoided; "
         f"{len(leaked)} leaked after close",
+        f"method stream {' -> '.join(STREAM)} (seed {STREAM_SEED}):",
+        f"  cold  {stream['cold_seconds']:6.2f} s   "
+        f"{stream['cold_passes']} label passes",
+        f"  warm  {stream['warm_seconds']:6.2f} s   "
+        f"{stream['warm_passes']} label passes   "
+        f"{stream['memo_hits']} label memo hit(s)",
     ]))
 
     emit_json("BENCH_session_warm", {
@@ -153,6 +223,12 @@ def test_session_warm_speedup(benchmark):
         "leaked_segments": len(leaked),
         "warm_floor": WARM_FLOOR,
         "floor_asserted": floor_asserted,
+        "stream_methods": list(STREAM),
+        "stream_cold_seconds": stream["cold_seconds"],
+        "stream_warm_seconds": stream["warm_seconds"],
+        "stream_cold_label_passes": stream["cold_passes"],
+        "stream_warm_label_passes": stream["warm_passes"],
+        "stream_label_memo_hits": stream["memo_hits"],
     })
 
     # A session must never leak segments, whatever the speedup.
@@ -161,6 +237,8 @@ def test_session_warm_speedup(benchmark):
     # state: one pool spawn and one publish per distinct signature.
     assert out["warm_spawns"] <= out["pools"]["spawned"]
     assert out["pools"]["reused"] >= CALLS - 1
+    # The label memo halves the stream's labelling passes.
+    assert (stream["cold_passes"], stream["warm_passes"]) == (4, 2)
     if floor_asserted:
         assert speedup >= WARM_FLOOR, (
             f"steady-state warm speedup {speedup:.2f}x is below the "

@@ -5,15 +5,16 @@ every time — fit the metamodel, spawn a worker pool, publish the
 shared arrays.  When the *same* data is queried repeatedly (a notebook
 iterating on one simulated dataset, a service answering labeling
 requests), a :class:`~repro.experiments.session.Session` keeps that
-state warm: fitted metamodels are memoized by data content, worker
-pools survive across calls, and published segments stay resident in
-shared memory.  This walkthrough shows:
+state warm: fitted metamodels are memoized by data content, so are the
+labels a fit gave a pool, worker pools survive across calls, and
+published segments stay resident in shared memory.  This walkthrough
+shows:
 
 1. repeated labeling of one pool — the first call fits the metamodel,
-   spawns the pool and publishes the arrays; the rest are served from
-   warm state at steady-state cost;
-2. the reuse counters — one fit, one pool spawn, one publish, however
-   many requests arrive;
+   spawns the pool, publishes the arrays and labels; the rest are
+   served from the label memo;
+2. the reuse counters — one fit, one pool spawn, one publish and one
+   labelling pass, however many requests arrive;
 3. batched requests over *distinct* pools — each batch pays its own
    pool and publish (different data, different plan), but they all
    share the single memoized fit;
@@ -51,7 +52,7 @@ with Session(jobs=2, tune=False) as session:
         times.append(time.perf_counter() - start)
 
     # 2 — the reuse counters: everything after the first request is
-    # served from warm state — same fit, same pool, same segments.
+    # served from warm state — the same fit's memoized labels.
     stats = session.stats()
     print(f"requests: {REQUESTS} (same pool)")
     print(f"  first (pays the cold start): {times[0] * 1e3:7.0f} ms")
@@ -60,6 +61,8 @@ with Session(jobs=2, tune=False) as session:
           f"(x{times[0] / np.mean(times[1:]):.1f} faster)")
     print(f"  metamodel: {stats['metamodel']['fits']} fit, "
           f"{stats['metamodel']['hits']} memo hits")
+    print(f"  labels:    {stats['labels']['misses']} labelled, "
+          f"{stats['labels']['hits']} label memo hits")
     print(f"  pools:     {stats['pools']['spawned']} spawned, "
           f"{stats['pools']['reused']} served warm")
     print(f"  dataplane: {stats['dataplane']['published']} published, "
@@ -88,7 +91,7 @@ for batch, labels in zip(batches, batch_out):
 print("every warm answer is bit-identical to its one-shot twin")
 
 # 4 — close() (here via the context manager) drained the pools,
-# unlinked the resident segments and cleared the fit memo.
+# unlinked the resident segments and cleared the fit and label memos.
 assert pool_stats()["cached"] == 0
 assert resident_stats()["resident"] == 0
 print("after close: zero cached pools, zero resident segments")

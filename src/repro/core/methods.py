@@ -31,7 +31,7 @@ from repro.core import hyperparams as hp
 from repro.core.reds import (Sampler, check_label_rows, check_training_data,
                               reds)
 from repro.engines import resolve as resolve_engine
-from repro.sampling.designs import quantize_levels
+from repro.sampling.designs import QuantizedUniform
 from repro.subgroup.best_interval import best_interval
 from repro.subgroup.box import Hyperbox
 from repro.subgroup.bumping import prim_bumping
@@ -277,10 +277,7 @@ def discover(
             # The relabeling sample must live in the same mixed input
             # space as D: uniform on the numeric columns, uniform over
             # the integer codes on the categorical ones.
-            levels = dict(cat_levels)
-
-            def sampler(n_pts: int, m: int, gen: np.random.Generator):
-                return quantize_levels(gen.random((n_pts, m)), levels)
+            sampler = QuantizedUniform(cat_levels)
         chosen_params["L"] = n_new if pool is None else len(pool)
         chosen_params["metamodel"] = spec.metamodel
         reds_result = reds(

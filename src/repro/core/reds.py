@@ -23,11 +23,13 @@ import numpy as np
 from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
+from repro.sampling.designs import QuantizedUniform
 from repro.subgroup.inputs import check_finite
 
 __all__ = ["check_label_rows", "check_training_data", "clear_fit_cache",
-           "fit_metamodel", "fit_stats", "reset_fit_stats", "reds",
-           "REDSResult"]
+           "fit_key", "fit_metamodel", "fit_stats", "label_rows",
+           "LABEL_MEMO", "LABEL_MEMO_BYTES", "pool_key", "reset_fit_stats",
+           "reds", "REDSResult"]
 
 Sampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
@@ -72,7 +74,7 @@ def check_label_rows(x_new, width: int, *, caller: str,
 
 
 # ----------------------------------------------------------------------
-# Warm-session metamodel fit memo
+# Warm-session memos: fitted metamodels and labelled pools
 # ----------------------------------------------------------------------
 #
 # Inside an open ``Session`` :func:`fit_metamodel` memoizes fitted
@@ -82,8 +84,28 @@ def check_label_rows(x_new, width: int, *, caller: str,
 # Fitting is deterministic given (kind, tune, engine, x, y):
 # ``tune_metamodel`` runs a seeded KFold and aggregates integer counts,
 # so ``jobs`` never enters the result and is absent from the key.
+#
+# The label memo keeps what step 3 computed: the labels of a pool are a
+# pure function of the fitted model and the pool, so it is keyed by the
+# fit key plus a pool key (see :func:`label_rows`).
 
 _FITS = warm.WarmCache(cap=8)
+
+#: Byte cap of :data:`LABEL_MEMO`: room for ~30 labelled L=10^5 pools
+#: of soft labels, or ten times as many hard ones.
+LABEL_MEMO_BYTES = 32 * 2**20
+
+#: ``(fit key, pool key, soft)`` -> read-only labels: hard ones as
+#: ``bool``, soft ones as ``predict_proba`` returned them.  Counters:
+#: ``hits`` (``soft_as_hard`` of them hard labels read off soft ones),
+#: ``misses`` and the ``weight`` in bytes the memo holds.
+LABEL_MEMO = warm.WarmCache(cap=LABEL_MEMO_BYTES,
+                            weight=lambda labels: labels.nbytes)
+
+#: Families whose hard labels are exactly ``predict_proba > 0.5``.  Not
+#: ``svm``: its hard labels are the sign of the margin, which can
+#: disagree with the Platt probability's side of 0.5 for tiny margins.
+_HARD_FROM_SOFT = frozenset({"forest", "boosting"})
 
 
 def fit_stats() -> dict[str, int]:
@@ -103,9 +125,22 @@ def clear_fit_cache() -> None:
     _FITS.clear()
 
 
+def fit_key(kind: str, x: np.ndarray, y: np.ndarray, *, tune: bool,
+            engine: str) -> str:
+    """The memo key of a fit: ``(kind, tune, engine)``, the source
+    fingerprint and the content of ``x`` and ``y``."""
+    # Lazy imports: dataplane/store sit above core in the layer order.
+    from repro.experiments.dataplane import content_key
+    from repro.experiments.store import task_key
+
+    return task_key("repro.core.reds.fit_metamodel",
+                    {"kind": kind, "tune": bool(tune), "engine": engine,
+                     "x": content_key(x), "y": content_key(y)})
+
+
 def fit_metamodel(kind: str, x: np.ndarray, y: np.ndarray, *,
                   tune: bool = True, engine: str = "vectorized",
-                  jobs: int = 1) -> Metamodel:
+                  jobs: int | None = 1) -> Metamodel:
     """Fit (or, in a warm session, recall) a metamodel of ``kind``.
 
     The one-shot path is exactly the historical ``reds()`` fit block:
@@ -125,14 +160,80 @@ def fit_metamodel(kind: str, x: np.ndarray, y: np.ndarray, *,
 
     if not warm.active():
         return fit()
-    # Lazy imports: dataplane/store sit above core in the layer order.
-    from repro.experiments.dataplane import content_key
-    from repro.experiments.store import task_key
+    return _FITS.get_or_create(
+        fit_key(kind, x, y, tune=tune, engine=engine), fit)
 
-    key = task_key("repro.core.reds.fit_metamodel",
-                   {"kind": kind, "tune": bool(tune), "engine": engine,
-                    "x": content_key(x), "y": content_key(y)})
-    return _FITS.get_or_create(key, fit)
+
+def _state_key(state):
+    """A hashable copy of a ``bit_generator.state`` (nested dicts, ints
+    and, for some generators, arrays)."""
+    if isinstance(state, dict):
+        return tuple(sorted((k, _state_key(v)) for k, v in state.items()))
+    if isinstance(state, np.ndarray):
+        return (state.dtype.str, state.shape, state.tobytes())
+    return state
+
+
+def _drawn_pool_key(sampler: Sampler | None,
+                    rng: np.random.Generator) -> tuple | None:
+    """The label-memo pool key of the draw ``sampler`` is about to make
+    from ``rng``, or ``None`` for a sampler the memo does not know.
+
+    Only the built-in samplers are known: uniform Monte Carlo (``None``)
+    and :class:`~repro.sampling.designs.QuantizedUniform`.  Both fill
+    rows in order, so the key leaves out the row count: a shorter draw
+    from the same state is a prefix of a longer one.
+    """
+    if sampler is None:
+        what = "uniform"
+    elif isinstance(sampler, QuantizedUniform):
+        what = sampler
+    else:
+        return None
+    return ("draw", what, _state_key(rng.bit_generator.state))
+
+
+def pool_key(rows: np.ndarray) -> tuple:
+    """The label-memo pool key of rows a caller supplies: their content."""
+    from repro.experiments.dataplane import content_key
+
+    return ("pool", content_key(rows))
+
+
+def label_rows(fitted: Metamodel, x_new: np.ndarray, *, soft: bool,
+               memo_key: tuple | None, kind: str | None, jobs: int | None,
+               chunk_rows: int | None) -> np.ndarray:
+    """Step 3: the hard or soft labels of ``x_new``.
+
+    Without a ``memo_key`` this is ``predict_chunked``.  With one
+    (``(fit key, pool key)``, given only inside a warm scope) the labels
+    go through :data:`LABEL_MEMO`: a request is served from memoized
+    labels of at least as many rows of the same pool, and a hard request
+    for a :data:`_HARD_FROM_SOFT` ``kind`` from soft ones too.  Hard
+    labels may come back as ``bool`` rather than ``predict``'s int64,
+    and what comes back must not be written to.
+    """
+    if memo_key is not None:
+        n = len(x_new)
+        stored = (soft,)
+        if not soft and kind in _HARD_FROM_SOFT:
+            stored = (False, True)
+        for stored_soft in stored:
+            labels = LABEL_MEMO.peek((*memo_key, stored_soft))
+            if labels is not None and len(labels) >= n:
+                LABEL_MEMO.count("hits")
+                if stored_soft == soft:
+                    return labels[:n]
+                LABEL_MEMO.count("soft_as_hard")
+                return labels[:n] > 0.5
+        LABEL_MEMO.count("misses")
+    labels = predict_chunked(fitted, x_new, soft=soft, jobs=jobs,
+                             chunk_rows=chunk_rows)
+    if memo_key is not None:
+        kept = labels if soft else labels.astype(bool)
+        kept.flags.writeable = False
+        LABEL_MEMO.put((*memo_key, soft), kept)
+    return labels
 
 
 @dataclass
@@ -234,28 +335,33 @@ def reds(
         rng = np.random.default_rng()
 
     t0 = time.perf_counter()
-    if isinstance(metamodel, str):
-        fitted = fit_metamodel(metamodel, x, y, tune=tune, engine=engine,
+    kind = metamodel if isinstance(metamodel, str) else None
+    if kind is not None:
+        fitted = fit_metamodel(kind, x, y, tune=tune, engine=engine,
                                jobs=jobs)
     else:
         fitted = metamodel.fit(x, y)
     train_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
+    # Inside a warm scope the labels of a fitted family's pool are
+    # memoized.  The pool is drawn even when they are: the SD step needs
+    # the rows, and later users of ``rng`` (bumping) its state.
+    memo = kind is not None and warm.active()
     if pool is not None:
         x_new = pool
+        rows_key = pool_key(pool) if memo else None
     else:
+        rows_key = _drawn_pool_key(sampler, rng) if memo else None
         draw = sampler if sampler is not None else _uniform
         x_new = check_label_rows(draw(n_new, x.shape[1], rng), x.shape[1],
                                  caller="reds", what="the sampler's output")
-    if soft_labels:
-        y_new = np.clip(
-            predict_chunked(fitted, x_new, soft=True, jobs=jobs,
-                            chunk_rows=chunk_rows),
-            0.0, 1.0)
-    else:
-        y_new = predict_chunked(fitted, x_new, jobs=jobs,
-                                chunk_rows=chunk_rows).astype(float)
+    memo_key = None if rows_key is None else (
+        fit_key(kind, x, y, tune=tune, engine=engine), rows_key)
+    y_new = label_rows(fitted, x_new, soft=soft_labels, memo_key=memo_key,
+                       kind=kind, jobs=jobs, chunk_rows=chunk_rows)
+    y_new = (np.clip(y_new, 0.0, 1.0) if soft_labels
+             else y_new.astype(float))
     label_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()

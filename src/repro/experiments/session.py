@@ -4,7 +4,7 @@ One-shot invocations pay four fixed costs per call: interpreter start,
 worker-pool spawn, data publication, and the metamodel fit.  A
 :class:`Session` keeps the last three warm across calls.  It is a
 **lifetime scope**, not a mode: it holds the refcounted warm scope of
-:mod:`repro.warm` open, and while it is open four bounded caches, all
+:mod:`repro.warm` open, and while it is open five bounded caches, all
 instances of the one :class:`repro.warm.WarmCache` primitive, fill:
 
 * **worker pools** keyed by ``(workers, lease, plan-context
@@ -16,6 +16,10 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
   same fitted object for identical ``(kind, tune, engine, x, y)``,
   keyed by the store's task-key discipline (config + source
   fingerprint + data content);
+* **labelled pools**: REDS step 3 and :meth:`Session.label` memoize
+  the labels a fit gave a pool, keyed by the fit's key plus the pool
+  (its content, or the generator state and sampler it is drawn with),
+  in :data:`repro.core.reds.LABEL_MEMO` under a byte cap;
 * **training sets** from :func:`repro.experiments.harness.make_train_data`.
 
 Warm state is a **cache, never a semantic change**: every result is
@@ -26,17 +30,18 @@ Lifecycle::
 
     with Session(jobs=4) as session:
         result = session.discover("RPf", x, y)       # fits + spawns once
-        labels = session.label(x, y, x_new)          # reuses fit + pool
+        labels = session.label(x, y, x_new)          # reuses the fit
         more = session.label(x, y, other_new)        # zero cold cost
-    # closed: pools shut down, segments unlinked, fits and data dropped
+        again = session.label(x, y, x_new)           # label memo hit
+    # closed: pools shut down, segments unlinked, fits, labels and data dropped
 
 Invalidation rules:
 
 * a **crashed or poisoned pool** is evicted at checkout (checkout pops
   the cache entry) and respawned by the guarded dispatch loop;
 * a **code edit** changes the source fingerprint, so fit memo keys
-  miss; **different data** changes the content keys, so both the fit
-  memo and the pool signature miss;
+  miss; **different data** changes the content keys, so the fit memo,
+  the label memo and the pool signature miss;
 * **session close** (or interpreter exit) clears every warm cache, so
   teardown leaves zero leaked shm segments.
 
@@ -100,8 +105,9 @@ class Session:
         """Release this session's hold on the warm caches.
 
         The outermost close clears every warm cache: it shuts cached
-        pools down, unlinks resident segments and drops memoized fits
-        and training sets; inner closes only decrement.  Idempotent.
+        pools down, unlinks resident segments and drops memoized fits,
+        labels and training sets; inner closes only decrement.
+        Idempotent.
         """
         if self._open:
             self._open = False
@@ -133,7 +139,9 @@ class Session:
         Delegates to :func:`repro.core.methods.discover` with the
         session's ``engine``/``jobs``/``tune`` defaults filled in; any
         keyword argument overrides them per call.  REDS methods reuse
-        the memoized metamodel fit and the cached labeling pool.
+        the memoized metamodel fit and, when the same fit already
+        labelled the same rows (an earlier request, or a sibling method
+        at the same seed), the memoized labels.
         """
         self._require_open()
         from repro.core.methods import discover
@@ -150,17 +158,19 @@ class Session:
         """Label ``x_new`` with a metamodel fitted on ``(x, y)``.
 
         The fit comes from the session memo (one fit per distinct
-        ``(kind, tune, engine, x, y)``), labeling fans out through
-        :func:`repro.metamodels.base.predict_chunked` against the
-        cached pool.  ``soft=True`` returns probabilities
+        ``(kind, tune, engine, x, y)``) and the labels from the label
+        memo when this fit already labelled these rows; otherwise
+        labeling fans out through
+        :func:`repro.metamodels.base.predict_chunked` on a cached worker
+        pool.  ``soft=True`` returns probabilities
         (``predict_proba``) instead of hard labels.  ``(x, y)`` must be
         finite with binary ``y``, and ``x_new`` a non-empty, finite 2-D
         array with the columns of ``x``, as for :func:`repro.core.reds.reds`.
         """
         self._require_open()
         from repro.core.reds import (check_label_rows, check_training_data,
-                                     fit_metamodel)
-        from repro.metamodels.base import predict_chunked
+                                     fit_key, fit_metamodel, label_rows,
+                                     pool_key)
 
         kind = self.metamodel if metamodel is None else metamodel
         x, y = np.asarray(x, dtype=float), np.asarray(y)
@@ -170,11 +180,14 @@ class Session:
         x_new = check_label_rows(x_new, x.shape[1], caller="Session.label",
                                  what="x_new")
         do_tune = self.tune if tune is None else tune
-        jobs = 1 if self.jobs is None else self.jobs
-        fitted = fit_metamodel(kind, x, y, tune=do_tune,
-                               engine=self.engine, jobs=jobs)
-        return predict_chunked(fitted, x_new, soft=soft, jobs=self.jobs,
-                               chunk_rows=chunk_rows)
+        fitted = fit_metamodel(kind, x, y, tune=do_tune, engine=self.engine,
+                               jobs=self.jobs)
+        memo_key = (fit_key(kind, x, y, tune=do_tune, engine=self.engine),
+                    pool_key(x_new))
+        labels = label_rows(fitted, x_new, soft=soft, memo_key=memo_key,
+                            kind=kind, jobs=self.jobs, chunk_rows=chunk_rows)
+        # Memoized hard labels are bool; ``predict`` returns int64.
+        return labels.copy() if soft else labels.astype(np.int64)
 
     def label_batch(self, requests: Iterable[Mapping]) -> list[np.ndarray]:
         """Serve many :meth:`label` requests against shared warm state.
@@ -204,10 +217,16 @@ class Session:
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict[str, dict[str, int]]:
-        """Warm-cache counters: pools, resident segments, fit memo."""
-        from repro.core.reds import fit_stats
+        """Warm-cache counters: pools, resident segments, fit memo and
+        label memo."""
+        from repro.core.reds import LABEL_MEMO, fit_stats
         from repro.experiments.dataplane import resident_stats
         from repro.experiments.parallel import pool_stats
 
+        labels = LABEL_MEMO.stats()
         return {"pools": pool_stats(), "dataplane": resident_stats(),
-                "metamodel": fit_stats()}
+                "metamodel": fit_stats(),
+                "labels": {"hits": labels["hits"], "misses": labels["misses"],
+                           "soft_as_hard": labels.get("soft_as_hard", 0),
+                           "bytes": labels["weight"],
+                           "size": labels["size"]}}

@@ -7,6 +7,9 @@ Simulation models scale these to their native input domains themselves
 
 from __future__ import annotations
 
+from collections.abc import Mapping
+from dataclasses import dataclass
+
 import numpy as np
 
 __all__ = [
@@ -14,6 +17,7 @@ __all__ = [
     "halton_sequence",
     "uniform_random",
     "quantize_levels",
+    "QuantizedUniform",
     "mixed_design",
     "get_sampler",
     "SAMPLERS",
@@ -143,6 +147,30 @@ def quantize_levels(u: np.ndarray,
                              f"for {x.shape[1]} columns")
         x[:, j] = np.minimum(np.floor(u[:, j] * k), k - 1)
     return x
+
+
+@dataclass(frozen=True, init=False)
+class QuantizedUniform:
+    """Uniform Monte-Carlo sampler with categorical columns quantized.
+
+    ``QuantizedUniform(levels)(n, m, rng)`` is
+    ``quantize_levels(rng.random((n, m)), levels)``: uniform on the
+    numeric columns, uniform over the integer codes ``0 .. K-1`` on the
+    columns ``levels`` maps to ``K``.  Unlike a closure over ``levels``
+    it compares and hashes by what it draws, and like ``rng.random`` it
+    fills rows in order, so a shorter draw from the same generator state
+    is a prefix of a longer one.
+    """
+
+    levels: tuple[tuple[int, int], ...]
+
+    def __init__(self, levels: Mapping[int, int]) -> None:
+        object.__setattr__(self, "levels", tuple(sorted(
+            (int(j), int(k)) for j, k in levels.items())))
+
+    def __call__(self, n: int, m: int,
+                 rng: np.random.Generator) -> np.ndarray:
+        return quantize_levels(rng.random((n, m)), dict(self.levels))
 
 
 def mixed_design(

@@ -2,9 +2,10 @@
 
 Everything a :class:`~repro.experiments.session.Session` keeps warm —
 cached worker pools, resident shared-memory segments, memoized
-metamodel fits, generated training sets — is a :class:`WarmCache`: an
-LRU map with exclusive checkout (``pop``), an ``on_evict`` callback,
-single-flight ``get_or_create`` and hit/miss counters.
+metamodel fits and pool labels, generated training sets — is a
+:class:`WarmCache`: an LRU map with exclusive checkout (``pop``), an
+``on_evict`` callback, single-flight ``get_or_create``, hit/miss
+counters and a cap counted in entries or in a per-value weight.
 
 **The scope.**  :func:`enter`/:func:`leave` are refcounted; while the
 depth is positive :func:`active` is true and the caches' owners fill
@@ -41,23 +42,31 @@ _FINALIZER_ARMED = False
 
 
 class WarmCache:
-    """A thread-safe LRU map of at most ``cap`` entries (``None``: no cap).
+    """A thread-safe LRU map whose entries weigh at most ``cap`` in total
+    (``None``: no cap).
 
+    Each entry weighs ``weight(value)``, or 1 without ``weight``, so by
+    default ``cap`` counts entries.  A value heavier than ``cap`` on its
+    own is never stored: it leaves through the cap as it arrives.
     ``on_evict(value)`` runs, outside the lock, for every value that
     leaves through the cap, a replaced key or :meth:`clear` — never for
     a value checked out with :meth:`pop`.
     """
 
     def __init__(self, cap: int | None = None,
-                 on_evict: Callable[[object], None] | None = None) -> None:
+                 on_evict: Callable[[object], None] | None = None,
+                 weight: Callable[[object], int] | None = None) -> None:
         self.cap = cap
         self._on_evict = on_evict
+        self._weight = weight
         self._reset()
         _CACHES.add(self)
 
     def _reset(self) -> None:
         self._lock = threading.Lock()
         self._entries: OrderedDict = OrderedDict()
+        self._weights: dict[Hashable, int] = {}
+        self._held = 0
         self._inflight: dict[Hashable, threading.Event] = {}
         self._counters = {"hits": 0, "misses": 0}
 
@@ -79,25 +88,45 @@ class WarmCache:
             self._counters["misses"] += 1
             return default
 
+    def peek(self, key: Hashable, default=None):
+        """As :meth:`get`, but counting nothing: for owners that count
+        their own outcomes with :meth:`count`."""
+        with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+                return self._entries[key]
+            return default
+
+    def _take(self, key: Hashable):
+        """Remove the entry under ``key`` (held lock); returns its value."""
+        self._held -= self._weights.pop(key)
+        return self._entries.pop(key)
+
     def pop(self, key: Hashable, default=None):
         """Check the value under ``key`` out of the cache, or ``default``."""
         with self._lock:
             if key in self._entries:
                 self._counters["hits"] += 1
-                return self._entries.pop(key)
+                return self._take(key)
             self._counters["misses"] += 1
             return default
 
     def _store(self, key: Hashable, value) -> list:
         """Insert under the held lock; returns the values to evict."""
         _arm_child_finalizer()
+        weight = 1 if self._weight is None else self._weight(value)
+        if self.cap is not None and weight > self.cap:
+            return [value]
         evicted = []
-        old = self._entries.pop(key, value)
-        if old is not value:
-            evicted.append(old)
+        if key in self._entries:
+            old = self._take(key)
+            if old is not value:
+                evicted.append(old)
         self._entries[key] = value
-        while self.cap is not None and len(self._entries) > self.cap:
-            evicted.append(self._entries.popitem(last=False)[1])
+        self._weights[key] = weight
+        self._held += weight
+        while self.cap is not None and self._held > self.cap:
+            evicted.append(self._take(next(iter(self._entries))))
         return evicted
 
     def _evict(self, values: list) -> None:
@@ -148,6 +177,8 @@ class WarmCache:
         with self._lock:
             values = list(self._entries.values())
             self._entries.clear()
+            self._weights.clear()
+            self._held = 0
         self._evict(values)
         return values
 
@@ -157,9 +188,13 @@ class WarmCache:
             self._counters[name] = self._counters.get(name, 0) + n
 
     def stats(self) -> dict[str, int]:
-        """Every counter plus the current ``size``."""
+        """Every counter plus the current ``size`` (and, for a weighted
+        cache, the ``weight`` it holds)."""
         with self._lock:
-            return {**self._counters, "size": len(self._entries)}
+            stats = {**self._counters, "size": len(self._entries)}
+            if self._weight is not None:
+                stats["weight"] = self._held
+            return stats
 
     def reset_counters(self) -> None:
         """Zero every counter (entries are untouched)."""

@@ -21,6 +21,7 @@ import pytest
 from repro.cli import main
 from repro.core import reds as reds_mod
 from repro.core.reds import (
+    LABEL_MEMO,
     clear_fit_cache,
     fit_metamodel,
     fit_stats,
@@ -244,6 +245,10 @@ class TestReuseAccounting:
                                                    monkeypatch):
         log = tmp_path / "spawns.log"
         monkeypatch.setenv("REDS_SPAWN_LOG", str(log))
+        # A zero byte cap keeps the label memo from serving the repeats,
+        # so every call labels through the cached pool
+        # (tests/test_label_memo.py covers the memo serving them).
+        monkeypatch.setattr(LABEL_MEMO, "cap", 0)
         x, y = _toy_data()
         x_new = np.random.default_rng(5).random((3000, x.shape[1]))
         reset_pool_stats()

@@ -1,8 +1,9 @@
-"""The warm-cache primitive: LRU, checkout, single-flight, counters, fork.
+"""The warm-cache primitive: LRU, checkout, single-flight, counters,
+weights, fork.
 
 :class:`repro.warm.WarmCache` backs every cache a session keeps warm
-(pools, resident segments, fits, training sets), so its contract is
-pinned here directly rather than only through those owners.
+(pools, resident segments, fits, pool labels, training sets), so its
+contract is pinned here directly rather than only through those owners.
 """
 
 import os
@@ -182,6 +183,32 @@ class TestScope:
         assert len(cache) == 0
         warm.leave()  # idempotent at depth zero
         assert not warm.active()
+
+
+class TestWeight:
+    def test_cap_counts_weight_and_evicts_lru(self):
+        evicted = []
+        cache = WarmCache(cap=10, on_evict=evicted.append, weight=len)
+        cache.put("a", "aaaa")
+        cache.put("b", "bbbb")
+        assert cache.peek("a") == "aaaa"      # "b" is now the LRU entry
+        cache.put("c", "ccc")
+        assert evicted == ["bbbb"]
+        assert cache.stats() == {"hits": 0, "misses": 0, "size": 2,
+                                 "weight": 7}
+        cache.put("a", "a")                   # replacing reweighs
+        assert cache.stats()["weight"] == 4
+        assert cache.pop("c") == "ccc"
+        assert cache.stats()["weight"] == 1
+
+    def test_value_heavier_than_the_cap_is_not_cached(self):
+        evicted = []
+        cache = WarmCache(cap=10, on_evict=evicted.append, weight=len)
+        cache.put("a", "aaaa")
+        cache.put("big", "x" * 11)
+        assert evicted == ["x" * 11]
+        assert cache.values() == ["aaaa"]
+        assert cache.stats()["weight"] == 4
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
