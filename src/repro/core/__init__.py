@@ -5,6 +5,11 @@
 paper from its Section 8.2 name (``"P"``, ``"Pc"``, ``"PB"``, ``"PBc"``,
 ``"BI"``, ``"BI5"``, ``"BIc"``, ``"RPf"``, ``"RPx"``, ``"RPs"``,
 ``"RPxp"``, ``"RPfp"``, ``"RPcxp"``, ``"RBIcxp"``, ``"RBIcfp"``, ...).
+
+The attribute ``repro.core.reds`` is the function, which shadows the
+submodule of the same name (so does ``import repro.core.reds as m``);
+the module is reached with ``importlib.import_module("repro.core.reds")``,
+as ``tests/test_label_memo.py`` does.
 """
 
 from repro.core.reds import reds, REDSResult

@@ -4,7 +4,7 @@ One-shot invocations pay four fixed costs per call: interpreter start,
 worker-pool spawn, data publication, and the metamodel fit.  A
 :class:`Session` keeps the last three warm across calls.  It is a
 **lifetime scope**, not a mode: it holds the refcounted warm scope of
-:mod:`repro.warm` open, and while it is open five bounded caches, all
+:mod:`repro.warm` open, and while it is open six bounded caches, all
 instances of the one :class:`repro.warm.WarmCache` primitive, fill:
 
 * **worker pools** keyed by ``(workers, lease, plan-context
@@ -20,6 +20,9 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
   the labels a fit gave a pool, keyed by the fit's key plus the pool
   (its content, or the generator state and sampler it is drawn with),
   in :data:`repro.core.reds.LABEL_MEMO` under a byte cap;
+* **column indexes**: every PRIM peel of a pool shares its per-column
+  sort orders and dense ranks, keyed by the pool's content, in
+  :data:`repro.subgroup._kernels.INDEX_MEMO` under a byte cap;
 * **training sets** from :func:`repro.experiments.harness.make_train_data`.
 
 Warm state is a **cache, never a semantic change**: every result is
@@ -33,7 +36,8 @@ Lifecycle::
         labels = session.label(x, y, x_new)          # reuses the fit
         more = session.label(x, y, other_new)        # zero cold cost
         again = session.label(x, y, x_new)           # label memo hit
-    # closed: pools shut down, segments unlinked, fits, labels and data dropped
+    # closed: pools shut down, segments unlinked, fits, labels, indexes and
+    # data dropped
 
 Invalidation rules:
 
@@ -217,16 +221,19 @@ class Session:
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict[str, dict[str, int]]:
-        """Warm-cache counters: pools, resident segments, fit memo and
-        label memo."""
+        """Warm-cache counters: pools, resident segments, fit memo,
+        label memo and column-index memo."""
         from repro.core.reds import LABEL_MEMO, fit_stats
         from repro.experiments.dataplane import resident_stats
         from repro.experiments.parallel import pool_stats
+        from repro.subgroup._kernels import INDEX_MEMO
 
-        labels = LABEL_MEMO.stats()
+        labels, index = LABEL_MEMO.stats(), INDEX_MEMO.stats()
         return {"pools": pool_stats(), "dataplane": resident_stats(),
                 "metamodel": fit_stats(),
                 "labels": {"hits": labels["hits"], "misses": labels["misses"],
                            "soft_as_hard": labels.get("soft_as_hard", 0),
                            "bytes": labels["weight"],
-                           "size": labels["size"]}}
+                           "size": labels["size"]},
+                "index": {"hits": index["hits"], "misses": index["misses"],
+                          "bytes": index["weight"], "size": index["size"]}}

@@ -12,8 +12,9 @@ Layout.  Every ``(run, column)`` pair is one ascending segment of two
 flat arrays: ``rid``, the entry's row, and ``keys``, the value's dense
 rank within its column plus a per-segment offset — shared by equal
 values, disjoint between segments, so ``keys`` ascends across all
-segments.  Segments are
-built by one counting sort over the base table's column orders, and an
+segments.  Segments are built by one counting sort over the base
+table's column orders and dense ranks (:func:`column_index`, memoized
+inside a warm scope, so every peel of one pool shares one sort), and an
 accepted peel never re-sorts: removing rows keeps every segment sorted,
 so each step ends with one boolean compaction of ``rid``/``keys`` that
 applies every run's peel (runs that stop leave the batch the same way).
@@ -75,6 +76,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro import warm
 from repro.subgroup.box import Hyperbox, cat_mask
 
 __all__ = [
@@ -83,6 +85,9 @@ __all__ = [
     "PeelTrace",
     "peel_runs",
     "best_peel",
+    "column_index",
+    "INDEX_MEMO",
+    "INDEX_MEMO_BYTES",
     "peel_score",
     "sorted_quantile",
     "sorted_group_sums",
@@ -221,6 +226,55 @@ class PeelTrace:
 #: so the grouping never changes a result — which bounds the batch's
 #: memory to a few hundred MB.
 _BATCH_ENTRIES = 1 << 22
+
+#: Byte cap of :data:`INDEX_MEMO`: the column index of two L=10^5,
+#: M=8 pools (6.4 MB each with int32 orders and ranks).
+INDEX_MEMO_BYTES = 16 * 2**20
+
+#: ``(key dtype, content key of x)`` -> the read-only ``(orders,
+#: ranks)`` of :func:`column_index`, filled only inside a warm scope;
+#: the content key covers the dtype, shape and bytes of ``x``.
+#: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
+INDEX_MEMO = warm.WarmCache(
+    cap=INDEX_MEMO_BYTES,
+    weight=lambda index: index[0].nbytes + index[1].nbytes)
+
+
+def _build_column_index(x: np.ndarray, key_type) -> tuple[np.ndarray, np.ndarray]:
+    n_base, dim = x.shape
+    order = np.argsort(x, axis=0)
+    ranks = np.zeros((dim, n_base), dtype=key_type)
+    if n_base:
+        ordered = np.take_along_axis(x, order, axis=0)
+        np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=ranks.T[1:])
+        del ordered
+    orders = np.ascontiguousarray(
+        order.T, dtype=np.int32 if n_base < 2**31 else np.int64)
+    del order
+    orders.flags.writeable = ranks.flags.writeable = False
+    return orders, ranks
+
+
+def column_index(x: np.ndarray, key_type) -> tuple[np.ndarray, np.ndarray]:
+    """The base-table index every lockstep batch over ``x`` starts from.
+
+    ``orders[j]`` lists the rows of ``x`` in ascending order of column
+    ``j`` (int32, int64 only for 2^31 rows or more), and ``ranks[j, i]``
+    is the dense rank, in ``key_type``, of the value at the ``i``-th of
+    those rows.  Both are read-only, contiguous ``(M, N)`` arrays and a
+    pure function of ``x``.  Inside a warm scope they are memoized in
+    :data:`INDEX_MEMO` by the content of ``x``, so the pool that a
+    seed's REDS methods all peel is sorted once; outside one, nothing
+    is hashed or stored.
+    """
+    if not warm.active():
+        return _build_column_index(x, key_type)
+    # Lazy import: the data plane sits above subgroup in the layer order.
+    from repro.experiments.dataplane import content_key
+
+    return INDEX_MEMO.get_or_create(
+        (np.dtype(key_type).str, content_key(x)),
+        lambda: _build_column_index(x, key_type))
 
 
 def peel_runs(x: np.ndarray, y: np.ndarray, runs, *, min_support: int,
@@ -415,14 +469,8 @@ class _Lockstep:
         self.has_cat = bool(self.seg_cat.any())
         n_segs = len(self.seg_col)
         key_type = np.int32 if n_segs * (n_base + 1) < 2**31 else np.int64
-        order = np.argsort(x, axis=0)
-        ranks = np.zeros((dim, n_base), dtype=key_type)
-        if n_base:
-            ordered = np.take_along_axis(x, order, axis=0)
-            np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=ranks.T[1:])
-            del ordered
-        walk = order.T[self.seg_col]
-        del order
+        orders, ranks = column_index(x, key_type)
+        walk = orders[self.seg_col].astype(np.int64)
         keys = ranks[self.seg_col]
         keys += (np.arange(n_segs, dtype=key_type) * (n_base + 1))[:, None]
         if n_runs > 1:

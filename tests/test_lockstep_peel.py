@@ -7,9 +7,11 @@ bit for bit, same training statistics, same validation statistics —
 whatever else shares the batch.  The property covers mixed alphas,
 bootstrap duplicates, feature subsets of different widths, categorical
 and tie-heavy discrete columns, soft labels, validation sets with and
-without the validation stop, runs that stop at different steps, and
-single-run batches.  ``discover`` is then pinned engine-free end to
-end for the methods whose SD hyperparameters are searched.
+without the validation stop, runs that stop at different steps,
+single-run batches, and batches peeled twice inside one warm scope (the
+second from the memoized column index).  ``discover`` is then pinned
+engine-free end to end for the methods whose SD hyperparameters are
+searched.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import warm
 from repro.core.methods import discover
 from repro.subgroup import evaluate_boxes, prim_peel
 from repro.subgroup._kernels import PeelRun, peel_runs
@@ -66,17 +69,37 @@ def lockstep_batches(draw):
     return dict(x=x, y=y, x_val=x_val, y_val=y_val, runs=runs,
                 cat_cols=cat_cols, min_support=draw(st.integers(1, 15)),
                 val_stop=draw(st.booleans()),
-                objective=draw(st.sampled_from(OBJECTIVES)))
+                objective=draw(st.sampled_from(OBJECTIVES)),
+                warm=draw(st.booleans()))
 
 
 @settings(max_examples=40)
 @given(batch=lockstep_batches())
 def test_lockstep_batch_equals_per_run_reference(batch):
+    """Warm batches peel twice inside one scope: once building the
+    column index, once reading it from the memo."""
     x, y, x_val, y_val = batch["x"], batch["y"], batch["x_val"], batch["y_val"]
-    trace = peel_runs(
-        x, y, batch["runs"], min_support=batch["min_support"],
-        objective=batch["objective"], cat_cols=batch["cat_cols"],
-        x_val=x_val, y_val=y_val, val_stop=batch["val_stop"])
+
+    def peel():
+        return peel_runs(
+            x, y, batch["runs"], min_support=batch["min_support"],
+            objective=batch["objective"], cat_cols=batch["cat_cols"],
+            x_val=x_val, y_val=y_val, val_stop=batch["val_stop"])
+
+    if batch["warm"]:
+        warm.enter()
+        try:
+            traces = [peel(), peel()]
+        finally:
+            warm.leave()
+    else:
+        traces = [peel()]
+    for trace in traces:
+        _assert_equals_per_run_reference(batch, trace)
+
+
+def _assert_equals_per_run_reference(batch, trace):
+    x, y, x_val, y_val = batch["x"], batch["y"], batch["x_val"], batch["y_val"]
     assert len(trace.starts) == len(batch["runs"]) + 1
     boxes = trace.stack.boxes()
     for r, run in enumerate(batch["runs"]):

@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.cli import main
-from repro.core import reds as reds_mod
 from repro.core.reds import (
     LABEL_MEMO,
     clear_fit_cache,
@@ -41,6 +40,7 @@ from repro.experiments.parallel import pool_stats, reset_pool_stats
 from repro.experiments.session import Session
 from repro.metamodels.base import predict_chunked
 from repro.metamodels.tuning import make_metamodel
+from repro.subgroup._kernels import INDEX_MEMO
 
 from test_parallel_harness import assert_records_identical
 
@@ -236,6 +236,47 @@ class TestWarmEquivalence:
         np.testing.assert_array_equal(cold.chosen_box.upper,
                                       warm.chosen_box.upper)
         np.testing.assert_array_equal(cold_traj, warm_traj)
+
+    def test_sibling_peels_share_one_column_index(self, monkeypatch):
+        """RPx, RPxp, RPcx and RPf at one seed peel one drawn pool: the
+        first peel sorts it and the others read its memoized index.  A
+        pool of the same shape drawn at another seed gets its own."""
+        from repro.core.methods import discover
+        from repro.experiments import dataplane
+
+        x, y = _toy_data()
+        requests = [("RPx", 4), ("RPxp", 4), ("RPcx", 4), ("RPf", 4),
+                    ("RPx", 5)]
+        kwargs = dict(n_new=3000, tune_metamodel=False, jobs=1)
+        INDEX_MEMO.reset_counters()
+        with monkeypatch.context() as patch:
+            # The cold path neither hashes nor stores.
+            patch.setattr(dataplane, "content_key", None)
+            cold = [discover(method, x, y, seed=seed, **kwargs)
+                    for method, seed in requests]
+        assert INDEX_MEMO.stats() == {"hits": 0, "misses": 0, "size": 0,
+                                      "weight": 0}
+        seen = []
+        with Session(jobs=1, tune=False) as session:
+            for (method, seed), before in zip(requests, cold):
+                after = session.discover(method, x, y, seed=seed, **kwargs)
+                assert ([b.key() for b in after.boxes + [after.chosen_box]]
+                        == [b.key() for b in before.boxes + [before.chosen_box]])
+                index = session.stats()["index"]
+                seen.append((index["hits"], index["misses"]))
+            # Two pools and, from RPcx's alpha search, D: int32 orders
+            # and ranks of 4 columns each.
+            assert index["size"] == 3
+            assert index["bytes"] == 2 * 4 * 4 * (2 * 3000 + len(x))
+            for orders, ranks in INDEX_MEMO.values():
+                with pytest.raises(ValueError, match="read-only"):
+                    orders[0, 0] = 1
+                with pytest.raises(ValueError, match="read-only"):
+                    ranks[0, 0] = 1
+        # One miss for the seed-4 pool, then hits; RPcx's search over D
+        # misses once on its own, and so does the seed-5 pool.
+        assert seen == [(0, 1), (1, 1), (2, 2), (3, 2), (3, 3)]
+        assert len(INDEX_MEMO) == 0
 
 
 class TestReuseAccounting:
