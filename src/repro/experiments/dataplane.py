@@ -131,7 +131,8 @@ def content_key(array: np.ndarray) -> str:
     digest = hashlib.sha256()
     digest.update(array.dtype.str.encode())
     digest.update(repr(array.shape).encode())
-    digest.update(array.tobytes())
+    # A byte view of the buffer, not a tobytes() copy: same bytes.
+    digest.update(array.reshape(-1).view(np.uint8))
     return digest.hexdigest()
 
 

@@ -303,8 +303,8 @@ def compile_plan(
 # Plan context plumbing (shared arrays / models for chunked tasks)
 # ----------------------------------------------------------------------
 
-#: Worker-process context, set once at pool bootstrap (workers are
-#: single-threaded, so a plain global is safe there).
+#: Worker-process context, set once at pool bootstrap (workers run
+#: one task at a time, so a plain global is safe there).
 _PLAN_CONTEXT: object = None
 _CONTEXT_ERROR: BaseException | None = None
 
@@ -387,9 +387,28 @@ def _log_spawn(workers: int, lease: int) -> None:
         handle.write(line)
 
 
+#: Seconds between a pool worker's checks that its parent still lives.
+_PARENT_POLL_S = 1.0
+
+
+def _exit_with_parent(parent: int) -> None:
+    """Worker watchdog: exit once the process that spawned us is gone.
+
+    A parent killed before its exit handlers run (SIGTERM, SIGKILL)
+    never shuts its pools down, and its workers would live on,
+    reparented.  A fork-inherited pipe cannot tell them: sibling
+    workers hold its ends open, so it never reaches EOF.  The parent
+    pid can: it changes the moment the worker is reparented.
+    """
+    while os.getppid() == parent:
+        time.sleep(_PARENT_POLL_S)
+    os._exit(1)
+
+
 def _init_worker(warmup, test_refs, context, lease: int | None = None,
                  warm_scope: bool = False) -> None:
-    """Worker bootstrap: map shared test data, resolve the plan context.
+    """Worker bootstrap: watch the parent, map shared test data,
+    resolve the plan context.
 
     Test-data failures are deliberately swallowed — a broken spec would
     otherwise crash the worker at startup, while the task that actually
@@ -402,6 +421,8 @@ def _init_worker(warmup, test_refs, context, lease: int | None = None,
     fits warm too, whatever its start method inherited.
     """
     global _PLAN_CONTEXT, _CONTEXT_ERROR, _WORKER_LEASE
+    threading.Thread(target=_exit_with_parent, args=(os.getppid(),),
+                     name="parent-watchdog", daemon=True).start()
     _WORKER_LEASE = lease
     if warm_scope and not warm.active():
         warm.enter()

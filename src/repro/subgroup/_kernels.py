@@ -8,26 +8,27 @@ search, the bootstrap repeats of bumping, or a single ``prim_peel``
 call as the one-run case.  Each run has its own rows (repeats allowed),
 column subset, alpha and validation rows.
 
-Layout.  Every ``(run, column)`` pair is one ascending segment of two
-flat arrays: ``rid``, the entry's row, and ``keys``, the value's dense
-rank within its column plus a per-segment offset — shared by equal
-values, disjoint between segments, so ``keys`` ascends across all
-segments.  Segments are built by one counting sort over the base
-table's column orders and dense ranks (:func:`column_index`, memoized
-inside a warm scope, so every peel of one pool shares one sort), and an
-accepted peel never re-sorts: removing rows keeps every segment sorted,
-so each step ends with one boolean compaction of ``rid``/``keys`` that
-applies every run's peel (runs that stop leave the batch the same way).
+Layout.  Every ``(run, column)`` pair is one ascending segment of one
+flat int64 array of packed words ``key << s | row``: ``row`` is the
+entry's row and ``key`` its value's dense rank within its column plus a
+per-segment offset — shared by equal values, disjoint between segments,
+so keys ascend across all segments.  Segments are built by one counting
+sort over the base table's column orders and dense ranks
+(:func:`column_index`, memoized inside a warm scope, so every peel of
+one pool shares one sort), and an accepted peel never re-sorts:
+removing rows keeps every segment sorted, so each step ends with one
+boolean compaction of the words that applies every run's peel (runs
+that stop leave the batch the same way).
 
 One peeling step for all runs is:
 
-* one batched binary search (``np.searchsorted`` over ``keys``) for
-  every segment's lower and upper cut positions and their tie-fallback
-  positions — the alpha-quantiles come from the segments' order
-  statistics by :func:`sorted_quantile`'s formula, a bit-identical
-  replication of ``np.quantile``'s default linear interpolation, and a
-  cut keeps ties at the quantile inside; when a whole box ties at an
-  extreme, the cut peels that entire level instead;
+* one batched binary search (``np.searchsorted`` over the words, with
+  probes ``k << s``) for every segment's lower and upper cut positions
+  and their tie-fallback positions — the alpha-quantiles come from the
+  segments' order statistics by :func:`sorted_quantile`'s formula, a
+  bit-identical replication of ``np.quantile``'s default linear
+  interpolation, and a cut keeps ties at the quantile inside; when a
+  whole box ties at an extreme, the cut peels that entire level instead;
 * output sums over the removed ranges only — about ``alpha * n`` entries
   per cut, never a full prefix sum — from one cumulative sum, the kept
   sum being the run's maintained in-box total minus the removed one;
@@ -231,50 +232,86 @@ _BATCH_ENTRIES = 1 << 22
 #: M=8 pools (6.4 MB each with int32 orders and ranks).
 INDEX_MEMO_BYTES = 16 * 2**20
 
-#: ``(key dtype, content key of x)`` -> the read-only ``(orders,
-#: ranks)`` of :func:`column_index`, filled only inside a warm scope;
-#: the content key covers the dtype, shape and bytes of ``x``.
+#: Content key of ``x`` -> the read-only ``(orders, ranks)`` of
+#: :func:`column_index`, filled only inside a warm scope; the content
+#: key covers the dtype, shape and bytes of ``x``.
 #: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
 INDEX_MEMO = warm.WarmCache(
     cap=INDEX_MEMO_BYTES,
     weight=lambda index: index[0].nbytes + index[1].nbytes)
 
 
-def _build_column_index(x: np.ndarray, key_type) -> tuple[np.ndarray, np.ndarray]:
+def _build_column_index(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n_base, dim = x.shape
+    index_type = np.int32 if n_base < 2**31 else np.int64
     order = np.argsort(x, axis=0)
-    ranks = np.zeros((dim, n_base), dtype=key_type)
+    ranks = np.zeros((dim, n_base), dtype=index_type)
     if n_base:
         ordered = np.take_along_axis(x, order, axis=0)
         np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=ranks.T[1:])
         del ordered
-    orders = np.ascontiguousarray(
-        order.T, dtype=np.int32 if n_base < 2**31 else np.int64)
+    orders = np.ascontiguousarray(order.T, dtype=index_type)
     del order
     orders.flags.writeable = ranks.flags.writeable = False
     return orders, ranks
 
 
-def column_index(x: np.ndarray, key_type) -> tuple[np.ndarray, np.ndarray]:
+def column_index(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The base-table index every lockstep batch over ``x`` starts from.
 
     ``orders[j]`` lists the rows of ``x`` in ascending order of column
-    ``j`` (int32, int64 only for 2^31 rows or more), and ``ranks[j, i]``
-    is the dense rank, in ``key_type``, of the value at the ``i``-th of
-    those rows.  Both are read-only, contiguous ``(M, N)`` arrays and a
+    ``j``, and ``ranks[j, i]`` is the dense rank of the value at the
+    ``i``-th of those rows: the row and key halves of a batch's packed
+    words (:class:`_Lockstep`).  Both are read-only, contiguous
+    ``(M, N)`` int32 arrays (int64 only for 2^31 rows or more) and a
     pure function of ``x``.  Inside a warm scope they are memoized in
     :data:`INDEX_MEMO` by the content of ``x``, so the pool that a
     seed's REDS methods all peel is sorted once; outside one, nothing
     is hashed or stored.
     """
     if not warm.active():
-        return _build_column_index(x, key_type)
+        return _build_column_index(x)
     # Lazy import: the data plane sits above subgroup in the layer order.
     from repro.experiments.dataplane import content_key
 
-    return INDEX_MEMO.get_or_create(
-        (np.dtype(key_type).str, content_key(x)),
-        lambda: _build_column_index(x, key_type))
+    return INDEX_MEMO.get_or_create(content_key(x),
+                                    lambda: _build_column_index(x))
+
+
+def _word_bits(n_segs: int, n_runs: int, n_base: int) -> tuple[int, int]:
+    """Key bits and row bits ``s`` of a batch's packed words: enough
+    for every segment-offset key (and the one-past probes of the cut
+    search) and for every ``run * N + base row``."""
+    return ((n_segs * (n_base + 1) - 1).bit_length(),
+            (n_runs * n_base - 1).bit_length())
+
+
+def _batches(runs, n_base: int, dim: int):
+    """``(start, stop)`` of every lockstep batch of :func:`peel_runs`.
+
+    A batch closes once it holds :data:`_BATCH_ENTRIES` entries, or
+    before a run that would make its packed words pass 63 bits; a run
+    that alone passes them raises :class:`ValueError`.
+    """
+    start = 0
+    while start < len(runs):
+        stop, width, segs = start, 0, 0
+        while stop < len(runs) and (stop == start or width < _BATCH_ENTRIES):
+            run = runs[stop]
+            n_cols = dim if run.cols is None else len(run.cols)
+            bits = sum(_word_bits(segs + n_cols, stop + 1 - start, n_base))
+            if bits > 63:
+                if stop == start:
+                    raise ValueError(
+                        f"a PRIM run over {n_base} rows and {n_cols} columns "
+                        f"needs {bits}-bit peel entries; the limit is 63 bits")
+                break
+            segs += n_cols
+            width += n_cols * max(n_base,
+                                  0 if run.rows is None else len(run.rows))
+            stop += 1
+        yield start, stop
+        start = stop
 
 
 def peel_runs(x: np.ndarray, y: np.ndarray, runs, *, min_support: int,
@@ -305,16 +342,8 @@ def peel_runs(x: np.ndarray, y: np.ndarray, runs, *, min_support: int,
         context["val"] = (np.asarray(x_val, dtype=float), y_val,
                           bool(np.all((y_val == 0.0) | (y_val == 1.0))))
     records = _Records(len(runs))
-    start = 0
-    while start < len(runs):
-        stop, width = start, 0
-        while stop < len(runs) and (stop == start or width < _BATCH_ENTRIES):
-            run = runs[stop]
-            width += ((dim if run.cols is None else len(run.cols))
-                      * max(n_base, 0 if run.rows is None else len(run.rows)))
-            stop += 1
+    for start, stop in _batches(runs, n_base, dim):
         _Lockstep(x, y, runs[start:stop], start, records, **context).run()
-        start = stop
     return records.trace(dim, x_val is not None)
 
 
@@ -331,7 +360,7 @@ def best_peel(x: np.ndarray, y: np.ndarray, alpha: float,
     step = batch.decide()
     if step is None:
         return None
-    removed = batch.rid[step.start[0]:step.stop[0]]
+    removed = batch.words[step.start[0]:step.stop[0]] & batch.low
     keep_rows = np.setdiff1d(np.arange(len(x)), removed)
     kind, bound = int(step.kind[0]), float(step.bound[0])
     return PeelCandidate(
@@ -425,16 +454,18 @@ class _Lockstep:
 
     Every ``(run, column)`` pair is a segment: the run's in-box rows
     sorted by that column, bootstrap repeats kept as repeated entries.
-    Segments lie back to back, run-major, in two flat arrays: ``rid``
-    (each entry's row as ``run * N + base row``, which also locates its
-    value in ``x``) and ``keys``, the value's dense rank within its base
-    column plus a per-segment offset — equal values within a segment
-    share a key and segments own disjoint key ranges, so ``keys``
-    ascends globally and one ``searchsorted`` over it finds cut
-    positions in all segments at once.  An accepted peel clears its
-    removed rows in the ``alive`` row table, and one boolean compaction
-    of ``rid``/``keys`` applies every run's peel; removing rows keeps
-    each segment sorted.
+    Segments lie back to back, run-major, in one flat int64 array of
+    ``words``, ``key << shift | row``: ``words & low`` is the entry's
+    row as ``run * N + base row``, which also locates its value in
+    ``x``, and ``words >> shift`` its key, the value's dense rank within
+    its base column plus a per-segment offset.  Equal values within a
+    segment share a key and segments own disjoint key ranges, so keys
+    ascend globally (rows under one key in any order) and, as
+    ``word < k << shift`` exactly when ``key < k``, one ``searchsorted``
+    over the words finds cut positions in all segments at once.  An
+    accepted peel clears its removed rows in the ``alive`` row table,
+    and one boolean compaction of the words applies every run's peel;
+    removing rows keeps each segment sorted.
     """
 
     def __init__(self, x, y, runs, offset, records, *, min_support,
@@ -462,30 +493,31 @@ class _Lockstep:
         # Counting sort: walk each base column in sorted order once per
         # segment, emitting every row as often as the run holds it.  An
         # entry's key is its value's dense rank within the base column,
-        # offset so that every segment owns its own key range.
+        # offset so that every segment owns its own key range.  The
+        # words are packed in place in their one int64 array; the only
+        # temporaries are the int32 gathers of ranks and orders.
         self.seg_run = np.repeat(np.arange(n_runs), [len(c) for c in cols])
         self.seg_col = np.concatenate(cols)
         self.seg_cat = np.isin(self.seg_col, list(cat_cols))
         self.has_cat = bool(self.seg_cat.any())
         n_segs = len(self.seg_col)
-        key_type = np.int32 if n_segs * (n_base + 1) < 2**31 else np.int64
-        orders, ranks = column_index(x, key_type)
-        walk = orders[self.seg_col].astype(np.int64)
-        keys = ranks[self.seg_col]
-        keys += (np.arange(n_segs, dtype=key_type) * (n_base + 1))[:, None]
+        _, self.shift = _word_bits(n_segs, n_runs, n_base)
+        self.low = (1 << self.shift) - 1
+        orders, ranks = column_index(x)
+        words = ranks[self.seg_col].astype(np.int64)
+        words += (np.arange(n_segs) * (n_base + 1))[:, None]
+        words <<= self.shift
+        words |= orders[self.seg_col]
         if n_runs > 1:
-            walk += (self.seg_run * n_base)[:, None]
+            words += (self.seg_run * n_base)[:, None]
+        words = words.ravel()
         if any(run.rows is not None for run in runs):
             held = np.bincount(
                 np.repeat(np.arange(n_runs) * n_base, self.n)
                 + np.concatenate(rows),
                 minlength=n_runs * n_base).astype(np.int32)
-            held = held[walk].ravel()
-            self.keys = np.repeat(keys.ravel(), held)
-            self.rid = np.repeat(walk.ravel(), held)
-        else:
-            self.keys = keys.ravel()
-            self.rid = walk.ravel()
+            words = np.repeat(words, held[words & self.low])
+        self.words = words
         self.alive = np.ones(n_runs * n_base, dtype=bool)
         # Soft labels need each run's in-box rows in its own row order:
         # the near-tie re-scoring and the training means reduce over
@@ -544,7 +576,7 @@ class _Lockstep:
 
     def _values(self, at: np.ndarray, seg: np.ndarray) -> np.ndarray:
         """Values of the flat entries ``at`` of segments ``seg``."""
-        base = self.rid[at] - self.seg_run[seg] * self.n_base
+        base = (self.words[at] & self.low) - self.seg_run[seg] * self.n_base
         return self.x[base, self.seg_col[seg]]
 
     def _candidates(self, seg_lo, seg_n):
@@ -559,7 +591,7 @@ class _Lockstep:
         cut starts at its segment's first entry, an upper cut after it,
         and a level at its own run of equal codes.
         """
-        keys = self.keys
+        words, shift = self.words, self.shift
         peelable = seg_n >= 2
         num = np.flatnonzero(peelable & ~self.seg_cat)
         count = len(num)
@@ -582,14 +614,16 @@ class _Lockstep:
         # between them, so the lower cut ends where the tie run of ``a``
         # (quantile == a) or of ``b`` starts, and the upper cut where the
         # tie run of ``b`` (quantile == b) or of ``a`` ends; keys are
-        # integers, so "right of key k" is "left of k + 1".  When the
-        # whole box ties at an extreme, the cut falls back to peeling
-        # that entire level: the tie run of the first / last entry.
-        probe = keys[lo2 + below + np.concatenate(
+        # integers, so "right of key k" is "left of k + 1", and "left of
+        # key k" is "left of word k << shift".  When the whole box ties
+        # at an extreme, the cut falls back to peeling that entire
+        # level: the tie run of the first / last entry.
+        probe = words[lo2 + below + np.concatenate(
             (quantile[:count] != a[:count], quantile[count:] == b[count:]))]
-        probe[count:] += 1
-        cut = np.searchsorted(keys, np.concatenate(
-            (probe, keys[lo] + 1, keys[lo + n - 1]))) - np.concatenate((lo2, lo2))
+        probe = np.concatenate((probe, words[lo], words[lo + n - 1])) >> shift
+        probe[count:3 * count] += 1
+        cut = (np.searchsorted(words, probe << shift)
+               - np.concatenate((lo2, lo2)))
         low, high, low_tie, high_tie = cut.reshape(4, count)
         tied = np.concatenate((low == 0, high == n))
         low = np.where(tied[:count], low_tie, low)
@@ -621,7 +655,8 @@ class _Lockstep:
         # Output sums over the removed entries only (about alpha * n per
         # cut), from one cumulative sum.
         lengths = stop - start
-        sums = np.cumsum(self.y[self.rid[_ranges(start, lengths)]])
+        rows = self.words[_ranges(start, lengths)] & self.low
+        sums = np.cumsum(self.y[rows])
         ends = np.cumsum(lengths)
         removed = sums[ends - 1] - np.where(ends > lengths,
                                             sums[ends - lengths - 1], 0.0)
@@ -635,8 +670,9 @@ class _Lockstep:
         seg_of = np.repeat(segs, seg_n[segs])
         # Every segment opens with a fresh key, so key changes alone
         # mark both level and segment boundaries.
+        keys = self.words[at] >> self.shift
         fresh = np.ones(len(at), dtype=bool)
-        np.not_equal(self.keys[at[1:]], self.keys[at[:-1]], out=fresh[1:])
+        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
         start, seg = at[fresh], seg_of[fresh]
         last = np.append(seg[1:] != seg[:-1], True)
         stop = np.where(last, seg_lo[seg] + seg_n[seg], np.append(start[1:], 0))
@@ -703,7 +739,7 @@ class _Lockstep:
         mean_before = float(outputs.mean())
         winner, winner_score = int(members[0]), -np.inf
         for i in members.tolist():
-            removed = self.rid[start[i]:stop[i]]
+            removed = self.words[start[i]:stop[i]] & self.low
             self.alive[removed] = False
             keep = self.alive[rows]
             self.alive[removed] = True
@@ -752,15 +788,14 @@ class _Lockstep:
         stopped = self.act[~accepted[self.act]]
 
         removed = _ranges(step.start[accept], (step.stop - step.start)[accept])
-        self.alive[self.rid[removed]] = False
+        self.alive[self.words[removed] & self.low] = False
         if len(stopped):
             self.alive.reshape(n_runs, self.n_base)[stopped] = False
             self.n[stopped] = 0
             on = accepted[self.seg_run]
             self.seg_run, self.seg_col, self.seg_cat = (
                 self.seg_run[on], self.seg_col[on], self.seg_cat[on])
-        keep = self.alive[self.rid]
-        self.keys, self.rid = self.keys[keep], self.rid[keep]
+        self.words = self.words[self.alive[self.words & self.low]]
         if self.rows is not None:
             self.rows = self.rows[self.alive[self.rows]]
         runs, kept = step.run[accept], step.kept[accept]

@@ -5,6 +5,8 @@ fall back to inline refs when shared memory is disabled, and leave no
 segment behind after ``unlink`` — on clean and failing paths alike.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,24 @@ class TestContentKey:
         assert content_key(a) != content_key(a + 1)
         assert content_key(a) != content_key(a.reshape(4, 3))
         assert content_key(a) != content_key(a.astype(np.float32))
+
+    @pytest.mark.parametrize("make", [
+        lambda: np.arange(12, dtype=float).reshape(3, 4),
+        lambda: np.asfortranarray(np.arange(12, dtype=float).reshape(3, 4)),
+        lambda: np.arange(40, dtype=np.int32).reshape(5, 8)[1:4, ::3],
+        lambda: np.zeros((0, 3)),
+        lambda: np.array([True, False, False, True]).reshape(2, 2),
+        lambda: np.array(2.5),
+    ], ids=["c_order", "fortran", "sliced", "empty", "bool", "zero_d"])
+    def test_digest_is_the_dtype_shape_bytes_hash(self, make):
+        """Hashing the buffer in place keeps every digest of the copying
+        formula, ``sha256(dtype + shape + tobytes())`` of the C-order
+        array."""
+        a = make()
+        c = np.ascontiguousarray(a)
+        old = hashlib.sha256(c.dtype.str.encode() + repr(c.shape).encode()
+                             + c.tobytes()).hexdigest()
+        assert content_key(a) == old
 
 
 class TestDataPlane:

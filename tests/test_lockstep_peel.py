@@ -150,6 +150,54 @@ def test_batching_never_changes_a_run(monkeypatch):
     np.testing.assert_array_equal(whole.val_sum, split.val_sum)
 
 
+def test_batches_close_at_the_63_bit_word_limit(monkeypatch):
+    """A batch's packed words carry its keys above its row ids: the
+    splitter closes a batch before a run would push them past 63 bits,
+    and refuses a run that passes them alone.  Only the splitter runs,
+    so nothing of the nominal 2^28-row base table is allocated."""
+    from repro.subgroup import _kernels
+
+    monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 2**62)
+    runs = [PeelRun(0.05) for _ in range(7)]
+    # 8 columns over 2^28 rows: one run packs into 60 bits, three into
+    # 63 (33 key bits over 30 row bits), four would need 64.
+    assert list(_kernels._batches(runs, 2**28, 8)) == [(0, 3), (3, 6), (6, 7)]
+    assert list(_kernels._batches(runs[:2], 2**20, 8)) == [(0, 2)]
+    with pytest.raises(ValueError, match="limit is 63 bits"):
+        list(_kernels._batches(runs[:1], 2**30, 8))
+
+
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_tie_heavy_pool_one_run_equals_reference(soft):
+    """A REDS-sized one-run peel whose words repeat a key over long
+    runs of rows in no particular row order: a ``QuantizedUniform``
+    pool with one categorical column and two coarsely quantized
+    numeric ones."""
+    from repro.sampling.designs import QuantizedUniform
+
+    sampler = QuantizedUniform({0: 7, 1: 4, 3: 12})
+    rng = np.random.default_rng(29)
+    x, x_val = sampler(20_000, 5, rng), sampler(2_000, 5, rng)
+    if soft:
+        def label(z):
+            return 1.0 / (1.0 + np.exp(-(z[:, 0] - 3 + 2 * z[:, 2])))
+    else:
+        def label(z):
+            return ((z[:, 0] >= 2) & (z[:, 1] != 1) & (z[:, 2] < 0.8)
+                    ).astype(float)
+    y, y_val = label(x), label(x_val)
+    results = [prim_peel(x, y, alpha=0.05, x_val=x_val, y_val=y_val,
+                         cat_cols=(1,), engine=engine)
+               for engine in ("reference", "vectorized")]
+    ref, vec = results
+    assert len(ref.boxes) > 10
+    assert [b.key() for b in vec.boxes] == [b.key() for b in ref.boxes]
+    assert vec.chosen == ref.chosen
+    np.testing.assert_array_equal(vec.train_support, ref.train_support)
+    np.testing.assert_array_equal(vec.train_means, ref.train_means)
+    np.testing.assert_array_equal(vec.val_means, ref.val_means)
+
+
 def test_batched_searches_keep_the_peel_parameter_checks():
     """The batched paths peel without going through ``prim_peel``, so
     they run its alpha / min_support checks themselves."""

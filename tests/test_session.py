@@ -14,6 +14,10 @@ segments after session close.
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -404,6 +408,58 @@ class TestTeardown:
                 x1[0, 0] = 99.0
         np.testing.assert_array_equal(cold_x, x1)
         np.testing.assert_array_equal(cold_y, y1)
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"),
+                        reason="reads process states from /proc")
+    def test_sigterm_leaves_no_orphaned_workers(self):
+        """A SIGTERM skips every exit handler of a warm session, so its
+        cached pool is never shut down; the workers must notice their
+        parent is gone and exit on their own."""
+        script = "\n".join([
+            "import multiprocessing, time",
+            "from repro.experiments import parallel",
+            "from repro.experiments.session import Session",
+            "def square(value):",
+            "    return value * value",
+            "with Session(jobs=2):",
+            "    parallel.execute(square, [{'value': v} for v in range(4)],",
+            "                     jobs=2)",
+            "    print(*[p.pid for p in multiprocessing.active_children()],",
+            "          flush=True)",
+            "    time.sleep(120)",
+        ])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [str(Path(__file__).parents[1] / "src"),
+             os.environ.get("PYTHONPATH", "")]))
+        proc = subprocess.Popen([sys.executable, "-c", script], env=env,
+                                stdout=subprocess.PIPE, text=True)
+        workers = []
+        try:
+            workers = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(workers) == 2
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            deadline = time.monotonic() + 10
+            while (any(_process_alive(pid) for pid in workers)
+                   and time.monotonic() < deadline):
+                time.sleep(0.1)
+            assert not [pid for pid in workers if _process_alive(pid)]
+        finally:
+            proc.kill()
+            proc.wait()
+            proc.stdout.close()
+            for pid in workers:
+                if _process_alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+
+
+def _process_alive(pid: int) -> bool:
+    """Whether ``pid`` runs; a zombie nobody reaped yet counts as gone."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] != "Z"
+    except (FileNotFoundError, ProcessLookupError):
+        return False
 
 
 class TestSessionCLI:
