@@ -24,10 +24,17 @@ Three legs:
   column index (:func:`repro.subgroup._kernels.column_index`).  Boxes
   and statistics must be identical; the floor is >= 1.08x on the
   four-peel total (the median ratio of alternating cold/warm pairs).
+* **pool peel** — REDS step 4's one-run peel at full scale: ``prim_peel``
+  on an L = 10^5, M = 8 pool with a 400-row validation set, hard and
+  soft labels, inside a warm scope (the column index built once, as a
+  session's sibling methods share it).  Boxes, supports, means and the
+  chosen box must equal ``engine="reference"``; the leg records the ms
+  per peel and the steps, and the floor is >= 4x over the reference on
+  the summed peels.
 * **parallel harness** — a small ``run_batch`` grid serial vs fanned
   out over all CPUs (identical records asserted elsewhere).
 
-The three kernel legs land in ``benchmarks/results/BENCH_peel_kernel.json``,
+The four kernel legs land in ``benchmarks/results/BENCH_peel_kernel.json``,
 mirrored to the tracked repo-root ``results/``.
 """
 
@@ -59,6 +66,7 @@ BUMPING_REPEATS = 50
 MIN_SUPPORT = 20
 POOL_N, POOL_M, POOL_VAL_N = 100_000, 8, 400
 POOL_PAIRS = 7
+POOL_PEEL_REPEATS = 5
 #: Speedup floors: the one-run kernel over the masking reference, the
 #: batched searches over the per-run loop, and four warm peels of one
 #: pool over four cold ones.  A warm hit saves one column sort (about
@@ -68,6 +76,9 @@ POOL_PAIRS = 7
 ONE_RUN_FLOOR = 3.0
 SEARCH_FLOOR = 3.0
 SHARED_POOL_FLOOR = 1.08
+#: The warm L=10^5 one-run peel over the masking reference: 57-110 ms
+#: against 0.50-0.65 s per peel (6.7-8.1x) on a 2-CPU x86_64 host.
+POOL_PEEL_FLOOR = 4.0
 
 #: Legs of the tracked JSON, filled in by the tests that run.
 LEGS: dict = {}
@@ -301,6 +312,65 @@ def test_shared_pool_speedup(benchmark):
     emit_json("BENCH_peel_kernel", {"legs": LEGS})
     assert speedup >= SHARED_POOL_FLOOR, (
         f"warm peels of one pool only {speedup:.2f}x faster")
+
+
+def test_pool_peel_speedup(benchmark):
+    rng = np.random.default_rng(13)
+    x = rng.random((POOL_N, POOL_M))
+    pool_labels = _pool_labels(x)
+    labels = {"hard": pool_labels["hard_noisy"], "soft": pool_labels["soft"]}
+    x_val = rng.random((POOL_VAL_N, POOL_M))
+    y_val = ((x_val[:, 0] > 0.3) & (x_val[:, 1] < 0.7)).astype(float)
+
+    def peel(y, engine):
+        return prim_peel(x, y, x_val=x_val, y_val=y_val, engine=engine)
+
+    def run():
+        times, results = {}, {}
+        warm.enter()
+        try:
+            for name, y in labels.items():
+                peel(y, "vectorized")  # builds the pool's column index
+                for engine, repeats in (("reference", 1),
+                                        ("vectorized", POOL_PEEL_REPEATS)):
+                    times[name, engine], results[name, engine] = _best_of(
+                        lambda y=y, engine=engine: peel(y, engine),
+                        repeats=repeats)
+        finally:
+            warm.leave()
+        return times, results
+
+    times, results = benchmark.pedantic(run, rounds=1, iterations=1)
+    for name in labels:
+        assert (_peel_result_key(results[name, "reference"])
+                == _peel_result_key(results[name, "vectorized"])), name
+    reference = sum(times[name, "reference"] for name in labels)
+    vectorized = sum(times[name, "vectorized"] for name in labels)
+    speedup = reference / vectorized
+    per_label = {
+        name: {"ms_per_peel": times[name, "vectorized"] * 1e3,
+               "reference_ms": times[name, "reference"] * 1e3,
+               "steps": len(results[name, "vectorized"].boxes) - 1}
+        for name in labels}
+
+    emit("pool_peel", "\n".join(
+        [f"Warm one-run prim_peel, L={POOL_N}, M={POOL_M}, "
+         f"{POOL_VAL_N}-row validation (best of {POOL_PEEL_REPEATS}):"]
+        + [f"  {name:5s} {leg['ms_per_peel']:8.1f} ms ({leg['steps']} steps), "
+           f"reference {leg['reference_ms']:8.1f} ms"
+           for name, leg in per_label.items()]
+        + [f"  speedup     {speedup:8.2f} x (summed peels)"]))
+    LEGS["pool_peel"] = {
+        "n": POOL_N, "m": POOL_M, "val_n": POOL_VAL_N,
+        "repeats": POOL_PEEL_REPEATS, "labels": per_label,
+        "reference_seconds": reference, "vectorized_seconds": vectorized,
+        "speedup": speedup, "floor": POOL_PEEL_FLOOR,
+        "outputs_identical": True,
+        "floor_asserted": True, "floor_met": speedup >= POOL_PEEL_FLOOR,
+    }
+    emit_json("BENCH_peel_kernel", {"legs": LEGS})
+    assert speedup >= POOL_PEEL_FLOOR, (
+        f"warm L={POOL_N} peel only {speedup:.2f}x faster than the reference")
 
 
 def test_parallel_harness_timings(benchmark):

@@ -8,47 +8,62 @@ search, the bootstrap repeats of bumping, or a single ``prim_peel``
 call as the one-run case.  Each run has its own rows (repeats allowed),
 column subset, alpha and validation rows.
 
-Layout.  Every ``(run, column)`` pair is one ascending segment of one
-flat int64 array of packed words ``key << s | row``: ``row`` is the
-entry's row and ``key`` its value's dense rank within its column plus a
-per-segment offset — shared by equal values, disjoint between segments,
-so keys ascend across all segments.  Segments are built by one counting
-sort over the base table's column orders and dense ranks
-(:func:`column_index`, memoized inside a warm scope, so every peel of
-one pool shares one sort), and an accepted peel never re-sorts:
-removing rows keeps every segment sorted, so each step ends with one
-boolean compaction of the words that applies every run's peel (runs
-that stop leave the batch the same way).
+Layout.  Nothing moves during a peel.  The pool's static index
+(:func:`column_index`, memoized inside a warm scope, so every peel of one
+pool shares one sort) holds each column's row order, its tie runs (as
+ascending keys: dense rank plus a per-column offset) and every row's
+block number in every column: a column's order is cut into blocks of
+``B`` consecutive positions.  A batch keeps the row-level ``held`` table
+(each run's bootstrap multiplicity of each row, 0 once peeled) and, per
+``(run, column)`` segment and block, the in-box copies and their label
+sum.  An accepted peel zeroes its removed rows in ``held`` and subtracts
+them from their block in every column of the run; runs that stop drop
+their segments.  Every order statistic is then a two-level search: one
+cumulative sum over the block counts finds the block, one gather of its
+``B`` entries the position.
 
 One peeling step for all runs is:
 
-* one batched binary search (``np.searchsorted`` over the words, with
-  probes ``k << s``) for every segment's lower and upper cut positions
-  and their tie-fallback positions — the alpha-quantiles come from the
-  segments' order statistics by :func:`sorted_quantile`'s formula, a
-  bit-identical replication of ``np.quantile``'s default linear
-  interpolation, and a cut keeps ties at the quantile inside; when a
-  whole box ties at an extreme, the cut peels that entire level instead;
-* output sums over the removed ranges only — about ``alpha * n`` entries
-  per cut, never a full prefix sum — from one cumulative sum, the kept
-  sum being the run's maintained in-box total minus the removed one;
+* four order-statistic selects per numeric segment — the two pairs of
+  entries the alpha- and (1 - alpha)-quantiles interpolate — as one
+  vectorized call; the quantiles come from them by
+  :func:`sorted_quantile`'s formula, a bit-identical replication of
+  ``np.quantile``'s default linear interpolation;
+* four rank queries per numeric segment, as one call: a cut keeps ties
+  at the quantile inside, so the lower cut ends where the tie run of
+  the quantile's own order statistic starts (the upper cut where it
+  ends), and when nothing lies below (above) that tie run the whole box
+  ties at an extreme and the cut falls back to peeling that entire
+  level, up to the run's end (from its start).  Each query counts the
+  in-box copies and sums their labels below a tie boundary: the blocks'
+  prefix sums plus one gathered block, so a cut's kept count and kept
+  sum cost O(N / B + B) however many rows it removes;
 * one first-maximum argmax per run in the reference's candidate order
   (dimension major, lower cut before upper cut, categorical levels
-  ascending), which is simply the order of the candidates' flat start
-  positions; all three objectives score through :func:`peel_score`'s
-  formulas;
+  ascending — a categorical segment's candidates are the rank queries
+  at its level boundaries); all three objectives score through
+  :func:`peel_score`'s formulas;
 * validation tracking, where asked for: each run's in-box validation
   rows shrink with its accepted cut, giving every box's validation
   count and output sum without re-evaluating it (the validation stop of
   ``prim_peel``, and the test-fold / Pareto statistics of the searches).
 
-Exactness.  For binary outputs every candidate sum is an exact integer,
-so each score equals the reference's bit for bit and the argmax breaks
-ties identically.  For soft labels, candidates within ``_TIE_RTOL`` of a
-run's maximum are re-scored through the reference formula (a pairwise
-mean over the kept rows in the run's own row order) before the winner is
-picked, so exact ties cannot be flipped by summation order; box means
-reduce over the same rows in the same order as the reference.
+An accepted cut gathers its removed rows from the winning column's
+range, clipped to the blocks of the segment's first and last in-box
+copy, and subtracts them from their block in every column, so the
+removals of a peel cost about the removed copies times the run's
+columns, however many rows stay in the box.
+
+Exactness.  For binary outputs every block sum is an exact integer, so
+each score equals the reference's bit for bit and the argmax breaks
+ties identically.  Soft labels are summed rounded to a fixed-point grid
+(:func:`_fixed_point`) on which every sum of a run's labels is exact in
+any order, so block sums never drift; the rounding residual widens the
+``_TIE_RTOL`` window.  Candidates within that window of a run's maximum
+are re-scored through the reference formula (a pairwise mean over the
+kept rows in the run's own row order) before the winner is picked, so
+exact ties cannot be flipped by summation order; box means reduce over
+the same rows in the same order as the reference.
 
 :func:`sorted_group_sums` and :func:`max_sum_run` are the analogous
 sort-once machinery for BestInterval's exact one-dimensional
@@ -73,6 +88,7 @@ arrays, as a lockstep batch produces them — or a sequence of boxes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +103,7 @@ __all__ = [
     "peel_runs",
     "best_peel",
     "column_index",
+    "ColumnIndex",
     "INDEX_MEMO",
     "INDEX_MEMO_BYTES",
     "peel_score",
@@ -103,9 +120,14 @@ __all__ = [
 ]
 
 #: Relative width of the near-tie window: candidates whose vectorized
-#: score comes this close to the maximum are re-scored exactly.  The
-#: slice-sum rounding error is O(n * eps) ~ 1e-12 for n = 1e4, so 1e-9
-#: comfortably covers it while excluding genuinely distinct candidates.
+#: score comes this close to the maximum are re-scored exactly.  Block
+#: sums hold soft labels rounded to a fixed-point grid
+#: (:func:`_fixed_point`), so they are exact in any order and a
+#: vectorized score is off the reference's only by the rounding
+#: residual, at most ``copies * max|y| * eps`` (2e-11 at 10^5 copies),
+#: which widens the window, and the reference's own pairwise-mean
+#: rounding, about ``log2(n) * eps``; 1e-9 comfortably covers the latter
+#: while excluding genuinely distinct candidates.
 _TIE_RTOL = 1e-9
 
 
@@ -148,8 +170,8 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     total = int(lengths.sum())
     if total == 0:
         return np.zeros(0, dtype=np.int64)
-    offsets = np.cumsum(lengths) - lengths
-    return np.repeat(starts - offsets, lengths) + np.arange(total)
+    offsets = lengths.cumsum() - lengths
+    return (starts - offsets).repeat(lengths) + np.arange(total)
 
 
 @dataclass(frozen=True)
@@ -222,91 +244,118 @@ class PeelTrace:
 
 
 #: Entry budget of one lockstep batch, counted at base-table width
-#: (the initial counting sort walks every base row once per segment).
-#: Larger searches peel as consecutive batches — runs are independent,
-#: so the grouping never changes a result — which bounds the batch's
-#: memory to a few hundred MB.
+#: (the batch's ``held`` table and its initial block counts walk every
+#: base row once per segment).  Larger searches peel as consecutive
+#: batches — runs are independent, so the grouping never changes a
+#: result — which bounds the batch's memory to a few tens of MB.
 _BATCH_ENTRIES = 1 << 22
 
+#: Largest block of the order-statistic index.  A step costs about
+#: ``N / B`` prefix-sum terms plus 8 gathered blocks of ``B`` entries per
+#: segment, so :func:`_block_rows` sizes blocks near ``sqrt(N / 16)``:
+#: 64 rows at L = 10^5, 5 rows for a 400-row training set.
+_BLOCK_ROWS = 64
+
 #: Byte cap of :data:`INDEX_MEMO`: the column index of two L=10^5,
-#: M=8 pools (6.4 MB each with int32 orders and ranks).
-INDEX_MEMO_BYTES = 16 * 2**20
+#: M=8 pools (8.0 MB each: int32 orders and keys, uint16 blocks) plus
+#: the small indexes of the training sets the searches peel.
+INDEX_MEMO_BYTES = 17 * 2**20
 
-#: Content key of ``x`` -> the read-only ``(orders, ranks)`` of
-#: :func:`column_index`, filled only inside a warm scope; the content
-#: key covers the dtype, shape and bytes of ``x``.
+#: ``(content key of x, block rows)`` -> the read-only
+#: :class:`ColumnIndex` of ``x``, filled only inside a warm scope; the
+#: content key covers the dtype, shape and bytes of ``x``.
 #: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
-INDEX_MEMO = warm.WarmCache(
-    cap=INDEX_MEMO_BYTES,
-    weight=lambda index: index[0].nbytes + index[1].nbytes)
+INDEX_MEMO = warm.WarmCache(cap=INDEX_MEMO_BYTES,
+                            weight=lambda index: index.nbytes)
 
 
-def _build_column_index(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _block_rows(n_base: int) -> int:
+    """Rows per block of the column orders of an ``n_base``-row table."""
+    return max(1, min(_BLOCK_ROWS, math.isqrt(n_base // 16)))
+
+
+@dataclass(frozen=True)
+class ColumnIndex:
+    """The static order-statistic index of one table (:func:`column_index`).
+
+    A column's order is cut into ``n_blocks`` blocks of ``block``
+    positions, the last padded with the sentinel row ``N`` (never in a
+    box).  ``orders[j]`` lists the rows of ``x`` in ascending order of
+    column ``j``; ``keys[j, p]`` is the dense rank of the value at
+    position ``p`` plus ``j * (N + 1)`` (padding: ``N`` plus the same
+    offset), so ``keys.ravel()`` ascends and one ``searchsorted`` finds
+    any position's tie run; ``blocks[i, j]`` is the block of row ``i``
+    in column ``j`` (row-major, so a row's blocks in every column are
+    one gather).
+    """
+
+    block: int
+    orders: np.ndarray   # (M, n_blocks * block) int32 rows
+    keys: np.ndarray     # (M, n_blocks * block) int32 tie keys
+    blocks: np.ndarray   # (N, M) uint16 block of each row
+
+    @property
+    def n_blocks(self) -> int:
+        return self.orders.shape[1] // self.block
+
+    @property
+    def nbytes(self) -> int:
+        return self.orders.nbytes + self.keys.nbytes + self.blocks.nbytes
+
+
+def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
     n_base, dim = x.shape
-    index_type = np.int32 if n_base < 2**31 else np.int64
-    order = np.argsort(x, axis=0)
-    ranks = np.zeros((dim, n_base), dtype=index_type)
-    if n_base:
-        ordered = np.take_along_axis(x, order, axis=0)
-        np.cumsum(ordered[1:] != ordered[:-1], axis=0, out=ranks.T[1:])
-        del ordered
-    orders = np.ascontiguousarray(order.T, dtype=index_type)
-    del order
-    orders.flags.writeable = ranks.flags.writeable = False
-    return orders, ranks
+    n_blocks = n_base // block + 1
+    width = n_blocks * block
+    index_type = np.int32 if dim * (n_base + 1) < 2**31 else np.int64
+    orders = np.full((dim, width), n_base, dtype=index_type)
+    keys = np.full((dim, width), n_base, dtype=index_type)
+    blocks = np.empty((n_base, dim),
+                      dtype=np.uint16 if n_blocks <= 2**16 else np.uint32)
+    block_of = np.arange(n_base) // block
+    for j, column in enumerate(np.ascontiguousarray(x.T)):
+        order = np.argsort(column)
+        orders[j, :n_base] = order
+        values = column[order]
+        keys[j, :1] = 0
+        np.cumsum(values[1:] != values[:-1], out=keys[j, 1:n_base])
+        keys[j] += j * (n_base + 1)
+        blocks[order, j] = block_of
+    for array in (orders, keys, blocks):
+        array.flags.writeable = False
+    return ColumnIndex(block, orders, keys, blocks)
 
 
-def column_index(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The base-table index every lockstep batch over ``x`` starts from.
+def column_index(x: np.ndarray) -> ColumnIndex:
+    """The static index every lockstep batch over ``x`` starts from.
 
-    ``orders[j]`` lists the rows of ``x`` in ascending order of column
-    ``j``, and ``ranks[j, i]`` is the dense rank of the value at the
-    ``i``-th of those rows: the row and key halves of a batch's packed
-    words (:class:`_Lockstep`).  Both are read-only, contiguous
-    ``(M, N)`` int32 arrays (int64 only for 2^31 rows or more) and a
-    pure function of ``x``.  Inside a warm scope they are memoized in
+    A :class:`ColumnIndex`: the column orders of ``x`` padded to whole
+    blocks, their tie keys and every row's block number in every
+    column, all read-only, contiguous and a pure function of ``x``
+    (and :data:`_BLOCK_ROWS`).  Inside a warm scope it is memoized in
     :data:`INDEX_MEMO` by the content of ``x``, so the pool that a
     seed's REDS methods all peel is sorted once; outside one, nothing
     is hashed or stored.
     """
+    block = _block_rows(len(x))
     if not warm.active():
-        return _build_column_index(x)
+        return _build_column_index(x, block)
     # Lazy import: the data plane sits above subgroup in the layer order.
     from repro.experiments.dataplane import content_key
 
-    return INDEX_MEMO.get_or_create(content_key(x),
-                                    lambda: _build_column_index(x))
-
-
-def _word_bits(n_segs: int, n_runs: int, n_base: int) -> tuple[int, int]:
-    """Key bits and row bits ``s`` of a batch's packed words: enough
-    for every segment-offset key (and the one-past probes of the cut
-    search) and for every ``run * N + base row``."""
-    return ((n_segs * (n_base + 1) - 1).bit_length(),
-            (n_runs * n_base - 1).bit_length())
+    return INDEX_MEMO.get_or_create((content_key(x), block),
+                                    lambda: _build_column_index(x, block))
 
 
 def _batches(runs, n_base: int, dim: int):
-    """``(start, stop)`` of every lockstep batch of :func:`peel_runs`.
-
-    A batch closes once it holds :data:`_BATCH_ENTRIES` entries, or
-    before a run that would make its packed words pass 63 bits; a run
-    that alone passes them raises :class:`ValueError`.
-    """
+    """``(start, stop)`` of every lockstep batch of :func:`peel_runs`:
+    a batch closes once it holds :data:`_BATCH_ENTRIES` entries."""
     start = 0
     while start < len(runs):
-        stop, width, segs = start, 0, 0
+        stop, width = start, 0
         while stop < len(runs) and (stop == start or width < _BATCH_ENTRIES):
             run = runs[stop]
             n_cols = dim if run.cols is None else len(run.cols)
-            bits = sum(_word_bits(segs + n_cols, stop + 1 - start, n_base))
-            if bits > 63:
-                if stop == start:
-                    raise ValueError(
-                        f"a PRIM run over {n_base} rows and {n_cols} columns "
-                        f"needs {bits}-bit peel entries; the limit is 63 bits")
-                break
-            segs += n_cols
             width += n_cols * max(n_base,
                                   0 if run.rows is None else len(run.rows))
             stop += 1
@@ -360,7 +409,7 @@ def best_peel(x: np.ndarray, y: np.ndarray, alpha: float,
     step = batch.decide()
     if step is None:
         return None
-    removed = batch.words[step.start[0]:step.stop[0]] & batch.low
+    _, removed, _ = batch._removed(step.seg, step.lo, step.hi)
     keep_rows = np.setdiff1d(np.arange(len(x)), removed)
     kind, bound = int(step.kind[0]), float(step.bound[0])
     return PeelCandidate(
@@ -369,6 +418,17 @@ def best_peel(x: np.ndarray, y: np.ndarray, alpha: float,
         new_upper=bound if kind == 1 else None,
         keep_rows=keep_rows, score=float(step.score[0]),
         new_cats=(tuple(sorted(step.new_cats[0])) if kind == 2 else None))
+
+
+def _fixed_point(y: np.ndarray, copies: int) -> tuple[np.ndarray, float]:
+    """``y`` rounded to the finest grid ``2^-e`` on which any sum of
+    ``copies`` of its values is exact in float64, in any order, and the
+    largest rounding ``max|y - rounded|``: ``copies * max|y| * eps`` or
+    less."""
+    top = copies * float(np.abs(y).max(initial=0.0))
+    e = 52 - math.frexp(top)[1] if top > 0 else 0
+    rounded = np.ldexp(np.round(np.ldexp(y, e)), -e)
+    return rounded, float(np.abs(y - rounded).max(initial=0.0))
 
 
 class _Records:
@@ -435,12 +495,17 @@ class _Records:
 
 @dataclass
 class _Step:
-    """The winning candidate of every run that has one, run-ascending."""
+    """The winning candidate of every run that has one, run-ascending.
+
+    A cut removes the in-box entries at flat positions ``[lo, hi)`` of
+    its segment's column (``column * width + position``).
+    """
 
     run: np.ndarray
+    seg: np.ndarray
     col: np.ndarray
-    start: np.ndarray
-    stop: np.ndarray
+    lo: np.ndarray
+    hi: np.ndarray
     kind: np.ndarray      # 0 lower cut, 1 upper cut, 2 removed category
     bound: np.ndarray     # the new bound, or the removed category code
     kept: np.ndarray
@@ -450,22 +515,22 @@ class _Step:
 
 
 class _Lockstep:
-    """One batch of PRIM runs peeled together over flat segment arrays.
+    """One batch of PRIM runs peeled together over a static column index.
 
-    Every ``(run, column)`` pair is a segment: the run's in-box rows
-    sorted by that column, bootstrap repeats kept as repeated entries.
-    Segments lie back to back, run-major, in one flat int64 array of
-    ``words``, ``key << shift | row``: ``words & low`` is the entry's
-    row as ``run * N + base row``, which also locates its value in
-    ``x``, and ``words >> shift`` its key, the value's dense rank within
-    its base column plus a per-segment offset.  Equal values within a
-    segment share a key and segments own disjoint key ranges, so keys
-    ascend globally (rows under one key in any order) and, as
-    ``word < k << shift`` exactly when ``key < k``, one ``searchsorted``
-    over the words finds cut positions in all segments at once.  An
-    accepted peel clears its removed rows in the ``alive`` row table,
-    and one boolean compaction of the words applies every run's peel;
-    removing rows keeps each segment sorted.
+    Every ``(run, column)`` pair is a segment: the run's in-box copies in
+    the order of that column.  Entries never move.  A segment is its
+    column's order in the :class:`ColumnIndex` read through ``held``,
+    each run's multiplicity of each row at ``run * (N + 1) + row`` (0
+    outside the box and for the padding row ``N``).  ``cnt[s, b]`` and
+    ``sums[s, b]`` hold the in-box copies of block ``b`` of segment
+    ``s`` and the exact sum of their labels on a fixed-point grid
+    (:func:`_fixed_point`; binary labels are on it already).  The
+    ``t``-th entry of a segment is then a search over the block counts
+    plus one gathered block (:meth:`_select`), and so are the copies and
+    label sums below a position (:meth:`_rank`).  An accepted peel
+    zeroes its removed rows in ``held`` and subtracts them from their
+    block in every segment of the run (:meth:`_drop`); the segments of
+    stopped runs leave the tables.
     """
 
     def __init__(self, x, y, runs, offset, records, *, min_support,
@@ -475,12 +540,13 @@ class _Lockstep:
         self.records, self.offset = records, offset
         self.min_support, self.objective = min_support, objective
         self.exact, self.val, self.val_stop = exact, val, val_stop
-        self.x, self.n_base = x, n_base
+        self.x = x
         rows = [np.arange(n_base) if run.rows is None
                 else np.asarray(run.rows, dtype=np.int64) for run in runs]
         cols = [np.arange(dim) if run.cols is None
                 else np.asarray(run.cols, dtype=np.int64) for run in runs]
-        self.alpha = np.array([run.alpha for run in runs], dtype=float)
+        alpha = np.array([run.alpha for run in runs], dtype=float)
+        self.alphas = np.column_stack((alpha, 1.0 - alpha))
         self.n = np.array([len(r) for r in rows], dtype=np.int64)
         self.total_n = self.n.copy()
         # Each run's in-box output total: exact integers for binary
@@ -488,44 +554,57 @@ class _Lockstep:
         self.total = np.array([float(y[r].sum()) for r in rows])
         self.total_mean = np.divide(self.total, self.n,
                                     out=np.zeros(n_runs), where=self.n > 0)
-        self.y = y if n_runs == 1 else np.tile(y, n_runs)
 
-        # Counting sort: walk each base column in sorted order once per
-        # segment, emitting every row as often as the run holds it.  An
-        # entry's key is its value's dense rank within the base column,
-        # offset so that every segment owns its own key range.  The
-        # words are packed in place in their one int64 array; the only
-        # temporaries are the int32 gathers of ranks and orders.
+        index = column_index(x)
+        self.block, self.n_blocks = index.block, index.n_blocks
+        self.lanes = np.arange(self.block)[:, None]
+        self.width = index.orders.shape[1]
+        self.orders, self.keys = index.orders.ravel(), index.keys.ravel()
+        self.blocks = index.blocks
+        self.stride = n_base + 1
+        entries = np.concatenate([r * self.stride + rr
+                                  for r, rr in enumerate(rows)])
+        self.held = np.bincount(
+            entries, minlength=n_runs * self.stride).astype(np.int32)
+        # Without bootstrap repeats every in-box row is held once.
+        self.single = bool(self.held.max(initial=0) <= 1)
+        y_pad = np.append(y, 0.0)
+        self.w, self.residual = ((y_pad, 0.0) if exact else _fixed_point(
+            y_pad, int(self.n.max(initial=1))))
+        # Soft labels need each run's in-box rows in its own row order:
+        # the near-tie re-scoring and the training means reduce over
+        # them exactly as the reference does.
+        self.rows = self.y = None
+        if not exact:
+            self.y = y_pad if n_runs == 1 else np.tile(y_pad, n_runs)
+            self.rows = entries
+
         self.seg_run = np.repeat(np.arange(n_runs), [len(c) for c in cols])
         self.seg_col = np.concatenate(cols)
         self.seg_cat = np.isin(self.seg_col, list(cat_cols))
         self.has_cat = bool(self.seg_cat.any())
-        n_segs = len(self.seg_col)
-        _, self.shift = _word_bits(n_segs, n_runs, n_base)
-        self.low = (1 << self.shift) - 1
-        orders, ranks = column_index(x)
-        words = ranks[self.seg_col].astype(np.int64)
-        words += (np.arange(n_segs) * (n_base + 1))[:, None]
-        words <<= self.shift
-        words |= orders[self.seg_col]
-        if n_runs > 1:
-            words += (self.seg_run * n_base)[:, None]
-        words = words.ravel()
-        if any(run.rows is not None for run in runs):
-            held = np.bincount(
-                np.repeat(np.arange(n_runs) * n_base, self.n)
-                + np.concatenate(rows),
-                minlength=n_runs * n_base).astype(np.int32)
-            words = np.repeat(words, held[words & self.low])
-        self.words = words
-        self.alive = np.ones(n_runs * n_base, dtype=bool)
-        # Soft labels need each run's in-box rows in its own row order:
-        # the near-tie re-scoring and the training means reduce over
-        # them exactly as the reference does.
-        self.rows = None
-        if not exact:
-            self.rows = np.concatenate(
-                [r * n_base + rr for r, rr in enumerate(rows)])
+        # A step's candidate patterns, lower and upper cut alternating,
+        # sliced to its numeric segments.
+        self.lanes2 = np.arange(2 * len(self.seg_col))
+        self.side = self.lanes2 % 2
+        self.upper = self.side == 1
+        # Each categorical column's levels: the flat start of every tie
+        # run in its order, then its end, and the level values.
+        self.levels = {}
+        for col in np.unique(self.seg_col[self.seg_cat]).tolist():
+            keys = self.keys[col * self.width:col * self.width + n_base]
+            edges = col * self.width + np.concatenate(
+                ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [n_base]))
+            self.levels[col] = (edges, x[self.orders[edges[:-1]], col])
+        self._locate_segments()
+        if np.count_nonzero(self.seg_of >= 0) != len(self.seg_col):
+            raise ValueError("a PeelRun's cols must be distinct")
+        held = np.flatnonzero(self.held)
+        runs_of = held // self.stride
+        self.cnt = np.zeros((len(self.seg_col), self.n_blocks), dtype=np.int64)
+        self.sums = np.zeros(self.cnt.shape)
+        self._tally(runs_of, held - runs_of * self.stride, self.held[held],
+                    np.add)
 
         val_n = val_sum = None
         if val is not None:
@@ -543,6 +622,28 @@ class _Lockstep:
                     np.full(n_runs, -1), np.zeros(n_runs), self.n.copy(),
                     self.total_mean.copy(), val_n, val_sum)
 
+    def _locate_segments(self) -> None:
+        """Per-segment lookups, rebuilt when segments leave the batch.
+
+        ``seg_of[r, j]`` is the segment of run ``r`` and column ``j``
+        (-1 where the run does not peel the column); ``every_column``
+        says every run still peeling peels every column.  Positions are flat
+        indexes into the index arrays, ``column * width + position``, so
+        segment ``s`` finds its column at ``colbase[s]``, the block of
+        flat position ``f`` at ``f // B + gshift[s]`` in the flat block
+        tables, and its run's multiplicities at ``hold[s] + row``.
+        """
+        n_segs = len(self.seg_col)
+        self.seg_of = np.full((len(self.n), self.blocks.shape[1]), -1)
+        self.seg_of[self.seg_run, self.seg_col] = np.arange(n_segs)
+        live = np.count_nonzero(np.bincount(self.seg_run,
+                                            minlength=len(self.n)))
+        self.every_column = n_segs == live * self.blocks.shape[1]
+        self.colbase = self.seg_col * self.width
+        self.first_block = np.arange(n_segs) * self.n_blocks
+        self.gshift = self.first_block - self.seg_col * self.n_blocks
+        self.hold = None if len(self.n) == 1 else self.seg_run * self.stride
+
     def run(self) -> None:
         step = 0
         while len(self.act):
@@ -550,136 +651,243 @@ class _Lockstep:
             self._apply(step, self.decide())
 
     # ------------------------------------------------------------------
+    # The index queries of one step.
+    # ------------------------------------------------------------------
+    def _block_entries(self, seg, start):
+        """Rows and in-box copies of the block at flat position ``start``
+        of every segment ``seg``, one column per segment (lanes down the
+        rows, so the reductions over a block run along axis 0)."""
+        rows = self.orders[self.lanes + start]
+        if self.hold is None:
+            return rows, self.held[rows]
+        return rows, self.held[rows + self.hold[seg]]
+
+    def _select(self, seg, t):
+        """Flat position and row of the ``t``-th in-box copy (0-based) of
+        every segment ``seg``."""
+        target = self.seg_base[seg] + t
+        g = self.cum.searchsorted(target, side="right")
+        start = (g - self.gshift[seg]) * self.block
+        _, mult = self._block_entries(seg, start)
+        # The copy sits at the first lane whose running count passes the
+        # copies to skip in its block.
+        at = start + (mult.cumsum(axis=0)
+                      <= target - self.cum_ex[g]).sum(axis=0)
+        return at, self.orders[at]
+
+    def _rank(self, seg, edge):
+        """In-box copies and their fixed-point label sum for every
+        segment ``seg`` below flat position ``edge``."""
+        start = edge // self.block
+        g = start + self.gshift[seg]
+        start *= self.block
+        rows, mult = self._block_entries(seg, start)
+        mult *= self.lanes < edge - start
+        count = self.cum_ex[g] - self.seg_base[seg] + mult.sum(axis=0)
+        sums = self.pre_ex[g] + (self.w[rows] * mult).sum(axis=0)
+        return count, sums
+
+    def _tie_edges(self, at, after):
+        """Flat start (``after`` 0) or end (``after`` 1) of the tie run
+        at every flat position ``at``."""
+        return self.keys.searchsorted(
+            (self.keys[at] + after).astype(self.keys.dtype))
+
+    def _removed(self, seg, lo, hi):
+        """``(owner, row, copies)`` of the in-box entries at flat
+        positions ``[lo, hi)`` of every segment ``seg``.  Each range is
+        first clipped to the blocks of its segment's first and last
+        in-box copy, so a cut never rescans what earlier cuts emptied."""
+        base = self.seg_base[seg]
+        ends = self.cum.searchsorted(np.concatenate(
+            (base, base + self.n[self.seg_run[seg]] - 1)), side="right")
+        first, last = (ends - np.concatenate((self.gshift[seg],) * 2)
+                       ).reshape(2, -1) * self.block
+        lo = np.maximum(lo, first)
+        count = np.minimum(hi, last + self.block) - lo
+        owner = np.arange(len(seg)).repeat(count)
+        rows = self.orders[_ranges(lo, count)]
+        copies = self.held[rows if self.hold is None
+                           else rows + self.hold[seg][owner]]
+        hit = copies.nonzero()[0]
+        return owner[hit], rows[hit], copies[hit]
+
+    def _tally(self, runs, rows, mult, update) -> None:
+        """Apply ``update`` (``np.add`` or ``np.subtract``) to the block
+        tables with the copies and fixed-point label sums of every row
+        ``rows`` that run ``runs`` holds ``mult`` times, in each segment
+        of its run: one ``bincount`` pair per chunk of rows, so the
+        temporaries stay a few MB."""
+        n_blocks = self.n_blocks
+        size = len(self.seg_col) * n_blocks
+        counts, sums = self.cnt.reshape(-1), self.sums.reshape(-1)
+        chunk = (1 << 18) // max(1, self.blocks.shape[1])
+        for lo in range(0, len(rows), chunk):
+            run, row, copies = (a[lo:lo + chunk] for a in (runs, rows, mult))
+            if self.every_column:
+                # One row per held row, one column per base column.
+                seg = self.seg_of[run] if len(self.n) > 1 else self.seg_of[0]
+                flat = (self.blocks[row] + seg * n_blocks).ravel()
+
+                def spread(values):
+                    return values.repeat(self.blocks.shape[1])
+            else:
+                at, col = (self.seg_of[run] >= 0).nonzero()
+                flat = (self.seg_of[run[at], col] * n_blocks
+                        + self.blocks[row[at], col])
+
+                def spread(values):
+                    return values[at]
+            update(counts, np.bincount(
+                flat, weights=None if self.single else spread(copies),
+                minlength=size).astype(np.int64, copy=False), out=counts)
+            update(sums, np.bincount(
+                flat, weights=spread(self.w[row] * copies), minlength=size),
+                out=sums)
+
+    def _drop(self, runs, rows, mult) -> None:
+        """Take removed copies out of ``held`` and out of their block in
+        every segment of their run."""
+        self.held[runs * self.stride + rows] = 0
+        self._tally(runs, rows, mult, np.subtract)
+
+    # ------------------------------------------------------------------
     # One step: candidates, winners, acceptance.
     # ------------------------------------------------------------------
     def decide(self) -> _Step | None:
         """Every active run's winning cut, or None when none has one."""
         seg_n = self.n[self.seg_run]
-        seg_lo = np.cumsum(seg_n) - seg_n
-        cand = self._candidates(seg_lo, seg_n)
+        # Inclusive and exclusive prefix counts over all blocks, and the
+        # exclusive label sums within each segment (exact on the grid).
+        cnt = self.cnt.reshape(-1)
+        self.cum = cnt.cumsum()
+        self.cum_ex = self.cum - cnt
+        self.seg_base = self.cum_ex[self.first_block]
+        pre = self.sums.cumsum(axis=1)
+        self.totals = pre[:, -1]
+        self.pre_ex = (pre - self.sums).reshape(-1)
+        cand = self._candidates(seg_n)
         if cand is None:
             return None
-        seg, start, stop, kind, bound, kept, kept_sum = cand
+        seg, lo, hi, kind, bound, kept, fallback, kept_sum = cand
         scores = self._scores(seg, kept, kept_sum)
-        win = self._winners(seg, start, stop, kept, scores)
-        seg = seg[win]
-        step = _Step(run=self.seg_run[seg], col=self.seg_col[seg],
-                     start=start[win], stop=stop[win], kind=kind[win],
-                     bound=bound[win], kept=kept[win],
+        win = self._winners(seg, lo, hi, kept, scores)
+        step = _Step(run=self.seg_run[seg[win]], seg=seg[win],
+                     col=self.seg_col[seg[win]], lo=lo[win], hi=hi[win],
+                     kind=kind[win], bound=bound[win], kept=kept[win],
                      kept_sum=kept_sum[win], score=scores[win], new_cats={})
-        for i in np.flatnonzero(step.kind == 2).tolist():
-            at = np.arange(seg_lo[seg[i]], seg_lo[seg[i]] + seg_n[seg[i]])
-            present = np.unique(self._values(at, np.full(len(at), seg[i])))
+        # A cut that fell back to a whole tie level is bounded by the
+        # nearest kept value.
+        tied = (fallback[win] >= 0).nonzero()[0]
+        if len(tied):
+            _, rows = self._select(step.seg[tied], fallback[win][tied])
+            step.bound[tied] = self.x[rows, step.col[tied]]
+        for i in (step.kind == 2).nonzero()[0].tolist():
+            present = bound[(seg == step.seg[i]) & (kind == 2)]
             step.new_cats[i] = frozenset(
                 float(c) for c in present if c != step.bound[i])
         return step
 
-    def _values(self, at: np.ndarray, seg: np.ndarray) -> np.ndarray:
-        """Values of the flat entries ``at`` of segments ``seg``."""
-        base = (self.words[at] & self.low) - self.seg_run[seg] * self.n_base
-        return self.x[base, self.seg_col[seg]]
-
-    def _candidates(self, seg_lo, seg_n):
+    def _candidates(self, seg_n):
         """Every valid cut of every active run, in reference order.
 
-        Per-candidate arrays ``(seg, start, stop, kind, bound, kept,
-        kept_sum)``: the cut removes flat entries ``[start, stop)``, and
-        ``kind`` is 0/1/2 for a lower cut, an upper cut and a removed
-        category.  ``start`` doubles as the reference iteration order —
-        run-major, then column, lower cut before upper cut, category
-        levels ascending — because segments lie run-major and a lower
-        cut starts at its segment's first entry, an upper cut after it,
-        and a level at its own run of equal codes.
+        Per-candidate arrays ``(seg, lo, hi, kind, bound, kept,
+        fallback, kept_sum)``: the cut removes flat positions ``[lo,
+        hi)`` of its segment's column, ``kind`` is 0/1/2 for a lower cut,
+        an upper cut and a removed category, and a numeric cut that
+        fell back to a whole tie level has its bound at the in-box rank
+        ``fallback`` (else -1).  Candidates run in the reference
+        iteration order: run-major, then column, lower cut before upper
+        cut, category levels ascending.
         """
-        words, shift = self.words, self.shift
         peelable = seg_n >= 2
-        num = np.flatnonzero(peelable & ~self.seg_cat)
-        count = len(num)
-        lo, n = seg_lo[num], seg_n[num]
-        alpha = self.alpha[self.seg_run[num]]
-        # Both quantiles of every segment in one pass, lower cuts first:
+        num = (peelable & ~self.seg_cat).nonzero()[0]
+        # Both cuts of every numeric segment, lower then upper as the
+        # reference tries them: the alpha- and (1 - alpha)-quantiles by
         # sorted_quantile's formula over the order statistics a/b at
-        # offsets below/below + 1 of each segment.
-        seg2 = np.concatenate((num, num))
-        lo2, n2 = np.concatenate((lo, lo)), np.concatenate((n, n))
-        virtual = (n2 - 1) * np.concatenate((alpha, 1.0 - alpha))
-        below = np.minimum(np.floor(virtual).astype(np.int64), n2 - 2)
-        a, b = self._values(np.concatenate((lo2 + below, lo2 + below + 1)),
-                            np.concatenate((seg2, seg2))).reshape(2, -1)
+        # ranks below/below + 1 of each segment.
+        count = 2 * len(num)
+        upper, side = self.upper[:count], self.side[:count]
+        seg = num.repeat(2)
+        segs = np.concatenate((seg, seg))
+        n = seg_n[seg]
+        virtual = (n - 1) * self.alphas[self.seg_run[seg], side]
+        below = np.minimum(virtual.astype(np.int64), n - 2)
+        at, rows = self._select(segs, np.concatenate((below, below + 1)))
+        a, b = self.x[rows.reshape(2, -1), self.seg_col[seg]]
         quantile = _lerp(a, b, virtual - below)
-        # One binary search for all four cut positions of every segment.
         # Cuts keep ties at the quantile inside: the lower cut drops the
         # entries below it, the upper cut those above it.  A quantile
         # equals one of its two order statistics or lies strictly
         # between them, so the lower cut ends where the tie run of ``a``
         # (quantile == a) or of ``b`` starts, and the upper cut where the
-        # tie run of ``b`` (quantile == b) or of ``a`` ends; keys are
-        # integers, so "right of key k" is "left of k + 1", and "left of
-        # key k" is "left of word k << shift".  When the whole box ties
-        # at an extreme, the cut falls back to peeling that entire
-        # level: the tie run of the first / last entry.
-        probe = words[lo2 + below + np.concatenate(
-            (quantile[:count] != a[:count], quantile[count:] == b[count:]))]
-        probe = np.concatenate((probe, words[lo], words[lo + n - 1])) >> shift
-        probe[count:3 * count] += 1
-        cut = (np.searchsorted(words, probe << shift)
-               - np.concatenate((lo2, lo2)))
-        low, high, low_tie, high_tie = cut.reshape(4, count)
-        tied = np.concatenate((low == 0, high == n))
-        low = np.where(tied[:count], low_tie, low)
-        high = np.where(tied[count:], high_tie, high)
-        fallback = self._values(lo2 + np.concatenate(
-            (np.minimum(low, n - 1), np.maximum(high - 1, 0))), seg2)
-
+        # tie run of ``b`` (quantile == b) or of ``a`` ends.  When the
+        # whole box ties at an extreme, nothing lies below (above) that
+        # tie run, and the cut falls back to peeling the entire level:
+        # up to the run's end (from its start).
+        probe = np.where(np.where(upper, quantile == b, quantile != a),
+                         at[count:], at[:count])
+        edge = self._tie_edges(np.concatenate((probe, probe)),
+                               np.concatenate((side, 1 - side)))
+        cut, below_sums = self._rank(segs, edge)
+        tied = np.where(upper, cut[:count] == n, cut[:count] == 0)
+        pick = self.lanes2[:count] + count * tied
+        cut, edge, below_sums = cut[pick], edge[pick], below_sums[pick]
+        base = self.colbase[seg]
         columns = [
-            seg2,
-            np.concatenate((lo, lo + high)),
-            np.concatenate((lo + low, lo + n)),
-            np.repeat(np.array([0, 1]), count),
-            np.where(tied, fallback, quantile),
-            np.concatenate((n - low, high)),
+            seg,
+            np.where(upper, edge, base),
+            np.where(upper, base + (self.stride - 1), edge),
+            side,
+            quantile,
+            np.where(upper, cut, n - cut),
+            np.where(tied, np.where(upper, np.maximum(cut - 1, 0),
+                                    np.minimum(cut, n - 1)), -1),
+            np.where(upper, below_sums, self.totals[seg] - below_sums),
         ]
-        valid = (columns[5] > 0) & (columns[5] < n2)
+        valid = (columns[5] > 0) & (columns[5] < n)
         if self.has_cat:
-            columns = [np.concatenate((c[valid], extra)) for c, extra in
-                       zip(columns, self._cat_candidates(seg_lo, seg_n, peelable))]
-            order = np.argsort(columns[1])
-        else:
-            # Interleave each segment's lower and upper cut.
-            order = np.arange(2 * count).reshape(2, count).T.ravel()
-            order = order[valid[order]]
-        seg, start, stop, kind, bound, kept = (c[order] for c in columns)
-        if not len(seg):
+            cats = self._cat_candidates(seg_n, peelable)
+            columns = [np.concatenate((c[valid], extra))
+                       for c, extra in zip(columns + [side], cats)]
+            order = np.lexsort((columns[-1], columns[0]))
+            columns = [c[order] for c in columns[:-1]]
+        elif not valid.all():
+            columns = [c[valid] for c in columns]
+        if not len(columns[0]):
             return None
+        return columns
 
-        # Output sums over the removed entries only (about alpha * n per
-        # cut), from one cumulative sum.
-        lengths = stop - start
-        rows = self.words[_ranges(start, lengths)] & self.low
-        sums = np.cumsum(self.y[rows])
-        ends = np.cumsum(lengths)
-        removed = sums[ends - 1] - np.where(ends > lengths,
-                                            sums[ends - lengths - 1], 0.0)
-        kept_sum = self.total[self.seg_run[seg]] - removed
-        return seg, start, stop, kind, bound, kept, kept_sum
-
-    def _cat_candidates(self, seg_lo, seg_n, peelable):
-        """One candidate per in-box level of every categorical segment."""
+    def _cat_candidates(self, seg_n, peelable):
+        """One candidate per in-box level of every categorical segment
+        that has two or more: the columns of :meth:`_candidates`, then
+        each level's index (its order key within the segment)."""
         segs = np.flatnonzero(peelable & self.seg_cat)
-        at = _ranges(seg_lo[segs], seg_n[segs])
-        seg_of = np.repeat(segs, seg_n[segs])
-        # Every segment opens with a fresh key, so key changes alone
-        # mark both level and segment boundaries.
-        keys = self.words[at] >> self.shift
-        fresh = np.ones(len(at), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
-        start, seg = at[fresh], seg_of[fresh]
-        last = np.append(seg[1:] != seg[:-1], True)
-        stop = np.where(last, seg_lo[seg] + seg_n[seg], np.append(start[1:], 0))
-        several = np.bincount(seg, minlength=len(seg_n))[seg] >= 2
-        seg, start, stop = seg[several], start[several], stop[several]
-        return (seg, start, stop, np.full(len(seg), 2),
-                self._values(start, seg), seg_n[seg] - (stop - start))
+        parts = []
+        for col, (edges, values) in self.levels.items():
+            mine = segs[self.seg_col[segs] == col]
+            n_levels = len(values)
+            parts.append((np.repeat(mine, n_levels + 1),
+                          np.tile(edges, len(mine)),
+                          np.tile(np.arange(n_levels + 1) < n_levels,
+                                  len(mine)),
+                          np.tile(values, len(mine)),
+                          np.tile(np.arange(n_levels), len(mine))))
+        seg, edge, opens, value, level = (np.concatenate(p)
+                                          for p in zip(*parts))
+        count, below = self._rank(seg, edge)
+        # Level i of a segment lies between its edges i and i + 1.
+        first = np.flatnonzero(opens)
+        seg = seg[first]
+        size = count[first + 1] - count[first]
+        present = size > 0
+        at = present & (np.bincount(seg[present], minlength=len(seg_n))[seg]
+                        >= 2)
+        first, seg = first[at], seg[at]
+        kept_sum = self.totals[seg] - (below[first + 1] - below[first])
+        return (seg, edge[first], edge[first + 1], np.full(len(seg), 2),
+                value[at], seg_n[seg] - size[at], np.full(len(seg), -1),
+                kept_sum, level[at])
 
     def _scores(self, seg, kept, kept_sum):
         """Candidate scores through the formulas of :func:`peel_score`.
@@ -697,25 +905,26 @@ class _Lockstep:
                     / np.maximum(n - kept, 1))
         return (kept / self.total_n[run]) * (mean_after - self.total_mean[run])
 
-    def _winners(self, seg, start, stop, kept, scores):
+    def _winners(self, seg, lo, hi, kept, scores):
         """Each run's first maximum-score candidate."""
         run = self.seg_run[seg]
         opens = np.ones(len(run), dtype=bool)
         np.not_equal(run[1:], run[:-1], out=opens[1:])
-        firsts = np.flatnonzero(opens)
-        group = np.cumsum(opens) - 1
+        firsts = opens.nonzero()[0]
+        group = opens.cumsum() - 1
         best = np.maximum.reduceat(scores, firsts)
         winners = np.minimum.reduceat(
             np.where(scores == best[group], np.arange(len(run)), len(run)),
             firsts)
         if not self.exact:
-            tolerance = _TIE_RTOL * np.maximum(1.0, np.abs(best))
+            tolerance = (_TIE_RTOL * np.maximum(1.0, np.abs(best))
+                         + 2.0 * self.residual)
             contender = scores >= (best - tolerance)[group]
             ties = np.bincount(group[contender], minlength=len(best))
             for g in np.flatnonzero(ties >= 2).tolist():
                 members = np.flatnonzero(contender & (group == g))
                 winners[g] = self._resolve_near_tie(
-                    int(run[members[0]]), members, start, stop, kept)
+                    int(run[members[0]]), members, seg, lo, hi, kept)
         return winners
 
     def _in_box_rows(self, r: int) -> np.ndarray:
@@ -724,10 +933,10 @@ class _Lockstep:
         lo = int(self.n[before].sum())
         return self.rows[lo:lo + int(self.n[r])]
 
-    def _resolve_near_tie(self, r, members, start, stop, kept) -> int:
+    def _resolve_near_tie(self, r, members, seg, lo, hi, kept) -> int:
         """First candidate winning under exact reference scoring.
 
-        Slice sums of soft labels carry rounding noise, so candidates
+        Vectorized soft-label scores carry rounding noise, so candidates
         whose true scores are equal (typically cuts keeping the same
         rows through different dimensions) may come out of the argmax
         in the wrong order.  Re-score every near-tied candidate the way
@@ -739,10 +948,13 @@ class _Lockstep:
         mean_before = float(outputs.mean())
         winner, winner_score = int(members[0]), -np.inf
         for i in members.tolist():
-            removed = self.words[start[i]:stop[i]] & self.low
-            self.alive[removed] = False
-            keep = self.alive[rows]
-            self.alive[removed] = True
+            _, removed, _ = self._removed(seg[i:i + 1], lo[i:i + 1],
+                                          hi[i:i + 1])
+            removed += r * self.stride
+            held = self.held[removed]
+            self.held[removed] = 0
+            keep = self.held[rows] > 0
+            self.held[removed] = held
             exact = peel_score(
                 self.objective, float(outputs[keep].mean()), int(kept[i]),
                 int(self.n[r]), mean_before, float(self.total_mean[r]),
@@ -754,7 +966,7 @@ class _Lockstep:
     def _val_inside(self, step: _Step):
         """Which validation entries each winning cut keeps, per run."""
         x_val = self.val[0]
-        owner = np.repeat(self.act, self.vn[self.act])
+        owner = self.act.repeat(self.vn[self.act])
         slot = np.full(len(self.n), -1)
         slot[step.run] = np.arange(len(step.run))
         pick = slot[owner]
@@ -770,7 +982,7 @@ class _Lockstep:
         return owner, inside
 
     # ------------------------------------------------------------------
-    # Apply: clear removed rows, drop stopped runs, compact once.
+    # Apply: drop removed rows from their blocks, drop stopped runs.
     # ------------------------------------------------------------------
     def _apply(self, step_no: int, step: _Step | None) -> None:
         if step is None:
@@ -787,17 +999,20 @@ class _Lockstep:
         accepted[step.run[accept]] = True
         stopped = self.act[~accepted[self.act]]
 
-        removed = _ranges(step.start[accept], (step.stop - step.start)[accept])
-        self.alive[self.words[removed] & self.low] = False
+        winners = accept.nonzero()[0]
+        cut, rows, mult = self._removed(
+            step.seg[winners], step.lo[winners], step.hi[winners])
+        self._drop(step.run[winners][cut], rows, mult)
         if len(stopped):
-            self.alive.reshape(n_runs, self.n_base)[stopped] = False
+            self.held.reshape(n_runs, self.stride)[stopped] = 0
             self.n[stopped] = 0
             on = accepted[self.seg_run]
             self.seg_run, self.seg_col, self.seg_cat = (
                 self.seg_run[on], self.seg_col[on], self.seg_cat[on])
-        self.words = self.words[self.alive[self.words & self.low]]
+            self.cnt, self.sums = self.cnt[on], self.sums[on]
+            self._locate_segments()
         if self.rows is not None:
-            self.rows = self.rows[self.alive[self.rows]]
+            self.rows = self.rows[self.held[self.rows] > 0]
         runs, kept = step.run[accept], step.kept[accept]
         self.n[runs] = kept
         self.act = runs
@@ -823,7 +1038,7 @@ class _Lockstep:
             lo = np.cumsum(kept) - kept
             self.total[runs] = [float(self.y[self.rows[a:a + b]].sum())
                                 for a, b in zip(lo.tolist(), kept.tolist())]
-        for j, i in enumerate(np.flatnonzero(accept).tolist()):
+        for j, i in enumerate(winners.tolist()):
             if i in step.new_cats:
                 self.records.cats[(int(runs[j]) + self.offset, step_no)] = (
                     int(step.col[i]), step.new_cats[i])

@@ -312,7 +312,10 @@ def prim_bumping(
         x_val, y_val = x, y
 
     n, dim = x.shape
-    m = dim if n_features is None else min(max(n_features, 1), dim)
+    if n_features is not None and not 1 <= n_features <= dim:
+        raise ValueError(f"n_features must be in [1, {dim}] for {dim} "
+                         f"columns, got {n_features}")
+    m = dim if n_features is None else int(n_features)
     cat_set = frozenset(int(c) for c in cat_cols)
     if not all(0 <= c < dim for c in cat_set):
         raise ValueError(f"cat_cols must lie in [0, {dim}), got {sorted(cat_set)}")

@@ -39,8 +39,9 @@ def check_sd_data(x, y, x_val=None, y_val=None, *, caller: str):
 
     ``x`` must be a 2-D array of finite values and ``y`` a finite
     vector with one label per row.  Validation data come as a pair: a
-    2-D ``x_val`` with the columns of ``x`` and one finite label per
-    row in ``y_val``.  Absent validation data stay ``None``.
+    2-D ``x_val`` with the columns of ``x``, at least one row, and one
+    finite label per row in ``y_val``.  Absent validation data stay
+    ``None``.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -62,6 +63,9 @@ def check_sd_data(x, y, x_val=None, y_val=None, *, caller: str):
         if y_val.ndim != 1 or len(y_val) != len(x_val):
             raise ValueError(f"x_val and y_val disagree: {len(x_val)} rows vs "
                              f"y_val of shape {y_val.shape}")
+        if not len(x_val):
+            raise ValueError(f"x_val has no rows; {caller} needs validation "
+                             "data to choose its box")
         check_finite(x_val, y_val, caller=caller, names=("x_val", "y_val"))
     return x, y, x_val, y_val
 

@@ -8,8 +8,10 @@ whatever else shares the batch.  The property covers mixed alphas,
 bootstrap duplicates, feature subsets of different widths, categorical
 and tie-heavy discrete columns, soft labels, validation sets with and
 without the validation stop, runs that stop at different steps,
-single-run batches, and batches peeled twice inside one warm scope (the
-second from the memoized column index).  ``discover`` is then pinned
+single-run batches, batches peeled twice inside one warm scope (the
+second from the memoized column index), and blocks of the column index
+forced down to 1-5 rows.  The block tables themselves are checked
+against a recount after every step.  ``discover`` is then pinned
 engine-free end to end for the methods whose SD hyperparameters are
 searched.
 """
@@ -150,21 +152,140 @@ def test_batching_never_changes_a_run(monkeypatch):
     np.testing.assert_array_equal(whole.val_sum, split.val_sum)
 
 
-def test_batches_close_at_the_63_bit_word_limit(monkeypatch):
-    """A batch's packed words carry its keys above its row ids: the
-    splitter closes a batch before a run would push them past 63 bits,
-    and refuses a run that passes them alone.  Only the splitter runs,
+def test_batches_close_at_the_entry_budget(monkeypatch):
+    """The one limit left on a batch is its entry budget: a batch closes
+    once its runs hold ``_BATCH_ENTRIES`` entries at base-table width
+    (bootstrap rows and column subsets at their own width), and a run
+    over the budget peels alone, however large.  Only the splitter runs,
     so nothing of the nominal 2^28-row base table is allocated."""
     from repro.subgroup import _kernels
 
-    monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 2**62)
+    monkeypatch.setattr(_kernels, "_BATCH_ENTRIES", 3 * 8 * 2**20)
     runs = [PeelRun(0.05) for _ in range(7)]
-    # 8 columns over 2^28 rows: one run packs into 60 bits, three into
-    # 63 (33 key bits over 30 row bits), four would need 64.
-    assert list(_kernels._batches(runs, 2**28, 8)) == [(0, 3), (3, 6), (6, 7)]
-    assert list(_kernels._batches(runs[:2], 2**20, 8)) == [(0, 2)]
-    with pytest.raises(ValueError, match="limit is 63 bits"):
-        list(_kernels._batches(runs[:1], 2**30, 8))
+    assert list(_kernels._batches(runs, 2**20, 8)) == [(0, 3), (3, 6), (6, 7)]
+    assert list(_kernels._batches(runs[:2], 2**28, 8)) == [(0, 1), (1, 2)]
+    narrow = PeelRun(0.05, rows=np.zeros(2**22, dtype=np.int64),
+                     cols=np.arange(2))
+    assert list(_kernels._batches([narrow] * 4, 2**20, 8)) == [(0, 3), (3, 4)]
+
+
+def test_runs_must_list_distinct_columns():
+    """Each column of a run is one segment; a repeated column is refused
+    rather than peeled from a block table that tracks only one copy."""
+    x = np.random.default_rng(2).random((50, 3))
+    with pytest.raises(ValueError, match="cols must be distinct"):
+        peel_runs(x, x[:, 0], [PeelRun(0.1, cols=np.array([0, 2, 0]))],
+                  min_support=5)
+
+
+def test_block_numbers_widen_past_two_bytes(monkeypatch):
+    """Block numbers are uint16 up to 2^16 blocks per column and uint32
+    beyond; either width peels the same boxes."""
+    from repro.subgroup import _kernels
+
+    rng = np.random.default_rng(8)
+    x = rng.random((70_000, 2))
+    y = (x[:, 0] + 0.2 * rng.random(70_000) > 0.8).astype(float)
+    default = peel_runs(x, y, [PeelRun(0.1)], min_support=20)
+    assert _kernels.column_index(x).blocks.dtype == np.uint16
+    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: 1)
+    assert _kernels.column_index(x).blocks.dtype == np.uint32
+    single = peel_runs(x, y, [PeelRun(0.1)], min_support=20)
+    np.testing.assert_array_equal(default.stack.lower, single.stack.lower)
+    np.testing.assert_array_equal(default.stack.upper, single.stack.upper)
+    np.testing.assert_array_equal(default.train_mean, single.train_mean)
+
+
+@settings(max_examples=25)
+@given(batch=lockstep_batches(), block=st.sampled_from([1, 2, 3, 5]))
+def test_tiny_blocks_equal_per_run_reference(batch, block):
+    """Blocks of 1-5 rows, so that quantile probes, tie runs and
+    categorical levels straddle block edges."""
+    from repro.subgroup import _kernels
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_kernels, "_block_rows", lambda n_base: block)
+        trace = peel_runs(
+            batch["x"], batch["y"], batch["runs"],
+            min_support=batch["min_support"], objective=batch["objective"],
+            cat_cols=batch["cat_cols"], x_val=batch["x_val"],
+            y_val=batch["y_val"], val_stop=batch["val_stop"])
+    _assert_equals_per_run_reference(batch, trace)
+
+
+def _near_tied_batch(seed: int, soft: bool):
+    """Bootstrap runs with rows held up to ~10 times over columns that
+    tie: a duplicated column (cuts through either keep the same rows),
+    a coarse one, a categorical one, and labels on a coarse grid whose
+    box means tie across different row sets."""
+    rng = np.random.default_rng(seed)
+    n = 120
+    x = rng.random((n, 4))
+    x[:, 1] = x[:, 0]
+    x[:, 2] = np.round(x[:, 2] * 3) / 3
+    x[:, 3] = np.floor(x[:, 3] * 3)
+    if soft:
+        y = np.round(rng.random(n) * 3) / 10
+    else:
+        y = (rng.random(n) < 0.2 + 0.6 * x[:, 0]).astype(float)
+    runs = [PeelRun(alpha, rows=rng.integers(0, n // 3, size=n),
+                    cols=np.sort(rng.choice(4, size=width, replace=False)),
+                    val_rows=rng.permutation(n)[:60])
+            for alpha, width in ((0.05, 4), (0.1, 3), (0.2, 4), (0.35, 2))]
+    return dict(x=x, y=y, x_val=x, y_val=y, runs=runs, cat_cols=(3,),
+                min_support=5, val_stop=False, objective="mean", warm=False)
+
+
+@pytest.mark.parametrize("block", [1, 2, 5])
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+@pytest.mark.parametrize("seed", range(4))
+def test_bootstrap_copies_and_near_ties_equal_reference(monkeypatch, seed,
+                                                        soft, block):
+    from repro.subgroup import _kernels
+
+    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: block)
+    batch = _near_tied_batch(seed, soft)
+    trace = peel_runs(batch["x"], batch["y"], batch["runs"], min_support=5,
+                      cat_cols=(3,), x_val=batch["x"], y_val=batch["y"])
+    _assert_equals_per_run_reference(batch, trace)
+
+
+@pytest.mark.parametrize("block", [2, 5, 64])
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_block_tables_equal_a_recount_after_every_step(monkeypatch, soft,
+                                                       block):
+    """After every step each segment's per-block copies and label sums
+    equal a recount from the ``held`` table, exactly (the label sums
+    are on a fixed-point grid, so their order does not matter), and add
+    up to the run's in-box count."""
+    from repro.subgroup import _kernels
+
+    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: block)
+    steps = []
+    apply = _kernels._Lockstep._apply
+
+    def checked(batch, step_no, step):
+        apply(batch, step_no, step)
+        orders = batch.orders.reshape(-1, batch.width)
+        for s, (r, col) in enumerate(zip(batch.seg_run, batch.seg_col)):
+            copies = batch.held[r * batch.stride + orders[col]]
+            np.testing.assert_array_equal(
+                batch.cnt[s], copies.reshape(-1, batch.block).sum(axis=1))
+            np.testing.assert_array_equal(
+                batch.sums[s], (batch.w[orders[col]] * copies).reshape(
+                    -1, batch.block).sum(axis=1))
+            assert batch.cnt[s].sum() == batch.n[r]
+        steps.append(step_no)
+
+    monkeypatch.setattr(_kernels._Lockstep, "_apply", checked)
+    batch = _near_tied_batch(3, soft)
+    peel_runs(batch["x"], batch["y"], batch["runs"], min_support=5,
+              cat_cols=(3,), x_val=batch["x"], y_val=batch["y"])
+    rng = np.random.default_rng(5)
+    x = rng.random((3000, 3))
+    y = rng.random(3000) if soft else (x[:, 0] > 0.4).astype(float)
+    peel_runs(x, y, [PeelRun(0.05)], min_support=20)
+    assert len(steps) > 30
 
 
 @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])

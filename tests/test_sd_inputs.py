@@ -5,7 +5,9 @@ vectorized peel returned ``a1 >= 0.614`` where the masking reference
 restricted four inputs), a NaN label returned the unrestricted box, a
 too-narrow validation set was accepted, a short ``y_val`` raised
 ``IndexError`` from inside the peel, and empty grids or zero bumping
-repeats either crashed or silently returned a default.
+repeats either crashed or silently returned a default.  A zero-row
+validation set returned the unrestricted box as ``chosen``, and a
+bumping ``n_features`` outside ``1..M`` was silently clamped into it.
 """
 
 from __future__ import annotations
@@ -61,6 +63,7 @@ def test_nan_label_is_rejected(data, entry):
     ("short y_val", "x_val and y_val disagree"),
     ("nan x_val", "x_val column 1 holds NaN"),
     ("nan y_val", "y_val holds NaN"),
+    ("empty", "x_val has no rows"),
 ])
 def test_bad_validation_data_is_rejected(data, engine, case, match):
     x, y = data
@@ -71,6 +74,8 @@ def test_bad_validation_data_is_rejected(data, engine, case, match):
         y_val = y[:-5]
     elif case == "nan x_val":
         x_val = _with_nan(x, (9, 1))
+    elif case == "empty":
+        x_val, y_val = x[:0], y[:0]
     else:
         y_val = _with_nan(y, 9)
     with pytest.raises(ValueError, match=match):
@@ -102,3 +107,20 @@ def test_zero_bumping_repeats_are_rejected(data, engine):
         optimize_bumping_features(*data, alpha=0.1, n_repeats=0,
                                   engine=engine)
 
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("n_features", [0, -1, 5, 9])
+def test_bumping_feature_count_outside_the_columns_is_rejected(
+        data, engine, n_features):
+    with pytest.raises(ValueError,
+                       match=rf"n_features must be in \[1, 4\].*{n_features}"):
+        prim_bumping(*data, n_repeats=2, n_features=n_features,
+                     engine=engine)
+
+
+def test_bumping_feature_count_at_the_edges_is_accepted(data):
+    for n_features in (1, 4):
+        result = prim_bumping(*data, n_repeats=2, n_features=n_features,
+                              rng=np.random.default_rng(0))
+        assert len(result.boxes) >= 1

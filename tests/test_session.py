@@ -268,15 +268,17 @@ class TestWarmEquivalence:
                         == [b.key() for b in before.boxes + [before.chosen_box]])
                 index = session.stats()["index"]
                 seen.append((index["hits"], index["misses"]))
-            # Two pools and, from RPcx's alpha search, D: int32 orders
-            # and ranks of 4 columns each.
+            # Two pools and, from RPcx's alpha search, D, 4 columns
+            # each: int32 orders and keys over whole blocks (13 rows a
+            # block for a 3000-row pool: 3003 positions; 3 rows for the
+            # 240-row D: 243) and a uint16 block number per row.
             assert index["size"] == 3
-            assert index["bytes"] == 2 * 4 * 4 * (2 * 3000 + len(x))
-            for orders, ranks in INDEX_MEMO.values():
-                with pytest.raises(ValueError, match="read-only"):
-                    orders[0, 0] = 1
-                with pytest.raises(ValueError, match="read-only"):
-                    ranks[0, 0] = 1
+            assert index["bytes"] == (2 * (2 * 4 * 4 * 3003 + 2 * 4 * 3000)
+                                      + 2 * 4 * 4 * 243 + 2 * 4 * len(x))
+            for entry in INDEX_MEMO.values():
+                for array in (entry.orders, entry.keys, entry.blocks):
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0, 0] = 1
         # One miss for the seed-4 pool, then hits; RPcx's search over D
         # misses once on its own, and so does the seed-5 pool.
         assert seen == [(0, 1), (1, 1), (2, 2), (3, 2), (3, 3)]
