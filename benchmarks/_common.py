@@ -11,11 +11,7 @@ points at a persistent result-store directory: finished grid cells are
 cached there, so re-running a benchmark recomputes only what is missing
 (delete the directory, or change any result-affecting source file, to
 force a cold run).  ``REDS_ENGINE`` selects the kernel engine for every
-grid cell (``vectorized`` default / ``reference``), and
-``REDS_BENCH_SHARD=i/k`` runs only shard ``i`` of ``k`` of each grid,
-reading the other shards' records from the store — launch ``k``
-invocations against one ``REDS_BENCH_STORE`` to split a benchmark
-across machines or terminals with zero duplicated work.
+grid cell (``vectorized`` default / ``reference``).
 """
 
 from __future__ import annotations
@@ -131,14 +127,6 @@ def engine_from_env() -> str:
             f"got {engine!r}") from None
 
 
-def shard_from_env():
-    """Shard spec from ``REDS_BENCH_SHARD=i/k`` (None when unset)."""
-    from repro.experiments.parallel import parse_shard
-
-    value = os.environ.get("REDS_BENCH_SHARD", "").strip()
-    return parse_shard(value) if value else None
-
-
 def pick_l(scale: BenchScale, method: str) -> int | None:
     """The L override for REDS methods at this scale (None otherwise)."""
     spec = parse_method(method)
@@ -161,11 +149,6 @@ def run_method_grid(
     jobs = jobs_from_env()
     store = store_from_env()
     engine = engine_from_env()
-    shard = shard_from_env()
-    if shard is not None and store is None:
-        raise ValueError(
-            "REDS_BENCH_SHARD coordinates through the store; "
-            "set REDS_BENCH_STORE too")
     records = []
     for method in methods:
         records.extend(run_batch(
@@ -181,6 +164,5 @@ def run_method_grid(
             jobs=jobs,
             store=store,
             engine=engine,
-            shard=shard,
         ))
     return records

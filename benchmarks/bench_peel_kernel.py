@@ -5,7 +5,8 @@ Three legs:
 * **one run** — one full PRIM peeling run on N = 10000, M = 10
   synthetic data under both engines.  The vectorized engine peels it
   as a one-run lockstep batch; the acceptance bar is >= 3x over the
-  per-candidate masking reference, which guards the single-run path.
+  per-candidate masking reference (the median ratio of alternating
+  reference/vectorized pairs), which guards the single-run path.
 * **SD search** — the hyperparameter searches of the paper's "c"
   cells on ``borehole``, N = 400, training sets 3-5: ``optimize_alpha``
   (7 alphas x 5 folds), ``optimize_bumping_features`` at the chosen
@@ -59,6 +60,7 @@ from repro.subgroup.prim import prim_peel
 
 N, M = 10_000, 10
 REPEATS = 5
+ONE_RUN_PAIRS = 9
 
 SEARCH_FUNCTION, SEARCH_N, SEARCH_SEEDS = "borehole", 400, (3, 4, 5)
 SEARCH_REPEATS = 2
@@ -99,20 +101,28 @@ def test_peel_kernel_speedup(benchmark):
     y = ((x[:, 0] > 0.3) & (x[:, 1] < 0.7)).astype(float)
 
     def run():
-        times, results = {}, {}
-        for engine in ("reference", "vectorized"):
-            times[engine], results[engine] = _best_of(
-                lambda engine=engine: prim_peel(x, y, engine=engine))
+        # The engines alternate in pairs, so host-speed drift hits both
+        # sides of a pair alike.
+        times, results = {"reference": [], "vectorized": []}, {}
+        for _ in range(ONE_RUN_PAIRS):
+            for engine in times:
+                seconds, results[engine] = _best_of(
+                    lambda engine=engine: prim_peel(x, y, engine=engine),
+                    repeats=1)
+                times[engine].append(seconds)
         return times, results
 
-    times, results = benchmark.pedantic(run, rounds=1, iterations=1)
-    speedup = times["reference"] / times["vectorized"]
+    pairs, results = benchmark.pedantic(run, rounds=1, iterations=1)
+    times = {engine: min(seconds) for engine, seconds in pairs.items()}
+    speedup = float(np.median(np.divide(pairs["reference"],
+                                        pairs["vectorized"])))
 
     emit("peel_kernel", "\n".join([
-        f"PRIM peeling engines, N={N}, M={M} (best of {REPEATS}):",
+        f"PRIM peeling engines, N={N}, M={M} "
+        f"(best of {ONE_RUN_PAIRS} pairs):",
         f"  reference   {times['reference'] * 1e3:8.1f} ms",
         f"  vectorized  {times['vectorized'] * 1e3:8.1f} ms",
-        f"  speedup     {speedup:8.2f} x",
+        f"  speedup     {speedup:8.2f} x (median of the pairs' ratios)",
     ]))
 
     ref, vec = results["reference"], results["vectorized"]
@@ -121,7 +131,7 @@ def test_peel_kernel_speedup(benchmark):
         np.testing.assert_array_equal(a.lower, b.lower)
         np.testing.assert_array_equal(a.upper, b.upper)
     LEGS["one_run"] = {
-        "n": N, "m": M, "repeats": REPEATS,
+        "n": N, "m": M, "pairs": ONE_RUN_PAIRS,
         "reference_seconds": times["reference"],
         "vectorized_seconds": times["vectorized"],
         "speedup": speedup, "floor": ONE_RUN_FLOOR,

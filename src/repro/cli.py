@@ -15,6 +15,7 @@ Four commands cover the everyday workflows:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 import numpy as np
@@ -22,11 +23,7 @@ import numpy as np
 from repro.core.methods import discover as run_discover
 from repro.data import LEVER_MODELS, TABLE1, get_model
 from repro.experiments.harness import aggregate, get_test_data, run_batch
-from repro.experiments.parallel import (
-    GridFailureError,
-    RetryPolicy,
-    parse_shard,
-)
+from repro.experiments.parallel import GridFailureError, RetryPolicy
 from repro.experiments.report import format_table
 from repro.experiments.store import open_store
 from repro.metrics import precision_recall, trajectory_of
@@ -34,6 +31,31 @@ from repro.engines import KNOWN_ENGINES
 from repro.subgroup.describe import describe_box, describe_trajectory
 
 __all__ = ["main", "build_parser"]
+
+
+def _count(text: str) -> int:
+    """argparse type of ``--jobs``/``--retries``: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= 0, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
+def _seconds(text: str) -> float:
+    """argparse type of ``--task-timeout``: positive, finite seconds."""
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a number of seconds, got {text!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be positive and finite, got {text}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,12 +80,12 @@ def build_parser() -> argparse.ArgumentParser:
                      default="vectorized",
                      help="kernel engine for every layer of the run "
                           "(reference = slow exact twin)")
-    one.add_argument("--jobs", type=int, default=1,
+    one.add_argument("--jobs", type=_count, default=1,
                      help="worker processes for the run's data-parallel "
                           "stages — REDS pool labeling and metamodel "
                           "tuning folds (0 = all CPUs); results are "
                           "bit-identical at every setting")
-    one.add_argument("--retries", type=int, default=0,
+    one.add_argument("--retries", type=_count, default=0,
                      help="re-attempt a failed discovery up to this many "
                           "extra times (exponential backoff)")
 
@@ -80,26 +102,21 @@ def build_parser() -> argparse.ArgumentParser:
                       default="vectorized",
                       help="kernel engine threaded into every grid cell "
                            "(reference = slow exact twin)")
-    many.add_argument("--jobs", type=int, default=1,
+    many.add_argument("--jobs", type=_count, default=1,
                       help="total worker budget for the whole run "
                            "(0 = all CPUs): the planner splits it "
                            "between grid cells and each cell's inner "
                            "fan-out, so N never means NxN processes")
-    many.add_argument("--shard", metavar="I/K", default=None,
-                      help="run shard I of K of the grid and read the "
-                           "other shards' records from --store; "
-                           "concurrent invocations cooperate on one "
-                           "grid with zero duplicated work")
     many.add_argument("--store", metavar="DIR", default=None,
                       help="persistent result store: finished grid cells "
                            "are cached there and re-used on the next run")
-    many.add_argument("--retries", type=int, default=0,
+    many.add_argument("--retries", type=_count, default=0,
                       help="re-attempt each failed grid cell up to this "
                            "many extra times (exponential backoff, seeded "
                            "jitter); cells that exhaust their budget are "
                            "quarantined and summarised instead of killing "
                            "the grid on first error")
-    many.add_argument("--task-timeout", type=float, default=None,
+    many.add_argument("--task-timeout", type=_seconds, default=None,
                       metavar="SECONDS",
                       help="per-cell wall-clock limit: a worker whose cell "
                            "outlives it is killed, the pool respawned and "
@@ -129,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
     warm.add_argument("--engine", choices=KNOWN_ENGINES,
                       default="vectorized",
                       help="kernel engine threaded into every request")
-    warm.add_argument("--jobs", type=int, default=1,
+    warm.add_argument("--jobs", type=_count, default=1,
                       help="total worker budget for the session "
                            "(0 = all CPUs); pools are cached per "
                            "(workers, lease, plan signature) and reused "
@@ -205,20 +222,6 @@ def _cmd_discover(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     methods = tuple(m.strip() for m in args.methods.split(",") if m.strip())
-    try:
-        shard = parse_shard(args.shard)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    if shard is not None and args.store is None:
-        print("error: --shard coordinates through the store; pass --store DIR",
-              file=sys.stderr)
-        return 2
-    if shard is not None and not args.resume:
-        print("error: --shard requires resume semantics (the store is the "
-              "coordination channel); use a fresh --store directory instead "
-              "of --no-cache", file=sys.stderr)
-        return 2
     store = open_store(args.store)
     try:
         records = run_batch(
@@ -230,7 +233,6 @@ def _cmd_compare(args: argparse.Namespace) -> int:
             store=store,
             resume=args.resume,
             engine=args.engine,
-            shard=shard,
             retries=args.retries,
             task_timeout=args.task_timeout,
         )

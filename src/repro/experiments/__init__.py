@@ -3,13 +3,13 @@
 :mod:`repro.experiments.harness` runs (function, method, N, seed)
 combinations and aggregates the paper's quality measures;
 :mod:`repro.experiments.parallel` compiles those grids into explicit
-execution plans and runs them inline, on a process pool, or as
-store-coordinated shards — picked from ``jobs`` and ``shard`` alone —
-with results identical to the serial loop; :mod:`repro.experiments.dataplane` is the shared-memory
+execution plans and runs them inline or on a process pool — picked from
+``jobs`` alone — with results identical to the serial loop;
+:mod:`repro.experiments.dataplane` is the shared-memory
 broker that maps each plan's large read-only arrays zero-copy into
 worker processes; :mod:`repro.experiments.store` persists finished
 records in an on-disk content-addressed store (the ``store``/``resume``
-knobs) so grids are resumable, incremental and shardable;
+knobs) so grids are resumable and incremental;
 :mod:`repro.experiments.faults` is the deterministic fault-injection
 harness (``REDS_FAULT_PLAN``) behind the substrate's retry/timeout/
 degradation machinery — chaos tests replay bit-identically;
@@ -55,7 +55,6 @@ from repro.experiments.parallel import (
     compile_plan,
     cpu_budget,
     execute,
-    parse_shard,
     pool_stats,
     run_chunked,
     warm_test_cache,
@@ -103,7 +102,6 @@ __all__ = [
     "compile_plan",
     "cpu_budget",
     "execute",
-    "parse_shard",
     "pool_stats",
     "run_chunked",
     "warm_test_cache",

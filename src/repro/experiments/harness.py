@@ -381,7 +381,6 @@ def run_batch(
     store=None,
     resume: bool = True,
     engine: str = "vectorized",
-    shard=None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> list[RunRecord]:
@@ -408,10 +407,6 @@ def run_batch(
     engine:
         Kernel engine threaded into every cell (part of the task
         configuration, hence of the store key).
-    shard:
-        ``(i, k)`` or ``"i/k"`` splits the grid across
-        store-coordinated invocations that cooperate on one store with
-        zero duplicated task executions.
     retries, task_timeout:
         Fault tolerance (see :func:`repro.experiments.parallel.execute`):
         ``retries > 0`` retries failed cells with backoff and completes
@@ -433,7 +428,7 @@ def run_batch(
     ]
     warmup = sorted({(function, variant, test_size) for function in functions})
     return execute(run_single, tasks, jobs, warmup=warmup,
-                   store=store, resume=resume, shard=shard,
+                   store=store, resume=resume,
                    retries=retries, task_timeout=task_timeout)
 
 
@@ -507,7 +502,6 @@ def run_third_party(
     store=None,
     resume: bool = True,
     engine: str = "vectorized",
-    shard=None,
     retries: int = 0,
     task_timeout: float | None = None,
 ) -> list[RunRecord]:
@@ -516,10 +510,10 @@ def run_third_party(
     No simulation model exists, so quality is measured on held-out
     folds; the paper runs 5-fold CV ten times and averages.  For "TGL"
     the paper follows earlier work and uses ``alpha = 0.1``.  ``jobs``
-    and ``shard`` parallelise the (repetition, fold) cells
-    like :func:`run_batch`, ``store``/``resume`` make them cacheable
-    the same way, and ``retries``/``task_timeout`` give the cells the
-    same fault tolerance.
+    parallelises the (repetition, fold) cells like :func:`run_batch`,
+    ``store``/``resume`` make them cacheable the same way, and
+    ``retries``/``task_timeout`` give the cells the same fault
+    tolerance.
     """
     from repro.experiments.parallel import execute
 
@@ -532,8 +526,8 @@ def run_third_party(
         for fold in range(n_splits)
     ]
     return execute(_third_party_single, tasks, jobs, store=store,
-                   resume=resume, shard=shard,
-                   retries=retries, task_timeout=task_timeout)
+                   resume=resume, retries=retries,
+                   task_timeout=task_timeout)
 
 
 def aggregate_third_party(records: list[RunRecord]) -> dict:

@@ -14,14 +14,13 @@ dict per call of a module-level function) and hands it to
   context) published once through
   :class:`~repro.experiments.dataplane.DataPlane`.  Nothing about a
   compiled plan depends on how it later runs.
-* **Run paths.**  ``jobs`` and ``shard`` alone pick one: ``jobs <= 1``
-  runs inline (the reference loop), a wider budget runs a process pool
-  whose workers map the plan's shared arrays zero-copy instead of
-  regenerating or unpickling them, and ``shard=(i, k)`` splits the plan
-  across store-coordinated invocations that cooperate on one grid.
-  All of them return bit-identical results in task-list order — locked
-  down by ``tests/test_parallel_harness.py``.
-* **Data plane.**  Plans that can reach a pool or a shard publish the
+* **Run paths.**  ``jobs`` alone picks one: ``jobs <= 1`` runs inline
+  (the reference loop), a wider budget runs a process pool whose
+  workers map the plan's shared arrays zero-copy instead of
+  regenerating or unpickling them.  Both return bit-identical results
+  in task-list order — locked down by
+  ``tests/test_parallel_harness.py``.
+* **Data plane.**  Plans that can reach a pool publish the
   plan's arrays through a :class:`~repro.experiments.dataplane.DataPlane`
   and unlink every segment in a ``finally`` block, so clean runs and
   poisoned tasks alike leave no shared memory behind.
@@ -30,7 +29,7 @@ Three properties keep every run path bit-identical to the serial loop:
 
 * **seed-stable task ordering** — every task carries its explicit seed,
   computed from its grid position at plan time, so the work a task does
-  never depends on which worker (or shard) picks it up;
+  never depends on which worker picks it up;
 * **deterministic collection** — results are gathered by plan index,
   not completion order;
 * **shared immutable inputs** — workers read the very same test arrays
@@ -55,9 +54,8 @@ budget is purely a throughput contract.
 
 **Two dispatch loops.**  Every plan runs through one of two loops:
 :func:`_run_inline` (serial execution, and the degraded tail of a pool
-run) or :func:`_run_tolerant` (the pool).  A sharded invocation runs
-the tasks it claims through the same two.  There is no
-separate fast path: ``execute(retries=N)`` always gives every task a
+run) or :func:`_run_tolerant` (the pool).  There is no separate fast
+path: ``execute(retries=N)`` always gives every task a
 :class:`RetryPolicy` (exponential backoff with seeded deterministic
 jitter), ``retries=0`` being the one-attempt policy.  Each failed
 attempt is journalled in the store's ``failures/`` tree.  At
@@ -82,21 +80,14 @@ or a directory path) :func:`execute` becomes resumable: cached records
 are loaded up front, only the missing tasks are dispatched, and every
 fresh record is persisted as soon as it completes.  All store I/O
 happens in the dispatching process, so workers need no locking and a
-crash mid-grid loses at most the in-flight tasks.  The store doubles as
-the coordination substrate of sharded execution: every task execution
-is arbitrated by an atomic store claim marker, shard ``i`` of ``k``
-claims the pending tasks whose grid index is congruent to ``i`` first
-(the modulo partition is the priority order), and a shard that drains
-its own slice **steals** still-unclaimed pending tasks instead of
-idling — zero duplicated executions by construction, work-conserving
-under skew, and every record still read back from the store as the
-sibling invocations publish theirs.
+crash mid-grid loses at most the in-flight tasks.
 """
 
 from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import multiprocessing
 import os
 import pickle
@@ -107,7 +98,7 @@ from collections import deque
 from collections.abc import Callable, Sequence
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro import warm
 from repro.experiments import faults
@@ -130,7 +121,6 @@ __all__ = [
     "compile_plan",
     "cpu_budget",
     "execute",
-    "parse_shard",
     "plan_context",
     "pool_stats",
     "reset_pool_stats",
@@ -192,8 +182,8 @@ class ExecutionPlan:
         any result.
     indices:
         Original grid position of each task — the stable identity that
-        sharded execution partitions on, independent of how many tasks a
-        warm store already resolved.
+        failure records and fault tokens name, independent of how many
+        tasks a warm store already resolved.
     keys:
         Store key per task (``None`` without a store).
     warmup:
@@ -209,8 +199,7 @@ class ExecutionPlan:
         :class:`~repro.experiments.dataplane.ArrayRef` values, which are
         resolved at worker bootstrap.
     store:
-        The coordinating store (sharded execution reads foreign records
-        from it).
+        The store that journals failed attempts (``None`` without one).
     """
 
     func: Callable
@@ -228,16 +217,6 @@ class ExecutionPlan:
         if len(self.indices) != len(self.tasks):
             raise ValueError(
                 f"{len(self.tasks)} tasks but {len(self.indices)} indices")
-
-    def subset(self, selection: Sequence[int]) -> "ExecutionPlan":
-        """A plan over a subset of this plan's tasks (shared refs/context)."""
-        return replace(
-            self,
-            tasks=[self.tasks[j] for j in selection],
-            indices=tuple(self.indices[j] for j in selection),
-            keys=(None if self.keys is None
-                  else tuple(self.keys[j] for j in selection)),
-        )
 
     def __len__(self) -> int:
         return len(self.tasks)
@@ -316,8 +295,8 @@ _CONTEXT_ERROR: BaseException | None = None
 _WORKER_LEASE: int | None = None
 
 #: In-process (inline-loop) context, thread-local: concurrent
-#: in-process executions — e.g. sharded invocations driven from
-#: threads — must not see each other's arrays.
+#: in-process executions — e.g. grids driven from threads — must not
+#: see each other's arrays.
 _TLS = threading.local()
 
 
@@ -525,7 +504,7 @@ def _token_base(plan: ExecutionPlan, j: int) -> str:
     """Stable identity of task ``j`` for fault decisions and jitter.
 
     The store key when available (content-addressed, identical across
-    run paths and shards), else the grid index — never anything
+    run paths), else the grid index — never anything
     scheduling-dependent.
     """
     if plan.keys is not None and plan.keys[j] is not None:
@@ -764,7 +743,7 @@ def close_pools() -> int:
 
 
 # ----------------------------------------------------------------------
-# Run paths: chosen by ``jobs`` and ``shard`` alone
+# Run paths: chosen by ``jobs`` alone
 # ----------------------------------------------------------------------
 
 def _resolve_jobs(jobs: int | None) -> int:
@@ -1031,179 +1010,6 @@ def _run_tolerant(plan: ExecutionPlan,
         clear_heartbeats(futures.values())
 
 
-#: Sharded execution timing, in seconds: how often a shard polls the
-#: store for its siblings' records, how old a claim must be before a
-#: shard presumes its owner dead and reclaims it (comfortably above the
-#: worst-case task duration), and how long a shard waits without any
-#: observed progress before giving up on a dead grid.
-SHARD_POLL_INTERVAL = 0.05
-CLAIM_TTL = 1800.0
-SHARD_TIMEOUT = 3600.0
-
-
-def _run_sharded(plan: ExecutionPlan, shard: int, of: int, jobs: int | None,
-                 on_result: Callable[[int, object], None] | None, *,
-                 policy: RetryPolicy,
-                 failures: list[TaskFailure] | None,
-                 task_timeout: float | None) -> list:
-    """Run shard ``shard`` of ``of`` of a store-coordinated plan.
-
-    Every task execution is arbitrated by an atomic store **claim
-    marker** (:meth:`~repro.experiments.store.ExperimentStore.claim`),
-    so concurrent invocations against one store never duplicate a task.
-    The modulo partition is the *priority order*, not a cage: this
-    invocation claims and executes the tasks whose **grid index** is
-    congruent to ``shard`` first, then — instead of idling while a
-    slower sibling still holds pending work — sweeps the remaining
-    unclaimed tasks and steals them, and reads every record it did not
-    produce from the store as the sibling invocations persist theirs.
-    Each invocation therefore returns the full grid, identical to a
-    serial run, and a lone shard completes the whole grid by itself.
-    The claimed tasks run through :func:`_run_plan` under ``jobs``.
-
-    Sibling death is survivable: a claim marker's mtime is its lease
-    timestamp, and a claim older than :data:`CLAIM_TTL` is presumed
-    abandoned — this invocation *reclaims* it (atomic takeover, exactly
-    one survivor wins) and executes the task itself instead of waiting
-    forever.  Reclaiming a live sibling's lease cannot corrupt results
-    (tasks are pure, records last-writer-wins with identical content)
-    but duplicates work.
-
-    :data:`SHARD_TIMEOUT` bounds how long this invocation waits for
-    tasks that are claimed elsewhere but whose records never appear (a
-    crashed or stalled sibling inside its lease); the deadline resets
-    whenever any progress is observed, so it only fires on a genuinely
-    dead grid.  The claim-marker owner ``shard-<i>/<k>`` is deliberately
-    stable across re-runs (no pid): a shard restarted after a crash
-    re-wins its own stale claims and re-executes the tasks it had
-    claimed but never finished.
-    """
-    if plan.store is None or plan.keys is None:
-        raise ValueError(
-            "sharded execution coordinates through the experiment "
-            "store; pass store= (and keep resume semantics) so every "
-            "shard can read its siblings' records")
-    owner = f"shard-{shard}/{of}"
-    results: dict[int, object] = {}
-
-    def run_claimed(selection: list[int]) -> None:
-        wrapped = None
-        if on_result is not None:
-            wrapped = lambda j, record: on_result(selection[j], record)  # noqa: E731
-        for j, record in zip(selection,
-                             _run_plan(plan.subset(selection), jobs, wrapped,
-                                       policy=policy, failures=failures,
-                                       task_timeout=task_timeout)):
-            results[j] = record
-
-    # Own slice first — the modulo partition stays the priority
-    # order; claims only arbitrate against siblings that already
-    # stole into it.
-    own = [j for j in range(len(plan.tasks))
-           if plan.indices[j] % of == shard]
-    run_claimed([j for j in own if plan.store.claim(plan.keys[j], owner)])
-
-    # Claim-then-poll: everything still missing is either being
-    # executed by a sibling (its record will appear) or unclaimed
-    # pending work this shard steals instead of idling.
-    waiting = [j for j in range(len(plan.tasks)) if j not in results]
-    deadline = time.monotonic() + SHARD_TIMEOUT
-    while waiting:
-        progress = False
-        still_missing = []
-        for j in waiting:
-            record = plan.store.get(plan.keys[j])
-            if record is MISSING:
-                still_missing.append(j)
-            else:
-                results[j] = record
-                progress = True
-        waiting = still_missing
-        if not waiting:
-            break
-        stolen = [j for j in waiting if plan.store.claim(plan.keys[j], owner)]
-        if stolen:
-            run_claimed(stolen)
-            waiting = [j for j in waiting if j not in results]
-            progress = True
-        if not waiting:
-            break
-        # Dead-sibling recovery: a claim whose lease expired belongs
-        # to an invocation presumed dead — take it over (exactly one
-        # survivor wins the atomic takeover) and run it here.
-        reclaimed = []
-        for j in waiting:
-            age = plan.store.claim_age(plan.keys[j])
-            if age is not None and age > CLAIM_TTL and \
-                    plan.store.reclaim(plan.keys[j], owner,
-                                       max_age=CLAIM_TTL):
-                reclaimed.append(j)
-        if reclaimed:
-            logger.warning(
-                "shard %d/%d reclaimed %d expired claim(s) from "
-                "dead sibling(s)", shard, of, len(reclaimed))
-            run_claimed(reclaimed)
-            waiting = [j for j in waiting if j not in results]
-            progress = True
-        if not waiting:
-            break
-        # A sibling that quarantined a task after exhausting its
-        # retries will never publish a record for it; inherit the
-        # failure instead of waiting for one.
-        if failures is not None:
-            for j in list(waiting):
-                failure = plan.store.failure_for(plan.keys[j])
-                if failure is not None and failure.get("quarantined"):
-                    failures.append(TaskFailure(
-                        index=plan.indices[j], key=plan.keys[j],
-                        attempts=int(failure.get("attempts", 0)),
-                        error=str(failure.get("error",
-                                              "quarantined by sibling"))))
-                    results[j] = MISSING
-                    waiting.remove(j)
-                    progress = True
-        if not waiting:
-            break
-        if progress:
-            deadline = time.monotonic() + SHARD_TIMEOUT
-        elif time.monotonic() > deadline:
-            missing = [plan.indices[j] for j in waiting]
-            raise TimeoutError(
-                f"shard {shard}/{of} ran out of claimable "
-                f"work, but records for grid indices {missing[:8]}"
-                f"{'...' if len(missing) > 8 else ''} never appeared "
-                f"in the store — those tasks are claimed by sibling "
-                f"shards that have stopped publishing (crashed "
-                f"sibling?); their claims will become reclaimable "
-                f"once older than CLAIM_TTL, or delete the store's "
-                f"claims/ directory to release them and re-run")
-        else:
-            time.sleep(SHARD_POLL_INTERVAL)
-    return [results[j] for j in range(len(plan.tasks))]
-
-
-def parse_shard(value) -> tuple[int, int] | None:
-    """Normalise and validate a shard spec: ``None``, ``(i, k)`` or an
-    ``"i/k"`` string with ``0 <= i < k``."""
-    if value is None:
-        return None
-    if isinstance(value, str):
-        try:
-            i_text, k_text = value.split("/")
-            i, k = int(i_text), int(k_text)
-        except ValueError:
-            raise ValueError(
-                f"shard must look like 'i/k' (e.g. '0/4'), got {value!r}"
-            ) from None
-    else:
-        i, k = value
-        i, k = int(i), int(k)
-    if k < 1 or not 0 <= i < k:
-        raise ValueError(
-            f"shard must satisfy 0 <= i < k, got {i}/{k}")
-    return i, k
-
-
 # ----------------------------------------------------------------------
 # The front door
 # ----------------------------------------------------------------------
@@ -1216,7 +1022,6 @@ def execute(
     warmup: Sequence[tuple[str, str, int]] = (),
     store=None,
     resume: bool = True,
-    shard=None,
     context: object = None,
     shared: dict | None = None,
     retries: int = 0,
@@ -1225,12 +1030,10 @@ def execute(
     """Compile ``func(**task) for task in tasks`` into a plan and run it.
 
     ``func`` must be a module-level callable (workers import it by
-    qualified name).  ``jobs`` and ``shard`` alone decide how the plan
-    runs: ``jobs <= 1`` runs everything inline in this process,
-    ``jobs > 1`` (or ``None`` for :func:`cpu_budget`) is a total worker
-    budget spent on a process pool and the tasks' own fan-outs, and
-    ``shard`` splits the plan across store-coordinated invocations,
-    each of which spends ``jobs`` on the tasks it claims.
+    qualified name).  ``jobs`` alone decides how the plan runs:
+    ``jobs <= 1`` runs everything inline in this process, ``jobs > 1``
+    (or ``None`` for :func:`cpu_budget`) is a total worker budget spent
+    on a process pool and the tasks' own fan-outs.
 
     Parameters
     ----------
@@ -1241,11 +1044,6 @@ def execute(
         executed; every fresh result is persisted before returning.
         With ``resume=False`` nothing is read — every task recomputes
         and overwrites its entry (the ``--no-cache`` semantics).
-    shard:
-        ``(i, k)`` or ``"i/k"``: run shard ``i`` of ``k`` of the grid,
-        claiming tasks through the store (requires ``store`` and
-        ``resume=True``) and reading the siblings' records back from
-        it.  Each invocation returns the full grid.
     context, shared:
         Plan context shipped once per worker (see :func:`plan_context`)
         and large read-only arrays published through the data plane and
@@ -1260,11 +1058,12 @@ def execute(
         :class:`GridFailureError` summarising every quarantined task is
         raised.
     task_timeout:
-        Per-task wall-clock limit in seconds, enforced by the pool's
-        heartbeat watchdog: a worker whose
-        task outlives the limit is killed, the pool respawned, and the
-        task charged one attempt.  Ignored by purely in-process
-        execution (there is no second process to watch the clock).
+        Per-task wall-clock limit in seconds (positive and finite, or
+        ``None`` for no limit), enforced by the pool's heartbeat
+        watchdog: a worker whose task outlives the limit is killed, the
+        pool respawned, and the task charged one attempt.  Ignored by
+        purely in-process execution (there is no second process to watch
+        the clock).
 
     Returns
     -------
@@ -1275,6 +1074,9 @@ def execute(
 
     Raises
     ------
+    ValueError
+        When ``retries`` is negative or ``task_timeout`` is not positive
+        and finite.
     GridFailureError
         Only with ``retries > 0``, after the grid has completed, when at
         least one task was quarantined.  ``.results`` carries the full
@@ -1283,24 +1085,13 @@ def execute(
     """
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
+    if task_timeout is not None and not 0 < task_timeout < math.inf:
+        raise ValueError(
+            f"task_timeout must be positive and finite, got {task_timeout}")
     tasks = list(tasks)
     policy = RetryPolicy(max_attempts=retries + 1)
     failures: list[TaskFailure] | None = [] if retries > 0 else None
     store = open_store(store)
-    shard = parse_shard(shard)
-    if shard is not None and not resume:
-        # Foreign-shard records are read back from the store, and a
-        # reader cannot tell a sibling's fresh overwrite from a stale
-        # pre-existing record — the no-cache contract ("nothing is
-        # read") is unenforceable across invocations.
-        raise ValueError(
-            "sharded execution requires resume=True: the store is the "
-            "coordination channel; to force recomputation, point the "
-            "shards at a fresh store directory instead")
-
-    if store is None and shard is not None:
-        raise ValueError("sharded execution requires store=")
-
     keys = None if store is None else [store.key(func, task) for task in tasks]
     results: dict[int, object] = {}
     pending: list[int] = []
@@ -1312,27 +1103,18 @@ def execute(
         else:
             results[index] = cached
 
-    # Workers only need the test sets of tasks that actually run here:
-    # on a nearly-warm store the unfiltered warmup would materialize
-    # every grid function's test sample for nothing, and a sharded
-    # invocation normally executes only its own partition — the k
-    # cooperating invocations must not each generate and publish the
-    # whole grid's test data.  A shard that *steals* foreign tasks may
-    # need test sets beyond this filter; get_test_data regenerates them
-    # on demand, trading a one-off cost on the stolen path for a lean
-    # warmup on the common one.
+    # Workers only need the test sets of tasks that actually run: on a
+    # nearly-warm store the unfiltered warmup would materialize every
+    # grid function's test sample for nothing.
     if store is not None and warmup and pending:
-        executing = pending
-        if shard is not None:
-            executing = [i for i in pending if i % shard[1] == shard[0]]
         needed = {(task.get("function"), task.get("variant", "continuous"),
                    task.get("test_size"))
-                  for task in (tasks[i] for i in executing)}
+                  for task in (tasks[i] for i in pending)}
         warmup = [spec for spec in warmup if tuple(spec) in needed]
 
     # Serial execution reads parent memory directly: only a plan that can
-    # reach a pool or a sibling shard publishes its arrays.
-    reaches_out = shard is not None or jobs is None or jobs > 1
+    # reach a pool publishes its arrays.
+    reaches_out = jobs is None or jobs > 1
     plane = DataPlane() if reaches_out and dataplane_enabled() and pending \
         and (warmup or shared) else None
     try:
@@ -1345,8 +1127,7 @@ def execute(
         )
         # Persist each record the moment its task finishes (completion
         # order), so an interrupted grid loses at most the in-flight
-        # tasks and the next run — or a sibling shard — resumes from
-        # everything that completed.  A success also clears any failure
+        # tasks and the next run resumes from everything that completed.  A success also clears any failure
         # journal left by earlier attempts (this run's or a previous
         # one's), so ``failures/`` only ever describes unresolved tasks.
         def persist(j: int, record) -> None:
@@ -1354,13 +1135,8 @@ def execute(
             store.clear_failure(plan.keys[j])
 
         on_result = None if store is None else persist
-        if shard is None:
-            fresh = _run_plan(plan, jobs, on_result, policy=policy,
-                              failures=failures, task_timeout=task_timeout)
-        else:
-            fresh = _run_sharded(plan, *shard, jobs, on_result,
-                                 policy=policy, failures=failures,
-                                 task_timeout=task_timeout)
+        fresh = _run_plan(plan, jobs, on_result, policy=policy,
+                          failures=failures, task_timeout=task_timeout)
     finally:
         if plane is not None:
             plane.unlink()

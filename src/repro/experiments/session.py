@@ -26,8 +26,7 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
 * **training sets** from :func:`repro.experiments.harness.make_train_data`.
 
 Warm state is a **cache, never a semantic change**: every result is
-bit-identical to the one-shot path at every engine/jobs/shard
-setting.
+bit-identical to the one-shot path at every engine/jobs setting.
 
 Lifecycle::
 

@@ -29,14 +29,6 @@ experiment database:
   readers never observe a half-written record and concurrent writers of
   the same key (e.g. two ``jobs=N`` runs sharing a store) are harmless
   last-writer-wins with identical content.
-* **Claim markers.**  Work-stealing sharded execution arbitrates "who
-  runs this task" through ``O_CREAT | O_EXCL`` claim files under
-  ``claims/`` (:meth:`ExperimentStore.claim`): exactly one invocation
-  wins each key, which is what makes stealing duplicate-free.  Claims
-  are bookkeeping, not results — deleting the directory only releases
-  ownership.  A claim's mtime is its lease timestamp: claims older
-  than a TTL can be taken over (:meth:`ExperimentStore.reclaim`) so a
-  SIGKILLed shard does not wedge the grid forever.
 * **Durability and self-verification.**  Record writes fsync the file
   and its directory before and after the rename (opt out with
   ``REDS_STORE_FSYNC=0``), and every record is stored inside an
@@ -47,9 +39,8 @@ experiment database:
 * **Failure records.**  Retrying runs journal failed attempts
   under ``failures/<key[:2]>/<key>.json`` (attempt count, last error,
   quarantined flag) via :meth:`ExperimentStore.record_failure`, so a
-  resumed run knows what was retried and sharded siblings can tell a
-  quarantined task from one that is merely slow.  A later success
-  clears the failure record.
+  resumed run knows what was retried and which tasks exhausted their
+  retries.  A later success clears the failure record.
 
 A warm store must be invisible in the results: the records a store-backed
 run returns are *identical*, field by field (runtime included, because
@@ -398,7 +389,7 @@ class ExperimentStore:
         Written by the dispatching process after every failed attempt;
         ``quarantined=True`` marks the task as having exhausted its
         retry budget for this run.  The record is plain JSON so humans
-        (and sharded siblings) can read it without unpickling anything.
+        can read it without unpickling anything.
         """
         payload = json.dumps(
             {"key": key, "attempts": int(attempts), "error": str(error),
@@ -420,109 +411,6 @@ class ExperimentStore:
             self.failure_path(key).unlink()
         except OSError:
             pass
-
-    # ------------------------------------------------------------------
-    # Claim markers (sharded work stealing)
-    # ------------------------------------------------------------------
-    def claim_path(self, key: str) -> Path:
-        """Where a key's claim marker lives (whether or not it exists).
-
-        Claims sit under ``claims/`` beside the record tree, so record
-        iteration (:meth:`keys`, ``len``) never sees them.
-        """
-        return self.root / "claims" / key[:2] / f"{key}.claim"
-
-    def claim(self, key: str, owner: str) -> bool:
-        """Atomically claim ``key`` for execution by ``owner``.
-
-        First-writer-wins through ``O_CREAT | O_EXCL``: for any key,
-        exactly one owner ever creates the marker — the zero-duplicated
-        -execution guarantee of work-stealing sharded runs rests on
-        this.  A claim already held by the *same* owner is granted
-        again, so a shard restarted after a crash re-wins its own stale
-        claims and re-executes the tasks it never finished.  Claims
-        carry no result: the record stored under the key remains the
-        only source of truth, and deleting ``claims/`` merely releases
-        ownership.
-
-        Returns
-        -------
-        bool
-            True iff ``owner`` now holds the claim and should execute
-            the task.
-        """
-        path = self.claim_path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        try:
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            return self.claim_owner(key) == owner
-        try:
-            os.write(fd, owner.encode())
-            if _fsync_enabled():
-                # Claims cannot go through write-temp + rename: the
-                # O_CREAT|O_EXCL create *is* the arbitration.  Fsync the
-                # fd so the marker (and its lease timestamp) is durable.
-                try:
-                    os.fsync(fd)
-                except OSError:
-                    pass
-        finally:
-            os.close(fd)
-        return True
-
-    def claim_owner(self, key: str) -> str | None:
-        """Who claimed ``key`` — ``None`` if unclaimed (or mid-write)."""
-        try:
-            return self.claim_path(key).read_text() or None
-        except OSError:
-            return None
-
-    def claim_age(self, key: str) -> float | None:
-        """Seconds since ``key``'s claim marker was created, or ``None``.
-
-        The marker's mtime is the lease timestamp: a claim much older
-        than any plausible task duration belongs to a dead owner.
-        """
-        try:
-            mtime = self.claim_path(key).stat().st_mtime
-        except OSError:
-            return None
-        return max(time.time() - mtime, 0.0)
-
-    def reclaim(self, key: str, owner: str, *, max_age: float) -> bool:
-        """Take over a claim whose lease expired (owner presumed dead).
-
-        Arbitration is a single atomic rename of the stale marker to a
-        ``.stale`` side file: when several survivors race, exactly one
-        rename succeeds, and only that winner proceeds to re-claim the
-        key through the normal ``O_CREAT | O_EXCL`` path.  A claim
-        younger than ``max_age`` is never touched — callers must pick a
-        ``max_age`` comfortably above their worst-case task duration,
-        because reclaiming a *live* owner's lease would allow a
-        duplicated execution (harmless for results: tasks are pure and
-        writes are idempotent last-writer-wins with identical content,
-        but wasted work all the same).
-
-        Returns
-        -------
-        bool
-            True iff ``owner`` now holds the claim and should execute
-            the task.
-        """
-        age = self.claim_age(key)
-        if age is None:
-            # Claim vanished (e.g. manually released); take it normally.
-            return self.claim(key, owner)
-        if age < max_age:
-            return False
-        path = self.claim_path(key)
-        stale = path.with_suffix(".stale")
-        try:
-            os.replace(path, stale)
-        except OSError:
-            return False  # a sibling won the takeover race
-        return self.claim(key, owner)
 
     def keys(self) -> Iterator[str]:
         """All stored keys (order unspecified)."""

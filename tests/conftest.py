@@ -36,26 +36,6 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
-@pytest.fixture
-def fast_shards(monkeypatch):
-    """Set the sharded-execution timing constants for one test.
-
-    Returns ``configure(timeout, claim_ttl=None, poll=0.01)``: a short
-    poll interval, the no-progress ``timeout`` and, when given, the
-    claim lease ``claim_ttl`` (``math.inf`` disables reclamation).
-    """
-    from repro.experiments import parallel
-
-    def configure(timeout: float, claim_ttl: float | None = None,
-                  poll: float = 0.01) -> None:
-        monkeypatch.setattr(parallel, "SHARD_POLL_INTERVAL", poll)
-        monkeypatch.setattr(parallel, "SHARD_TIMEOUT", timeout)
-        if claim_ttl is not None:
-            monkeypatch.setattr(parallel, "CLAIM_TTL", claim_ttl)
-
-    return configure
-
-
 def planted_box_data(
     n: int,
     dim: int,

@@ -74,29 +74,33 @@ class TestParser:
         assert build_parser().parse_args(
             ["compare", "--function", "m"]).engine == "vectorized"
 
-    def test_shard_and_executor_parse(self):
-        args = build_parser().parse_args(
-            ["compare", "--function", "m", "--store", "d",
-             "--shard", "1/4"])
-        assert args.shard == "1/4"
+    @pytest.mark.parametrize("argv", [
+        ["discover", "--jobs", "-3"],
+        ["compare", "--jobs", "-1"],
+        ["session", "--jobs", "-2"],
+        ["compare", "--jobs", "two"],
+        ["discover", "--retries", "-1"],
+        ["compare", "--retries", "-1"],
+        ["compare", "--task-timeout", "0"],
+        ["compare", "--task-timeout", "-1"],
+        ["compare", "--task-timeout", "nan"],
+    ])
+    def test_bad_numeric_flags_exit_with_one_line_error(self, argv, capsys):
+        command, flag, value = argv
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, "--function", "morris", flag, value])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        errors = [line for line in err.splitlines() if "error:" in line]
+        assert len(errors) == 1
+        assert f"argument {flag}:" in errors[0]
+        assert "Traceback" not in err
 
-    def test_shard_requires_store(self, capsys):
-        code = main(["compare", "--function", "morris", "--shard", "0/2"])
-        assert code == 2
-        assert "--store" in capsys.readouterr().err
-
-    def test_shard_conflicts_with_no_cache(self, capsys):
-        code = main(["compare", "--function", "morris", "--store", "d",
-                     "--shard", "0/2", "--no-cache"])
-        assert code == 2
-        assert "fresh --store" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("bad", ["nope", "5/2", "0/0"])
-    def test_malformed_shard_exits_cleanly(self, capsys, bad):
-        code = main(["compare", "--function", "morris", "--store", "d",
-                     "--shard", bad])
-        assert code == 2
-        assert "shard" in capsys.readouterr().err
+    def test_zero_jobs_still_means_all_cpus(self):
+        for command in ("discover", "compare", "session"):
+            args = build_parser().parse_args(
+                [command, "--function", "morris", "--jobs", "0"])
+            assert args.jobs == 0
 
 
 class TestCommands:

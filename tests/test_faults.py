@@ -1,12 +1,12 @@
 """Chaos suite for the fault-tolerant execution substrate.
 
-The contract (ISSUE 8 / ROADMAP robustness layer): under injected worker
-crashes, task hangs, torn store writes and shared-memory failures —
-driven deterministically by ``REDS_FAULT_PLAN`` — a grid completes with
-results bit-identical to a fault-free run, leaks no shared-memory
-segments, and never executes a task twice; tasks that exhaust their
-retry budget are quarantined with a structured post-mortem instead of
-killing the grid on first error.
+The contract: under injected worker crashes, task hangs, torn store
+writes and shared-memory failures — driven deterministically by
+``REDS_FAULT_PLAN`` — a grid completes with results bit-identical to a
+fault-free run, leaks no shared-memory segments, and never re-executes
+a task its store already holds; tasks that exhaust their retry budget
+are quarantined with a structured post-mortem instead of killing the
+grid on first error.
 """
 
 import math
@@ -15,7 +15,6 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 from pathlib import Path
 
@@ -369,6 +368,18 @@ class TestPoolFaultTolerance:
         assert elapsed < 20.0  # nowhere near the 30 s hang
         assert (tmp_path / "slept-2").exists()
 
+    @pytest.mark.parametrize("timeout", [0, -1.0, math.nan, math.inf])
+    def test_task_timeout_must_be_positive_and_finite(self, timeout):
+        # Rejected up front: a timeout of 0 or less would kill every
+        # worker at its first heartbeat, and nan would disable the
+        # watchdog without a word.
+        tasks = [{"value": v} for v in range(4)]
+        match = "task_timeout must be positive and finite"
+        with pytest.raises(ValueError, match=match):
+            execute(_double, tasks, jobs=2, task_timeout=timeout)
+        with pytest.raises(ValueError, match=match):
+            run_grid(jobs=2, task_timeout=timeout)
+
     def test_task_timeout_without_retries_fails_fast(self, tmp_path):
         tasks = [{"value": v, "markerdir": str(tmp_path), "victim": 1,
                   "sleep_s": 30.0} for v in range(4)]
@@ -453,7 +464,7 @@ class TestWarmSessionChaos:
 
 
 # ----------------------------------------------------------------------
-# Store robustness: envelopes, torn writes, leases
+# Store robustness: envelopes, torn writes
 # ----------------------------------------------------------------------
 
 class TestStoreRobustness:
@@ -479,34 +490,6 @@ class TestStoreRobustness:
         store.put(key, 14)
         assert store.get(key) == 14
 
-    def test_claim_age_tracks_lease_timestamp(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        assert store.claim_age("nope") is None
-        assert store.claim("k1", "shard-0/2")
-        assert store.claim_age("k1") < 5.0
-        old = time.time() - 120.0
-        os.utime(store.claim_path("k1"), (old, old))
-        assert store.claim_age("k1") > 100.0
-
-    def test_reclaim_honours_fresh_leases(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        assert store.claim("k1", "shard-0/2")
-        assert not store.reclaim("k1", "shard-1/2", max_age=60.0)
-        assert store.claim_owner("k1") == "shard-0/2"
-
-    def test_reclaim_takes_over_expired_leases(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        assert store.claim("k1", "shard-0/2")
-        old = time.time() - 120.0
-        os.utime(store.claim_path("k1"), (old, old))
-        assert store.reclaim("k1", "shard-1/2", max_age=60.0)
-        assert store.claim_owner("k1") == "shard-1/2"
-
-    def test_reclaim_of_vanished_claim_is_a_normal_claim(self, tmp_path):
-        store = open_store(tmp_path / "store")
-        assert store.reclaim("k1", "shard-1/2", max_age=60.0)
-        assert store.claim_owner("k1") == "shard-1/2"
-
     def test_torn_writes_resume_cleanly(self, tmp_path, monkeypatch):
         root = tmp_path / "store"
         tasks = [{"value": v} for v in range(6)]
@@ -526,73 +509,7 @@ class TestStoreRobustness:
 
 
 # ----------------------------------------------------------------------
-# Sharded leases: reclamation and failure inheritance
-# ----------------------------------------------------------------------
-
-class TestClaimReclamation:
-    def _stale_claim(self, store, key, owner="shard-1/2", age=120.0):
-        assert store.claim(key, owner)
-        old = time.time() - age
-        os.utime(store.claim_path(key), (old, old))
-
-    def test_expired_claim_is_reclaimed_and_executed(self, tmp_path,
-                                                     caplog, fast_shards):
-        store = open_store(tmp_path / "store")
-        tasks = [{"value": v} for v in range(4)]
-        keys = [store.key(_double, task) for task in tasks]
-        self._stale_claim(store, keys[2])
-        fast_shards(timeout=30.0, claim_ttl=5.0, poll=0.02)
-        with caplog.at_level("WARNING", logger="repro.experiments.parallel"):
-            out = execute(_double, tasks, store=store, shard=(0, 1))
-        assert out == [0, 2, 4, 6]
-        assert store.claim_owner(keys[2]) == "shard-0/1"
-        assert "reclaimed 1 expired claim" in caplog.text
-
-    def test_claim_ttl_none_disables_reclamation(self, tmp_path,
-                                                 fast_shards):
-        # An infinite lease is never old enough to reclaim.
-        store = open_store(tmp_path / "store")
-        tasks = [{"value": v} for v in range(3)]
-        keys = [store.key(_double, task) for task in tasks]
-        self._stale_claim(store, keys[1])
-        fast_shards(timeout=0.5, claim_ttl=math.inf, poll=0.02)
-        with pytest.raises(TimeoutError, match="claimed by sibling"):
-            execute(_double, tasks, store=store, shard=(0, 1))
-
-    def test_fresh_claims_are_waited_on_not_reclaimed(self, tmp_path,
-                                                      fast_shards):
-        store = open_store(tmp_path / "store")
-        tasks = [{"value": v} for v in range(3)]
-        keys = [store.key(_double, task) for task in tasks]
-        assert store.claim(keys[1], "shard-1/2")  # live sibling, fresh lease
-        fast_shards(timeout=0.5, claim_ttl=3600.0, poll=0.02)
-        with pytest.raises(TimeoutError, match="claimed by sibling"):
-            execute(_double, tasks, store=store, shard=(0, 1))
-        assert store.claim_owner(keys[1]) == "shard-1/2"
-
-    def test_sibling_quarantine_is_inherited(self, tmp_path, fast_shards):
-        store = open_store(tmp_path / "store")
-        tasks = [{"value": v} for v in range(4)]
-        keys = [store.key(_double, task) for task in tasks]
-        assert store.claim(keys[1], "shard-1/2")
-        store.record_failure(keys[1], attempts=2,
-                             error="ValueError: sibling boom",
-                             quarantined=True)
-        fast_shards(timeout=30.0, claim_ttl=math.inf, poll=0.02)
-        with pytest.raises(GridFailureError) as err:
-            execute(_double, tasks, store=store, shard=(0, 1), retries=1)
-        exc = err.value
-        assert len(exc.failures) == 1
-        failure = exc.failures[0]
-        assert failure.key == keys[1]
-        assert failure.attempts == 2
-        assert "sibling boom" in failure.error
-        assert exc.results[1] is MISSING
-        assert [r for r in exc.results if r is not MISSING] == [0, 4, 6]
-
-
-# ----------------------------------------------------------------------
-# Determinism of the whole harness
+# Replay: the same plan draws the same faults
 # ----------------------------------------------------------------------
 
 class TestFaultPlanDeterminism:
@@ -745,8 +662,8 @@ class TestOrphanSweep:
 # ----------------------------------------------------------------------
 
 class TestChaosGrid:
-    def test_sharded_chaos_grid_is_bit_identical(self, tmp_path,
-                                                 monkeypatch):
+    def test_pooled_chaos_grid_is_bit_identical(self, tmp_path,
+                                                monkeypatch):
         baseline = run_grid()
         before = _shm_segments()
         # Store writes and shm publishes always happen in the
@@ -763,7 +680,7 @@ class TestChaosGrid:
         # bit-identical and leak nothing.
         for seed in range(11, 31):
             faults.clear_injection_log()
-            # All four fault points at rate >= 0.2, against a sharded
+            # All four fault points at rate >= 0.2, against a
             # store-backed pooled grid with retries.
             monkeypatch.setenv(
                 "REDS_FAULT_PLAN",
@@ -771,7 +688,7 @@ class TestChaosGrid:
                 "store_write_torn=0.25,shm_publish_fail=0.25")
             # A generous retry budget keeps the chance of a task drawing
             # crashes on every attempt negligible (0.25^7).
-            records = run_grid(jobs=2, shard=(0, 1),
+            records = run_grid(jobs=2,
                                store=str(tmp_path / f"store-{seed}"),
                                retries=6)
             assert_records_equal(baseline, records)
@@ -781,42 +698,55 @@ class TestChaosGrid:
                 break
         assert wanted <= fired
 
-    def test_cooperating_shards_never_duplicate_executions(self, tmp_path,
-                                                           monkeypatch):
-        countdir = tmp_path / "counts"
-        countdir.mkdir()
-        tasks = [{"value": v, "countdir": str(countdir)} for v in range(14)]
+    def test_store_backed_grid_never_reexecutes_a_stored_task(
+            self, tmp_path, monkeypatch):
         monkeypatch.setenv(
             "REDS_FAULT_PLAN",
             "seed=7,worker_crash=0.2,task_hang=0.2,hang_s=0.02")
-        results = {}
-        errors = []
-
-        def run_shard(i):
-            try:
-                # Tokens hash the store keys, and these keys embed the
-                # per-run tmp_path — the draws differ every run, so the
-                # retry budget must make exhaustion negligible (0.2^7).
-                results[i] = execute(_count_executions, tasks, jobs=1,
-                                     store=str(tmp_path / "store"),
-                                     shard=(i, 2), retries=6)
-            except BaseException as exc:  # surfaced to the main thread
-                errors.append(exc)
-
-        threads = [threading.Thread(target=run_shard, args=(i,))
-                   for i in range(2)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        assert not errors
         expected = [v * 2 for v in range(14)]
-        assert results[0] == expected
-        assert results[1] == expected
-        # Crashed attempts die before the task body runs, so any
-        # duplicated *execution* shows up as a second line.
-        for v in range(14):
-            assert (countdir / f"exec-{v}").read_text() == "x\n"
+
+        def grid(name):
+            countdir = tmp_path / name
+            countdir.mkdir()
+            return countdir, [{"value": v, "countdir": str(countdir)}
+                              for v in range(14)]
+
+        def counts(countdir):
+            return {path.name: path.read_text()
+                    for path in countdir.iterdir()}
+
+        # Tokens hash the store keys, and these keys embed the per-run
+        # tmp_path — the draws differ every run, so the retry budget
+        # must make exhaustion negligible (0.2^7).
+        serial_dir, serial_tasks = grid("serial")
+        serial_store = str(tmp_path / "serial-store")
+        assert execute(_count_executions, serial_tasks, jobs=1,
+                       store=serial_store, retries=6) == expected
+        # Inline, an injected crash raises before the task body runs,
+        # so every task ran exactly once.
+        assert counts(serial_dir) == {f"exec-{v}": "x\n" for v in range(14)}
+
+        # Pooled, a task can run more than once: when a sibling worker
+        # crashes, the whole pool dies, and an in-flight task whose
+        # body already ran is charged or requeued by heartbeat
+        # attribution.  So the first pooled run only pins its results.
+        pooled_dir, pooled_tasks = grid("pooled")
+        pooled_store = str(tmp_path / "pooled-store")
+        assert execute(_count_executions, pooled_tasks, jobs=2,
+                       store=pooled_store, retries=6) == expected
+        assert sorted(counts(pooled_dir)) == \
+            sorted(f"exec-{v}" for v in range(14))
+
+        # Against a completed store, nothing runs again at any ``jobs``.
+        for countdir, tasks, store in ((serial_dir, serial_tasks,
+                                        serial_store),
+                                       (pooled_dir, pooled_tasks,
+                                        pooled_store)):
+            before = counts(countdir)
+            for jobs in (1, 2):
+                assert execute(_count_executions, tasks, jobs=jobs,
+                               store=store, retries=6) == expected
+                assert counts(countdir) == before
 
 
 # ----------------------------------------------------------------------

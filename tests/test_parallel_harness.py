@@ -4,9 +4,8 @@
 by field (boxes and trajectories included) to the serial run, in the
 same grid order, no matter how the pool schedules the tasks.  Runtime
 is the one legitimate difference: it is wall-clock measured inside
-each run.  The same contract holds for every run path — inline,
-process pool, and store-coordinated shards — and sharded invocations that
-cooperate on one store must never execute a task twice.
+each run.  The same contract holds for both run paths — inline and
+process pool.
 """
 
 import os
@@ -58,14 +57,6 @@ def _delayed_echo(index: int) -> int:
 def _fail_on_one(index: int) -> int:
     if index == 1:
         raise ValueError("boom")
-    return index
-
-
-def _touch_and_echo(index: int, outdir: str) -> int:
-    # Records each execution as a unique file, so concurrent sharded
-    # invocations can prove zero duplicated task executions.
-    path = Path(outdir) / f"exec-{index}-{time.monotonic_ns()}"
-    path.write_text("")
     return index
 
 
@@ -229,16 +220,6 @@ class TestRunBatchParallel:
         serial, _ = grids
         assert [r.seed for r in serial] == [1000, 1001] * 4
 
-    def test_lone_shard_grid_matches_serial(self, grids, tmp_path):
-        # One cooperating invocation of a 2-way split: it steals the
-        # missing sibling's slice and must still match the serial run.
-        serial, _ = grids
-        sharded = run_batch(("ishigami", "willetal06"), ("P", "BI"), 120, 2,
-                            variant="continuous", test_size=1500,
-                            jobs=1, store=str(tmp_path / "store"),
-                            shard=(1, 2))
-        assert_records_identical(serial, sharded)
-
     def test_narrow_reds_grid_budget_matches_serial(self):
         # Two REDS cells under jobs=4: each grid worker gets a lease of
         # 2 and fans its labeling/tuning/trajectory stages out — the
@@ -269,34 +250,12 @@ class TestExecutionPlan:
         assert plan.indices == (0, 1, 2, 3)
         assert [t["seed"] for t in plan.tasks] == [100, 101, 102, 103]
 
-    def test_subset_keeps_grid_identity(self):
-        tasks = [dict(index=i) for i in range(6)]
-        plan = parallel.compile_plan(_delayed_echo, tasks,
-                                     keys=[f"k{i}" for i in range(6)])
-        sub = plan.subset([1, 4])
-        assert sub.indices == (1, 4)
-        assert sub.keys == ("k1", "k4")
-        assert [t["index"] for t in sub.tasks] == [1, 4]
-
-    def test_parse_shard(self):
-        assert parallel.parse_shard(None) is None
-        assert parallel.parse_shard("0/4") == (0, 4)
-        assert parallel.parse_shard((2, 5)) == (2, 5)
-        with pytest.raises(ValueError, match="i/k"):
-            parallel.parse_shard("nope")
-        for bad in ("5/2", "2/2", "-1/2", "0/0"):
-            with pytest.raises(ValueError, match="0 <= i < k"):
-                parallel.parse_shard(bad)
-
-
 class TestExecutors:
-    def test_all_executors_agree(self, tmp_path):
+    def test_all_executors_agree(self):
         tasks = [dict(index=i) for i in range(6)]
         serial = parallel.execute(_delayed_echo, tasks, jobs=1)
         process = parallel.execute(_delayed_echo, tasks, jobs=3)
-        sharded = parallel.execute(_delayed_echo, tasks, jobs=1,
-                                   store=str(tmp_path / "s"), shard=(0, 1))
-        assert serial == process == sharded == list(range(6))
+        assert serial == process == list(range(6))
 
     def test_serial_contexts_are_thread_isolated(self):
         # Two in-process executions with different contexts must not
@@ -325,164 +284,6 @@ class TestExecutors:
             out = parallel.execute(_context_row, tasks,
                                    shared={"values": values}, **kwargs)
             assert out == list(values)
-
-    def test_sharded_requires_store(self):
-        with pytest.raises(ValueError, match="store"):
-            parallel.execute(_delayed_echo, [dict(index=0)], shard=(0, 2))
-
-    def test_sharded_rejects_no_cache(self, tmp_path):
-        # Foreign records come back from the store, so resume=False
-        # ("nothing is read") cannot be honored across invocations.
-        with pytest.raises(ValueError, match="resume"):
-            parallel.execute(_delayed_echo, [dict(index=0)],
-                             store=str(tmp_path / "s"), shard=(0, 2),
-                             resume=False)
-
-    def test_lone_shard_steals_and_completes_the_grid(self, tmp_path,
-                                                      fast_shards):
-        # A shard whose siblings never start is not stuck: after its own
-        # modulo slice it claims the unowned remainder and finishes.
-        fast_shards(timeout=0.15)
-        tasks = [dict(index=i) for i in range(4)]
-        out = parallel.execute(_delayed_echo, tasks, jobs=None, shard=(0, 2),
-                               store=str(tmp_path / "s"))
-        assert out == list(range(4))
-
-    def test_sharded_times_out_on_claimed_but_dead_tasks(self, tmp_path,
-                                                         fast_shards):
-        # Stealing only covers *unclaimed* work: tasks claimed by a
-        # sibling that stopped publishing records must surface as a
-        # timeout, not hang or get duplicated.
-        from repro.experiments.store import ExperimentStore
-
-        store = ExperimentStore(tmp_path / "s")
-        tasks = [dict(index=i) for i in range(4)]
-        for task in tasks[1::2]:
-            assert store.claim(store.key(_delayed_echo, task), "shard-1/2")
-        fast_shards(timeout=0.15)
-        with pytest.raises(TimeoutError, match="claimed by sibling"):
-            parallel.execute(_delayed_echo, tasks, jobs=None, shard=(0, 2),
-                             store=store)
-
-
-class TestShardedCooperation:
-    def test_concurrent_shards_complete_grid_without_duplicates(self, tmp_path):
-        """Two concurrent --shard i/k invocations against one store must
-        both return the full grid while each task executes exactly once."""
-        outdir = tmp_path / "executions"
-        outdir.mkdir()
-        store_dir = str(tmp_path / "store")
-        tasks = [dict(index=i, outdir=str(outdir)) for i in range(8)]
-
-        results: dict[int, list] = {}
-        errors: list[BaseException] = []
-
-        def invoke(shard: int) -> None:
-            try:
-                results[shard] = parallel.execute(
-                    _touch_and_echo, tasks, jobs=1,
-                    store=store_dir, shard=(shard, 2))
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=invoke, args=(shard,))
-                   for shard in (0, 1)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert not errors
-        assert results[0] == results[1] == list(range(8))
-        executed = sorted(int(p.name.split("-")[1])
-                          for p in outdir.iterdir())
-        assert executed == list(range(8)), \
-            f"duplicated or missing executions: {executed}"
-
-    def test_sequential_shards_also_cooperate(self, tmp_path, fast_shards):
-        outdir = tmp_path / "executions"
-        outdir.mkdir()
-        store_dir = str(tmp_path / "store")
-        tasks = [dict(index=i, outdir=str(outdir)) for i in range(5)]
-        # Shard 1 runs alone: after draining its own slice it steals the
-        # unclaimed remainder and returns the full grid by itself...
-        fast_shards(timeout=0.2)
-        first = parallel.execute(_touch_and_echo, tasks, jobs=None,
-                                 store=store_dir, shard=(1, 2))
-        assert first == list(range(5))
-        # ...after which shard 0 serves everything from the store —
-        # zero new executions, still zero duplicates.
-        second = parallel.execute(_touch_and_echo, tasks, jobs=1,
-                                  store=store_dir, shard=(0, 2))
-        assert second == list(range(5))
-        executed = sorted(int(p.name.split("-")[1]) for p in outdir.iterdir())
-        assert executed == list(range(5))
-
-    def test_skewed_grid_is_rebalanced_by_stealing(self, tmp_path,
-                                                   fast_shards):
-        # Shard 0 starts late; shard 1 drains its own slice and must
-        # steal from shard 0's still-unclaimed slice instead of idling —
-        # with every task still executing exactly once.
-        from repro.experiments.store import ExperimentStore
-
-        outdir = tmp_path / "executions"
-        outdir.mkdir()
-        store = ExperimentStore(tmp_path / "store")
-        tasks = [dict(index=i, outdir=str(outdir)) for i in range(8)]
-        results: dict[int, list] = {}
-        errors: list[BaseException] = []
-        fast_shards(timeout=5.0)
-
-        def invoke(shard: int, delay: float) -> None:
-            try:
-                time.sleep(delay)
-                results[shard] = parallel.execute(
-                    _touch_and_echo, tasks, jobs=None, store=store,
-                    shard=(shard, 2))
-            except BaseException as exc:  # pragma: no cover - surfaced below
-                errors.append(exc)
-
-        threads = [threading.Thread(target=invoke, args=(0, 0.4)),
-                   threading.Thread(target=invoke, args=(1, 0.0))]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-
-        assert not errors
-        assert results[0] == results[1] == list(range(8))
-        executed = sorted(int(p.name.split("-")[1])
-                          for p in outdir.iterdir())
-        assert executed == list(range(8)), \
-            f"duplicated or missing executions: {executed}"
-        # The head start is far longer than shard 1's own slice, so at
-        # least one even (shard-0-priority) task was stolen by shard 1.
-        owners = {i: store.claim_owner(store.key(_touch_and_echo, task))
-                  for i, task in enumerate(tasks)}
-        assert all(owners.values())
-        assert any(owners[i] == "shard-1/2" for i in range(0, 8, 2)), owners
-
-    def test_shard_one_waits_for_shard_zero(self, tmp_path):
-        # The waiting shard must pick records up as they appear, not
-        # only if they pre-exist: start shard 1 first, then shard 0.
-        store_dir = str(tmp_path / "store")
-        tasks = [dict(index=i) for i in range(4)]
-        out: dict[int, list] = {}
-
-        def late_shard_zero():
-            time.sleep(0.15)
-            out[0] = parallel.execute(_delayed_echo, tasks, store=store_dir,
-                                      shard=(0, 2))
-
-        waiter = threading.Thread(
-            target=lambda: out.__setitem__(1, parallel.execute(
-                _delayed_echo, tasks, store=store_dir, shard=(1, 2))))
-        runner = threading.Thread(target=late_shard_zero)
-        waiter.start()
-        runner.start()
-        waiter.join()
-        runner.join()
-        assert out[0] == out[1] == list(range(4))
 
 
 def _shm_dir_entries() -> set:
