@@ -26,8 +26,8 @@ from repro.metamodels.tuning import make_metamodel, tune_metamodel
 from repro.sampling.designs import QuantizedUniform
 from repro.subgroup.inputs import check_finite
 
-__all__ = ["check_label_rows", "check_training_data", "clear_fit_cache",
-           "fit_key", "fit_metamodel", "fit_stats", "label_rows",
+__all__ = ["check_label_rows", "check_training_data", "fit_key",
+           "fit_metamodel", "fit_stats", "label_rows",
            "LABEL_MEMO", "LABEL_MEMO_BYTES", "pool_key", "reset_fit_stats",
            "reds", "REDSResult"]
 
@@ -118,11 +118,6 @@ def fit_stats() -> dict[str, int]:
 def reset_fit_stats() -> None:
     """Zero the fit/hit counters (tests and benchmarks)."""
     _FITS.reset_counters()
-
-
-def clear_fit_cache() -> None:
-    """Drop every cached fitted model (counters are kept)."""
-    _FITS.clear()
 
 
 def fit_key(kind: str, x: np.ndarray, y: np.ndarray, *, tune: bool,

@@ -11,7 +11,6 @@ from repro.data.levers import LEVER_MODELS, get_lever_model
 from repro.data.model import SimulationModel, make_dataset
 from repro.data.registry import (
     get_model,
-    list_models,
     third_party_dataset,
     ALL_FUNCTIONS,
     CONTINUOUS_FUNCTIONS,
@@ -27,7 +26,6 @@ __all__ = [
     "make_dataset",
     "get_model",
     "get_lever_model",
-    "list_models",
     "third_party_dataset",
     "ALL_FUNCTIONS",
     "CONTINUOUS_FUNCTIONS",

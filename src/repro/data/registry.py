@@ -33,7 +33,6 @@ __all__ = [
     "TABLE1",
     "Table1Entry",
     "get_model",
-    "list_models",
     "third_party_dataset",
     "ALL_FUNCTIONS",
     "CONTINUOUS_FUNCTIONS",
@@ -228,11 +227,6 @@ def get_model(name: str) -> SimulationModel:
         domain=domain,
         reference=entry.reference,
     )
-
-
-def list_models() -> tuple[str, ...]:
-    """Names of all simulation models (excludes the third-party tables)."""
-    return ALL_FUNCTIONS
 
 
 @lru_cache(maxsize=None)

@@ -51,7 +51,6 @@ from repro.experiments.parallel import (
     GridFailureError,
     RetryPolicy,
     TaskFailure,
-    close_pools,
     compile_plan,
     cpu_budget,
     execute,
@@ -98,7 +97,6 @@ __all__ = [
     "GridFailureError",
     "RetryPolicy",
     "TaskFailure",
-    "close_pools",
     "compile_plan",
     "cpu_budget",
     "execute",

@@ -117,7 +117,6 @@ __all__ = [
     "RetryPolicy",
     "TaskFailure",
     "budgeted_jobs",
-    "close_pools",
     "compile_plan",
     "cpu_budget",
     "execute",
@@ -737,11 +736,6 @@ def reset_pool_stats() -> None:
     _POOLS.reset_counters()
 
 
-def close_pools() -> int:
-    """Shut down every cached pool; returns how many were closed."""
-    return len(_POOLS.clear())
-
-
 # ----------------------------------------------------------------------
 # Run paths: chosen by ``jobs`` alone
 # ----------------------------------------------------------------------
@@ -1075,14 +1069,16 @@ def execute(
     Raises
     ------
     ValueError
-        When ``retries`` is negative or ``task_timeout`` is not positive
-        and finite.
+        When ``jobs`` or ``retries`` is negative, or ``task_timeout`` is
+        not positive and finite.
     GridFailureError
         Only with ``retries > 0``, after the grid has completed, when at
         least one task was quarantined.  ``.results`` carries the full
         grid (``MISSING`` at failed positions), ``.failures`` the
         per-task post-mortems.
     """
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0 or None, got {jobs}")
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     if task_timeout is not None and not 0 < task_timeout < math.inf:
@@ -1177,8 +1173,11 @@ def run_chunked(
     ``jobs``/``chunk_rows`` say (pinned by the chunked-prediction
     equivalence tests).
 
-    ``chunk_rows=None`` gives every worker one contiguous chunk.
+    ``chunk_rows=None`` gives every worker one contiguous chunk; an
+    explicit ``chunk_rows`` below 1 raises :class:`ValueError`.
     """
+    if chunk_rows is not None and chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     if n_rows <= 0:
         return []
     if chunk_rows is None:
@@ -1186,7 +1185,7 @@ def run_chunked(
         # budgeted plan the pool is clamped to the lease, so cutting
         # more chunks than that only adds dispatch overhead.
         chunk_rows = -(-n_rows // max(_resolve_jobs(jobs), 1))
-    chunk_rows = max(int(chunk_rows), 1)
+    chunk_rows = int(chunk_rows)
     tasks = [dict(worker=worker, start=start,
                   stop=min(start + chunk_rows, n_rows))
              for start in range(0, n_rows, chunk_rows)]

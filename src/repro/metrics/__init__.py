@@ -16,16 +16,8 @@ from repro.metrics.quality import (
 )
 from repro.metrics.trajectory import peeling_trajectory, pr_auc, trajectory_of
 from repro.metrics.consistency import box_consistency, pairwise_consistency
-from repro.metrics.subgroup_set import (
-    SubgroupSetQuality,
-    evaluate_subgroup_set,
-    joint_coverage,
-)
 
 __all__ = [
-    "SubgroupSetQuality",
-    "evaluate_subgroup_set",
-    "joint_coverage",
     "precision",
     "recall",
     "precision_recall",

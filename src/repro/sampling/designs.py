@@ -18,7 +18,6 @@ __all__ = [
     "uniform_random",
     "quantize_levels",
     "QuantizedUniform",
-    "mixed_design",
     "get_sampler",
     "SAMPLERS",
 ]
@@ -171,43 +170,6 @@ class QuantizedUniform:
     def __call__(self, n: int, m: int,
                  rng: np.random.Generator) -> np.ndarray:
         return quantize_levels(rng.random((n, m)), dict(self.levels))
-
-
-def mixed_design(
-    n: int,
-    m: int,
-    rng: np.random.Generator,
-    *,
-    cat_levels: dict[int, int],
-    base: str = "lhs",
-) -> np.ndarray:
-    """Category-aware design: a base sampler plus level quantization.
-
-    Draws ``n`` points from the named base design and quantizes the
-    categorical columns through :func:`quantize_levels`.  With the
-    default Latin-hypercube base each category level of each column is
-    hit a near-equal number of times (exactly equal when ``n`` is a
-    multiple of the level count), the mixed-scope sampling idiom of
-    tmip-emat's scope-driven designs.
-
-    Parameters
-    ----------
-    n, m : int
-        Number of points and total number of columns.
-    rng : numpy.random.Generator
-        Randomness source for the base design.
-    cat_levels : dict[int, int]
-        Maps column index -> number of category levels.
-    base : str
-        Base sampler name (``"lhs"``, ``"halton"``, ``"uniform"``).
-
-    Returns
-    -------
-    ndarray of shape (n, m)
-        Numeric columns in ``[0, 1]``, categorical columns holding
-        float codes ``0.0 .. K-1``.
-    """
-    return quantize_levels(get_sampler(base)(n, m, rng), cat_levels)
 
 
 SAMPLERS = {

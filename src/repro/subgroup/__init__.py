@@ -9,10 +9,6 @@ Implements the algorithms of Section 3 of the paper, one module each:
 * :mod:`repro.subgroup.bumping` — PRIM with bumping (Algorithm 2);
 * :mod:`repro.subgroup.best_interval` — BestInterval beam search
   (Algorithm 3);
-* :mod:`repro.subgroup.covering` — several subgroups by successive
-  removal (Section 3.2);
-* :mod:`repro.subgroup.pca_prim` — PCA-PRIM orthogonal rotations
-  (cited related work, Dalal et al. 2013);
 * :mod:`repro.subgroup.describe` — rule rendering for analysts
   (Section 5).
 """
@@ -26,7 +22,6 @@ from repro.subgroup.best_interval import (
     best_interval,
     best_interval_for_dim,
 )
-from repro.subgroup.covering import covering
 from repro.subgroup._kernels import (
     BoxBatchEvaluation,
     SortedDataset,
@@ -34,12 +29,9 @@ from repro.subgroup._kernels import (
     contains_many,
     evaluate_boxes,
 )
-from repro.subgroup.pca_prim import pca_prim, pca_rotation, Rotation, RotatedBox
 from repro.subgroup.describe import (
     describe_box,
     describe_trajectory,
-    box_to_dict,
-    box_from_dict,
     summarize_box,
 )
 
@@ -58,18 +50,11 @@ __all__ = [
     "BI_ENGINES",
     "best_interval",
     "best_interval_for_dim",
-    "covering",
     "BoxBatchEvaluation",
     "SortedDataset",
     "contains_many",
     "evaluate_boxes",
-    "pca_prim",
-    "pca_rotation",
-    "Rotation",
-    "RotatedBox",
     "describe_box",
     "describe_trajectory",
-    "box_to_dict",
-    "box_from_dict",
     "summarize_box",
 ]

@@ -1472,8 +1472,8 @@ def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
     """Batched coverage statistics for many boxes on one dataset.
 
     One :func:`contains_many` call replaces the per-box masking loops
-    of the bumping precision/recall pass, the covering loop and the
-    subgroup-set metrics.  For binary labels the per-box positive
+    of the bumping precision/recall pass and the peeling trajectory.
+    For binary labels the per-box positive
     counts come from one exact integer reduction over the positive
     columns; for soft labels each box's sum and mean run through the
     same pairwise ``ndarray`` reductions as the scalar code, keeping

@@ -1,10 +1,10 @@
-"""Human-readable scenario descriptions and structured export.
+"""Human-readable scenario descriptions.
 
 PRIM's selling point for scenario discovery is that domain experts read
 the result (Section 5 of the paper).  This module turns boxes into the
 artefacts an analyst actually consumes: named IF-THEN rules with bounds
-in the model's native units, per-box coverage statistics, a textual
-peeling-trajectory summary, and a JSON-compatible dict export.
+in the model's native units, per-box coverage statistics and a textual
+peeling-trajectory summary.
 """
 
 from __future__ import annotations
@@ -15,8 +15,8 @@ import numpy as np
 
 from repro.subgroup.box import Hyperbox
 
-__all__ = ["describe_box", "describe_trajectory", "box_to_dict",
-           "box_from_dict", "summarize_box", "BoxSummary"]
+__all__ = ["describe_box", "describe_trajectory", "summarize_box",
+           "BoxSummary"]
 
 
 @dataclass(frozen=True)
@@ -159,79 +159,3 @@ def describe_trajectory(
             f"{summary.n_restricted:>7}")
     return "\n".join(lines)
 
-
-def box_to_dict(box: Hyperbox, *, input_names: list[str] | None = None) -> dict:
-    """JSON-compatible export: restricted dims with their restrictions.
-
-    Numeric restrictions export ``lower``/``upper`` (``None`` for an
-    unbounded side); categorical restrictions export ``categories``, the
-    ascending list of allowed codes.  :func:`box_from_dict` inverts the
-    export exactly.
-    """
-    names = input_names or [f"a{j + 1}" for j in range(box.dim)]
-    if len(names) != box.dim:
-        raise ValueError(f"need {box.dim} input names, got {len(names)}")
-    restrictions = {}
-    for j in box.restricted_dims:
-        allowed = box.cat_restriction(j)
-        if allowed is not None:
-            restrictions[names[j]] = {"categories": sorted(allowed)}
-            continue
-        restrictions[names[j]] = {
-            "lower": float(box.lower[j]) if np.isfinite(box.lower[j]) else None,
-            "upper": float(box.upper[j]) if np.isfinite(box.upper[j]) else None,
-        }
-    return {
-        "dim": box.dim,
-        "n_restricted": box.n_restricted,
-        "restrictions": restrictions,
-    }
-
-
-def box_from_dict(data: dict, *, input_names: list[str] | None = None) -> Hyperbox:
-    """Rebuild a :class:`Hyperbox` from a :func:`box_to_dict` export.
-
-    Parameters
-    ----------
-    data : dict
-        A mapping with ``dim`` and ``restrictions`` keys as produced by
-        :func:`box_to_dict`.
-    input_names : list of str, optional
-        The same names the export was made with; defaults to the
-        generic ``a1..aM``.
-
-    Returns
-    -------
-    Hyperbox
-        A box whose :meth:`~repro.subgroup.box.Hyperbox.key` equals the
-        exported box's key (the describe/restrict round-trip pinned by
-        ``tests/test_categorical.py``).
-
-    Examples
-    --------
-    >>> from repro.subgroup.box import Hyperbox
-    >>> box = Hyperbox.unrestricted(2).replace(0, lower=0.25).with_cats(1, {1.0})
-    >>> box_from_dict(box_to_dict(box)).key() == box.key()
-    True
-    """
-    dim = int(data["dim"])
-    names = input_names or [f"a{j + 1}" for j in range(dim)]
-    if len(names) != dim:
-        raise ValueError(f"need {dim} input names, got {len(names)}")
-    index_of = {name: j for j, name in enumerate(names)}
-    box = Hyperbox.unrestricted(dim)
-    for name, restriction in data["restrictions"].items():
-        j = index_of.get(name)
-        if j is None:
-            raise ValueError(f"unknown input name {name!r}")
-        if "categories" in restriction:
-            box = box.with_cats(j, restriction["categories"])
-            continue
-        lower = restriction.get("lower")
-        upper = restriction.get("upper")
-        box = box.replace(
-            j,
-            lower=-np.inf if lower is None else float(lower),
-            upper=np.inf if upper is None else float(upper),
-        )
-    return box

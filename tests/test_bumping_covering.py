@@ -1,11 +1,9 @@
-"""Tests for PRIM with bumping and the covering approach."""
+"""Tests for PRIM with bumping and its Pareto front."""
 
 import numpy as np
 import pytest
 
-from repro.subgroup.box import Hyperbox
 from repro.subgroup.bumping import pareto_front, prim_bumping
-from repro.subgroup.covering import covering
 from repro.subgroup.prim import prim_peel
 from tests.conftest import planted_box_data
 
@@ -112,51 +110,3 @@ class TestBumping:
         front = prim_bumping(x, y, n_repeats=20, rng=np.random.default_rng(4))
         assert front.precisions.max() >= plain.val_means[plain.chosen] - 0.05
 
-
-class TestCovering:
-    @staticmethod
-    def _two_cluster_data(seed: int = 0):
-        gen = np.random.default_rng(seed)
-        x = gen.random((1500, 2))
-        in_a = ((x >= 0.05) & (x <= 0.3)).all(axis=1)
-        in_b = ((x >= 0.7) & (x <= 0.95)).all(axis=1)
-        return x, (in_a | in_b).astype(float)
-
-    def _discover(self, x, y):
-        result = prim_peel(x, y)
-        return result.chosen_box
-
-    def test_finds_multiple_subgroups(self):
-        x, y = self._two_cluster_data()
-        boxes = covering(x, y, self._discover, n_subgroups=2)
-        assert len(boxes) == 2
-        # The two boxes should cover different clusters.
-        first_covers_a = boxes[0].contains(np.array([[0.15, 0.15]]))[0]
-        second_covers_b = boxes[1].contains(np.array([[0.85, 0.85]]))[0]
-        first_covers_b = boxes[0].contains(np.array([[0.85, 0.85]]))[0]
-        assert first_covers_a != first_covers_b
-        assert second_covers_b or boxes[1].contains(np.array([[0.15, 0.15]]))[0]
-
-    def test_stops_when_no_positives_left(self):
-        gen = np.random.default_rng(1)
-        x = gen.random((300, 2))
-        y = np.zeros(300)
-        y[:3] = 1  # fewer than min_positives after first removal
-        boxes = covering(x, y, self._discover, n_subgroups=5, min_positives=4)
-        assert len(boxes) == 0
-
-    def test_respects_n_subgroups(self):
-        x, y = self._two_cluster_data(2)
-        boxes = covering(x, y, self._discover, n_subgroups=1)
-        assert len(boxes) == 1
-
-    def test_mismatched_lengths_rejected(self, rng):
-        with pytest.raises(ValueError):
-            covering(rng.random((10, 2)), np.zeros(5), self._discover)
-
-    def test_unrestricted_result_stops(self):
-        gen = np.random.default_rng(3)
-        x = gen.random((200, 2))
-        y = np.ones(200)  # PRIM keeps the full box: mean is already 1
-        boxes = covering(x, y, lambda a, b: Hyperbox.unrestricted(2))
-        assert boxes == []

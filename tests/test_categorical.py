@@ -1,10 +1,9 @@
 """Categorical scenario dimensions, end to end.
 
-Locks the tentpole of the categorical stack: peel/paste candidate
-enumeration over category levels, describe/serialise round-trips,
-covering with mixed boxes, and bit-exact reference-vs-vectorized
-equivalence on mixed numeric+categorical data for both PRIM and
-BestInterval.
+Locks the categorical stack: peel/paste candidate enumeration over
+category levels, rule rendering of category sets, batched membership of
+mixed boxes, and bit-exact reference-vs-vectorized equivalence on mixed
+numeric+categorical data for both PRIM and BestInterval.
 """
 
 from __future__ import annotations
@@ -22,11 +21,10 @@ from repro.subgroup import (
     best_interval_for_dim,
     cat_mask,
     contains_many,
-    covering,
     evaluate_boxes,
     prim_peel,
 )
-from repro.subgroup.describe import box_from_dict, box_to_dict, describe_box
+from repro.subgroup.describe import describe_box
 from repro.subgroup.prim import _best_peel
 
 
@@ -210,33 +208,7 @@ class TestMixedMembership:
 
 
 # ----------------------------------------------------------------------
-# Covering with mixed boxes
-# ----------------------------------------------------------------------
-
-class TestCoveringMixed:
-    def test_covering_finds_disjoint_mixed_subgroups(self):
-        rng = np.random.default_rng(13)
-        x = rng.random((900, 3))
-        x[:, 2] = np.floor(x[:, 2] * 4)
-        first = (x[:, 0] <= 0.3) & (x[:, 2] == 1.0)
-        second = (x[:, 0] >= 0.7) & (x[:, 2] == 3.0)
-        y = (first | second).astype(float)
-
-        def one_box(data_x, data_y):
-            return prim_peel(data_x, data_y, min_support=10,
-                             cat_cols=(2,)).chosen_box
-
-        found = covering(x, y, one_box, n_subgroups=3)
-        assert len(found) >= 2
-        covered = contains_many(found[:2], x).any(axis=0)
-        # The two planted subgroups are both essentially recovered.
-        assert y[covered].sum() / y.sum() > 0.9
-        assert {found[0].cat_restriction(2), found[1].cat_restriction(2)} \
-            == {frozenset({1.0}), frozenset({3.0})}
-
-
-# ----------------------------------------------------------------------
-# describe / restrict round-trips
+# rendering and restricting mixed boxes
 # ----------------------------------------------------------------------
 
 class TestDescribeRoundTrip:
@@ -249,15 +221,6 @@ class TestDescribeRoundTrip:
         text = describe_box(self.box(), input_names=("rain", "cost", "mode"))
         assert "mode in {0, 2}" in text
         assert "0.25 <= rain <= 0.75" in text
-
-    def test_dict_round_trip_preserves_key(self):
-        box = self.box()
-        rebuilt = box_from_dict(box_to_dict(box))
-        assert rebuilt.key() == box.key()
-
-    def test_dict_export_lists_categories(self):
-        data = box_to_dict(self.box())
-        assert data["restrictions"]["a3"]["categories"] == [0.0, 2.0]
 
     def test_with_cats_none_clears_restriction(self):
         cleared = self.box().with_cats(2, None)

@@ -1,13 +1,10 @@
-"""Tests for scenario descriptions and export."""
-
-import json
+"""Tests for scenario descriptions and coverage summaries."""
 
 import numpy as np
 import pytest
 
 from repro.subgroup.box import Hyperbox
 from repro.subgroup.describe import (
-    box_to_dict,
     describe_box,
     describe_trajectory,
     summarize_box,
@@ -91,26 +88,3 @@ class TestDescribeTrajectory:
         with pytest.raises(ValueError):
             describe_trajectory([], rng.random((5, 1)), np.zeros(5))
 
-
-class TestBoxToDict:
-    def test_roundtrip_through_json(self):
-        box = _box([0.2, -np.inf], [0.6, 0.9])
-        payload = json.loads(json.dumps(box_to_dict(box)))
-        assert payload["dim"] == 2
-        assert payload["n_restricted"] == 2
-        assert payload["restrictions"]["a1"] == {"lower": 0.2, "upper": 0.6}
-        assert payload["restrictions"]["a2"] == {"lower": None, "upper": 0.9}
-
-    def test_unrestricted_dims_absent(self):
-        box = _box([0.2, -np.inf], [0.6, np.inf])
-        payload = box_to_dict(box)
-        assert "a2" not in payload["restrictions"]
-
-    def test_custom_names(self):
-        box = _box([0.2], [0.6])
-        payload = box_to_dict(box, input_names=["delay"])
-        assert "delay" in payload["restrictions"]
-
-    def test_wrong_name_count(self):
-        with pytest.raises(ValueError):
-            box_to_dict(_box([0.2], [0.6]), input_names=["a", "b"])

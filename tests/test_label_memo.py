@@ -40,7 +40,7 @@ def _cold_memo():
     yield
     while warm.active():
         warm.leave()
-    parallel.close_pools()
+    parallel._POOLS.clear()
     shutdown_resident()
     LABEL_MEMO.clear()
     LABEL_MEMO.reset_counters()

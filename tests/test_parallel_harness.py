@@ -25,6 +25,8 @@ from repro.experiments.harness import (
     run_batch,
     run_third_party,
 )
+from repro.metamodels.base import predict_chunked
+from repro.metamodels.tuning import make_metamodel
 from repro.metrics.trajectory import peeling_trajectory
 from repro.subgroup import Hyperbox
 from repro.subgroup._kernels import evaluate_boxes as kernel_evaluate_boxes
@@ -105,6 +107,38 @@ class TestExecute:
             parallel.execute(_fail_on_one, tasks, jobs=2)
         with pytest.raises(ValueError, match="boom"):
             parallel.execute(_fail_on_one, tasks, jobs=1)
+
+
+class TestFanoutArguments:
+    """Bad ``chunk_rows``/``jobs`` raise before any task is dispatched."""
+
+    @pytest.mark.parametrize("chunk_rows", [0, -7])
+    def test_run_chunked_rejects_chunk_rows_below_one(self, chunk_rows):
+        for jobs in (1, 2):
+            with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+                parallel.run_chunked(_range_sum_chunk, 30, jobs=jobs,
+                                     chunk_rows=chunk_rows,
+                                     context={"offset": 0})
+
+    @pytest.mark.parametrize("chunk_rows", [0, -7])
+    def test_predict_chunked_rejects_chunk_rows_below_one(self, chunk_rows):
+        gen = np.random.default_rng(0)
+        x = gen.random((60, 3))
+        model = make_metamodel("forest", n_trees=5).fit(
+            x, (x[:, 0] > 0.5).astype(float))
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            predict_chunked(model, x, jobs=2, chunk_rows=chunk_rows)
+
+    @pytest.mark.parametrize("jobs", [-1, -3])
+    def test_execute_rejects_negative_jobs(self, jobs):
+        tasks = [dict(index=i) for i in range(3)]
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            parallel.execute(_delayed_echo, tasks, jobs=jobs)
+
+    def test_run_batch_rejects_negative_jobs(self):
+        with pytest.raises(ValueError, match="jobs must be >= 0"):
+            run_batch(("ishigami",), ("P",), 60, 1, jobs=-3,
+                      variant="continuous", test_size=200)
 
 
 class TestWorkerBudget:

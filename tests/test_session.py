@@ -24,8 +24,8 @@ import pytest
 
 from repro.cli import main
 from repro.core.reds import (
+    _FITS,
     LABEL_MEMO,
-    clear_fit_cache,
     fit_metamodel,
     fit_stats,
     reset_fit_stats,
@@ -52,16 +52,16 @@ from test_parallel_harness import assert_records_identical
 @pytest.fixture(autouse=True)
 def _cold_start():
     """Every test starts and ends with no warm state."""
-    parallel.close_pools()
+    parallel._POOLS.clear()
     shutdown_resident()
-    clear_fit_cache()
+    _FITS.clear()
     reset_pool_stats()
     reset_resident_stats()
     reset_fit_stats()
     yield
-    parallel.close_pools()
+    parallel._POOLS.clear()
     shutdown_resident()
-    clear_fit_cache()
+    _FITS.clear()
 
 
 def _square(value: int) -> int:
