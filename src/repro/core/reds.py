@@ -24,6 +24,7 @@ from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 from repro.sampling.designs import QuantizedUniform
+from repro.subgroup._kernels import drawn_pool
 from repro.subgroup.inputs import check_finite
 
 __all__ = ["check_label_rows", "check_training_data", "fit_key",
@@ -66,10 +67,10 @@ def check_label_rows(x_new, width: int, *, caller: str,
             "rows of the training inputs")
     if not len(x_new):
         raise ValueError(f"{what} holds no rows; {caller} needs rows to label")
-    bad = ~np.isfinite(x_new).all(axis=0)
-    if bad.any():
-        raise ValueError(f"{what} column {int(np.argmax(bad))} holds NaN or "
-                         f"inf; {caller} labels finite rows only")
+    if not np.isfinite(x_new).all():
+        bad = int(np.argmin(np.isfinite(x_new).all(axis=0)))
+        raise ValueError(f"{what} column {bad} holds NaN or inf; {caller} "
+                         "labels finite rows only")
     return x_new
 
 
@@ -290,7 +291,9 @@ def reds(
         metamodels (forest / boosting).
     sampler:
         Input distribution ``p(x)``; defaults to uniform Monte Carlo,
-        matching the deep-uncertainty assumption.
+        matching the deep-uncertainty assumption.  A pool drawn by the
+        default or a :class:`~repro.sampling.designs.QuantizedUniform`
+        sampler reaches ``sd`` and the result read-only.
     pool:
         Optional pre-existing unlabeled points from ``p(x)``
         (semi-supervised mode); used verbatim instead of sampling.
@@ -343,14 +346,20 @@ def reds(
     # memoized.  The pool is drawn even when they are: the SD step needs
     # the rows, and later users of ``rng`` (bumping) its state.
     memo = kind is not None and warm.active()
+    draw_key = None
     if pool is not None:
         x_new = pool
         rows_key = pool_key(pool) if memo else None
     else:
-        rows_key = _drawn_pool_key(sampler, rng) if memo else None
+        draw_key = _drawn_pool_key(sampler, rng)
+        rows_key = draw_key if memo else None
         draw = sampler if sampler is not None else _uniform
         x_new = check_label_rows(draw(n_new, x.shape[1], rng), x.shape[1],
                                  caller="reds", what="the sampler's output")
+        if draw_key is not None:
+            # A built-in sampler's draw is a fresh array that its key
+            # names; frozen, it stays what the key says.
+            x_new.flags.writeable = False
     memo_key = None if rows_key is None else (
         fit_key(kind, x, y, tune=tune, engine=engine), rows_key)
     y_new = label_rows(fitted, x_new, soft=soft_labels, memo_key=memo_key,
@@ -360,7 +369,10 @@ def reds(
     label_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    sd_output = sd(x_new, y_new)
+    # Inside a warm scope the SD step's column index of a drawn pool is
+    # keyed by the draw, not by a hash of the pool.
+    with drawn_pool(x_new, draw_key):
+        sd_output = sd(x_new, y_new)
     sd_time = time.perf_counter() - t0
 
     return REDSResult(

@@ -1032,6 +1032,8 @@ class StackedEnsemble:
         the concatenated result is bit-identical to the single-process
         call for every ``jobs``/``chunk_rows`` choice.
         """
+        if chunk_rows is not None and chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         x = np.ascontiguousarray(x, dtype=float)
         n = len(x)
         if x.ndim != 2 or (self.n_features and x.shape[1] < self.n_features):

@@ -109,6 +109,8 @@ def predict_chunked(
     chunk_rows:
         Rows per chunk (default: one contiguous chunk per worker).
     """
+    if chunk_rows is not None and chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     x = np.ascontiguousarray(x, dtype=float)
     n = len(x)
     if (jobs is not None and jobs <= 1) or n <= 1:

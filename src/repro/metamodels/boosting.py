@@ -184,6 +184,8 @@ class GradientBoostingModel:
             raise ValueError(f"subsample must be in (0, 1], got {subsample}")
         if not 0.0 < colsample <= 1.0:
             raise ValueError(f"colsample must be in (0, 1], got {colsample}")
+        if chunk_rows is not None and chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         engine = _resolve_engine(engine)
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate

@@ -90,6 +90,8 @@ class RandomForestModel:
                 f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be None or >= 1, got {max_depth}")
+        if chunk_rows is not None and chunk_rows < 1:
+            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         engine = _resolve_engine(engine)
         self.n_trees = n_trees
         self.max_features = max_features

@@ -10,17 +10,23 @@ column subset, alpha and validation rows.
 
 Layout.  Nothing moves during a peel.  The pool's static index
 (:func:`column_index`, memoized inside a warm scope, so every peel of one
-pool shares one sort) holds each column's row order, its tie runs (as
-ascending keys: dense rank plus a per-column offset) and every row's
-block number in every column: a column's order is cut into blocks of
-``B`` consecutive positions.  A batch keeps the row-level ``held`` table
-(each run's bootstrap multiplicity of each row, 0 once peeled) and, per
-``(run, column)`` segment and block, the in-box copies and their label
-sum.  An accepted peel zeroes its removed rows in ``held`` and subtracts
-them from their block in every column of the run; runs that stop drop
-their segments.  Every order statistic is then a two-level search: one
-cumulative sum over the block counts finds the block, one gather of its
-``B`` entries the position.
+pool shares one sort; a pool REDS drew is found by its draw, not by
+hashing it) holds each column's row order, its tie runs (as ascending
+keys: dense rank plus a per-column offset) and every row's block number
+in every column (plus a per-column offset too): a column's order is cut
+into blocks of ``B`` consecutive positions.  A batch keeps the row-level
+``held`` table (each run's bootstrap multiplicity of each row, 0 once
+peeled) and, per ``(run, column)`` segment and block, the in-box copies
+and their label sum.  The batch builds these block tables by gathering
+each segment's multiplicities and labels along its column's order and
+summing them block by block; when every run holds every row once the
+copies are just the block sizes.  An accepted peel zeroes its removed
+rows in ``held`` and subtracts them from their block in every column of
+the run: one gather of their block numbers, counted once for the copies
+and, for binary labels, once more over the positive rows for the label
+sums.  Runs that stop drop their segments.  Every order statistic is
+then a two-level search: one cumulative sum over the block counts finds
+the block, one gather of its ``B`` entries the position.
 
 One peeling step for all runs is:
 
@@ -88,6 +94,8 @@ arrays, as a lockstep batch produces them — or a sequence of boxes.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 
@@ -261,12 +269,35 @@ _BLOCK_ROWS = 64
 #: the small indexes of the training sets the searches peel.
 INDEX_MEMO_BYTES = 17 * 2**20
 
-#: ``(content key of x, block rows)`` -> the read-only
-#: :class:`ColumnIndex` of ``x``, filled only inside a warm scope; the
-#: content key covers the dtype, shape and bytes of ``x``.
+#: ``(pool key, block rows)`` -> the read-only :class:`ColumnIndex` of
+#: a pool ``x``, filled only inside a warm scope.  The pool key is the
+#: content key of ``x`` (its dtype, shape and bytes), or, for the pool
+#: of :func:`drawn_pool`, the key of its draw plus its shape.
 #: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
 INDEX_MEMO = warm.WarmCache(cap=INDEX_MEMO_BYTES,
                             weight=lambda index: index.nbytes)
+
+#: ``(pool, draw key)`` inside :func:`drawn_pool`, else ``None``.
+_DRAWN: contextvars.ContextVar = contextvars.ContextVar("_DRAWN",
+                                                        default=None)
+
+
+@contextlib.contextmanager
+def drawn_pool(x: np.ndarray, key):
+    """Within the block, :func:`column_index` keys the read-only pool
+    ``x`` by ``key`` — how it was drawn, e.g. the generator state and
+    sampler — and its shape, instead of hashing its bytes.
+
+    ``key`` must name the content of ``x``: two draws with equal keys
+    and shapes must be equal.  ``x`` itself is recognised as the same
+    object; a copy, or ``x`` made writeable again, is content-keyed,
+    and so is every pool when ``key`` is ``None``.
+    """
+    token = _DRAWN.set(None if key is None else (x, key))
+    try:
+        yield
+    finally:
+        _DRAWN.reset(token)
 
 
 def _block_rows(n_base: int) -> int:
@@ -285,14 +316,15 @@ class ColumnIndex:
     position ``p`` plus ``j * (N + 1)`` (padding: ``N`` plus the same
     offset), so ``keys.ravel()`` ascends and one ``searchsorted`` finds
     any position's tie run; ``blocks[i, j]`` is the block of row ``i``
-    in column ``j`` (row-major, so a row's blocks in every column are
-    one gather).
+    in column ``j`` plus ``j * n_blocks`` (row-major, so a row's blocks
+    in every column are one gather, and its slots in a one-run batch's
+    flat block tables).
     """
 
     block: int
     orders: np.ndarray   # (M, n_blocks * block) int32 rows
     keys: np.ndarray     # (M, n_blocks * block) int32 tie keys
-    blocks: np.ndarray   # (N, M) uint16 block of each row
+    blocks: np.ndarray   # (N, M) uint16 offset block of each row
 
     @property
     def n_blocks(self) -> int:
@@ -310,8 +342,8 @@ def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
     index_type = np.int32 if dim * (n_base + 1) < 2**31 else np.int64
     orders = np.full((dim, width), n_base, dtype=index_type)
     keys = np.full((dim, width), n_base, dtype=index_type)
-    blocks = np.empty((n_base, dim),
-                      dtype=np.uint16 if n_blocks <= 2**16 else np.uint32)
+    blocks = np.empty((n_base, dim), dtype=np.uint16
+                      if dim * n_blocks <= 2**16 else np.uint32)
     block_of = np.arange(n_base) // block
     for j, column in enumerate(np.ascontiguousarray(x.T)):
         order = np.argsort(column)
@@ -320,7 +352,7 @@ def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
         keys[j, :1] = 0
         np.cumsum(values[1:] != values[:-1], out=keys[j, 1:n_base])
         keys[j] += j * (n_base + 1)
-        blocks[order, j] = block_of
+        blocks[order, j] = block_of + j * n_blocks
     for array in (orders, keys, blocks):
         array.flags.writeable = False
     return ColumnIndex(block, orders, keys, blocks)
@@ -333,17 +365,24 @@ def column_index(x: np.ndarray) -> ColumnIndex:
     blocks, their tie keys and every row's block number in every
     column, all read-only, contiguous and a pure function of ``x``
     (and :data:`_BLOCK_ROWS`).  Inside a warm scope it is memoized in
-    :data:`INDEX_MEMO` by the content of ``x``, so the pool that a
-    seed's REDS methods all peel is sorted once; outside one, nothing
-    is hashed or stored.
+    :data:`INDEX_MEMO`, so the pool that a seed's REDS methods all peel
+    is sorted once: a pool REDS drew is keyed by its draw
+    (:func:`drawn_pool`), any other ``x`` by a hash of its content.
+    Outside a warm scope nothing is hashed or stored.
     """
     block = _block_rows(len(x))
     if not warm.active():
         return _build_column_index(x, block)
-    # Lazy import: the data plane sits above subgroup in the layer order.
-    from repro.experiments.dataplane import content_key
+    drawn = _DRAWN.get()
+    if drawn is not None and drawn[0] is x and not x.flags.writeable:
+        key = (drawn[1], x.shape)
+    else:
+        # Lazy import: the data plane sits above subgroup in the layer
+        # order.
+        from repro.experiments.dataplane import content_key
 
-    return INDEX_MEMO.get_or_create((content_key(x), block),
+        key = content_key(x)
+    return INDEX_MEMO.get_or_create((key, block),
                                     lambda: _build_column_index(x, block))
 
 
@@ -524,7 +563,8 @@ class _Lockstep:
     outside the box and for the padding row ``N``).  ``cnt[s, b]`` and
     ``sums[s, b]`` hold the in-box copies of block ``b`` of segment
     ``s`` and the exact sum of their labels on a fixed-point grid
-    (:func:`_fixed_point`; binary labels are on it already).  The
+    (:func:`_fixed_point`; binary labels are on it already, and their
+    sums, the positive copies, are held as integers).  The
     ``t``-th entry of a segment is then a search over the block counts
     plus one gathered block (:meth:`_select`), and so are the copies and
     label sums below a position (:meth:`_rank`).  An accepted peel
@@ -599,12 +639,9 @@ class _Lockstep:
         self._locate_segments()
         if np.count_nonzero(self.seg_of >= 0) != len(self.seg_col):
             raise ValueError("a PeelRun's cols must be distinct")
-        held = np.flatnonzero(self.held)
-        runs_of = held // self.stride
-        self.cnt = np.zeros((len(self.seg_col), self.n_blocks), dtype=np.int64)
-        self.sums = np.zeros(self.cnt.shape)
-        self._tally(runs_of, held - runs_of * self.stride, self.held[held],
-                    np.add)
+        self.sums_type = np.int64 if exact else float
+        self.cnt, self.sums = self._tables(
+            all(run.rows is None for run in runs))
 
         val_n = val_sum = None
         if val is not None:
@@ -642,6 +679,11 @@ class _Lockstep:
         self.colbase = self.seg_col * self.width
         self.first_block = np.arange(n_segs) * self.n_blocks
         self.gshift = self.first_block - self.seg_col * self.n_blocks
+        # A row's entry in ``blocks`` plus ``shift[r, j]`` is its block's
+        # slot in the segment of run ``r`` and column ``j``.
+        self.shift = (self.seg_of - np.arange(self.seg_of.shape[1])
+                      ) * self.n_blocks
+        self.shifted = len(self.n) > 1 or bool(self.shift.any())
         self.hold = None if len(self.n) == 1 else self.seg_run * self.stride
 
     def run(self) -> None:
@@ -712,44 +754,79 @@ class _Lockstep:
         hit = copies.nonzero()[0]
         return owner[hit], rows[hit], copies[hit]
 
-    def _tally(self, runs, rows, mult, update) -> None:
-        """Apply ``update`` (``np.add`` or ``np.subtract``) to the block
-        tables with the copies and fixed-point label sums of every row
-        ``rows`` that run ``runs`` holds ``mult`` times, in each segment
-        of its run: one ``bincount`` pair per chunk of rows, so the
-        temporaries stay a few MB."""
-        n_blocks = self.n_blocks
-        size = len(self.seg_col) * n_blocks
+    def _tables(self, whole: bool):
+        """``(cnt, sums)`` of the batch's first box: each segment's
+        multiplicities and weighted labels gathered along its column's
+        order and summed block by block, a few segments at a time so the
+        temporaries stay a few MB.  ``whole``: every run holds every
+        base row once, so a block's copies are its rows (the last block
+        is padded) and only the labels are gathered, once per column."""
+        n_segs, n_blocks, block = len(self.seg_col), self.n_blocks, self.block
+        orders = self.orders.reshape(-1, self.width)
+
+        def per_block(values):
+            # The sums are exact on the grid, so einsum's order is free.
+            return np.einsum("sbk->sb",
+                             values.reshape(len(values), n_blocks, block))
+
+        chunk = max(1, (1 << 18) // self.width)
+        if whole:
+            cnt = np.full((n_segs, n_blocks), block, dtype=np.int64)
+            cnt[:, -1] = len(self.x) - (n_blocks - 1) * block
+            cols, seg_of_col = np.unique(self.seg_col, return_inverse=True)
+            sums = np.empty((len(cols), n_blocks), dtype=self.sums_type)
+            for lo in range(0, len(cols), chunk):
+                part = slice(lo, lo + chunk)
+                sums[part] = per_block(np.take(self.w, orders[cols[part]]))
+            return cnt, sums[seg_of_col]
+        cnt = np.empty((n_segs, n_blocks), dtype=np.int64)
+        sums = np.empty((n_segs, n_blocks), dtype=self.sums_type)
+        for lo in range(0, n_segs, chunk):
+            segs = slice(lo, lo + chunk)
+            rows = orders[self.seg_col[segs]]
+            mult = self.held[rows if self.hold is None
+                             else rows + self.hold[segs, None]]
+            cnt[segs] = per_block(mult)
+            sums[segs] = per_block(self.w[rows] * mult)
+        return cnt, sums
+
+    def _drop(self, runs, rows, mult) -> None:
+        """Take the copies of every row ``rows`` that run ``runs`` holds
+        ``mult`` times out of ``held`` and out of their block in each
+        segment of the run: one gather of the rows' block numbers per
+        chunk of rows (so the temporaries stay a few MB), counted by
+        ``bincount``.  Binary labels sum to the positive copies, counted
+        again over the positive rows alone, unweighted without bootstrap
+        repeats; soft ones are a weighted count."""
+        self.held[runs * self.stride + rows] = 0
         counts, sums = self.cnt.reshape(-1), self.sums.reshape(-1)
+
+        def subtract(table, flat, weights):
+            if weights is not None:
+                weights = weights.repeat(flat.shape[1])
+            table -= np.bincount(flat.ravel(), weights=weights,
+                                 minlength=len(table)).astype(
+                                     table.dtype, copy=False)
+
         chunk = (1 << 18) // max(1, self.blocks.shape[1])
         for lo in range(0, len(rows), chunk):
             run, row, copies = (a[lo:lo + chunk] for a in (runs, rows, mult))
+            # ``flat`` holds each row's slots in the flat block tables,
+            # one row per entry of ``row``.
             if self.every_column:
-                # One row per held row, one column per base column.
-                seg = self.seg_of[run] if len(self.n) > 1 else self.seg_of[0]
-                flat = (self.blocks[row] + seg * n_blocks).ravel()
-
-                def spread(values):
-                    return values.repeat(self.blocks.shape[1])
+                flat = np.take(self.blocks, row, axis=0)
+                if self.shifted:
+                    flat = flat + self.shift[run if len(self.n) > 1 else 0]
             else:
                 at, col = (self.seg_of[run] >= 0).nonzero()
-                flat = (self.seg_of[run[at], col] * n_blocks
-                        + self.blocks[row[at], col])
-
-                def spread(values):
-                    return values[at]
-            update(counts, np.bincount(
-                flat, weights=None if self.single else spread(copies),
-                minlength=size).astype(np.int64, copy=False), out=counts)
-            update(sums, np.bincount(
-                flat, weights=spread(self.w[row] * copies), minlength=size),
-                out=sums)
-
-    def _drop(self, runs, rows, mult) -> None:
-        """Take removed copies out of ``held`` and out of their block in
-        every segment of their run."""
-        self.held[runs * self.stride + rows] = 0
-        self._tally(runs, rows, mult, np.subtract)
+                run, row, copies = run[at], row[at], copies[at]
+                flat = (self.blocks[row, col] + self.shift[run, col])[:, None]
+            subtract(counts, flat, None if self.single else copies)
+            if self.exact:
+                pos = self.w[row] == 1.0
+                subtract(sums, flat[pos], None if self.single else copies[pos])
+            else:
+                subtract(sums, flat, self.w[row] * copies)
 
     # ------------------------------------------------------------------
     # One step: candidates, winners, acceptance.
@@ -1489,6 +1566,8 @@ def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
     vector, the totals come from the parent), so results stay
     bit-identical for any ``jobs``/``chunk_boxes`` setting.
     """
+    if chunk_boxes is not None and chunk_boxes < 1:
+        raise ValueError(f"chunk_boxes must be >= 1, got {chunk_boxes}")
     y = np.asarray(y, dtype=float)
     if binary is None:
         binary = bool(np.all((y == 0.0) | (y == 1.0)))

@@ -25,10 +25,10 @@ def check_finite(x: np.ndarray, y: np.ndarray, *, caller: str,
     ``caller`` names the entry point and ``names`` the two arrays in
     the messages.
     """
-    bad = ~np.isfinite(x).all(axis=0)
-    if bad.any():
-        raise ValueError(f"{names[0]} column {int(np.argmax(bad))} holds NaN "
-                         f"or inf; {caller} needs finite inputs")
+    if not np.isfinite(x).all():
+        bad = int(np.argmin(np.isfinite(x).all(axis=0)))
+        raise ValueError(f"{names[0]} column {bad} holds NaN or inf; "
+                         f"{caller} needs finite inputs")
     if not np.isfinite(y).all():
         raise ValueError(f"{names[1]} holds NaN or inf; {caller} needs "
                          "finite labels")

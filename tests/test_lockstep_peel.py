@@ -288,6 +288,56 @@ def test_block_tables_equal_a_recount_after_every_step(monkeypatch, soft,
     assert len(steps) > 30
 
 
+def _tables_by_recount(batch):
+    """Each segment's per-block copies and label sums, recounted from
+    the ``held`` table along its column's order."""
+    orders = batch.orders.reshape(-1, batch.width)
+    cnt, sums = [], []
+    for r, col in zip(batch.seg_run, batch.seg_col):
+        copies = batch.held[r * batch.stride + orders[col]]
+        cnt.append(copies.reshape(-1, batch.block).sum(axis=1))
+        sums.append((batch.w[orders[col]] * copies).reshape(
+            -1, batch.block).sum(axis=1))
+    return np.array(cnt), np.array(sums)
+
+
+@pytest.mark.parametrize("block", [3, 64])
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+@pytest.mark.parametrize("shape", ["whole_pool", "bootstrap", "col_subset"])
+def test_block_tables_equal_a_recount_before_the_first_step(monkeypatch, shape,
+                                                           soft, block):
+    """The tables a batch starts from — gathered along each column's
+    order, or, for runs that hold every row once, the block sizes — equal
+    a recount from ``held`` before any step: a one-run whole-pool batch,
+    bootstrap runs with repeated rows and runs over column subsets."""
+    from repro.subgroup import _kernels
+
+    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: block)
+    rng = np.random.default_rng(17)
+    n = 1000
+    x = rng.random((n, 4))
+    y = rng.random(n) if soft else (x[:, 0] + 0.3 * rng.random(n) > 0.7
+                                    ).astype(float)
+    runs = {
+        "whole_pool": [PeelRun(0.05)],
+        "bootstrap": [PeelRun(alpha, rows=rng.integers(0, n // 4, size=n))
+                      for alpha in (0.05, 0.1, 0.2)],
+        "col_subset": [PeelRun(0.1, cols=np.array([3, 1])),
+                       PeelRun(0.2, rows=rng.choice(n, n // 2, replace=False),
+                               cols=np.array([0, 2, 3]))],
+    }[shape]
+    batch = _kernels._Lockstep(
+        x, y, runs, 0, _kernels._Records(len(runs)), min_support=5,
+        objective="mean", cat_cols=frozenset(), exact=not soft, val=None,
+        val_stop=False)
+    cnt, sums = _tables_by_recount(batch)
+    np.testing.assert_array_equal(batch.cnt, cnt)
+    np.testing.assert_array_equal(batch.sums, sums)
+    np.testing.assert_array_equal(batch.cnt.sum(axis=1),
+                                  batch.n[batch.seg_run])
+    assert batch.single == (shape != "bootstrap")
+
+
 @pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
 def test_tie_heavy_pool_one_run_equals_reference(soft):
     """A REDS-sized one-run peel whose words repeat a key over long

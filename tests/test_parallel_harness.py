@@ -129,6 +129,31 @@ class TestFanoutArguments:
         with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
             predict_chunked(model, x, jobs=2, chunk_rows=chunk_rows)
 
+    @pytest.mark.parametrize("chunk_rows", [0, -7])
+    def test_chunk_sizes_below_one_fail_where_set_at_jobs_one(self,
+                                                              chunk_rows):
+        """A bad chunk size raises where it is set, also when ``jobs=1``
+        never fans out."""
+        gen = np.random.default_rng(0)
+        x = gen.random((60, 3))
+        y = (x[:, 0] > 0.5).astype(float)
+        model = make_metamodel("forest", n_trees=5).fit(x, y)
+        for kind in ("forest", "boosting"):
+            with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+                make_metamodel(kind, chunk_rows=chunk_rows)
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            predict_chunked(model, x, jobs=1, chunk_rows=chunk_rows)
+        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
+            model._ensure_stacked().leaf_value_sum(
+                x, jobs=1, chunk_rows=chunk_rows)
+        box = Hyperbox.unrestricted(3)
+        with pytest.raises(ValueError, match="chunk_boxes must be >= 1"):
+            kernel_evaluate_boxes([box, box], x, y, jobs=1,
+                                  chunk_boxes=chunk_rows)
+        with pytest.raises(ValueError, match="chunk_boxes must be >= 1"):
+            peeling_trajectory([box, box], x, y, jobs=1,
+                               chunk_boxes=chunk_rows)
+
     @pytest.mark.parametrize("jobs", [-1, -3])
     def test_execute_rejects_negative_jobs(self, jobs):
         tasks = [dict(index=i) for i in range(3)]

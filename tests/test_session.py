@@ -284,6 +284,43 @@ class TestWarmEquivalence:
         assert seen == [(0, 1), (1, 1), (2, 2), (3, 2), (3, 3)]
         assert len(INDEX_MEMO) == 0
 
+    def test_drawn_pools_are_keyed_by_their_draw(self, monkeypatch):
+        """RPx, RPxp and RPf at one seed find the column index of the
+        pool they draw by its draw: the pool is never hashed.  A shorter
+        draw from the same generator state, a prefix of that pool with
+        the same block size, gets its own index, and a caller's
+        ``pool=`` is still hashed."""
+        from repro.core.methods import discover
+        from repro.experiments import dataplane
+
+        x, y = _toy_data()
+        n_new, n_short = 3000, 2800
+        content_key = dataplane.content_key
+        hashed = []
+
+        def spy(array):
+            hashed.append(np.shape(array))
+            return content_key(array)
+
+        monkeypatch.setattr(dataplane, "content_key", spy)
+        kwargs = dict(tune_metamodel=False, jobs=1)
+        cold_short = discover("RPx", x, y, seed=4, n_new=n_short, **kwargs)
+        with Session(jobs=1, tune=False) as session:
+            for method in ("RPx", "RPxp", "RPf"):
+                session.discover(method, x, y, seed=4, n_new=n_new, **kwargs)
+            assert hashed and (n_new, x.shape[1]) not in hashed
+            assert len(INDEX_MEMO) == 1
+            short = session.discover("RPx", x, y, seed=4, n_new=n_short,
+                                     **kwargs)
+            assert len(INDEX_MEMO) == 2
+            assert ([b.key() for b in short.boxes]
+                    == [b.key() for b in cold_short.boxes])
+            assert (n_short, x.shape[1]) not in hashed
+            pool = np.random.default_rng(4).random((n_new, x.shape[1]))
+            session.discover("RPx", x, y, seed=4, pool=pool, **kwargs)
+            assert (n_new, x.shape[1]) in hashed
+            assert len(INDEX_MEMO) == 3
+
 
 class TestReuseAccounting:
     """The spawn-count regression tests (ISSUE 10 satellite)."""
