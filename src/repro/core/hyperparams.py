@@ -19,7 +19,7 @@ from repro.metamodels.tuning import KFold
 from repro.metrics.trajectory import pr_auc, trajectory_of
 from repro.metrics.quality import wracc_score
 from repro.subgroup._kernels import PeelRun, peel_runs
-from repro.subgroup.best_interval import best_interval
+from repro.subgroup.best_interval import beam_search, make_refiner
 from repro.subgroup.bumping import draw_repeats, pareto_trajectory, prim_bumping
 from repro.subgroup.inputs import check_peel_params, check_sd_data
 from repro.subgroup.prim import prim_peel
@@ -192,12 +192,30 @@ def optimize_bi_depth(
     seed: int = 0,
     engine: str = "vectorized",
 ) -> int:
-    """Best BI ``m`` (max restricted inputs) by cross-validated WRAcc."""
+    """Best BI ``m`` (max restricted inputs) by cross-validated WRAcc.
+
+    Each training fold gets one refiner that runs the beam search at
+    every ``m`` of the grid, so the vectorized engine sorts a fold once
+    and its refinement and quality memos serve all depths; the scores
+    equal one :func:`~repro.subgroup.best_interval.best_interval` call
+    per (m, fold).  ``engine="reference"`` re-sorts on every
+    refinement, as in a lone call.
+    """
     x, y, engine = _check_search(x, y, "optimize_bi_depth", engine)
+    if beam_size < 1:
+        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
     folds = list(KFold(n_splits, seed).split(len(x)))
     grid = depth_grid(x.shape[1])
-    scores = [[wracc_score(
-        best_interval(x[train], y[train], depth=m, beam_size=beam_size,
-                      engine=engine).box, x[test], y[test])
-        for train, test in folds] for m in grid]
-    return _best(grid, scores)
+    return _best(grid, _depth_scores(x, y, grid, folds, beam_size, engine))
+
+
+def _depth_scores(x, y, grid, folds, beam_size: int,
+                  engine: str) -> list[list[float]]:
+    """Test-fold WRAcc of every (m, fold) beam search, m-major."""
+    scores = [[] for _ in grid]
+    for train, test in folds:
+        refiner = make_refiner(x[train], y[train], engine)
+        for fold_scores, m in zip(scores, grid):
+            box = beam_search(refiner, m, beam_size=beam_size).box
+            fold_scores.append(wracc_score(box, x[test], y[test]))
+    return scores

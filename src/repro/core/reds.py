@@ -24,7 +24,7 @@ from repro import warm
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 from repro.sampling.designs import QuantizedUniform
-from repro.subgroup._kernels import drawn_pool
+from repro.subgroup._kernels import named_pool
 from repro.subgroup.inputs import check_finite
 
 __all__ = ["check_label_rows", "check_training_data", "fit_key",
@@ -346,17 +346,18 @@ def reds(
     # memoized.  The pool is drawn even when they are: the SD step needs
     # the rows, and later users of ``rng`` (bumping) its state.
     memo = kind is not None and warm.active()
-    draw_key = None
     if pool is not None:
         x_new = pool
-        rows_key = pool_key(pool) if memo else None
+        # Hashed once: the content key serves the label memo here and
+        # the SD step's column index below.
+        name = rows_key = pool_key(pool) if memo else None
     else:
-        draw_key = _drawn_pool_key(sampler, rng)
-        rows_key = draw_key if memo else None
+        name = _drawn_pool_key(sampler, rng)
+        rows_key = name if memo else None
         draw = sampler if sampler is not None else _uniform
         x_new = check_label_rows(draw(n_new, x.shape[1], rng), x.shape[1],
                                  caller="reds", what="the sampler's output")
-        if draw_key is not None:
+        if name is not None:
             # A built-in sampler's draw is a fresh array that its key
             # names; frozen, it stays what the key says.
             x_new.flags.writeable = False
@@ -369,10 +370,16 @@ def reds(
     label_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # Inside a warm scope the SD step's column index of a drawn pool is
-    # keyed by the draw, not by a hash of the pool.
-    with drawn_pool(x_new, draw_key):
-        sd_output = sd(x_new, y_new)
+    # Inside a warm scope the SD step's column index of the pool is
+    # keyed by its name: a drawn pool by its draw, a caller's pool by the
+    # content key above, which a read-only view keeps true while the SD
+    # step runs.
+    rows = x_new
+    if pool is not None and name is not None:
+        rows = x_new.view()
+        rows.flags.writeable = False
+    with named_pool(rows, name):
+        sd_output = sd(rows, y_new)
     sd_time = time.perf_counter() - t0
 
     return REDSResult(

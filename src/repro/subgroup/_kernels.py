@@ -272,32 +272,34 @@ INDEX_MEMO_BYTES = 17 * 2**20
 #: ``(pool key, block rows)`` -> the read-only :class:`ColumnIndex` of
 #: a pool ``x``, filled only inside a warm scope.  The pool key is the
 #: content key of ``x`` (its dtype, shape and bytes), or, for the pool
-#: of :func:`drawn_pool`, the key of its draw plus its shape.
+#: of :func:`named_pool`, its name plus its shape.
 #: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
 INDEX_MEMO = warm.WarmCache(cap=INDEX_MEMO_BYTES,
                             weight=lambda index: index.nbytes)
 
-#: ``(pool, draw key)`` inside :func:`drawn_pool`, else ``None``.
-_DRAWN: contextvars.ContextVar = contextvars.ContextVar("_DRAWN",
+#: ``(pool, name)`` inside :func:`named_pool`, else ``None``.
+_NAMED: contextvars.ContextVar = contextvars.ContextVar("_NAMED",
                                                         default=None)
 
 
 @contextlib.contextmanager
-def drawn_pool(x: np.ndarray, key):
+def named_pool(x: np.ndarray, name):
     """Within the block, :func:`column_index` keys the read-only pool
-    ``x`` by ``key`` — how it was drawn, e.g. the generator state and
-    sampler — and its shape, instead of hashing its bytes.
+    ``x`` by ``name`` and its shape instead of hashing its bytes.
 
-    ``key`` must name the content of ``x``: two draws with equal keys
-    and shapes must be equal.  ``x`` itself is recognised as the same
-    object; a copy, or ``x`` made writeable again, is content-keyed,
-    and so is every pool when ``key`` is ``None``.
+    ``name`` must name the content of ``x``: two pools with equal names
+    and shapes must be equal.  REDS names a pool it drew by the draw
+    (the generator state and sampler) and a caller's pool by the
+    content key it already took for the label memo.  ``x`` itself is
+    recognised as the same object; a copy, or ``x`` made writeable
+    again, is content-keyed, and so is every pool when ``name`` is
+    ``None``.
     """
-    token = _DRAWN.set(None if key is None else (x, key))
+    token = _NAMED.set(None if name is None else (x, name))
     try:
         yield
     finally:
-        _DRAWN.reset(token)
+        _NAMED.reset(token)
 
 
 def _block_rows(n_base: int) -> int:
@@ -366,16 +368,16 @@ def column_index(x: np.ndarray) -> ColumnIndex:
     column, all read-only, contiguous and a pure function of ``x``
     (and :data:`_BLOCK_ROWS`).  Inside a warm scope it is memoized in
     :data:`INDEX_MEMO`, so the pool that a seed's REDS methods all peel
-    is sorted once: a pool REDS drew is keyed by its draw
-    (:func:`drawn_pool`), any other ``x`` by a hash of its content.
+    is sorted once: the pool REDS labelled is keyed by its name
+    (:func:`named_pool`), any other ``x`` by a hash of its content.
     Outside a warm scope nothing is hashed or stored.
     """
     block = _block_rows(len(x))
     if not warm.active():
         return _build_column_index(x, block)
-    drawn = _DRAWN.get()
-    if drawn is not None and drawn[0] is x and not x.flags.writeable:
-        key = (drawn[1], x.shape)
+    named = _NAMED.get()
+    if named is not None and named[0] is x and not x.flags.writeable:
+        key = (named[1], x.shape)
     else:
         # Lazy import: the data plane sits above subgroup in the layer
         # order.
@@ -1229,17 +1231,27 @@ def best_cat_subset(group_sums: np.ndarray) -> np.ndarray:
     return selected
 
 
+#: Leading rows :class:`SortedDataset` checks for ties before it picks
+#: its sort: any column with fewer levels shows one there.
+_TIE_PROBE_ROWS = 64
+
+
 class SortedDataset:
     """Per-column sorted index of one ``(x, y)`` dataset, built once.
 
     The substrate for vectorized BestInterval refinements: every column
-    of ``x`` is stable-argsorted a single time, and each refinement
-    call filters the pre-sorted column by a membership mask.  Because
-    the argsort is stable, the filtered values and weights come out in
-    exactly the order a fresh ``np.argsort(values, kind="stable")`` of
-    the subset would produce, so group sums (and therefore refined
-    bounds) are bit-identical to the re-sorting reference
-    (:func:`sorted_group_sums`).
+    of ``x`` is sorted a single time, and each refinement call filters
+    the pre-sorted column by a membership mask.  The orders are those
+    of a stable argsort: each column is quicksorted, and only a column
+    whose sorted values hold a tie (``-0.0 == 0.0`` counts) is sorted
+    again stably, since distinct values have one order only.  When the
+    first :data:`_TIE_PROBE_ROWS` rows already show a tie in every
+    column (quantized or discrete data), all columns are sorted stably
+    at once instead, with no quicksort first.  So the filtered values
+    and weights come out in exactly the order a fresh
+    ``np.argsort(values, kind="stable")`` of the subset would produce,
+    and group sums (and therefore refined bounds) are bit-identical to
+    the re-sorting reference (:func:`sorted_group_sums`).
 
     Parameters
     ----------
@@ -1259,18 +1271,30 @@ class SortedDataset:
         self.y = np.asarray(y, dtype=float)
         self.n, self.dim = self.x.shape
         self.base_rate = float(self.y.mean()) if base_rate is None else base_rate
-        # Column j of order: row indices sorted by x[:, j] (stable, so
-        # ties keep ascending row order); values/sorted_weights hold the
+        # Column j of order: row indices sorted by x[:, j] (ties keep
+        # ascending row order); values/sorted_weights hold the
         # corresponding column-sorted x values and WRAcc contributions.
         # Fortran order keeps each column contiguous for the per-column
         # filters of the hot loop; columns is the unsorted x in the same
         # layout for fast single-dimension interval checks.
-        self.order = np.asfortranarray(np.argsort(self.x, axis=0, kind="stable"))
-        self.values = np.asfortranarray(
-            np.take_along_axis(self.x, self.order, axis=0))
+        rows = np.ascontiguousarray(self.x.T)
+        # Distinct values have one order, so a quicksort gives the
+        # stable order of a column without ties.
+        head = np.sort(rows[:, :_TIE_PROBE_ROWS], axis=1)
+        all_tied = bool((head[:, 1:] == head[:, :-1]).any(axis=1).all())
+        order = np.argsort(rows, axis=1,
+                           kind="stable" if all_tied else "quicksort")
+        values = np.take_along_axis(rows, order, axis=1)
+        if not all_tied:
+            tied = (values[:, 1:] == values[:, :-1]).any(axis=1)
+            for j in np.flatnonzero(tied):
+                order[j] = np.argsort(rows[j], kind="stable")
+                values[j] = rows[j, order[j]]
+        self.order = order.T
+        self.values = values.T
         self.sorted_weights = np.asfortranarray(
             (self.y - self.base_rate)[self.order])
-        self.columns = np.asfortranarray(self.x)
+        self.columns = rows.T
 
     def except_masks(self, box):
         """Membership masks ignoring one dimension, all from one pass.

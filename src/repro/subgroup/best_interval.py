@@ -12,18 +12,23 @@ machinery is shared with the PRIM peeling kernel
 Soft labels are supported for REDS: the derivation only uses sums of
 ``y``, never counts of positives.
 
-Two beam-search engines produce identical results:
+Two refinement engines produce identical results:
 ``engine="vectorized"`` (the default) rides the
 :class:`~repro.subgroup._kernels.SortedDataset` index — every column
-is sorted once per run, refinements filter the pre-sorted columns,
-``(box, dim)`` refinements are memoized across beam iterations, and
-candidate boxes are scored through the batched
-:func:`~repro.subgroup._kernels.evaluate_boxes` kernel.
-``engine="reference"`` keeps the original per-call re-sorting and
-per-candidate masking loops for differential testing (see
-``tests/test_bi_equivalence.py``).  ``y`` is converted to float once
-at :func:`best_interval` entry; the engines' inner loops never convert
-or copy it again.
+is sorted once per dataset, refinements filter the pre-sorted columns,
+refined boxes are memoized by the bounds they keep, and candidate
+qualities by box.  ``engine="reference"`` keeps the original per-call
+re-sorting and per-candidate masking loops for differential testing
+(see ``tests/test_bi_equivalence.py``).  ``y`` is converted to float
+once at :func:`best_interval` entry; the engines' inner loops never
+convert or copy it again.
+
+One beam loop, :func:`beam_search`, drives either engine's refiner
+(:func:`make_refiner`) at one depth.  The memos are pure functions of
+the dataset, so one refiner serves every depth of a dataset:
+:func:`~repro.core.hyperparams.optimize_bi_depth` builds one per
+cross-validation fold and runs the whole ``m`` grid on it, and
+:func:`best_interval` is the one-depth call.
 """
 
 from __future__ import annotations
@@ -198,7 +203,9 @@ class _ReferenceRefiner:
         self.dim = x.shape[1]
         self.cat_cols = cat_cols
 
-    def refinements(self, box: Hyperbox):
+    def refinements(self, box: Hyperbox, max_restricted: int):
+        # Every dimension, at the depth cap too; the beam loop drops
+        # what the cap forbids.
         for j in range(self.dim):
             yield _refine_reference(self.x, self.y, box, j, self.base_rate,
                                     categorical=j in self.cat_cols)
@@ -210,25 +217,35 @@ class _ReferenceRefiner:
 
 class _VectorizedRefiner:
     """Sort-once engine: shared column index, memoized refinements,
-    incremental candidate scoring."""
+    incremental candidate scoring.
+
+    Every memo holds pure functions of the dataset, so one refiner
+    serves beam searches at any number of depths.
+    """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, base_rate: float,
                  cat_cols: frozenset = frozenset()) -> None:
         self.dataset = SortedDataset(x, y, base_rate)
+        self.dim = self.dataset.dim
         self.binary = bool(np.all((y == 0.0) | (y == 1.0)))
         self.positives = (y == 1.0) if self.binary else None
         self.cat_cols = cat_cols
         self._no_cats = (None,) * x.shape[1]
-        # Surviving beam boxes are re-refined on every iteration, and a
-        # refinement only depends on the bounds of the *other*
-        # dimensions (the refined dimension's interval is recomputed
-        # from scratch), so the memo is keyed by that except-footprint:
-        # re-refining a box along the dimension that produced it — or
-        # any sibling differing only there — is a guaranteed hit.
-        # Qualities are cached per box key (WRAcc on the training data
-        # is a pure function of the box) so re-discovered candidates
-        # never re-scan the data either.
-        self.memo: dict[tuple, tuple[float, float] | None] = {}
+        # A refinement along j only depends on the *other* dimensions
+        # (j's restriction is recomputed from scratch), and the refined
+        # box is their bounds and category sets plus j's new
+        # restriction, so the memo maps that except-footprint to the
+        # refined box itself (``None``: no rows, the parent stays as it
+        # is).  Re-refining a box along the dimension that produced it,
+        # or any sibling differing only there, is a guaranteed hit.
+        # Footprints hold the other bounds' bytes, so a hit carries the
+        # bounds the parent would copy, -0.0 included; category sets
+        # compare by key, which is exact because Hyperbox stores codes
+        # canonically (0.0 for -0.0, ``cats=None`` when none is set).
+        # Qualities are cached per box key (WRAcc on the data is a pure
+        # function of the box), so re-discovered candidates never
+        # re-scan the data either.
+        self.memo: dict[tuple, Hyperbox | None] = {}
         self.quality_cache: dict[tuple, float] = {}
         # For freshly refined candidates, membership equals the parent's
         # except-mask intersected with the new interval on the refined
@@ -236,38 +253,50 @@ class _VectorizedRefiner:
         # all-dimensions contains pass.
         self._pending_masks: dict[tuple, tuple[np.ndarray, int]] = {}
 
-    def refinements(self, box: Hyperbox):
-        lower_key, upper_key, cats_key = box.key()
+    def refinements(self, box: Hyperbox, max_restricted: int):
+        lower, upper = box.lower.tobytes(), box.upper.tobytes()
+        cats_key = box.key()[2]
         if cats_key is None:
             cats_key = self._no_cats
+        # At the depth cap, refining an unrestricted dimension gives a
+        # box over the cap or ``box`` itself, already in the pool: a
+        # numeric run touching both extremes keeps -inf/+inf, and a
+        # category set keeping every level is no set (a box without
+        # one stays at ``cats=None``).
+        dims = (box.restricted_dims.tolist()
+                if box.n_restricted == max_restricted else range(self.dim))
         mask_for = None
-        for j in range(self.dataset.dim):
-            footprint = (lower_key[:j] + lower_key[j + 1:],
-                         upper_key[:j] + upper_key[j + 1:],
+        for j in dims:
+            start, stop = 8 * j, 8 * j + 8  # float64 bytes of dimension j
+            footprint = (lower[:start] + lower[stop:],
+                         upper[:start] + upper[stop:],
                          cats_key[:j] + cats_key[j + 1:], j)
-            fresh = footprint not in self.memo
-            if fresh:
+            try:
+                refined = self.memo[footprint]
+            except KeyError:
                 if mask_for is None:
                     mask_for = self.dataset.except_masks(box)
                 mask = mask_for(j)
-                if j in self.cat_cols:
-                    # None = no rows (box unchanged); () = every level
-                    # selected (unrestricted); tuple = allowed codes.
-                    self.memo[footprint] = self.dataset.cat_allowed(j, mask)
-                else:
-                    self.memo[footprint] = self.dataset.interval_bounds(j, mask)
-            result = self.memo[footprint]
-            if result is None:
-                refined = box
-            elif j in self.cat_cols:
-                refined = box.with_cats(j, None if result == () else result)
-            else:
-                refined = box.replace(j, lower=result[0], upper=result[1])
-            if fresh:
-                key = refined.key()
-                if key not in self._pending_masks:
-                    self._pending_masks[key] = (mask, j)
-            yield refined
+                refined = self.memo[footprint] = self._refine(box, j, mask)
+                if refined is not None:
+                    self._pending_masks.setdefault(refined.key(), (mask, j))
+            yield box if refined is None else refined
+
+    def _refine(self, box: Hyperbox, j: int,
+                mask: np.ndarray) -> Hyperbox | None:
+        """``box`` with dimension ``j`` re-optimised over ``mask``, or
+        ``None`` when the mask selects no rows."""
+        if j in self.cat_cols:
+            # () = every level selected (unrestricted); tuple = allowed
+            # codes.
+            allowed = self.dataset.cat_allowed(j, mask)
+            if allowed is None:
+                return None
+            return box.with_cats(j, None if allowed == () else allowed)
+        bounds = self.dataset.interval_bounds(j, mask)
+        if bounds is None:
+            return None
+        return box.replace(j, lower=bounds[0], upper=bounds[1])
 
     def score(self, pending: dict) -> dict:
         scored = {}
@@ -365,15 +394,26 @@ def best_interval(
     if any(c < 0 or c >= x.shape[1] for c in cat_cols):
         raise ValueError(f"cat_cols out of range for {x.shape[1]} columns: "
                          f"{sorted(cat_cols)}")
+    return beam_search(make_refiner(x, y, engine, cat_cols), depth,
+                       beam_size=beam_size, max_iterations=max_iterations)
 
-    dim = x.shape[1]
-    max_restricted = dim if depth is None else max(1, depth)
+
+def make_refiner(x: np.ndarray, y: np.ndarray, engine: str,
+                 cat_cols: frozenset = frozenset()):
+    """The refinement engine of the checked dataset ``(x, y)``: one
+    serves :func:`beam_search` at every depth."""
     base_rate = float(y.mean())
-    refiner = (_ReferenceRefiner(x, y, base_rate, cat_cols)
-               if engine == "reference"
-               else _VectorizedRefiner(x, y, base_rate, cat_cols))
+    if engine == "reference":
+        return _ReferenceRefiner(x, y, base_rate, cat_cols)
+    return _VectorizedRefiner(x, y, base_rate, cat_cols)
 
-    start = Hyperbox.unrestricted(dim)
+
+def beam_search(refiner, depth: int | None, *, beam_size: int,
+                max_iterations: int = 50) -> BIResult:
+    """The beam loop of Algorithm 3 over ``refiner``'s dataset, capped
+    at ``depth`` restricted inputs (see :func:`best_interval`)."""
+    max_restricted = refiner.dim if depth is None else max(1, depth)
+    start = Hyperbox.unrestricted(refiner.dim)
     beam: dict[tuple, tuple[Hyperbox, float]] = {start.key(): (start, 0.0)}
 
     iterations = 0
@@ -381,7 +421,7 @@ def best_interval(
         pool = dict(beam)
         pending: dict[tuple, Hyperbox] = {}
         for box, _ in beam.values():
-            for refined in refiner.refinements(box):
+            for refined in refiner.refinements(box, max_restricted):
                 if refined.n_restricted > max_restricted:
                     continue
                 key = refined.key()

@@ -57,7 +57,8 @@ def _normalise_cats(cats, dim: int):
     """Validate/canonicalise a per-column category-set tuple.
 
     Returns ``None`` when every entry is ``None`` (a pure-numeric box),
-    else a tuple of ``frozenset | None`` of length ``dim``.
+    else a tuple of ``frozenset | None`` of length ``dim`` whose codes
+    are floats, ``-0.0`` stored as ``0.0``.
     """
     if cats is None:
         return None
@@ -69,7 +70,7 @@ def _normalise_cats(cats, dim: int):
         if allowed is None:
             out.append(None)
             continue
-        allowed = frozenset(float(c) for c in allowed)
+        allowed = frozenset(float(c) + 0.0 for c in allowed)
         if not allowed:
             raise ValueError("a categorical restriction must allow at least one category")
         out.append(allowed)
@@ -223,8 +224,16 @@ class Hyperbox:
 
     @property
     def n_restricted(self) -> int:
-        """The paper's #restricted interpretability measure."""
-        return len(self.restricted_dims)
+        """The paper's #restricted interpretability measure.
+
+        Cached on first use, like :meth:`key`: beam search checks it
+        for every candidate box.
+        """
+        cached = getattr(self, "_n_restricted", None)
+        if cached is None:
+            cached = len(self.restricted_dims)
+            object.__setattr__(self, "_n_restricted", cached)
+        return cached
 
     def key(self) -> tuple:
         """Hashable identity of the box (for dedup in beam search).

@@ -305,6 +305,8 @@ def prim_bumping(
     check_peel_params(alpha, min_support)
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
+    if chunk_repeats is not None and chunk_repeats < 1:
+        raise ValueError(f"chunk_repeats must be >= 1, got {chunk_repeats}")
     engine = _resolve_engine(engine)
     if rng is None:
         rng = np.random.default_rng()

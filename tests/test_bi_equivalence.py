@@ -11,23 +11,36 @@ max-sum-run search and the batched box-evaluation kernels are also
 pinned against their scalar references here.
 """
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.hyperparams import depth_grid, optimize_bi_depth
+from repro.metamodels.tuning import KFold
 from repro.subgroup import _kernels
 from repro.subgroup.best_interval import (
     BI_ENGINES,
+    beam_search,
     best_interval,
     best_interval_for_dim,
+    make_refiner,
     wracc,
 )
 from repro.subgroup.box import Hyperbox
 
+# The module, not the function the package re-exports under its name.
+bi_module = importlib.import_module("repro.subgroup.best_interval")
+
 
 def assert_identical_results(a, b):
-    """Field-by-field exact equality of two BIResults."""
-    np.testing.assert_array_equal(a.box.lower, b.box.lower)
-    np.testing.assert_array_equal(a.box.upper, b.box.upper)
+    """Field-by-field exact equality of two BIResults (bound bytes, so
+    -0.0 and 0.0 differ)."""
+    assert a.box.lower.tobytes() == b.box.lower.tobytes()
+    assert a.box.upper.tobytes() == b.box.upper.tobytes()
+    assert a.box.key() == b.box.key()
     assert a.wracc == b.wracc
     assert a.n_iterations == b.n_iterations
 
@@ -125,6 +138,159 @@ class TestEngineEquivalence:
             with pytest.raises(ValueError, match="vectorized.*reference"):
                 best_interval(x, y, engine=name)
         assert set(BI_ENGINES) == {"vectorized", "reference"}
+
+
+@st.composite
+def depth_searches(draw):
+    """A dataset, its categorical columns, a beam size and an order of
+    depths for one shared refiner."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(20, 200))
+    m = draw(st.integers(1, 6))
+    x = gen.random((n, m))
+    quantized = draw(st.booleans())
+    if quantized:
+        # Few levels: tie-heavy columns for the grouping and the
+        # stable re-sort; zeros of either sign tie too, and bounds
+        # keep the sign of the row that set them.
+        x = np.round(x * draw(st.integers(1, 4))) / 4
+        if draw(st.booleans()):
+            x = np.where(gen.random((n, m)) < 0.5, -x, x)
+    cat_cols = ()
+    if draw(st.booleans()):
+        cat_cols = (draw(st.integers(0, m - 1)),)
+        x[:, cat_cols[0]] = gen.integers(0, 4, n)
+    if draw(st.booleans()):
+        y = gen.random(n)
+    else:
+        y = (gen.random(n) < 0.2 + 0.5 * (x[:, 0] > 0.5)).astype(float)
+    depths = draw(st.permutations(list(range(1, m + 1)) + [None]))
+    return x, y, cat_cols, draw(st.integers(1, 3)), depths
+
+
+class TestSharedRefiner:
+    """One refiner serves every depth of a dataset, as in the BI depth
+    search, with the results of a fresh search per depth."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(search=depth_searches())
+    def test_shared_refiner_matches_fresh_searches(self, search):
+        x, y, cat_cols, beam_size, depths = search
+        refiner = make_refiner(x, y, "vectorized", frozenset(cat_cols))
+        for depth in depths:
+            shared = beam_search(refiner, depth, beam_size=beam_size)
+            for engine in BI_ENGINES:
+                fresh = best_interval(x, y, depth=depth, beam_size=beam_size,
+                                      cat_cols=cat_cols, engine=engine)
+                assert_identical_results(shared, fresh)
+
+    @pytest.mark.parametrize("beam_size", (2, 3))
+    def test_categorical_column_at_the_depth_cap(self, beam_size):
+        """Below-M depths with a categorical column over a pure region:
+        refining a capped box there keeps every level, which is the
+        capped box itself, so skipping it changes nothing."""
+        gen = np.random.default_rng(0)
+        x = gen.random((200, 3))
+        x[:, 2] = gen.integers(0, 3, 200)
+        y = (x[:, 0] > 0.5).astype(float)
+        capped = best_interval(x, y, depth=1, beam_size=beam_size,
+                               cat_cols=(2,), engine="reference").box
+        assert capped.n_restricted == 1 and capped.cats is None
+        kept = bi_module._refine_reference(x, y, capped, 2, float(y.mean()),
+                                           categorical=True)
+        assert kept.key() == capped.key()
+        refiner = make_refiner(x, y, "vectorized", frozenset({2}))
+        for depth in (2, 1, None):
+            shared = beam_search(refiner, depth, beam_size=beam_size)
+            for engine in BI_ENGINES:
+                assert_identical_results(shared, best_interval(
+                    x, y, depth=depth, beam_size=beam_size, cat_cols=(2,),
+                    engine=engine))
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("beam_size", (1, 2))
+    def test_depth_search_engines_agree(self, kind, beam_size):
+        for seed in range(2):
+            x, y = make_dataset(kind, seed, n=150)
+            chosen = [optimize_bi_depth(x, y, beam_size=beam_size, seed=seed,
+                                        engine=engine)
+                      for engine in ("reference", "vectorized")]
+            assert chosen[0] == chosen[1]
+
+    def test_depth_search_matches_per_call_scores(self):
+        """The shared-refiner search scores every (m, fold) as one
+        ``best_interval`` call per pair would."""
+        from repro.core.hyperparams import _depth_scores
+        from repro.metrics.quality import wracc_score
+
+        x, y = make_dataset("mixed", seed=3, n=200)
+        folds = list(KFold(5, 0).split(len(x)))
+        grid = depth_grid(x.shape[1])
+        expected = [[wracc_score(best_interval(x[train], y[train], depth=m,
+                                               beam_size=2).box,
+                                 x[test], y[test])
+                     for train, test in folds] for m in grid]
+        assert _depth_scores(x, y, grid, folds, 2, "vectorized") == expected
+
+    def test_each_fold_sorted_once(self):
+        sorted_rows = []
+
+        class Counting(_kernels.SortedDataset):
+            __slots__ = ()
+
+            def __init__(self, x, y, base_rate=None):
+                sorted_rows.append(len(x))
+                super().__init__(x, y, base_rate)
+
+        x, y = make_dataset("continuous", seed=0, n=200, m=6)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bi_module, "SortedDataset", Counting)
+            optimize_bi_depth(x, y, n_splits=5)
+        assert len(depth_grid(6)) > 1
+        assert sorted_rows == [160] * 5
+
+
+class TestSortedDatasetOrder:
+    """Quicksorted orders with stable re-sorts of tied columns equal a
+    stable argsort."""
+
+    @staticmethod
+    def assert_stable_order(x):
+        stable = np.argsort(x, axis=0, kind="stable")
+        dataset = _kernels.SortedDataset(x, np.zeros(len(x)))
+        np.testing.assert_array_equal(dataset.order, stable)
+        np.testing.assert_array_equal(
+            dataset.values, np.take_along_axis(x, stable, axis=0))
+
+    @pytest.mark.parametrize("levels", (1, 2, 3, 7, 50))
+    @pytest.mark.parametrize("tied_columns", (3, 4))
+    def test_tie_heavy_columns(self, levels, tied_columns):
+        """Some columns tied (quicksort, then stable re-sorts) or all
+        of them (one stable sort)."""
+        gen = np.random.default_rng(levels)
+        x = gen.random((500, 4))
+        x[:, :tied_columns] = np.floor(x[:, :tied_columns] * levels)
+        self.assert_stable_order(x)
+
+    def test_tie_past_the_probe_rows(self):
+        """A tie the leading rows do not show is still found."""
+        gen = np.random.default_rng(4)
+        x = gen.random((500, 3))
+        x[-1, 1] = x[0, 1]
+        x[-1, 2] = x[-2, 2]
+        self.assert_stable_order(x)
+
+    def test_signed_zeros_are_ties(self):
+        gen = np.random.default_rng(9)
+        x = gen.choice([-0.0, 0.0, 0.5, -1.0], size=(300, 3))
+        x[:, 2] = gen.permutation(np.r_[-0.0, 0.0, gen.random(298)])
+        stable = np.argsort(x, axis=0, kind="stable")
+        dataset = _kernels.SortedDataset(x, np.zeros(300))
+        np.testing.assert_array_equal(dataset.order, stable)
+        # Sign bits come out in the stable order too.
+        np.testing.assert_array_equal(
+            np.signbit(dataset.values),
+            np.signbit(np.take_along_axis(x, stable, axis=0)))
 
 
 class TestSortedDatasetRefinement:

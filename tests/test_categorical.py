@@ -227,6 +227,15 @@ class TestDescribeRoundTrip:
         assert cleared.cat_restriction(2) is None
         assert 2 not in cleared.restricted_dims
 
+    def test_category_sets_are_canonical(self):
+        """Clearing the only set gives ``cats=None``, and a -0.0 code is
+        stored as 0.0: equal boxes are spelt alike."""
+        cleared = Hyperbox.unrestricted(3).with_cats(2, {1.0}).with_cats(2, None)
+        assert cleared.cats is None
+        assert cleared.key() == Hyperbox.unrestricted(3).key()
+        (code,) = Hyperbox.unrestricted(3).with_cats(1, {-0.0}).cats[1]
+        assert code == 0.0 and not np.signbit(code)
+
     def test_volume_counts_level_fraction(self):
         box = self.box()
         levels = {2: np.arange(4, dtype=float)}

@@ -30,6 +30,7 @@ from repro.metamodels.tuning import make_metamodel
 from repro.metrics.trajectory import peeling_trajectory
 from repro.subgroup import Hyperbox
 from repro.subgroup._kernels import evaluate_boxes as kernel_evaluate_boxes
+from repro.subgroup.bumping import prim_bumping
 
 
 def assert_records_identical(serial, parallel_records):
@@ -153,6 +154,21 @@ class TestFanoutArguments:
         with pytest.raises(ValueError, match="chunk_boxes must be >= 1"):
             peeling_trajectory([box, box], x, y, jobs=1,
                                chunk_boxes=chunk_rows)
+
+    @pytest.mark.parametrize("chunk_repeats", [0, -7])
+    def test_prim_bumping_names_chunk_repeats(self, chunk_repeats):
+        """``prim_bumping`` rejects a bad ``chunk_repeats`` in its own
+        name, before drawing, at any ``jobs``."""
+        gen = np.random.default_rng(0)
+        x = gen.random((60, 3))
+        y = (x[:, 0] > 0.5).astype(float)
+        for jobs in (1, 2):
+            rng = np.random.default_rng(1)
+            with pytest.raises(ValueError,
+                               match="chunk_repeats must be >= 1"):
+                prim_bumping(x, y, n_repeats=4, jobs=jobs, rng=rng,
+                             chunk_repeats=chunk_repeats)
+            assert rng.random() == np.random.default_rng(1).random()
 
     @pytest.mark.parametrize("jobs", [-1, -3])
     def test_execute_rejects_negative_jobs(self, jobs):

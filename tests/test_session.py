@@ -321,6 +321,32 @@ class TestWarmEquivalence:
             assert (n_new, x.shape[1]) in hashed
             assert len(INDEX_MEMO) == 3
 
+    def test_caller_pool_is_hashed_once(self, monkeypatch):
+        """A caller's ``pool=`` is hashed once per warm REDS request: the
+        label memo's content key also names the pool for the column
+        index.  The boxes equal a cold run's."""
+        from repro.core.methods import discover
+        from repro.experiments import dataplane
+
+        x, y = _toy_data()
+        pool = np.random.default_rng(4).random((3000, x.shape[1]))
+        content_key = dataplane.content_key
+        hashed = []
+
+        def spy(array):
+            hashed.append(np.shape(array))
+            return content_key(array)
+
+        kwargs = dict(tune_metamodel=False, jobs=1)
+        cold = discover("RPx", x, y, seed=4, pool=pool, **kwargs)
+        monkeypatch.setattr(dataplane, "content_key", spy)
+        with Session(jobs=1, tune=False) as session:
+            warm = session.discover("RPx", x, y, seed=4, pool=pool, **kwargs)
+            assert hashed.count(pool.shape) == 1
+            assert len(INDEX_MEMO) == 1
+        assert pool.flags.writeable
+        assert [b.key() for b in warm.boxes] == [b.key() for b in cold.boxes]
+
 
 class TestReuseAccounting:
     """The spawn-count regression tests (ISSUE 10 satellite)."""
