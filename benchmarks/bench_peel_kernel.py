@@ -16,7 +16,8 @@ Three legs:
   loop that calls ``prim_peel`` once per run, as the searches did
   before batching.  Both must pick the same alpha and m from
   identical per-candidate CV scores and return identical fronts; the
-  floor is >= 3x on the summed searches.
+  floor is >= 3x on the summed searches.  The leg also records the
+  batched searches' microseconds per lockstep step.
 * **shared pool** — REDS step 4 at one seed: RPx, RPxp, RPcx and RPf
   all peel the same drawn L = 10^5, M = 8 pool with their own labels.
   Four label vectors (two hard, two soft) are peeled one after the
@@ -32,7 +33,8 @@ Three legs:
   chosen box must equal ``engine="reference"``; the leg records the
   median ms per peel and the steps, and the floor is >= 4x over the
   reference on the summed peels (the median ratio of alternating
-  reference/vectorized pairs).  The pool is the caller's array, so it
+  reference/vectorized pairs).  Each label kind also records its
+  microseconds per peeling step.  The pool is the caller's array, so it
   is found in the memo by its content, as a caller's ``pool=`` is.
 * **parallel harness** — a small ``run_batch`` grid serial vs fanned
   out over all CPUs (identical records asserted elsewhere).
@@ -55,6 +57,7 @@ from repro.experiments.harness import make_train_data, run_batch
 from repro.experiments.parallel import cpu_budget
 from repro.metamodels.tuning import KFold
 from repro.metrics.trajectory import trajectory_of
+from repro.subgroup import _kernels
 from repro.subgroup._kernels import BoxStack, evaluate_boxes
 from repro.subgroup.bumping import (_embed_box, draw_repeats,
                                     pareto_trajectory, prim_bumping)
@@ -198,6 +201,23 @@ def _batched_searches(x, y, seed):
     return alpha_scores, feature_scores, front
 
 
+def _lockstep_steps(f):
+    """The lockstep steps (``_Lockstep.decide`` calls) ``f()`` runs."""
+    decide = _kernels._Lockstep.decide
+    steps = [0]
+
+    def counting(batch):
+        steps[0] += 1
+        return decide(batch)
+
+    _kernels._Lockstep.decide = counting
+    try:
+        f()
+    finally:
+        _kernels._Lockstep.decide = decide
+    return steps[0]
+
+
 def _front_key(front):
     stack, precisions, recalls = front
     return ([b.key() for b in stack.boxes()], precisions.tolist(),
@@ -220,6 +240,9 @@ def test_sd_search_speedup(benchmark):
 
     times, outputs = benchmark.pedantic(run, rounds=1, iterations=1)
     speedup = times["per_run"] / times["batched"]
+    steps = _lockstep_steps(lambda: [_batched_searches(x, y, seed) for (x, y),
+                                     seed in zip(sets, SEARCH_SEEDS)])
+    us_per_step = times["batched"] / steps * 1e6
     chosen = []
     for old, new in zip(outputs["per_run"], outputs["batched"]):
         assert old[0] == new[0], "alpha CV scores differ"
@@ -232,7 +255,8 @@ def test_sd_search_speedup(benchmark):
         f"SD-hyperparameter searches, {SEARCH_FUNCTION} N={SEARCH_N}, "
         f"training sets {SEARCH_SEEDS} (best of {SEARCH_REPEATS}):",
         f"  per-run loop  {times['per_run']:8.3f} s",
-        f"  batched       {times['batched']:8.3f} s",
+        f"  batched       {times['batched']:8.3f} s "
+        f"({steps} lockstep steps, {us_per_step:.0f} us per step)",
         f"  speedup       {speedup:8.2f} x",
     ]))
     LEGS["sd_search"] = {
@@ -242,6 +266,7 @@ def test_sd_search_speedup(benchmark):
         "cv_bumping_repeats": CV_BUMPING_REPEATS,
         "per_run_seconds": times["per_run"],
         "batched_seconds": times["batched"],
+        "lockstep_steps": steps, "us_per_step": us_per_step,
         "speedup": speedup, "floor": SEARCH_FLOOR,
         "chosen": chosen, "outputs_identical": True,
         "floor_asserted": True, "floor_met": speedup >= SEARCH_FLOOR,
@@ -365,16 +390,20 @@ def test_pool_peel_speedup(benchmark):
         np.sum([times[name, engine] for name in labels], axis=0)
         for engine in ("reference", "vectorized"))
     speedup = float(np.median(reference / vectorized))
-    per_label = {
-        name: {"ms_per_peel": float(np.median(times[name, "vectorized"])) * 1e3,
-               "reference_ms": float(np.median(times[name, "reference"])) * 1e3,
-               "steps": len(results[name, "vectorized"].boxes) - 1}
-        for name in labels}
+    per_label = {}
+    for name in labels:
+        ms = float(np.median(times[name, "vectorized"])) * 1e3
+        steps = len(results[name, "vectorized"].boxes) - 1
+        per_label[name] = {
+            "ms_per_peel": ms, "steps": steps,
+            "us_per_step": ms * 1e3 / max(steps, 1),
+            "reference_ms": float(np.median(times[name, "reference"])) * 1e3}
 
     emit("pool_peel", "\n".join(
         [f"Warm one-run prim_peel, L={POOL_N}, M={POOL_M}, "
          f"{POOL_VAL_N}-row validation (median of {POOL_PEEL_PAIRS} pairs):"]
-        + [f"  {name:5s} {leg['ms_per_peel']:8.1f} ms ({leg['steps']} steps), "
+        + [f"  {name:5s} {leg['ms_per_peel']:8.1f} ms ({leg['steps']} steps, "
+           f"{leg['us_per_step']:.0f} us per step), "
            f"reference {leg['reference_ms']:8.1f} ms"
            for name, leg in per_label.items()]
         + [f"  speedup     {speedup:8.2f} x (median of the pairs' ratios, "

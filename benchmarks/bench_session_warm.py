@@ -19,9 +19,12 @@ zero: it measures the fit memo and the cached pools.
 
 A second leg runs the method stream RPx -> RPcx -> RPxp -> RBIcxp on
 one dataset and seed, cold and in a session, and counts labelling
-passes.  Cold, each method labels its pool (4 passes); warm, the label
-memo serves RPcx from RPx's hard labels and RBIcxp's 10^4 rows from
-RPxp's 10^5 soft ones (2 passes).  Results are asserted identical.
+passes and pool draws.  Cold, each method labels its pool (4 passes);
+warm, the label memo serves RPcx from RPx's hard labels and RBIcxp's
+10^4 rows from RPxp's 10^5 soft ones (2 passes).  Cold, each method
+draws its pool (4 draws); warm, the pool memo draws the 10^5-row pool
+once for the three PRIM methods and RBIcxp's 10^4 rows once (2 draws).
+Results are asserted identical.
 
 The ``>= 3x`` steady-state floor is asserted on the cached-metamodel
 path: a warm call that hits the fit memo skips the dominant cost, so
@@ -87,14 +90,19 @@ def _shm_segments() -> set:
 
 
 def _method_stream(x, y):
-    """Cold and warm runs of :data:`STREAM`: seconds and label passes."""
+    """Cold and warm runs of :data:`STREAM`: seconds, label passes and
+    pool draws."""
     reds_module = importlib.import_module("repro.core.reds")
-    label = reds_module.predict_chunked
-    passes = []
+    label, uniform = reds_module.predict_chunked, reds_module._uniform
+    passes, draws = [], []
 
     def counting(*args, **kwargs):
         passes.append(len(args[1]))
         return label(*args, **kwargs)
+
+    def drawing(n, m, rng):
+        draws.append(n)
+        return uniform(n, m, rng)
 
     def run_stream():
         t0 = time.perf_counter()
@@ -104,15 +112,17 @@ def _method_stream(x, y):
         return results, time.perf_counter() - t0
 
     reds_module.predict_chunked = counting
+    reds_module._uniform = drawing
     try:
         cold, cold_s = run_stream()
-        cold_passes = len(passes)
+        cold_passes, cold_draws = len(passes), list(draws)
         LABEL_MEMO.reset_counters()
         with Session(jobs=JOBS, tune=False):
             warm, warm_s = run_stream()
             memo = LABEL_MEMO.stats()
     finally:
         reds_module.predict_chunked = label
+        reds_module._uniform = uniform
     for a, b in zip(cold, warm):
         assert a.hyperparams == b.hyperparams
         assert a.train_quality == b.train_quality
@@ -124,7 +134,8 @@ def _method_stream(x, y):
     return {"cold_seconds": cold_s, "warm_seconds": warm_s,
             "cold_passes": cold_passes,
             "warm_passes": len(passes) - cold_passes,
-            "memo_hits": memo["hits"]}
+            "memo_hits": memo["hits"], "cold_draws": cold_draws,
+            "warm_draws": draws[len(cold_draws):]}
 
 
 def test_session_warm_speedup(benchmark):
@@ -200,10 +211,12 @@ def test_session_warm_speedup(benchmark):
         f"{len(leaked)} leaked after close",
         f"method stream {' -> '.join(STREAM)} (seed {STREAM_SEED}):",
         f"  cold  {stream['cold_seconds']:6.2f} s   "
-        f"{stream['cold_passes']} label passes",
+        f"{stream['cold_passes']} label passes   "
+        f"{len(stream['cold_draws'])} pool draws",
         f"  warm  {stream['warm_seconds']:6.2f} s   "
         f"{stream['warm_passes']} label passes   "
-        f"{stream['memo_hits']} label memo hit(s)",
+        f"{stream['memo_hits']} label memo hit(s)   "
+        f"{len(stream['warm_draws'])} pool draws",
     ]))
 
     emit_json("BENCH_session_warm", {
@@ -229,6 +242,8 @@ def test_session_warm_speedup(benchmark):
         "stream_cold_label_passes": stream["cold_passes"],
         "stream_warm_label_passes": stream["warm_passes"],
         "stream_label_memo_hits": stream["memo_hits"],
+        "stream_cold_pool_draws": stream["cold_draws"],
+        "stream_warm_pool_draws": stream["warm_draws"],
     })
 
     # A session must never leak segments, whatever the speedup.
@@ -239,6 +254,10 @@ def test_session_warm_speedup(benchmark):
     assert out["pools"]["reused"] >= CALLS - 1
     # The label memo halves the stream's labelling passes.
     assert (stream["cold_passes"], stream["warm_passes"]) == (4, 2)
+    # The pool memo draws each of the seed's pools once: the 10^5 rows
+    # the PRIM methods peel and RBIcxp's 10^4.
+    assert stream["cold_draws"] == [100_000] * 3 + [10_000]
+    assert stream["warm_draws"] == [100_000, 10_000]
     if floor_asserted:
         assert speedup >= WARM_FLOOR, (
             f"steady-state warm speedup {speedup:.2f}x is below the "

@@ -19,7 +19,8 @@ from repro.metamodels.tuning import KFold
 from repro.metrics.trajectory import pr_auc, trajectory_of
 from repro.metrics.quality import wracc_score
 from repro.subgroup._kernels import PeelRun, peel_runs
-from repro.subgroup.best_interval import beam_search, make_refiner
+from repro.subgroup.best_interval import (beam_search, check_beam_params,
+                                         make_refiner)
 from repro.subgroup.bumping import draw_repeats, pareto_trajectory, prim_bumping
 from repro.subgroup.inputs import check_peel_params, check_sd_data
 from repro.subgroup.prim import prim_peel
@@ -202,8 +203,7 @@ def optimize_bi_depth(
     refinement, as in a lone call.
     """
     x, y, engine = _check_search(x, y, "optimize_bi_depth", engine)
-    if beam_size < 1:
-        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+    check_beam_params(None, beam_size)
     folds = list(KFold(n_splits, seed).split(len(x)))
     grid = depth_grid(x.shape[1])
     return _best(grid, _depth_scores(x, y, grid, folds, beam_size, engine))

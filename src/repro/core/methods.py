@@ -182,8 +182,12 @@ def discover(
     as ordered integers (the documented ordinal fallback, see
     :mod:`repro.metamodels._kernels`).
     """
+    # Lazy import: the executor sits above core in the layer order.
+    from repro.experiments.parallel import check_jobs
+
     spec = parse_method(name)
     engine = resolve_engine(engine)
+    check_jobs(jobs)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     _check_inputs(spec, x, y)

@@ -29,8 +29,8 @@ from repro.subgroup.inputs import check_finite
 
 __all__ = ["check_label_rows", "check_training_data", "fit_key",
            "fit_metamodel", "fit_stats", "label_rows",
-           "LABEL_MEMO", "LABEL_MEMO_BYTES", "pool_key", "reset_fit_stats",
-           "reds", "REDSResult"]
+           "LABEL_MEMO", "LABEL_MEMO_BYTES", "POOL_MEMO", "POOL_MEMO_BYTES",
+           "pool_key", "reset_fit_stats", "reds", "REDSResult"]
 
 Sampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
@@ -75,7 +75,7 @@ def check_label_rows(x_new, width: int, *, caller: str,
 
 
 # ----------------------------------------------------------------------
-# Warm-session memos: fitted metamodels and labelled pools
+# Warm-session memos: fitted metamodels, drawn pools and their labels
 # ----------------------------------------------------------------------
 #
 # Inside an open ``Session`` :func:`fit_metamodel` memoizes fitted
@@ -89,8 +89,24 @@ def check_label_rows(x_new, width: int, *, caller: str,
 # The label memo keeps what step 3 computed: the labels of a pool are a
 # pure function of the fitted model and the pool, so it is keyed by the
 # fit key plus a pool key (see :func:`label_rows`).
+#
+# The pool memo keeps what step 2 drew with a built-in sampler: the
+# rows are a pure function of the sampler, the generator state before
+# the draw and the shape, so sibling methods at one seed share one draw
+# (see :func:`_draw`).
 
 _FITS = warm.WarmCache(cap=8)
+
+#: Byte cap of :data:`POOL_MEMO`: two drawn L=10^5, M=8 pools (6.4 MB
+#: each) plus the 10^4-row draws BI-based methods make from the same
+#: generator states.
+POOL_MEMO_BYTES = 14 * 2**20
+
+#: ``(draw key, n, m)`` -> ``(read-only rows, generator state after the
+#: draw)``, where the draw key is :func:`_drawn_pool_key`'s.  Counters:
+#: ``hits``, ``misses`` and the ``weight`` in bytes the memo holds.
+POOL_MEMO = warm.WarmCache(cap=POOL_MEMO_BYTES,
+                           weight=lambda entry: entry[0].nbytes)
 
 #: Byte cap of :data:`LABEL_MEMO`: room for ~30 labelled L=10^5 pools
 #: of soft labels, or ten times as many hard ones.
@@ -187,6 +203,35 @@ def _drawn_pool_key(sampler: Sampler | None,
     else:
         return None
     return ("draw", what, _state_key(rng.bit_generator.state))
+
+
+def _draw(sampler: Sampler | None, name: tuple | None, n: int, m: int,
+          rng: np.random.Generator) -> np.ndarray:
+    """Step 2: ``sampler``'s ``n x m`` draw from ``rng`` (uniform Monte
+    Carlo for ``None``), checked by :func:`check_label_rows`.
+
+    A built-in sampler's draw (``name`` is its :func:`_drawn_pool_key`)
+    comes back read-only, and inside a warm scope it is drawn once per
+    ``(name, n, m)`` in :data:`POOL_MEMO`: a later draw takes the stored
+    rows and sets ``rng`` to the state the draw left, so both are what
+    drawing again would give.
+    """
+    draw = sampler if sampler is not None else _uniform
+
+    def fresh():
+        rows = check_label_rows(draw(n, m, rng), m, caller="reds",
+                                what="the sampler's output")
+        if name is not None:
+            # A built-in sampler's draw is a fresh array that its key
+            # names; frozen, it stays what the key says.
+            rows.flags.writeable = False
+        return rows, rng.bit_generator.state
+
+    if name is None or not warm.active():
+        return fresh()[0]
+    rows, state = POOL_MEMO.get_or_create((name, n, m), fresh)
+    rng.bit_generator.state = state
+    return rows
 
 
 def pool_key(rows: np.ndarray) -> tuple:
@@ -293,7 +338,9 @@ def reds(
         Input distribution ``p(x)``; defaults to uniform Monte Carlo,
         matching the deep-uncertainty assumption.  A pool drawn by the
         default or a :class:`~repro.sampling.designs.QuantizedUniform`
-        sampler reaches ``sd`` and the result read-only.
+        sampler reaches ``sd`` and the result read-only; inside a warm
+        scope it is drawn once per generator state and shape
+        (:data:`POOL_MEMO`).
     pool:
         Optional pre-existing unlabeled points from ``p(x)``
         (semi-supervised mode); used verbatim instead of sampling.
@@ -319,6 +366,10 @@ def reds(
     chunk_rows:
         Labeling rows per fan-out chunk (default: one per worker).
     """
+    # Lazy import: the executor sits above core in the layer order.
+    from repro.experiments.parallel import check_jobs
+
+    check_jobs(jobs)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)
     if len(x) != len(y):
@@ -342,9 +393,9 @@ def reds(
     train_time = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    # Inside a warm scope the labels of a fitted family's pool are
-    # memoized.  The pool is drawn even when they are: the SD step needs
-    # the rows, and later users of ``rng`` (bumping) its state.
+    # Inside a warm scope a built-in sampler's pool is drawn once per
+    # draw (:func:`_draw`), and the labels of a fitted family's pool are
+    # memoized.
     memo = kind is not None and warm.active()
     if pool is not None:
         x_new = pool
@@ -354,13 +405,7 @@ def reds(
     else:
         name = _drawn_pool_key(sampler, rng)
         rows_key = name if memo else None
-        draw = sampler if sampler is not None else _uniform
-        x_new = check_label_rows(draw(n_new, x.shape[1], rng), x.shape[1],
-                                 caller="reds", what="the sampler's output")
-        if name is not None:
-            # A built-in sampler's draw is a fresh array that its key
-            # names; frozen, it stays what the key says.
-            x_new.flags.writeable = False
+        x_new = _draw(sampler, name, n_new, x.shape[1], rng)
     memo_key = None if rows_key is None else (
         fit_key(kind, x, y, tune=tune, engine=engine), rows_key)
     y_new = label_rows(fitted, x_new, soft=soft_labels, memo_key=memo_key,

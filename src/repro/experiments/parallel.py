@@ -131,6 +131,15 @@ __all__ = [
 logger = logging.getLogger(__name__)
 
 
+def check_jobs(jobs: int | None) -> None:
+    """``ValueError`` unless ``jobs`` is a worker count: ``None`` (all
+    CPUs) or at least 0.  Entry points that take ``jobs`` call it where
+    the value is set, so a bad one fails whether or not the call fans
+    out."""
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0 or None, got {jobs}")
+
+
 def cpu_budget() -> int:
     """CPUs actually available to this process, floor 1.
 
@@ -1077,8 +1086,7 @@ def execute(
         grid (``MISSING`` at failed positions), ``.failures`` the
         per-task post-mortems.
     """
-    if jobs is not None and jobs < 0:
-        raise ValueError(f"jobs must be >= 0 or None, got {jobs}")
+    check_jobs(jobs)
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
     if task_timeout is not None and not 0 < task_timeout < math.inf:

@@ -4,7 +4,7 @@ One-shot invocations pay four fixed costs per call: interpreter start,
 worker-pool spawn, data publication, and the metamodel fit.  A
 :class:`Session` keeps the last three warm across calls.  It is a
 **lifetime scope**, not a mode: it holds the refcounted warm scope of
-:mod:`repro.warm` open, and while it is open six bounded caches, all
+:mod:`repro.warm` open, and while it is open seven bounded caches, all
 instances of the one :class:`repro.warm.WarmCache` primitive, fill:
 
 * **worker pools** keyed by ``(workers, lease, plan-context
@@ -16,13 +16,21 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
   same fitted object for identical ``(kind, tune, engine, x, y)``,
   keyed by the store's task-key discipline (config + source
   fingerprint + data content);
+* **drawn pools**: REDS step 2 draws each pool of a built-in sampler
+  once per generator state, sampler and shape, in
+  :data:`repro.core.reds.POOL_MEMO` under a byte cap, together with
+  the generator state the draw leaves, so sibling methods at one seed
+  share one draw;
 * **labelled pools**: REDS step 3 and :meth:`Session.label` memoize
   the labels a fit gave a pool, keyed by the fit's key plus the pool
   (its content, or the generator state and sampler it is drawn with),
   in :data:`repro.core.reds.LABEL_MEMO` under a byte cap;
 * **column indexes**: every PRIM peel of a pool shares its per-column
-  sort orders and dense ranks, keyed by the pool's content, in
-  :data:`repro.subgroup._kernels.INDEX_MEMO` under a byte cap;
+  sort orders and dense ranks in
+  :data:`repro.subgroup._kernels.INDEX_MEMO` under a byte cap, keyed
+  by the pool's name inside REDS (:func:`repro.subgroup._kernels.named_pool`:
+  a drawn pool's draw key, a caller's pool's content key) and by its
+  content elsewhere;
 * **training sets** from :func:`repro.experiments.harness.make_train_data`.
 
 Warm state is a **cache, never a semantic change**: every result is
@@ -35,8 +43,8 @@ Lifecycle::
         labels = session.label(x, y, x_new)          # reuses the fit
         more = session.label(x, y, other_new)        # zero cold cost
         again = session.label(x, y, x_new)           # label memo hit
-    # closed: pools shut down, segments unlinked, fits, labels, indexes and
-    # data dropped
+    # closed: pools shut down, segments unlinked, fits, draws, labels,
+    # indexes and data dropped
 
 Invalidation rules:
 
@@ -90,6 +98,9 @@ class Session:
 
     def __init__(self, *, jobs: int | None = 1, engine: str = "vectorized",
                  tune: bool = True, metamodel: str = "boosting") -> None:
+        from repro.experiments.parallel import check_jobs
+
+        check_jobs(jobs)
         self.jobs = jobs
         self.engine = engine
         self.tune = tune
@@ -220,19 +231,20 @@ class Session:
 
     # -- introspection -------------------------------------------------
     def stats(self) -> dict[str, dict[str, int]]:
-        """Warm-cache counters: pools, resident segments, fit memo,
-        label memo and column-index memo."""
-        from repro.core.reds import LABEL_MEMO, fit_stats
+        """Warm-cache counters: worker pools, resident segments, fit
+        memo, drawn-pool memo, label memo and column-index memo."""
+        from repro.core.reds import LABEL_MEMO, POOL_MEMO, fit_stats
         from repro.experiments.dataplane import resident_stats
         from repro.experiments.parallel import pool_stats
         from repro.subgroup._kernels import INDEX_MEMO
 
-        labels, index = LABEL_MEMO.stats(), INDEX_MEMO.stats()
+        def memo(cache, *extra):
+            stats = cache.stats()
+            return {"hits": stats["hits"], "misses": stats["misses"],
+                    **{name: stats.get(name, 0) for name in extra},
+                    "bytes": stats["weight"], "size": stats["size"]}
+
         return {"pools": pool_stats(), "dataplane": resident_stats(),
-                "metamodel": fit_stats(),
-                "labels": {"hits": labels["hits"], "misses": labels["misses"],
-                           "soft_as_hard": labels.get("soft_as_hard", 0),
-                           "bytes": labels["weight"],
-                           "size": labels["size"]},
-                "index": {"hits": index["hits"], "misses": index["misses"],
-                          "bytes": index["weight"], "size": index["size"]}}
+                "metamodel": fit_stats(), "drawn": memo(POOL_MEMO),
+                "labels": memo(LABEL_MEMO, "soft_as_hard"),
+                "index": memo(INDEX_MEMO)}

@@ -105,10 +105,15 @@ def predict_chunked(
     soft:
         Return ``predict_proba`` instead of hard labels.
     jobs:
-        Worker processes (None = all CPUs); ``<= 1`` predicts inline.
+        Worker processes (None = all CPUs); ``<= 1`` predicts inline,
+        and a negative count raises ``ValueError``.
     chunk_rows:
         Rows per chunk (default: one contiguous chunk per worker).
     """
+    # Lazy import: the executor sits above metamodels in the layer order.
+    from repro.experiments.parallel import check_jobs, run_chunked
+
+    check_jobs(jobs)
     if chunk_rows is not None and chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     x = np.ascontiguousarray(x, dtype=float)
@@ -130,8 +135,6 @@ def predict_chunked(
     if getattr(model, "jobs", 1) != 1:
         model = copy.copy(model)
         model.jobs = 1
-    from repro.experiments.parallel import run_chunked
-
     parts = run_chunked(
         _label_chunk, n, jobs=jobs, chunk_rows=chunk_rows,
         context={"model": model, "soft": soft},

@@ -20,13 +20,15 @@ peeled) and, per ``(run, column)`` segment and block, the in-box copies
 and their label sum.  The batch builds these block tables by gathering
 each segment's multiplicities and labels along its column's order and
 summing them block by block; when every run holds every row once the
-copies are just the block sizes.  An accepted peel zeroes its removed
-rows in ``held`` and subtracts them from their block in every column of
-the run: one gather of their block numbers, counted once for the copies
-and, for binary labels, once more over the positive rows for the label
-sums.  Runs that stop drop their segments.  Every order statistic is
-then a two-level search: one cumulative sum over the block counts finds
-the block, one gather of its ``B`` entries the position.
+copies are just the block sizes, and binary label sums one count of
+the rarer class's rows over their blocks.  An accepted peel zeroes its
+removed rows in ``held`` and subtracts them from their block in every
+column of the run: one gather of their block numbers, counted once for
+the copies and, for binary labels, once more over the positive rows for
+the label sums.  Runs that stop drop their segments.  Every order
+statistic is then a two-level search: one cumulative sum over the
+block counts finds the block, one gather of its ``B`` entries the
+position.
 
 One peeling step for all runs is:
 
@@ -591,9 +593,12 @@ class _Lockstep:
         self.alphas = np.column_stack((alpha, 1.0 - alpha))
         self.n = np.array([len(r) for r in rows], dtype=np.int64)
         self.total_n = self.n.copy()
+        # Every run holds every base row once: the whole pool.
+        whole = all(run.rows is None for run in runs)
         # Each run's in-box output total: exact integers for binary
         # outputs, else the pairwise sum over its rows in its own order.
-        self.total = np.array([float(y[r].sum()) for r in rows])
+        self.total = (np.full(n_runs, float(y.sum())) if whole
+                      else np.array([float(y[r].sum()) for r in rows]))
         self.total_mean = np.divide(self.total, self.n,
                                     out=np.zeros(n_runs), where=self.n > 0)
 
@@ -604,12 +609,17 @@ class _Lockstep:
         self.orders, self.keys = index.orders.ravel(), index.keys.ravel()
         self.blocks = index.blocks
         self.stride = n_base + 1
-        entries = np.concatenate([r * self.stride + rr
-                                  for r, rr in enumerate(rows)])
-        self.held = np.bincount(
-            entries, minlength=n_runs * self.stride).astype(np.int32)
+        # Each run's slots in ``held``, in its own row order.
+        entries = None if whole and exact else np.concatenate(
+            [r * self.stride + rr for r, rr in enumerate(rows)])
+        if whole:
+            self.held = np.ones(n_runs * self.stride, dtype=np.int32)
+            self.held[n_base::self.stride] = 0
+        else:
+            self.held = np.bincount(
+                entries, minlength=n_runs * self.stride).astype(np.int32)
         # Without bootstrap repeats every in-box row is held once.
-        self.single = bool(self.held.max(initial=0) <= 1)
+        self.single = whole or bool(self.held.max(initial=0) <= 1)
         y_pad = np.append(y, 0.0)
         self.w, self.residual = ((y_pad, 0.0) if exact else _fixed_point(
             y_pad, int(self.n.max(initial=1))))
@@ -638,12 +648,11 @@ class _Lockstep:
             edges = col * self.width + np.concatenate(
                 ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [n_base]))
             self.levels[col] = (edges, x[self.orders[edges[:-1]], col])
+        self.sums_type = np.int64 if exact else float
         self._locate_segments()
         if np.count_nonzero(self.seg_of >= 0) != len(self.seg_col):
             raise ValueError("a PeelRun's cols must be distinct")
-        self.sums_type = np.int64 if exact else float
-        self.cnt, self.sums = self._tables(
-            all(run.rows is None for run in runs))
+        self.cnt, self.sums = self._tables(whole)
 
         val_n = val_sum = None
         if val is not None:
@@ -687,6 +696,14 @@ class _Lockstep:
                       ) * self.n_blocks
         self.shifted = len(self.n) > 1 or bool(self.shift.any())
         self.hold = None if len(self.n) == 1 else self.seg_run * self.stride
+        # A step's prefix sums land one slot past a zero, so the
+        # exclusive ones are views: ``cum_ex`` over all blocks, and
+        # ``pre_ex`` per segment, block ``g`` of segment ``s`` at
+        # ``g + s`` (each segment's row is one slot wider).
+        cum = np.zeros(n_segs * self.n_blocks + 1, dtype=np.int64)
+        self.cum, self.cum_ex = cum[1:], cum[:-1]
+        self.pre = np.zeros((n_segs, self.n_blocks + 1), dtype=self.sums_type)
+        self.totals, self.pre_ex = self.pre[:, -1], self.pre.reshape(-1)
 
     def run(self) -> None:
         step = 0
@@ -728,7 +745,7 @@ class _Lockstep:
         rows, mult = self._block_entries(seg, start)
         mult *= self.lanes < edge - start
         count = self.cum_ex[g] - self.seg_base[seg] + mult.sum(axis=0)
-        sums = self.pre_ex[g] + (self.w[rows] * mult).sum(axis=0)
+        sums = self.pre_ex[g + seg] + (self.w[rows] * mult).sum(axis=0)
         return count, sums
 
     def _tie_edges(self, at, after):
@@ -749,8 +766,13 @@ class _Lockstep:
                        ).reshape(2, -1) * self.block
         lo = np.maximum(lo, first)
         count = np.minimum(hi, last + self.block) - lo
-        owner = np.arange(len(seg)).repeat(count)
-        rows = self.orders[_ranges(lo, count)]
+        if len(seg) == 1:
+            # One range: a view of its column's order.
+            rows = self.orders[int(lo[0]):int(lo[0] + count[0])]
+            owner = np.zeros(len(rows), dtype=np.int64)
+        else:
+            owner = np.arange(len(seg)).repeat(count)
+            rows = self.orders[_ranges(lo, count)]
         copies = self.held[rows if self.hold is None
                            else rows + self.hold[seg][owner]]
         hit = copies.nonzero()[0]
@@ -762,7 +784,9 @@ class _Lockstep:
         order and summed block by block, a few segments at a time so the
         temporaries stay a few MB.  ``whole``: every run holds every
         base row once, so a block's copies are its rows (the last block
-        is padded) and only the labels are gathered, once per column."""
+        is padded) and only the labels are gathered, once per column;
+        binary labels are counted instead, one ``bincount`` of the
+        rarer class's rows over their blocks in every column."""
         n_segs, n_blocks, block = len(self.seg_col), self.n_blocks, self.block
         orders = self.orders.reshape(-1, self.width)
 
@@ -773,8 +797,17 @@ class _Lockstep:
 
         chunk = max(1, (1 << 18) // self.width)
         if whole:
+            n_base, dim = self.blocks.shape
             cnt = np.full((n_segs, n_blocks), block, dtype=np.int64)
-            cnt[:, -1] = len(self.x) - (n_blocks - 1) * block
+            cnt[:, -1] = n_base - (n_blocks - 1) * block
+            if self.exact:
+                positive = self.w[:n_base] == 1.0
+                rare = positive.sum() <= n_base // 2
+                counts = np.bincount(
+                    self.blocks[positive if rare else ~positive].ravel(),
+                    minlength=dim * n_blocks).reshape(dim, n_blocks)
+                sums = counts if rare else cnt[:1] - counts
+                return cnt, sums[self.seg_col]
             cols, seg_of_col = np.unique(self.seg_col, return_inverse=True)
             sums = np.empty((len(cols), n_blocks), dtype=self.sums_type)
             for lo in range(0, len(cols), chunk):
@@ -837,14 +870,10 @@ class _Lockstep:
         """Every active run's winning cut, or None when none has one."""
         seg_n = self.n[self.seg_run]
         # Inclusive and exclusive prefix counts over all blocks, and the
-        # exclusive label sums within each segment (exact on the grid).
-        cnt = self.cnt.reshape(-1)
-        self.cum = cnt.cumsum()
-        self.cum_ex = self.cum - cnt
+        # label sums within each segment (exact on the grid).
+        np.cumsum(self.cnt.reshape(-1), out=self.cum)
         self.seg_base = self.cum_ex[self.first_block]
-        pre = self.sums.cumsum(axis=1)
-        self.totals = pre[:, -1]
-        self.pre_ex = (pre - self.sums).reshape(-1)
+        np.cumsum(self.sums, axis=1, out=self.pre[:, 1:])
         cand = self._candidates(seg_n)
         if cand is None:
             return None
@@ -987,14 +1016,20 @@ class _Lockstep:
     def _winners(self, seg, lo, hi, kept, scores):
         """Each run's first maximum-score candidate."""
         run = self.seg_run[seg]
-        opens = np.ones(len(run), dtype=bool)
-        np.not_equal(run[1:], run[:-1], out=opens[1:])
-        firsts = opens.nonzero()[0]
-        group = opens.cumsum() - 1
-        best = np.maximum.reduceat(scores, firsts)
-        winners = np.minimum.reduceat(
-            np.where(scores == best[group], np.arange(len(run)), len(run)),
-            firsts)
+        if len(self.act) == 1:
+            # One run: its first maximum is the argmax.
+            winners = scores.argmax(keepdims=True)
+            best = scores[winners]
+            group = None if self.exact else np.zeros(len(run), dtype=np.int64)
+        else:
+            opens = np.ones(len(run), dtype=bool)
+            np.not_equal(run[1:], run[:-1], out=opens[1:])
+            firsts = opens.nonzero()[0]
+            group = opens.cumsum() - 1
+            best = np.maximum.reduceat(scores, firsts)
+            winners = np.minimum.reduceat(
+                np.where(scores == best[group], np.arange(len(run)), len(run)),
+                firsts)
         if not self.exact:
             tolerance = (_TIE_RTOL * np.maximum(1.0, np.abs(best))
                          + 2.0 * self.residual)
@@ -1043,22 +1078,24 @@ class _Lockstep:
         return winner
 
     def _val_inside(self, step: _Step):
-        """Which validation entries each winning cut keeps, per run."""
+        """``(entries, owner, inside)`` over the validation entries of
+        the runs with a winning cut: their rows, the winner's index in
+        ``step`` and whether its cut keeps them."""
         x_val = self.val[0]
-        owner = self.act.repeat(self.vn[self.act])
-        slot = np.full(len(self.n), -1)
-        slot[step.run] = np.arange(len(step.run))
-        pick = slot[owner]
-        has = pick >= 0
-        pick[~has] = 0
-        bound = step.bound[pick]
-        values = x_val[self.vrid, step.col[pick]]
-        inside = has & np.where(step.kind[pick] == 0, values >= bound,
-                                values <= bound)
+        entries = self.vrid
+        if len(step.run) < len(self.act):
+            has = np.zeros(len(self.n), dtype=bool)
+            has[step.run] = True
+            entries = entries[has[self.act.repeat(self.vn[self.act])]]
+        owner = np.arange(len(step.run)).repeat(self.vn[step.run])
+        values = x_val[entries, step.col[owner]]
+        bound = step.bound[owner]
+        inside = np.where(step.kind[owner] == 0, values >= bound,
+                          values <= bound)
         for i, allowed in step.new_cats.items():
-            mine = owner == step.run[i]
+            mine = owner == i
             inside[mine] = cat_mask(values[mine], allowed)
-        return owner, inside
+        return entries, owner, inside
 
     # ------------------------------------------------------------------
     # Apply: drop removed rows from their blocks, drop stopped runs.
@@ -1070,10 +1107,10 @@ class _Lockstep:
         n_runs = len(self.n)
         accept = step.kept >= self.min_support
         if self.val is not None:
-            owner, inside = self._val_inside(step)
-            counts = np.bincount(owner[inside], minlength=n_runs)
+            entries, owner, inside = self._val_inside(step)
+            counts = np.bincount(owner[inside], minlength=len(step.run))
             if self.val_stop:
-                accept &= counts[step.run] >= self.min_support
+                accept &= counts >= self.min_support
         accepted = np.zeros(n_runs, dtype=bool)
         accepted[step.run[accept]] = True
         stopped = self.act[~accepted[self.act]]
@@ -1099,14 +1136,14 @@ class _Lockstep:
         val_n = val_sum = None
         if self.val is not None:
             _, y_val, exact_val = self.val
-            kept_val = inside & accepted[owner]
-            self.vrid = self.vrid[kept_val]
+            kept_val = inside & accept[owner]
+            self.vrid = entries[kept_val]
             self.vn[:] = 0
-            self.vn[runs] = val_n = counts[runs]
+            self.vn[runs] = val_n = counts[accept]
             if exact_val:
                 val_sum = np.bincount(owner[kept_val],
                                       weights=y_val[self.vrid],
-                                      minlength=n_runs)[runs]
+                                      minlength=len(step.run))[accept]
             else:
                 lo = np.cumsum(val_n) - val_n
                 val_sum = np.array([float(y_val[self.vrid[a:a + b]].sum())

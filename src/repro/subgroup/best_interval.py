@@ -360,13 +360,13 @@ def best_interval(
     Parameters
     ----------
     depth:
-        Maximal number of restricted inputs (the ``m`` hyperparameter);
-        ``None`` allows all.
+        Maximal number of restricted inputs (the ``m`` hyperparameter),
+        at least 1; ``None`` allows all.
     beam_size:
         Number of candidate boxes kept between iterations (``bs``).
     max_iterations:
-        Safety cap on the outer while loop (it normally converges in
-        about ``depth`` iterations).
+        Safety cap on the outer while loop, at least 0 (it normally
+        converges in about ``depth`` iterations).
     engine:
         ``"vectorized"`` (the default) runs refinements over a shared
         sort-once column index with memoization and batched candidate
@@ -387,8 +387,7 @@ def best_interval(
         iterations until convergence.
     """
     x, y, _, _ = check_sd_data(x, y, caller="best_interval")
-    if beam_size < 1:
-        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+    check_beam_params(depth, beam_size, max_iterations)
     engine = _resolve_engine(engine)
     cat_cols = frozenset(int(c) for c in cat_cols)
     if any(c < 0 or c >= x.shape[1] for c in cat_cols):
@@ -408,11 +407,25 @@ def make_refiner(x: np.ndarray, y: np.ndarray, engine: str,
     return _VectorizedRefiner(x, y, base_rate, cat_cols)
 
 
+def check_beam_params(depth: int | None, beam_size: int,
+                      max_iterations: int = 50) -> None:
+    """``ValueError`` unless the beam search can run with these
+    parameters: ``depth`` is ``None`` or at least 1, ``beam_size`` at
+    least 1 and ``max_iterations`` at least 0."""
+    if depth is not None and depth < 1:
+        raise ValueError(f"depth must be >= 1 or None, got {depth}")
+    if beam_size < 1:
+        raise ValueError(f"beam_size must be >= 1, got {beam_size}")
+    if max_iterations < 0:
+        raise ValueError(f"max_iterations must be >= 0, got {max_iterations}")
+
+
 def beam_search(refiner, depth: int | None, *, beam_size: int,
                 max_iterations: int = 50) -> BIResult:
     """The beam loop of Algorithm 3 over ``refiner``'s dataset, capped
     at ``depth`` restricted inputs (see :func:`best_interval`)."""
-    max_restricted = refiner.dim if depth is None else max(1, depth)
+    check_beam_params(depth, beam_size, max_iterations)
+    max_restricted = refiner.dim if depth is None else depth
     start = Hyperbox.unrestricted(refiner.dim)
     beam: dict[tuple, tuple[Hyperbox, float]] = {start.key(): (start, 0.0)}
 

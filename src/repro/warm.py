@@ -2,8 +2,8 @@
 
 Everything a :class:`~repro.experiments.session.Session` keeps warm —
 cached worker pools, resident shared-memory segments, memoized
-metamodel fits, pool labels and pool column indexes, generated
-training sets — is a
+metamodel fits, drawn pools, pool labels and pool column indexes,
+generated training sets — is a
 :class:`WarmCache`: an LRU map with exclusive checkout (``pop``), an
 ``on_evict`` callback, single-flight ``get_or_create``, hit/miss
 counters and a cap counted in entries or in a per-value weight.

@@ -1,13 +1,15 @@
-"""The warm label memo: labelled pools shared across requests.
+"""The warm label and pool memos: pools and labels shared across requests.
 
 Inside a warm scope REDS step 3 and ``Session.label`` memoize the
 labels a fitted metamodel gave a pool, keyed by the fit memo's key plus
 the pool (its content, or the generator state and sampler it is drawn
-with).  The memo is a cache, never a semantic change: every result here
-is compared bit for bit (boxes, chosen box, hyperparameters, training
-quality, labels and their dtype) with the one-shot path, and the number
-of labelling passes (calls of the ``repro.core.reds.predict_chunked``
-binding) pins what was shared.
+with), and REDS step 2 draws a built-in sampler's pool once per
+generator state and shape.  The memos are caches, never a semantic
+change: every result here is compared bit for bit (boxes, chosen box,
+hyperparameters, training quality, labels and their dtype, generator
+states) with the one-shot path, and the number of labelling passes
+(calls of the ``repro.core.reds.predict_chunked`` binding) and of draws
+(calls of ``repro.core.reds._uniform``) pins what was shared.
 """
 
 import importlib
@@ -18,7 +20,8 @@ import pytest
 
 from repro import warm
 from repro.core.methods import discover
-from repro.core.reds import LABEL_MEMO, LABEL_MEMO_BYTES, reds
+from repro.core.reds import (LABEL_MEMO, LABEL_MEMO_BYTES, POOL_MEMO,
+                             POOL_MEMO_BYTES, reds)
 from repro.experiments import parallel
 from repro.experiments.dataplane import shutdown_resident
 from repro.experiments.harness import run_batch
@@ -34,16 +37,18 @@ reds_module = importlib.import_module("repro.core.reds")
 
 @pytest.fixture(autouse=True)
 def _cold_memo():
-    """Every test starts and ends with an empty memo and a closed scope."""
-    LABEL_MEMO.clear()
-    LABEL_MEMO.reset_counters()
+    """Every test starts and ends with empty memos and a closed scope."""
+    for memo in (LABEL_MEMO, POOL_MEMO):
+        memo.clear()
+        memo.reset_counters()
     yield
     while warm.active():
         warm.leave()
     parallel._POOLS.clear()
     shutdown_resident()
-    LABEL_MEMO.clear()
-    LABEL_MEMO.reset_counters()
+    for memo in (LABEL_MEMO, POOL_MEMO):
+        memo.clear()
+        memo.reset_counters()
 
 
 @pytest.fixture
@@ -199,6 +204,99 @@ class TestSharingPairs:
         assert len(passes) == 2
         assert len(LABEL_MEMO) == 0
         assert LABEL_MEMO.stats()["misses"] == 0
+
+
+@pytest.fixture
+def draws(monkeypatch):
+    """The ``(n, m)`` of every uniform pool REDS draws."""
+    calls = []
+    uniform = reds_module._uniform
+
+    def counting(n, m, rng):
+        calls.append((n, m))
+        return uniform(n, m, rng)
+
+    monkeypatch.setattr(reds_module, "_uniform", counting)
+    return calls
+
+
+class TestPoolMemo:
+    """Step 2's pool memo: one draw per generator state and shape."""
+
+    def test_sibling_prim_methods_draw_once(self, draws):
+        methods = ("RPx", "RPxp", "RPcx", "RPf")
+        x, y = _toy_data()
+        cold = _stream(methods, x, y, n_new=3000)
+        assert draws == [(3000, 4)] * 4
+        draws.clear()
+        with Session(tune=False) as session:
+            warm_results = [session.discover(method, x, y, seed=4, n_new=3000)
+                            for method in methods]
+            stats = session.stats()["drawn"]
+        assert draws == [(3000, 4)]
+        assert stats == {"hits": 3, "misses": 1, "bytes": 3000 * 4 * 8,
+                         "size": 1}
+        for a, b in zip(cold, warm_results):
+            _same_result(a, b)
+
+    def test_hit_leaves_the_generator_where_a_draw_does(self, draws):
+        x, y = _toy_data()
+
+        def run():
+            g = np.random.default_rng(8)
+            result = reds(x, y, lambda a, b: None, n_new=700, tune=False,
+                          rng=g)
+            return result, g.bit_generator.state, g.random(3)
+
+        cold, cold_state, cold_next = run()
+        with Session(tune=False):
+            run()
+            hit, hit_state, hit_next = run()
+        assert draws == [(700, 4), (700, 4)]
+        assert POOL_MEMO.stats()["hits"] == 1
+        assert hit_state == cold_state
+        np.testing.assert_array_equal(hit_next, cold_next)
+        np.testing.assert_array_equal(hit.x_new, cold.x_new)
+        assert not hit.x_new.flags.writeable
+
+    def test_custom_sampler_draws_on_every_call(self):
+        x, y = _toy_data()
+        calls = []
+
+        def sampler(n, m, rng):
+            calls.append(n)
+            return rng.random((n, m))
+
+        with Session(tune=False) as session:
+            for _ in range(2):
+                session.discover("RPx", x, y, seed=4, n_new=900,
+                                 sampler=sampler)
+        assert calls == [900, 900]
+        assert len(POOL_MEMO) == 0
+        assert POOL_MEMO.stats()["misses"] == 0
+
+    def test_bi_draw_gets_its_own_entry(self, draws):
+        x, y = _toy_data()
+        methods = ("RPx", "RBIcxp", "RPcx", "RBIcxp")
+        cold = _stream(methods, x, y)
+        draws.clear()
+        warm_results = _warm_stream(methods, x, y)
+        assert draws == [(100_000, 4), (10_000, 4)]
+        for a, b in zip(cold, warm_results):
+            _same_result(a, b)
+
+    def test_memo_is_empty_after_close(self, draws):
+        x, y = _toy_data()
+        with Session(tune=False) as session:
+            session.discover("RPx", x, y, seed=1, n_new=800)
+            session.discover("RPx", x, y, seed=2, n_new=800)
+            assert len(POOL_MEMO) == 2
+        assert len(POOL_MEMO) == 0
+        assert POOL_MEMO.stats()["weight"] == 0
+        _stream(("RPx",), x, y, n_new=800)
+        assert len(POOL_MEMO) == 0
+        assert len(draws) == 3
+        assert POOL_MEMO_BYTES >= 2 * (100_000 + 10_000) * 8 * 8
 
 
 class TestQuantizedUniform:

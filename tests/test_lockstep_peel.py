@@ -369,6 +369,26 @@ def test_tie_heavy_pool_one_run_equals_reference(soft):
     np.testing.assert_array_equal(vec.val_means, ref.val_means)
 
 
+@pytest.mark.parametrize("soft", [False, True], ids=["hard", "soft"])
+def test_exact_tie_between_columns_goes_to_the_first(soft):
+    """Two equal columns score every cut identically: a one-run peel
+    takes the first of them at every step, as the reference does."""
+    rng = np.random.default_rng(31)
+    x = rng.random((2000, 3))
+    x[:, 2] = x[:, 1]
+    y = (1.0 / (1.0 + np.exp(-8 * (x[:, 1] - 0.5))) if soft
+         else (x[:, 1] + 0.2 * rng.random(2000) > 0.7).astype(float))
+    ref, vec = (prim_peel(x, y, alpha=0.1, engine=engine)
+                for engine in ("reference", "vectorized"))
+    assert len(vec.boxes) > 5
+    assert [b.key() for b in vec.boxes] == [b.key() for b in ref.boxes]
+    np.testing.assert_array_equal(vec.train_means, ref.train_means)
+    last = vec.boxes[-1]
+    assert np.isfinite(last.lower[1]) or np.isfinite(last.upper[1])
+    for box in vec.boxes:
+        assert np.isinf(box.lower[2]) and np.isinf(box.upper[2])
+
+
 def test_batched_searches_keep_the_peel_parameter_checks():
     """The batched paths peel without going through ``prim_peel``, so
     they run its alpha / min_support checks themselves."""

@@ -17,8 +17,10 @@ import numpy as np
 import pytest
 
 from repro.core.methods import discover
+from repro.core.reds import reds
 from repro.experiments import parallel
 from repro.experiments.dataplane import active_segments
+from repro.experiments.session import Session
 from repro.experiments.harness import (
     evaluate_boxes as harness_evaluate_boxes,
     get_test_data,
@@ -180,6 +182,30 @@ class TestFanoutArguments:
         with pytest.raises(ValueError, match="jobs must be >= 0"):
             run_batch(("ishigami",), ("P",), 60, 1, jobs=-3,
                       variant="continuous", test_size=200)
+
+    @pytest.mark.parametrize("jobs", [-1, -3])
+    def test_negative_jobs_fail_where_set_without_a_fan_out(self, jobs):
+        """A negative ``jobs`` raises at every entry point that takes
+        it, also on paths that never fan out (an untuned REDS fit, an
+        inline prediction, a method without a search)."""
+        gen = np.random.default_rng(0)
+        x = gen.random((60, 3))
+        y = (x[:, 0] > 0.5).astype(float)
+        model = make_metamodel("forest", n_trees=5).fit(x, y)
+        match = rf"jobs must be >= 0 or None, got {jobs}"
+        with pytest.raises(ValueError, match=match):
+            predict_chunked(model, x, jobs=jobs)
+        with pytest.raises(ValueError, match=match):
+            reds(x, y, lambda a, b: None, n_new=50, tune=False, jobs=jobs)
+        for method in ("RPx", "RPcx", "RBIcxp", "P", "PB", "BIc"):
+            for tune in (False, True):
+                with pytest.raises(ValueError, match=match):
+                    discover(method, x, y, jobs=jobs, n_new=50,
+                             n_repeats=3, tune_metamodel=tune)
+        with pytest.raises(ValueError, match=match):
+            Session(jobs=jobs)
+        assert Session(jobs=None).jobs is None
+        assert Session(jobs=0).jobs == 0
 
 
 class TestWorkerBudget:

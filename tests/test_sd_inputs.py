@@ -7,7 +7,8 @@ too-narrow validation set was accepted, a short ``y_val`` raised
 ``IndexError`` from inside the peel, and empty grids or zero bumping
 repeats either crashed or silently returned a default.  A zero-row
 validation set returned the unrestricted box as ``chosen``, and a
-bumping ``n_features`` outside ``1..M`` was silently clamped into it.
+bumping ``n_features`` outside ``1..M`` was silently clamped into it,
+and so was a BestInterval ``depth`` below 1.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import pytest
 from repro.core.hyperparams import (optimize_alpha, optimize_bi_depth,
                                     optimize_bumping_features)
 from repro.subgroup import best_interval, prim_bumping, prim_peel
+from repro.subgroup.best_interval import beam_search, make_refiner
 
 
 @pytest.fixture
@@ -124,3 +126,39 @@ def test_bumping_feature_count_at_the_edges_is_accepted(data):
         result = prim_bumping(*data, n_repeats=2, n_features=n_features,
                               rng=np.random.default_rng(0))
         assert len(result.boxes) >= 1
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("depth", [0, -1])
+def test_best_interval_depth_below_one_is_rejected(data, engine, depth):
+    # Before, depth <= 0 was clamped to 1: depth=0 returned a box that
+    # restricts one input.
+    with pytest.raises(ValueError, match=rf"depth must be >= 1.*{depth}"):
+        best_interval(*data, depth=depth, engine=engine)
+    refiner = make_refiner(*data, engine)
+    with pytest.raises(ValueError, match=rf"depth must be >= 1.*{depth}"):
+        beam_search(refiner, depth, beam_size=1)
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+@pytest.mark.parametrize("max_iterations", [-1, -5])
+def test_best_interval_negative_iteration_cap_is_rejected(data, engine,
+                                                          max_iterations):
+    # Before, a negative cap returned the unrestricted box as if the
+    # search had converged.
+    match = rf"max_iterations must be >= 0.*{max_iterations}"
+    with pytest.raises(ValueError, match=match):
+        best_interval(*data, max_iterations=max_iterations, engine=engine)
+    refiner = make_refiner(*data, engine)
+    with pytest.raises(ValueError, match=match):
+        beam_search(refiner, 2, beam_size=1, max_iterations=max_iterations)
+
+
+@pytest.mark.parametrize("engine", ["vectorized", "reference"])
+def test_best_interval_depth_none_and_one_are_accepted(data, engine):
+    one = best_interval(*data, depth=1, engine=engine)
+    assert one.box.n_restricted == 1
+    every = best_interval(*data, depth=None, engine=engine)
+    assert every.wracc >= one.wracc
+    assert best_interval(*data, max_iterations=0, engine=engine
+                         ).box.n_restricted == 0
