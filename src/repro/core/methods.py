@@ -30,7 +30,7 @@ import numpy as np
 from repro.core import hyperparams as hp
 from repro.core.reds import (Sampler, check_label_rows, check_training_data,
                               reds)
-from repro.engines import resolve as resolve_engine
+from repro.engines import check_jobs, resolve as resolve_engine
 from repro.sampling.designs import QuantizedUniform
 from repro.subgroup.best_interval import best_interval
 from repro.subgroup.box import Hyperbox
@@ -182,9 +182,6 @@ def discover(
     as ordered integers (the documented ordinal fallback, see
     :mod:`repro.metamodels._kernels`).
     """
-    # Lazy import: the executor sits above core in the layer order.
-    from repro.experiments.parallel import check_jobs
-
     spec = parse_method(name)
     engine = resolve_engine(engine)
     check_jobs(jobs)

@@ -21,6 +21,7 @@ from typing import Any, Callable
 import numpy as np
 
 from repro import warm
+from repro.engines import check_jobs
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 from repro.sampling.designs import QuantizedUniform
@@ -366,9 +367,6 @@ def reds(
     chunk_rows:
         Labeling rows per fan-out chunk (default: one per worker).
     """
-    # Lazy import: the executor sits above core in the layer order.
-    from repro.experiments.parallel import check_jobs
-
     check_jobs(jobs)
     x = np.asarray(x, dtype=float)
     y = np.asarray(y)

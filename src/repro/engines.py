@@ -1,4 +1,5 @@
-"""Central kernel-engine registry: one name check.
+"""Central kernel-engine registry: one name check, and one worker-count
+check.
 
 Every layer that takes an ``engine=`` knob (tree/forest/boosting,
 PRIM, BestInterval, ``discover``, the harness, the CLI, benchmarks)
@@ -8,11 +9,14 @@ resolves the name through :func:`resolve` instead of scattering
 * ``"vectorized"`` — the numpy sort-once kernels (the default);
 * ``"reference"`` — the pinned per-item reference loops that the
   equivalence suites compare the vectorized kernels against.
+
+Every layer that takes a ``jobs=`` knob checks it through
+:func:`check_jobs` where the value is set.
 """
 
 from __future__ import annotations
 
-__all__ = ["KNOWN_ENGINES", "resolve"]
+__all__ = ["KNOWN_ENGINES", "check_jobs", "resolve"]
 
 #: Every engine name any layer accepts, in default-first order.
 KNOWN_ENGINES = ("vectorized", "reference")
@@ -29,3 +33,12 @@ def resolve(engine: str) -> str:
         raise ValueError(
             f"unknown engine {engine!r}; expected one of {KNOWN_ENGINES}")
     return engine
+
+
+def check_jobs(jobs: int | None) -> None:
+    """``ValueError`` unless ``jobs`` is a worker count: ``None`` (all
+    CPUs) or at least 0.  Entry points that take ``jobs`` call it where
+    the value is set, so a bad one fails whether or not the call fans
+    out."""
+    if jobs is not None and jobs < 0:
+        raise ValueError(f"jobs must be >= 0 or None, got {jobs}")

@@ -101,6 +101,7 @@ from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 from repro import warm
+from repro.engines import check_jobs
 from repro.experiments import faults
 from repro.experiments.dataplane import (
     _HEARTBEAT_ROOT,
@@ -129,15 +130,6 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
-
-
-def check_jobs(jobs: int | None) -> None:
-    """``ValueError`` unless ``jobs`` is a worker count: ``None`` (all
-    CPUs) or at least 0.  Entry points that take ``jobs`` call it where
-    the value is set, so a bad one fails whether or not the call fans
-    out."""
-    if jobs is not None and jobs < 0:
-        raise ValueError(f"jobs must be >= 0 or None, got {jobs}")
 
 
 def cpu_budget() -> int:

@@ -70,6 +70,7 @@ from collections.abc import Iterable, Mapping, Sequence
 import numpy as np
 
 from repro import warm
+from repro.engines import check_jobs
 
 __all__ = ["Session"]
 
@@ -98,8 +99,6 @@ class Session:
 
     def __init__(self, *, jobs: int | None = 1, engine: str = "vectorized",
                  tune: bool = True, metamodel: str = "boosting") -> None:
-        from repro.experiments.parallel import check_jobs
-
         check_jobs(jobs)
         self.jobs = jobs
         self.engine = engine

@@ -21,6 +21,8 @@ from typing import Protocol, runtime_checkable
 
 import numpy as np
 
+from repro.engines import check_jobs
+
 __all__ = ["Metamodel", "predict_chunked", "check_fit_data",
            "check_query"]
 
@@ -110,9 +112,6 @@ def predict_chunked(
     chunk_rows:
         Rows per chunk (default: one contiguous chunk per worker).
     """
-    # Lazy import: the executor sits above metamodels in the layer order.
-    from repro.experiments.parallel import check_jobs, run_chunked
-
     check_jobs(jobs)
     if chunk_rows is not None and chunk_rows < 1:
         raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
@@ -135,6 +134,8 @@ def predict_chunked(
     if getattr(model, "jobs", 1) != 1:
         model = copy.copy(model)
         model.jobs = 1
+    from repro.experiments.parallel import run_chunked
+
     parts = run_chunked(
         _label_chunk, n, jobs=jobs, chunk_rows=chunk_rows,
         context={"model": model, "soft": soft},

@@ -648,10 +648,10 @@ class _Lockstep:
             edges = col * self.width + np.concatenate(
                 ([0], np.flatnonzero(keys[1:] != keys[:-1]) + 1, [n_base]))
             self.levels[col] = (edges, x[self.orders[edges[:-1]], col])
-        self.sums_type = np.int64 if exact else float
         self._locate_segments()
         if np.count_nonzero(self.seg_of >= 0) != len(self.seg_col):
             raise ValueError("a PeelRun's cols must be distinct")
+        self.sums_type = np.int64 if exact else float
         self.cnt, self.sums = self._tables(whole)
 
         val_n = val_sum = None
@@ -696,14 +696,6 @@ class _Lockstep:
                       ) * self.n_blocks
         self.shifted = len(self.n) > 1 or bool(self.shift.any())
         self.hold = None if len(self.n) == 1 else self.seg_run * self.stride
-        # A step's prefix sums land one slot past a zero, so the
-        # exclusive ones are views: ``cum_ex`` over all blocks, and
-        # ``pre_ex`` per segment, block ``g`` of segment ``s`` at
-        # ``g + s`` (each segment's row is one slot wider).
-        cum = np.zeros(n_segs * self.n_blocks + 1, dtype=np.int64)
-        self.cum, self.cum_ex = cum[1:], cum[:-1]
-        self.pre = np.zeros((n_segs, self.n_blocks + 1), dtype=self.sums_type)
-        self.totals, self.pre_ex = self.pre[:, -1], self.pre.reshape(-1)
 
     def run(self) -> None:
         step = 0
@@ -745,7 +737,7 @@ class _Lockstep:
         rows, mult = self._block_entries(seg, start)
         mult *= self.lanes < edge - start
         count = self.cum_ex[g] - self.seg_base[seg] + mult.sum(axis=0)
-        sums = self.pre_ex[g + seg] + (self.w[rows] * mult).sum(axis=0)
+        sums = self.pre_ex[g] + (self.w[rows] * mult).sum(axis=0)
         return count, sums
 
     def _tie_edges(self, at, after):
@@ -870,10 +862,14 @@ class _Lockstep:
         """Every active run's winning cut, or None when none has one."""
         seg_n = self.n[self.seg_run]
         # Inclusive and exclusive prefix counts over all blocks, and the
-        # label sums within each segment (exact on the grid).
-        np.cumsum(self.cnt.reshape(-1), out=self.cum)
+        # exclusive label sums within each segment (exact on the grid).
+        cnt = self.cnt.reshape(-1)
+        self.cum = cnt.cumsum()
+        self.cum_ex = self.cum - cnt
         self.seg_base = self.cum_ex[self.first_block]
-        np.cumsum(self.sums, axis=1, out=self.pre[:, 1:])
+        pre = self.sums.cumsum(axis=1)
+        self.totals = pre[:, -1]
+        self.pre_ex = (pre - self.sums).reshape(-1)
         cand = self._candidates(seg_n)
         if cand is None:
             return None
@@ -1016,20 +1012,14 @@ class _Lockstep:
     def _winners(self, seg, lo, hi, kept, scores):
         """Each run's first maximum-score candidate."""
         run = self.seg_run[seg]
-        if len(self.act) == 1:
-            # One run: its first maximum is the argmax.
-            winners = scores.argmax(keepdims=True)
-            best = scores[winners]
-            group = None if self.exact else np.zeros(len(run), dtype=np.int64)
-        else:
-            opens = np.ones(len(run), dtype=bool)
-            np.not_equal(run[1:], run[:-1], out=opens[1:])
-            firsts = opens.nonzero()[0]
-            group = opens.cumsum() - 1
-            best = np.maximum.reduceat(scores, firsts)
-            winners = np.minimum.reduceat(
-                np.where(scores == best[group], np.arange(len(run)), len(run)),
-                firsts)
+        opens = np.ones(len(run), dtype=bool)
+        np.not_equal(run[1:], run[:-1], out=opens[1:])
+        firsts = opens.nonzero()[0]
+        group = opens.cumsum() - 1
+        best = np.maximum.reduceat(scores, firsts)
+        winners = np.minimum.reduceat(
+            np.where(scores == best[group], np.arange(len(run)), len(run)),
+            firsts)
         if not self.exact:
             tolerance = (_TIE_RTOL * np.maximum(1.0, np.abs(best))
                          + 2.0 * self.residual)
@@ -1078,24 +1068,22 @@ class _Lockstep:
         return winner
 
     def _val_inside(self, step: _Step):
-        """``(entries, owner, inside)`` over the validation entries of
-        the runs with a winning cut: their rows, the winner's index in
-        ``step`` and whether its cut keeps them."""
+        """Which validation entries each winning cut keeps, per run."""
         x_val = self.val[0]
-        entries = self.vrid
-        if len(step.run) < len(self.act):
-            has = np.zeros(len(self.n), dtype=bool)
-            has[step.run] = True
-            entries = entries[has[self.act.repeat(self.vn[self.act])]]
-        owner = np.arange(len(step.run)).repeat(self.vn[step.run])
-        values = x_val[entries, step.col[owner]]
-        bound = step.bound[owner]
-        inside = np.where(step.kind[owner] == 0, values >= bound,
-                          values <= bound)
+        owner = self.act.repeat(self.vn[self.act])
+        slot = np.full(len(self.n), -1)
+        slot[step.run] = np.arange(len(step.run))
+        pick = slot[owner]
+        has = pick >= 0
+        pick[~has] = 0
+        bound = step.bound[pick]
+        values = x_val[self.vrid, step.col[pick]]
+        inside = has & np.where(step.kind[pick] == 0, values >= bound,
+                                values <= bound)
         for i, allowed in step.new_cats.items():
-            mine = owner == i
+            mine = owner == step.run[i]
             inside[mine] = cat_mask(values[mine], allowed)
-        return entries, owner, inside
+        return owner, inside
 
     # ------------------------------------------------------------------
     # Apply: drop removed rows from their blocks, drop stopped runs.
@@ -1107,10 +1095,10 @@ class _Lockstep:
         n_runs = len(self.n)
         accept = step.kept >= self.min_support
         if self.val is not None:
-            entries, owner, inside = self._val_inside(step)
-            counts = np.bincount(owner[inside], minlength=len(step.run))
+            owner, inside = self._val_inside(step)
+            counts = np.bincount(owner[inside], minlength=n_runs)
             if self.val_stop:
-                accept &= counts >= self.min_support
+                accept &= counts[step.run] >= self.min_support
         accepted = np.zeros(n_runs, dtype=bool)
         accepted[step.run[accept]] = True
         stopped = self.act[~accepted[self.act]]
@@ -1136,14 +1124,14 @@ class _Lockstep:
         val_n = val_sum = None
         if self.val is not None:
             _, y_val, exact_val = self.val
-            kept_val = inside & accept[owner]
-            self.vrid = entries[kept_val]
+            kept_val = inside & accepted[owner]
+            self.vrid = self.vrid[kept_val]
             self.vn[:] = 0
-            self.vn[runs] = val_n = counts[accept]
+            self.vn[runs] = val_n = counts[runs]
             if exact_val:
                 val_sum = np.bincount(owner[kept_val],
                                       weights=y_val[self.vrid],
-                                      minlength=len(step.run))[accept]
+                                      minlength=n_runs)[runs]
             else:
                 lo = np.cumsum(val_n) - val_n
                 val_sum = np.array([float(y_val[self.vrid[a:a + b]].sum())
