@@ -77,7 +77,6 @@ def active_reds(
     sampler: Sampler | None = None,
     rng: np.random.Generator | None = None,
     jobs: int | None = 1,
-    chunk_rows: int | None = None,
 ) -> ActiveResult:
     """REDS with an active simulation loop.
 
@@ -101,9 +100,10 @@ def active_reds(
         ``"random"``) and per-iteration candidate-pool size.
     n_new / soft_labels / sampler:
         Passed to the final REDS labelling step.
-    jobs / chunk_rows:
+    jobs:
         Worker processes (None = all CPUs) for the per-round candidate
-        scoring and the final relabelling, via
+        scoring and the final relabelling, each one contiguous row
+        chunk per worker via
         :func:`repro.metamodels.base.predict_chunked`, and — for the
         forest metamodel — for each round's refit, whose independent
         tree fits fan out under the same budget (clamped to the
@@ -132,8 +132,7 @@ def active_reds(
     # fits are the dominant cost, so hand them the loop's worker
     # budget.  Other families fit sequentially (their fits are cheap
     # relative to the candidate scoring, which fans out regardless).
-    fit_kwargs = (dict(jobs=jobs, chunk_rows=chunk_rows)
-                  if metamodel == "forest" else {})
+    fit_kwargs = dict(jobs=jobs) if metamodel == "forest" else {}
 
     model = make_metamodel(metamodel, **fit_kwargs).fit(x, y)
     history: list[float] = []
@@ -142,8 +141,7 @@ def active_reds(
         take = min(batch, remaining)
         candidates = draw(candidate_pool, dim, rng)
         probabilities = np.clip(
-            predict_chunked(model, candidates, soft=True,
-                            jobs=jobs, chunk_rows=chunk_rows),
+            predict_chunked(model, candidates, soft=True, jobs=jobs),
             0.0, 1.0)
         picked = _select_batch(strategy, probabilities, take, rng)
         history.append(float(np.abs(probabilities[picked] - 0.5).mean()))
@@ -159,13 +157,10 @@ def active_reds(
     x_new = draw(n_new, dim, rng)
     if soft_labels:
         y_new = np.clip(
-            predict_chunked(model, x_new, soft=True,
-                            jobs=jobs, chunk_rows=chunk_rows),
-            0.0, 1.0)
+            predict_chunked(model, x_new, soft=True, jobs=jobs), 0.0, 1.0)
     else:
-        y_new = np.asarray(
-            predict_chunked(model, x_new, jobs=jobs, chunk_rows=chunk_rows),
-            dtype=float)
+        y_new = np.asarray(predict_chunked(model, x_new, jobs=jobs),
+                           dtype=float)
     sd_output = sd(x_new, y_new)
 
     return ActiveResult(

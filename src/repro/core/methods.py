@@ -148,7 +148,6 @@ def discover(
     paste: bool = False,
     engine: str = "vectorized",
     jobs: int | None = 1,
-    chunk_rows: int | None = None,
     cat_levels: dict[int, int] | None = None,
 ) -> DiscoveryResult:
     """Run the method ``name`` on dataset ``(x, y)``.
@@ -164,10 +163,10 @@ def discover(
     :func:`repro.subgroup.prim.prim_peel` and
     :func:`repro.subgroup.best_interval.best_interval`) *and* the
     metamodel layer of REDS methods (tree growth and stacked ensemble
-    prediction, see :mod:`repro.metamodels._kernels`); ``jobs`` /
-    ``chunk_rows`` fan the data-parallel stages (metamodel tuning
-    folds, pool labeling, bumping repeats) out over worker processes
-    with bit-identical results.
+    prediction, see :mod:`repro.metamodels._kernels`); ``jobs`` fans
+    the data-parallel stages (metamodel tuning folds, pool labeling,
+    bumping repeats) out over worker processes with bit-identical
+    results.
 
     ``cat_levels`` declares categorical inputs as a ``{column index:
     level count}`` map (:attr:`repro.data.model.SimulationModel.cat_levels_map`).
@@ -292,7 +291,6 @@ def discover(
             rng=rng,
             engine=engine,
             jobs=jobs,
-            chunk_rows=chunk_rows,
         )
         sd_output = reds_result.sd_output
     else:

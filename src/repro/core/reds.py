@@ -115,15 +115,9 @@ LABEL_MEMO_BYTES = 32 * 2**20
 
 #: ``(fit key, pool key, soft)`` -> read-only labels: hard ones as
 #: ``bool``, soft ones as ``predict_proba`` returned them.  Counters:
-#: ``hits`` (``soft_as_hard`` of them hard labels read off soft ones),
-#: ``misses`` and the ``weight`` in bytes the memo holds.
+#: ``hits``, ``misses`` and the ``weight`` in bytes the memo holds.
 LABEL_MEMO = warm.WarmCache(cap=LABEL_MEMO_BYTES,
                             weight=lambda labels: labels.nbytes)
-
-#: Families whose hard labels are exactly ``predict_proba > 0.5``.  Not
-#: ``svm``: its hard labels are the sign of the margin, which can
-#: disagree with the Platt probability's side of 0.5 for tiny margins.
-_HARD_FROM_SOFT = frozenset({"forest", "boosting"})
 
 
 def fit_stats() -> dict[str, int]:
@@ -243,34 +237,23 @@ def pool_key(rows: np.ndarray) -> tuple:
 
 
 def label_rows(fitted: Metamodel, x_new: np.ndarray, *, soft: bool,
-               memo_key: tuple | None, kind: str | None, jobs: int | None,
-               chunk_rows: int | None) -> np.ndarray:
+               memo_key: tuple | None, jobs: int | None) -> np.ndarray:
     """Step 3: the hard or soft labels of ``x_new``.
 
     Without a ``memo_key`` this is ``predict_chunked``.  With one
     (``(fit key, pool key)``, given only inside a warm scope) the labels
     go through :data:`LABEL_MEMO`: a request is served from memoized
-    labels of at least as many rows of the same pool, and a hard request
-    for a :data:`_HARD_FROM_SOFT` ``kind`` from soft ones too.  Hard
-    labels may come back as ``bool`` rather than ``predict``'s int64,
-    and what comes back must not be written to.
+    labels of the same kind for at least as many rows of the same pool.
+    Hard labels may come back as ``bool`` rather than ``predict``'s
+    int64, and what comes back must not be written to.
     """
     if memo_key is not None:
-        n = len(x_new)
-        stored = (soft,)
-        if not soft and kind in _HARD_FROM_SOFT:
-            stored = (False, True)
-        for stored_soft in stored:
-            labels = LABEL_MEMO.peek((*memo_key, stored_soft))
-            if labels is not None and len(labels) >= n:
-                LABEL_MEMO.count("hits")
-                if stored_soft == soft:
-                    return labels[:n]
-                LABEL_MEMO.count("soft_as_hard")
-                return labels[:n] > 0.5
+        labels = LABEL_MEMO.peek((*memo_key, soft))
+        if labels is not None and len(labels) >= len(x_new):
+            LABEL_MEMO.count("hits")
+            return labels[:len(x_new)]
         LABEL_MEMO.count("misses")
-    labels = predict_chunked(fitted, x_new, soft=soft, jobs=jobs,
-                             chunk_rows=chunk_rows)
+    labels = predict_chunked(fitted, x_new, soft=soft, jobs=jobs)
     if memo_key is not None:
         kept = labels if soft else labels.astype(bool)
         kept.flags.writeable = False
@@ -312,7 +295,6 @@ def reds(
     rng: np.random.Generator | None = None,
     engine: str = "vectorized",
     jobs: int | None = 1,
-    chunk_rows: int | None = None,
 ) -> REDSResult:
     """Run REDS (Algorithm 4).
 
@@ -359,13 +341,11 @@ def reds(
         Worker processes (None = all CPUs, default 1) for the two
         data-parallel stages: the metamodel tuning grid fans its
         (candidate, fold) cells out, and step 3's labeling of the ``L``
-        new points fans row chunks out against a shared-memory map of
-        the pool (:func:`repro.metamodels.base.predict_chunked`).
-        Labels and fits are bit-identical for every setting — ``jobs``
-        only buys wall-clock time on the paper's dominant
-        ``label_time``.
-    chunk_rows:
-        Labeling rows per fan-out chunk (default: one per worker).
+        new points fans one row chunk per worker out against a
+        shared-memory map of the pool
+        (:func:`repro.metamodels.base.predict_chunked`).  Labels and
+        fits are bit-identical for every setting — ``jobs`` only buys
+        wall-clock time on the paper's dominant ``label_time``.
     """
     check_jobs(jobs)
     x = np.asarray(x, dtype=float)
@@ -407,7 +387,7 @@ def reds(
     memo_key = None if rows_key is None else (
         fit_key(kind, x, y, tune=tune, engine=engine), rows_key)
     y_new = label_rows(fitted, x_new, soft=soft_labels, memo_key=memo_key,
-                       kind=kind, jobs=jobs, chunk_rows=chunk_rows)
+                       jobs=jobs)
     y_new = (np.clip(y_new, 0.0, 1.0) if soft_labels
              else y_new.astype(float))
     label_time = time.perf_counter() - t0

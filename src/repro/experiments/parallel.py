@@ -1158,7 +1158,6 @@ def run_chunked(
     n_rows: int,
     *,
     jobs: int | None = 1,
-    chunk_rows: int | None = None,
     context: dict | None = None,
     shared: dict | None = None,
 ) -> list:
@@ -1167,26 +1166,16 @@ def run_chunked(
     ``worker(context, start, stop)`` must be a module-level callable
     returning a picklable per-chunk result; ``context`` is shipped once
     per worker and ``shared`` arrays are published through the data
-    plane, so each chunk task pickles only its two integers.  Results
-    come back in chunk order — for any row-wise computation their
-    concatenation is bit-identical to the single-chunk call, whatever
-    ``jobs``/``chunk_rows`` say (pinned by the chunked-prediction
-    equivalence tests).
-
-    ``chunk_rows=None`` gives every worker one contiguous chunk; an
-    explicit ``chunk_rows`` below 1 raises :class:`ValueError`.
+    plane, so each chunk task pickles only its two integers.  Every
+    worker that will actually run gets one contiguous chunk (inside a
+    budgeted plan the pool is clamped to the lease).  Results come back
+    in chunk order — for any row-wise computation their concatenation
+    is bit-identical to the single-chunk call, whatever ``jobs`` says
+    (pinned by the chunked-prediction equivalence tests).
     """
-    if chunk_rows is not None and chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     if n_rows <= 0:
         return []
-    if chunk_rows is None:
-        # Chunk for the workers that will actually run: inside a
-        # budgeted plan the pool is clamped to the lease, so cutting
-        # more chunks than that only adds dispatch overhead.
-        chunk_rows = -(-n_rows // max(_resolve_jobs(jobs), 1))
-    chunk_rows = int(chunk_rows)
-    tasks = [dict(worker=worker, start=start,
-                  stop=min(start + chunk_rows, n_rows))
-             for start in range(0, n_rows, chunk_rows)]
+    size = -(-n_rows // max(_resolve_jobs(jobs), 1))
+    tasks = [dict(worker=worker, start=start, stop=min(start + size, n_rows))
+             for start in range(0, n_rows, size)]
     return execute(_chunk_call, tasks, jobs, context=context, shared=shared)

@@ -23,8 +23,10 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
   share one draw;
 * **labelled pools**: REDS step 3 and :meth:`Session.label` memoize
   the labels a fit gave a pool, keyed by the fit's key plus the pool
-  (its content, or the generator state and sampler it is drawn with),
-  in :data:`repro.core.reds.LABEL_MEMO` under a byte cap;
+  (its content, or the generator state and sampler it is drawn with)
+  and the label kind, in :data:`repro.core.reds.LABEL_MEMO` under a
+  byte cap; a request takes stored labels of its own kind (hard or
+  soft) for at least as many rows of the pool;
 * **column indexes**: every PRIM peel of a pool shares its per-column
   sort orders and dense ranks in
   :data:`repro.subgroup._kernels.INDEX_MEMO` under a byte cap, keyed
@@ -166,8 +168,7 @@ class Session:
 
     def label(self, x: np.ndarray, y: np.ndarray, x_new: np.ndarray, *,
               metamodel: str | None = None, soft: bool = False,
-              tune: bool | None = None,
-              chunk_rows: int | None = None) -> np.ndarray:
+              tune: bool | None = None) -> np.ndarray:
         """Label ``x_new`` with a metamodel fitted on ``(x, y)``.
 
         The fit comes from the session memo (one fit per distinct
@@ -198,7 +199,7 @@ class Session:
         memo_key = (fit_key(kind, x, y, tune=do_tune, engine=self.engine),
                     pool_key(x_new))
         labels = label_rows(fitted, x_new, soft=soft, memo_key=memo_key,
-                            kind=kind, jobs=self.jobs, chunk_rows=chunk_rows)
+                            jobs=self.jobs)
         # Memoized hard labels are bool; ``predict`` returns int64.
         return labels.copy() if soft else labels.astype(np.int64)
 
@@ -237,13 +238,12 @@ class Session:
         from repro.experiments.parallel import pool_stats
         from repro.subgroup._kernels import INDEX_MEMO
 
-        def memo(cache, *extra):
+        def memo(cache):
             stats = cache.stats()
             return {"hits": stats["hits"], "misses": stats["misses"],
-                    **{name: stats.get(name, 0) for name in extra},
                     "bytes": stats["weight"], "size": stats["size"]}
 
         return {"pools": pool_stats(), "dataplane": resident_stats(),
                 "metamodel": fit_stats(), "drawn": memo(POOL_MEMO),
-                "labels": memo(LABEL_MEMO, "soft_as_hard"),
+                "labels": memo(LABEL_MEMO),
                 "index": memo(INDEX_MEMO)}

@@ -1007,9 +1007,7 @@ class StackedEnsemble:
     # ------------------------------------------------------------------
     def leaf_value_sum(self, x: np.ndarray, *, scale: float | None = None,
                        init: float = 0.0, cut: float | None = None,
-                       chunk: int = _PREDICT_ROW_CHUNK,
-                       jobs: int | None = 1,
-                       chunk_rows: int | None = None) -> np.ndarray:
+                       chunk: int = _PREDICT_ROW_CHUNK) -> np.ndarray:
         """``init + sum_t scale * value_t(row)`` for every row of ``x``.
 
         The per-tree accumulation runs in tree order with the same
@@ -1023,36 +1021,14 @@ class StackedEnsemble:
         ``+inf`` (its sum ends above ``cut``) or ``-inf`` (below), by
         a margin that keeps the caller's label expression exact.  Every
         other row's sum is bit-identical to the full walk's.
-
-        With ``jobs`` > 1 (or None for all CPUs) contiguous row chunks
-        of ``chunk_rows`` fan out over worker processes through
-        :func:`repro.experiments.parallel.run_chunked`: the query rank
-        matrix is published once through the shared-memory data plane
-        and every worker walks its rows with this very code path, so
-        the concatenated result is bit-identical to the single-process
-        call for every ``jobs``/``chunk_rows`` choice.
         """
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         x = np.ascontiguousarray(x, dtype=float)
-        n = len(x)
         if x.ndim != 2 or (self.n_features and x.shape[1] < self.n_features):
             raise ValueError(
                 f"x must be 2-D with >= {self.n_features} columns, "
                 f"got shape {x.shape}")
-        ranks = self._rank_queries(x)
-        if (jobs is None or jobs > 1) and n > 1:
-            from repro.experiments.parallel import run_chunked
-
-            parts = run_chunked(
-                _stacked_chunk, n, jobs=jobs, chunk_rows=chunk_rows,
-                context={"ensemble": self, "scale": scale, "init": init,
-                         "cut": cut, "chunk": chunk},
-                shared={"ranks": ranks},
-            )
-            return np.concatenate(parts)
-        return self._sum_ranked(ranks, scale=scale, init=init, cut=cut,
-                                chunk=chunk)
+        return self._sum_ranked(self._rank_queries(x), scale=scale,
+                                init=init, cut=cut, chunk=chunk)
 
     def _settle_plan(self, scale: float | None, init: float, cut: float):
         """Where a settling walk checks, and what it checks against.
@@ -1210,17 +1186,3 @@ class StackedEnsemble:
                 vbuf[out_idx] = np.take(value, node)
             vals[tb] = vbuf.reshape(nb, c)
         return vals
-
-
-def _stacked_chunk(context, start: int, stop: int) -> np.ndarray:
-    """One row chunk of a fanned-out :meth:`StackedEnsemble.leaf_value_sum`.
-
-    The ensemble arrives once per worker through the plan context and
-    the full query-rank matrix is a zero-copy shared-memory map; each
-    chunk walks its row slice with the exact single-process code.
-    """
-    ensemble: StackedEnsemble = context["ensemble"]
-    ranks = context["ranks"][start:stop]
-    return ensemble._sum_ranked(ranks, scale=context["scale"],
-                                init=context["init"], cut=context["cut"],
-                                chunk=context["chunk"])

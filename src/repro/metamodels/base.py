@@ -16,7 +16,6 @@ its ``L = 10^5`` pool.
 
 from __future__ import annotations
 
-import copy
 from typing import Protocol, runtime_checkable
 
 import numpy as np
@@ -87,16 +86,17 @@ def predict_chunked(
     *,
     soft: bool = False,
     jobs: int | None = 1,
-    chunk_rows: int | None = None,
 ) -> np.ndarray:
     """Labels (or probabilities) of ``x``, row chunks fanned over workers.
 
     Bit-identical to ``model.predict(x)`` / ``model.predict_proba(x)``
     for any metamodel that labels rows independently — all families in
     this package do — because each worker runs the very same prediction
-    code on a contiguous row slice of the shared query matrix.  With
+    code on one contiguous row slice of the shared query matrix.  With
     ``jobs <= 1`` (the default) the model predicts directly, so callers
-    can thread their ``jobs`` knob through unconditionally.
+    can thread their ``jobs`` knob through unconditionally.  A model's
+    own ``predict`` never fans out, so this is the one prediction
+    fan-out.
 
     Parameters
     ----------
@@ -107,14 +107,11 @@ def predict_chunked(
     soft:
         Return ``predict_proba`` instead of hard labels.
     jobs:
-        Worker processes (None = all CPUs); ``<= 1`` predicts inline,
-        and a negative count raises ``ValueError``.
-    chunk_rows:
-        Rows per chunk (default: one contiguous chunk per worker).
+        Worker processes (None = all CPUs), each labelling one
+        contiguous chunk; ``<= 1`` predicts inline, and a negative
+        count raises ``ValueError``.
     """
     check_jobs(jobs)
-    if chunk_rows is not None and chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
     x = np.ascontiguousarray(x, dtype=float)
     n = len(x)
     if (jobs is not None and jobs <= 1) or n <= 1:
@@ -125,19 +122,10 @@ def predict_chunked(
     ensure = getattr(model, "_ensure_stacked", None)
     if ensure is not None:
         ensure()
-    # Ship a shallow copy with jobs=1 when the model has its own fan-out
-    # knob: a worker predicting a leaf chunk has nothing left to fan
-    # out, so a nested pool would be pure spawn overhead.  (The global
-    # worker budget would clamp such a pool to the worker's lease
-    # anyway — this keeps the leaf path from even trying.)  The copy
-    # shares the fitted arrays, so it costs nothing.
-    if getattr(model, "jobs", 1) != 1:
-        model = copy.copy(model)
-        model.jobs = 1
     from repro.experiments.parallel import run_chunked
 
     parts = run_chunked(
-        _label_chunk, n, jobs=jobs, chunk_rows=chunk_rows,
+        _label_chunk, n, jobs=jobs,
         context={"model": model, "soft": soft},
         shared={"x": x},
     )

@@ -156,10 +156,8 @@ class GradientBoostingModel:
     ``min_child_weight`` (hessian floor per leaf).  ``engine`` selects
     the tree-growing and prediction kernels (``"vectorized"`` or
     ``"reference"``); fitted models and predictions are bit-identical
-    across both.  ``jobs``/``chunk_rows`` fan the stacked
-    prediction walk out over worker processes against shared-memory
-    query ranks — a pure throughput knob, bit-identical at every
-    setting and irrelevant to fitting.
+    across both.  Prediction runs in the calling process;
+    :func:`~repro.metamodels.base.predict_chunked` fans it out.
     """
 
     def __init__(
@@ -173,8 +171,6 @@ class GradientBoostingModel:
         min_child_weight: float = 1.0,
         seed: int = 0,
         engine: str = "vectorized",
-        jobs: int | None = 1,
-        chunk_rows: int | None = None,
     ) -> None:
         if n_rounds < 1:
             raise ValueError(f"n_rounds must be >= 1, got {n_rounds}")
@@ -184,8 +180,6 @@ class GradientBoostingModel:
             raise ValueError(f"subsample must be in (0, 1], got {subsample}")
         if not 0.0 < colsample <= 1.0:
             raise ValueError(f"colsample must be in (0, 1], got {colsample}")
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         engine = _resolve_engine(engine)
         self.n_rounds = n_rounds
         self.learning_rate = learning_rate
@@ -196,8 +190,6 @@ class GradientBoostingModel:
         self.min_child_weight = min_child_weight
         self.seed = seed
         self.engine = engine
-        self.jobs = jobs
-        self.chunk_rows = chunk_rows
         self.trees_: list[tuple[DecisionTreeRegressor, np.ndarray]] = []
         self.n_features_: int | None = None
         self.base_score_: float = 0.0
@@ -409,8 +401,7 @@ class GradientBoostingModel:
         x = check_query(x, self.n_features_)
         if self.engine == "vectorized":
             return self._ensure_stacked().leaf_value_sum(
-                x, scale=self.learning_rate, init=self.base_score_, cut=cut,
-                jobs=self.jobs, chunk_rows=self.chunk_rows)
+                x, scale=self.learning_rate, init=self.base_score_, cut=cut)
         raw = np.full(len(x), self.base_score_)
         for tree, cols in self.trees_:
             raw += self.learning_rate * tree.predict(x[:, cols])

@@ -57,19 +57,14 @@ class RandomForestModel:
         default) or ``"reference"`` (per-tree loops).  Fitted trees and
         predictions are bit-identical across both.
     jobs:
-        Worker processes (None = all CPUs, default 1) for prediction
-        *and* for the vectorized fit: the stacked walk fans contiguous
-        row chunks out over the plan engine against shared-memory
-        query ranks, and :func:`~repro.metamodels._kernels.grow_forest`
-        fans contiguous tree ranges the same way, for :meth:`fit` and
-        for :meth:`fold_predict` (every tree's stream is independent by
-        the draw-then-spawn generator protocol).
-        Fits and predictions are bit-identical for every
-        ``jobs``/``chunk_rows`` setting, so this is purely a throughput
-        knob.
-    chunk_rows:
-        Rows per prediction fan-out chunk (default: one chunk per
-        worker).
+        Worker processes (None = all CPUs, default 1) for the
+        vectorized fit: :func:`~repro.metamodels._kernels.grow_forest`
+        fans contiguous tree ranges out over the plan engine, for
+        :meth:`fit` and for :meth:`fold_predict` (every tree's stream
+        is independent by the draw-then-spawn generator protocol).
+        Fits are bit-identical for every ``jobs``, so this is purely a
+        throughput knob.  Prediction runs in the calling process;
+        :func:`~repro.metamodels.base.predict_chunked` fans it out.
     """
 
     def __init__(
@@ -81,7 +76,6 @@ class RandomForestModel:
         seed: int = 0,
         engine: str = "vectorized",
         jobs: int | None = 1,
-        chunk_rows: int | None = None,
     ) -> None:
         if n_trees < 1:
             raise ValueError(f"n_trees must be >= 1, got {n_trees}")
@@ -90,8 +84,6 @@ class RandomForestModel:
                 f"min_samples_leaf must be >= 1, got {min_samples_leaf}")
         if max_depth is not None and max_depth < 1:
             raise ValueError(f"max_depth must be None or >= 1, got {max_depth}")
-        if chunk_rows is not None and chunk_rows < 1:
-            raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
         engine = _resolve_engine(engine)
         self.n_trees = n_trees
         self.max_features = max_features
@@ -100,7 +92,6 @@ class RandomForestModel:
         self.seed = seed
         self.engine = engine
         self.jobs = jobs
-        self.chunk_rows = chunk_rows
         self.trees_: list[DecisionTreeRegressor] = []
         self.n_features_: int | None = None
         self._stacked: StackedEnsemble | None = None
@@ -214,8 +205,7 @@ class RandomForestModel:
             raise RuntimeError("forest is not fitted; call fit() first")
         x = check_query(x, self.n_features_)
         if self.engine == "vectorized":
-            return self._ensure_stacked().leaf_value_sum(
-                x, cut=cut, jobs=self.jobs, chunk_rows=self.chunk_rows)
+            return self._ensure_stacked().leaf_value_sum(x, cut=cut)
         total = np.zeros(len(x))
         for tree in self.trees_:
             total += tree.predict(x)

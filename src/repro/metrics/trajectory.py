@@ -24,24 +24,23 @@ __all__ = ["peeling_trajectory", "pr_auc", "trajectory_of"]
 
 
 def peeling_trajectory(boxes: Sequence[Hyperbox], x: np.ndarray,
-                       y: np.ndarray, *, jobs: int | None = 1,
-                       chunk_boxes: int | None = None) -> np.ndarray:
+                       y: np.ndarray, *, jobs: int | None = 1) -> np.ndarray:
     """``(len(boxes), 2)`` array of (recall, precision) per box.
 
     One batched :func:`~repro.subgroup._kernels.evaluate_boxes` call:
     its per-box statistics go through the scalar
     :func:`~repro.metrics.quality.precision_recall` convention element
     for element, so every point is bit-identical to evaluating the box
-    alone.  With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous box
-    chunks fan out over the plan engine of
+    alone.  With ``jobs`` > 1 (or ``None`` for all CPUs) one contiguous
+    box chunk per worker fans out over the plan engine of
     :mod:`repro.experiments.parallel`, the test arrays crossing process
     boundaries zero-copy through the data plane — the knob a budgeted
     grid task threads its worker lease into when evaluating a long
     trajectory on a large test set.  ``boxes`` may also be a
     :class:`~repro.subgroup._kernels.BoxStack`.
     """
-    precisions, recalls = evaluate_boxes(
-        boxes, x, y, jobs=jobs, chunk_boxes=chunk_boxes).precision_recall()
+    precisions, recalls = evaluate_boxes(boxes, x, y,
+                                         jobs=jobs).precision_recall()
     return np.column_stack((recalls, precisions))
 
 

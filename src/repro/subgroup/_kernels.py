@@ -1505,7 +1505,7 @@ def precision_recall_of(y_sums, n_inside, y_total: float):
 
 
 #: Boolean-element budget of the batched membership kernel's scratch
-#: buffer (chunk_boxes * n_points): comparisons land in it and are
+#: buffer (boxes per chunk * n_points): comparisons land in it and are
 #: folded into the output, so temporaries stay about 1 MB.
 _CONTAINS_CHUNK_ELEMENTS = 1 << 20
 
@@ -1593,8 +1593,8 @@ def _evaluate_boxes_chunk(context, start: int, stop: int) -> "BoxBatchEvaluation
 
 
 def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
-                   binary: bool | None = None, *, jobs: int | None = 1,
-                   chunk_boxes: int | None = None) -> BoxBatchEvaluation:
+                   binary: bool | None = None, *,
+                   jobs: int | None = 1) -> BoxBatchEvaluation:
     """Batched coverage statistics for many boxes on one dataset.
 
     One :func:`contains_many` call replaces the per-box masking loops
@@ -1605,18 +1605,16 @@ def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
     same pairwise ``ndarray`` reductions as the scalar code, keeping
     every derived measure bit-identical to its reference.
 
-    With ``jobs`` > 1 (or ``None`` for all CPUs) contiguous box chunks
-    fan out over the plan engine — the large-test-set path of the
-    harness: ``x``/``y`` cross process boundaries zero-copy through the
-    data plane, each worker runs this very function on its slice, and
-    the per-box statistics concatenate in box order.  Every per-box
+    With ``jobs`` > 1 (or ``None`` for all CPUs) one contiguous box
+    chunk per worker fans out over the plan engine — the large-test-set
+    path of the harness: ``x``/``y`` cross process boundaries zero-copy
+    through the data plane, each worker runs this very function on its
+    slice, and the per-box statistics concatenate in box order.  Every per-box
     value is computed from the full ``y`` exactly as in the serial
     call (the ``binary`` regime is resolved once on the whole label
     vector, the totals come from the parent), so results stay
-    bit-identical for any ``jobs``/``chunk_boxes`` setting.
+    bit-identical for any ``jobs``.
     """
-    if chunk_boxes is not None and chunk_boxes < 1:
-        raise ValueError(f"chunk_boxes must be >= 1, got {chunk_boxes}")
     y = np.asarray(y, dtype=float)
     if binary is None:
         binary = bool(np.all((y == 0.0) | (y == 1.0)))
@@ -1626,7 +1624,6 @@ def evaluate_boxes(boxes, x: np.ndarray, y: np.ndarray,
 
         parts = run_chunked(
             _evaluate_boxes_chunk, len(boxes), jobs=jobs,
-            chunk_rows=chunk_boxes,
             context={"boxes": boxes, "binary": binary},
             shared={"x": np.ascontiguousarray(x, dtype=float), "y": y})
         return BoxBatchEvaluation(

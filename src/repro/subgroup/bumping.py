@@ -251,7 +251,6 @@ def prim_bumping(
     engine: str = "vectorized",
     cat_cols: Sequence[int] = (),
     jobs: int | None = 1,
-    chunk_repeats: int | None = None,
 ) -> BumpingResult:
     """Algorithm 2: bootstrap + random feature subsets + Pareto filter.
 
@@ -273,8 +272,8 @@ def prim_bumping(
         Source of bootstrap/subset randomness (fresh default if None).
     engine:
         Peeling engine of the inner PRIM runs (see :func:`prim_peel`):
-        the vectorized engine peels the repeats (of each fan-out chunk)
-        as one lockstep batch, the reference engine one by one.
+        the vectorized engine peels the repeats (of each worker's
+        chunk) as one lockstep batch, the reference engine one by one.
     cat_cols:
         Column indices of categorical inputs (full-space indices).
         Inner PRIM runs peel those columns category-wise; repeats whose
@@ -283,15 +282,12 @@ def prim_bumping(
         embedded back into the full space.
     jobs:
         Worker processes (None = all CPUs, default 1) for the
-        ``n_repeats`` independent PRIM runs.  The bootstrap/subset draws
-        happen up front in the parent — one rng stream regardless of
-        scheduling — so the pooled box set, and hence the returned
-        Pareto front, is bit-identical for every ``jobs`` /
-        ``chunk_repeats`` setting (pinned by
+        ``n_repeats`` independent PRIM runs, one contiguous chunk of
+        repeats per worker.  The bootstrap/subset draws happen up front
+        in the parent — one rng stream regardless of scheduling — so
+        the pooled box set, and hence the returned Pareto front, is
+        bit-identical for every ``jobs`` (pinned by
         ``tests/test_budget_fanout.py``).
-    chunk_repeats:
-        Repeats per fan-out chunk (default: one contiguous chunk per
-        worker).
 
     Returns
     -------
@@ -305,8 +301,6 @@ def prim_bumping(
     check_peel_params(alpha, min_support)
     if n_repeats < 1:
         raise ValueError(f"n_repeats must be >= 1, got {n_repeats}")
-    if chunk_repeats is not None and chunk_repeats < 1:
-        raise ValueError(f"chunk_repeats must be >= 1, got {chunk_repeats}")
     engine = _resolve_engine(engine)
     if rng is None:
         rng = np.random.default_rng()
@@ -329,8 +323,7 @@ def prim_bumping(
     from repro.experiments.parallel import run_chunked
 
     chunks = run_chunked(
-        _bumping_chunk, n_repeats,
-        jobs=jobs, chunk_rows=chunk_repeats,
+        _bumping_chunk, n_repeats, jobs=jobs,
         context=dict(alpha=alpha, min_support=min_support, engine=engine,
                      cat_cols=tuple(sorted(cat_set))),
         shared=dict(x=x, y=y, samples=samples, subsets=subsets,

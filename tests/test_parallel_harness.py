@@ -32,7 +32,6 @@ from repro.metamodels.tuning import make_metamodel
 from repro.metrics.trajectory import peeling_trajectory
 from repro.subgroup import Hyperbox
 from repro.subgroup._kernels import evaluate_boxes as kernel_evaluate_boxes
-from repro.subgroup.bumping import prim_bumping
 
 
 def assert_records_identical(serial, parallel_records):
@@ -113,64 +112,7 @@ class TestExecute:
 
 
 class TestFanoutArguments:
-    """Bad ``chunk_rows``/``jobs`` raise before any task is dispatched."""
-
-    @pytest.mark.parametrize("chunk_rows", [0, -7])
-    def test_run_chunked_rejects_chunk_rows_below_one(self, chunk_rows):
-        for jobs in (1, 2):
-            with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
-                parallel.run_chunked(_range_sum_chunk, 30, jobs=jobs,
-                                     chunk_rows=chunk_rows,
-                                     context={"offset": 0})
-
-    @pytest.mark.parametrize("chunk_rows", [0, -7])
-    def test_predict_chunked_rejects_chunk_rows_below_one(self, chunk_rows):
-        gen = np.random.default_rng(0)
-        x = gen.random((60, 3))
-        model = make_metamodel("forest", n_trees=5).fit(
-            x, (x[:, 0] > 0.5).astype(float))
-        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
-            predict_chunked(model, x, jobs=2, chunk_rows=chunk_rows)
-
-    @pytest.mark.parametrize("chunk_rows", [0, -7])
-    def test_chunk_sizes_below_one_fail_where_set_at_jobs_one(self,
-                                                              chunk_rows):
-        """A bad chunk size raises where it is set, also when ``jobs=1``
-        never fans out."""
-        gen = np.random.default_rng(0)
-        x = gen.random((60, 3))
-        y = (x[:, 0] > 0.5).astype(float)
-        model = make_metamodel("forest", n_trees=5).fit(x, y)
-        for kind in ("forest", "boosting"):
-            with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
-                make_metamodel(kind, chunk_rows=chunk_rows)
-        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
-            predict_chunked(model, x, jobs=1, chunk_rows=chunk_rows)
-        with pytest.raises(ValueError, match="chunk_rows must be >= 1"):
-            model._ensure_stacked().leaf_value_sum(
-                x, jobs=1, chunk_rows=chunk_rows)
-        box = Hyperbox.unrestricted(3)
-        with pytest.raises(ValueError, match="chunk_boxes must be >= 1"):
-            kernel_evaluate_boxes([box, box], x, y, jobs=1,
-                                  chunk_boxes=chunk_rows)
-        with pytest.raises(ValueError, match="chunk_boxes must be >= 1"):
-            peeling_trajectory([box, box], x, y, jobs=1,
-                               chunk_boxes=chunk_rows)
-
-    @pytest.mark.parametrize("chunk_repeats", [0, -7])
-    def test_prim_bumping_names_chunk_repeats(self, chunk_repeats):
-        """``prim_bumping`` rejects a bad ``chunk_repeats`` in its own
-        name, before drawing, at any ``jobs``."""
-        gen = np.random.default_rng(0)
-        x = gen.random((60, 3))
-        y = (x[:, 0] > 0.5).astype(float)
-        for jobs in (1, 2):
-            rng = np.random.default_rng(1)
-            with pytest.raises(ValueError,
-                               match="chunk_repeats must be >= 1"):
-                prim_bumping(x, y, n_repeats=4, jobs=jobs, rng=rng,
-                             chunk_repeats=chunk_repeats)
-            assert rng.random() == np.random.default_rng(1).random()
+    """A bad ``jobs`` raises before any task is dispatched."""
 
     @pytest.mark.parametrize("jobs", [-1, -3])
     def test_execute_rejects_negative_jobs(self, jobs):
@@ -457,8 +399,8 @@ class TestDegenerateFanoutInputs:
 
     def test_empty_box_list(self):
         x, y = self._planted(40)
-        for kwargs in (dict(jobs=1), dict(jobs=4), dict(jobs=3, chunk_boxes=2)):
-            trajectory = peeling_trajectory([], x, y, **kwargs)
+        for jobs in (1, 3, 4):
+            trajectory = peeling_trajectory([], x, y, jobs=jobs)
             assert trajectory.shape == (0, 2)
         for jobs in (1, 4):
             evaluation = kernel_evaluate_boxes([], x, y, jobs=jobs)
@@ -472,7 +414,7 @@ class TestDegenerateFanoutInputs:
         boxes = self._boxes()
         serial = peeling_trajectory(boxes, x, y, jobs=1)
         np.testing.assert_array_equal(
-            serial, peeling_trajectory(boxes, x, y, jobs=4, chunk_boxes=1))
+            serial, peeling_trajectory(boxes, x, y, jobs=4))
         a = kernel_evaluate_boxes(boxes, x, y, jobs=1)
         b = kernel_evaluate_boxes(boxes, x, y, jobs=4)
         np.testing.assert_array_equal(a.n_inside, b.n_inside)
@@ -483,11 +425,11 @@ class TestDegenerateFanoutInputs:
         x, y = self._planted(60, seed=5, y_const=y_const)
         boxes = self._boxes()
         serial = peeling_trajectory(boxes, x, y, jobs=1)
-        for kwargs in (dict(jobs=4), dict(jobs=2, chunk_boxes=1)):
+        for jobs in (2, 4):
             np.testing.assert_array_equal(
-                serial, peeling_trajectory(boxes, x, y, **kwargs))
+                serial, peeling_trajectory(boxes, x, y, jobs=jobs))
         a = kernel_evaluate_boxes(boxes, x, y, jobs=1)
-        b = kernel_evaluate_boxes(boxes, x, y, jobs=3, chunk_boxes=1)
+        b = kernel_evaluate_boxes(boxes, x, y, jobs=3)
         np.testing.assert_array_equal(a.y_sums, b.y_sums)
         assert a.base_rate == b.base_rate == y_const
 

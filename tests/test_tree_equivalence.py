@@ -504,14 +504,19 @@ class TestSettledLabels:
         assert np.array_equal(got[~settled], full[~settled])
         assert (full[got == np.inf] > cut + 1e-6).all()
         assert (full[got == -np.inf] < cut - 1e-6).all()
-        assert np.array_equal(
-            stacked.leaf_value_sum(xq, cut=cut, jobs=2, chunk_rows=1000), got)
+        # Rows settle one by one, so uneven row blocks join to the
+        # one-call walk.
+        edges = [0, 1, 1000, 2999, 6000]
+        joined = [stacked.leaf_value_sum(xq[a:b], cut=cut)
+                  for a, b in zip(edges, edges[1:])]
+        assert np.array_equal(np.concatenate(joined), got)
 
 
 class TestChunkedPrediction:
     """Multi-process chunked prediction/labeling must be bit-identical
-    to the single-chunk path for every chunk size, worker count and
-    executor — chunking is a pure throughput knob."""
+    to the single-chunk path for every worker count and query size —
+    each worker labels one contiguous chunk, so ``jobs`` and the row
+    count set the chunk edges, and neither may change a bit."""
 
     def _data(self, seed=0, n=250, m=5, n_query=3000):
         r = np.random.default_rng(seed)
@@ -520,37 +525,33 @@ class TestChunkedPrediction:
         xq = r.random((n_query, m))
         return x, y, xq
 
-    @pytest.mark.parametrize("jobs,chunk_rows", [
+    # ``n_query=None`` queries the default 3000 rows.
+    @pytest.mark.parametrize("jobs,n_query", [
         (2, None), (3, 700), (2, 123), (2, 4096)])
-    def test_forest_proba_bit_equal_across_chunkings(self, jobs, chunk_rows):
-        x, y, xq = self._data()
+    def test_forest_proba_bit_equal_across_chunkings(self, jobs, n_query):
+        from repro.metamodels.base import predict_chunked
+
+        x, y, xq = self._data(n_query=n_query or 3000)
         base = RandomForestModel(n_trees=15, seed=3).fit(x, y)
-        expect = base.predict_proba(xq)
-        fanned = RandomForestModel(n_trees=15, seed=3, jobs=jobs,
-                                   chunk_rows=chunk_rows).fit(x, y)
-        assert np.array_equal(fanned.predict_proba(xq), expect)
-        assert np.array_equal(fanned.predict(xq), base.predict(xq))
+        fanned = RandomForestModel(n_trees=15, seed=3, jobs=jobs).fit(x, y)
+        assert np.array_equal(
+            predict_chunked(fanned, xq, soft=True, jobs=jobs),
+            base.predict_proba(xq))
+        assert np.array_equal(predict_chunked(fanned, xq, jobs=jobs),
+                              base.predict(xq))
 
-    @pytest.mark.parametrize("jobs,chunk_rows", [(2, None), (3, 511)])
+    @pytest.mark.parametrize("jobs,n_query", [(2, None), (3, 511)])
     def test_boosting_decision_bit_equal_across_chunkings(self, jobs,
-                                                          chunk_rows):
-        x, y, xq = self._data(seed=1)
-        base = GradientBoostingModel(n_rounds=25, seed=3).fit(x, y)
-        expect = base.decision_function(xq)
-        fanned = GradientBoostingModel(n_rounds=25, seed=3, jobs=jobs,
-                                       chunk_rows=chunk_rows).fit(x, y)
-        assert np.array_equal(fanned.decision_function(xq), expect)
-        assert np.array_equal(fanned.predict_proba(xq),
-                              base.predict_proba(xq))
+                                                          n_query):
+        from repro.metamodels.base import predict_chunked
 
-    def test_stacked_leaf_value_sum_jobs_knob(self):
-        x, y, xq = self._data(seed=2)
-        model = RandomForestModel(n_trees=10, seed=0).fit(x, y)
-        stacked = StackedEnsemble(model.trees_)
-        expect = stacked.leaf_value_sum(xq)
-        for jobs, chunk_rows in ((2, None), (3, 999), (2, 100)):
-            got = stacked.leaf_value_sum(xq, jobs=jobs, chunk_rows=chunk_rows)
-            assert np.array_equal(got, expect), (jobs, chunk_rows)
+        x, y, xq = self._data(seed=1, n_query=n_query or 3000)
+        model = GradientBoostingModel(n_rounds=25, seed=3).fit(x, y)
+        assert np.array_equal(
+            predict_chunked(model, xq, soft=True, jobs=jobs),
+            model.predict_proba(xq))
+        assert np.array_equal(predict_chunked(model, xq, jobs=jobs),
+                              model.predict(xq))
 
     def test_predict_chunked_generic_labeling(self):
         from repro.metamodels.base import predict_chunked
@@ -560,13 +561,11 @@ class TestChunkedPrediction:
                       GradientBoostingModel(n_rounds=20, seed=1).fit(x, y)):
             hard = model.predict(xq)
             soft = model.predict_proba(xq)
-            for jobs, chunk_rows in ((1, None), (2, None), (3, 777)):
+            for jobs in (1, 2, 3, None):
                 assert np.array_equal(
-                    predict_chunked(model, xq, jobs=jobs,
-                                    chunk_rows=chunk_rows), hard)
+                    predict_chunked(model, xq, jobs=jobs), hard)
                 assert np.array_equal(
-                    predict_chunked(model, xq, soft=True, jobs=jobs,
-                                    chunk_rows=chunk_rows), soft)
+                    predict_chunked(model, xq, soft=True, jobs=jobs), soft)
 
     def test_reds_labels_bit_equal_across_jobs(self):
         from repro.core.reds import reds
@@ -578,10 +577,10 @@ class TestChunkedPrediction:
 
         base = reds(x, y, sd, metamodel="boosting", n_new=4000, tune=False,
                     rng=np.random.default_rng(9), jobs=1)
-        for jobs, chunk_rows in ((2, None), (3, 1234)):
+        for jobs in (2, 3, None):
             fanned = reds(x, y, sd, metamodel="boosting", n_new=4000,
                           tune=False, rng=np.random.default_rng(9),
-                          jobs=jobs, chunk_rows=chunk_rows)
+                          jobs=jobs)
             assert np.array_equal(base.x_new, fanned.x_new)
             assert np.array_equal(base.y_new, fanned.y_new)
             assert base.sd_output == fanned.sd_output
@@ -603,7 +602,7 @@ class TestChunkedPrediction:
         assert np.array_equal(base.y_new, fanned.y_new)
 
     def test_serial_executor_chunking_also_bit_equal(self):
-        """chunk_rows alone (no processes) must not change anything."""
+        """The walk's row blocks alone (no processes) change nothing."""
         x, y, xq = self._data(seed=8)
         model = RandomForestModel(n_trees=8, seed=2).fit(x, y)
         stacked = StackedEnsemble(model.trees_)
