@@ -23,7 +23,7 @@ Three legs:
   Four label vectors (two hard, two soft) are peeled one after the
   other with ``prim_peel``, cold and then inside one warm scope, where
   the first peel sorts the pool and the other three read its memoized
-  column index (:func:`repro.subgroup._kernels.column_index`).  Boxes
+  column index (:func:`repro.subgroup.index.column_index`).  Boxes
   and statistics must be identical; the floor is >= 1.08x on the
   four-peel total (the median ratio of alternating cold/warm pairs).
 * **pool peel** — REDS step 4's one-run peel at full scale: ``prim_peel``

@@ -25,7 +25,7 @@ from repro.engines import check_jobs
 from repro.metamodels.base import Metamodel, predict_chunked
 from repro.metamodels.tuning import make_metamodel, tune_metamodel
 from repro.sampling.designs import QuantizedUniform
-from repro.subgroup._kernels import named_pool
+from repro.subgroup.index import named_pool
 from repro.subgroup.inputs import check_finite
 
 __all__ = ["check_label_rows", "check_training_data", "fit_key",

@@ -29,8 +29,8 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
   soft) for at least as many rows of the pool;
 * **column indexes**: every PRIM peel of a pool shares its per-column
   sort orders and dense ranks in
-  :data:`repro.subgroup._kernels.INDEX_MEMO` under a byte cap, keyed
-  by the pool's name inside REDS (:func:`repro.subgroup._kernels.named_pool`:
+  :data:`repro.subgroup.index.INDEX_MEMO` under a byte cap, keyed
+  by the pool's name inside REDS (:func:`repro.subgroup.index.named_pool`:
   a drawn pool's draw key, a caller's pool's content key) and by its
   content elsewhere;
 * **training sets** from :func:`repro.experiments.harness.make_train_data`.
@@ -236,7 +236,7 @@ class Session:
         from repro.core.reds import LABEL_MEMO, POOL_MEMO, fit_stats
         from repro.experiments.dataplane import resident_stats
         from repro.experiments.parallel import pool_stats
-        from repro.subgroup._kernels import INDEX_MEMO
+        from repro.subgroup.index import INDEX_MEMO
 
         def memo(cache):
             stats = cache.stats()

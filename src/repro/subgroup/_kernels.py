@@ -96,15 +96,13 @@ arrays, as a lockstep batch produces them — or a sequence of boxes.
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from repro import warm
 from repro.subgroup.box import Hyperbox, cat_mask
+from repro.subgroup.index import column_index
 
 __all__ = [
     "PeelCandidate",
@@ -112,10 +110,6 @@ __all__ = [
     "PeelTrace",
     "peel_runs",
     "best_peel",
-    "column_index",
-    "ColumnIndex",
-    "INDEX_MEMO",
-    "INDEX_MEMO_BYTES",
     "peel_score",
     "sorted_quantile",
     "sorted_group_sums",
@@ -259,136 +253,6 @@ class PeelTrace:
 #: batches — runs are independent, so the grouping never changes a
 #: result — which bounds the batch's memory to a few tens of MB.
 _BATCH_ENTRIES = 1 << 22
-
-#: Largest block of the order-statistic index.  A step costs about
-#: ``N / B`` prefix-sum terms plus 8 gathered blocks of ``B`` entries per
-#: segment, so :func:`_block_rows` sizes blocks near ``sqrt(N / 16)``:
-#: 64 rows at L = 10^5, 5 rows for a 400-row training set.
-_BLOCK_ROWS = 64
-
-#: Byte cap of :data:`INDEX_MEMO`: the column index of two L=10^5,
-#: M=8 pools (8.0 MB each: int32 orders and keys, uint16 blocks) plus
-#: the small indexes of the training sets the searches peel.
-INDEX_MEMO_BYTES = 17 * 2**20
-
-#: ``(pool key, block rows)`` -> the read-only :class:`ColumnIndex` of
-#: a pool ``x``, filled only inside a warm scope.  The pool key is the
-#: content key of ``x`` (its dtype, shape and bytes), or, for the pool
-#: of :func:`named_pool`, its name plus its shape.
-#: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
-INDEX_MEMO = warm.WarmCache(cap=INDEX_MEMO_BYTES,
-                            weight=lambda index: index.nbytes)
-
-#: ``(pool, name)`` inside :func:`named_pool`, else ``None``.
-_NAMED: contextvars.ContextVar = contextvars.ContextVar("_NAMED",
-                                                        default=None)
-
-
-@contextlib.contextmanager
-def named_pool(x: np.ndarray, name):
-    """Within the block, :func:`column_index` keys the read-only pool
-    ``x`` by ``name`` and its shape instead of hashing its bytes.
-
-    ``name`` must name the content of ``x``: two pools with equal names
-    and shapes must be equal.  REDS names a pool it drew by the draw
-    (the generator state and sampler) and a caller's pool by the
-    content key it already took for the label memo.  ``x`` itself is
-    recognised as the same object; a copy, or ``x`` made writeable
-    again, is content-keyed, and so is every pool when ``name`` is
-    ``None``.
-    """
-    token = _NAMED.set(None if name is None else (x, name))
-    try:
-        yield
-    finally:
-        _NAMED.reset(token)
-
-
-def _block_rows(n_base: int) -> int:
-    """Rows per block of the column orders of an ``n_base``-row table."""
-    return max(1, min(_BLOCK_ROWS, math.isqrt(n_base // 16)))
-
-
-@dataclass(frozen=True)
-class ColumnIndex:
-    """The static order-statistic index of one table (:func:`column_index`).
-
-    A column's order is cut into ``n_blocks`` blocks of ``block``
-    positions, the last padded with the sentinel row ``N`` (never in a
-    box).  ``orders[j]`` lists the rows of ``x`` in ascending order of
-    column ``j``; ``keys[j, p]`` is the dense rank of the value at
-    position ``p`` plus ``j * (N + 1)`` (padding: ``N`` plus the same
-    offset), so ``keys.ravel()`` ascends and one ``searchsorted`` finds
-    any position's tie run; ``blocks[i, j]`` is the block of row ``i``
-    in column ``j`` plus ``j * n_blocks`` (row-major, so a row's blocks
-    in every column are one gather, and its slots in a one-run batch's
-    flat block tables).
-    """
-
-    block: int
-    orders: np.ndarray   # (M, n_blocks * block) int32 rows
-    keys: np.ndarray     # (M, n_blocks * block) int32 tie keys
-    blocks: np.ndarray   # (N, M) uint16 offset block of each row
-
-    @property
-    def n_blocks(self) -> int:
-        return self.orders.shape[1] // self.block
-
-    @property
-    def nbytes(self) -> int:
-        return self.orders.nbytes + self.keys.nbytes + self.blocks.nbytes
-
-
-def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
-    n_base, dim = x.shape
-    n_blocks = n_base // block + 1
-    width = n_blocks * block
-    index_type = np.int32 if dim * (n_base + 1) < 2**31 else np.int64
-    orders = np.full((dim, width), n_base, dtype=index_type)
-    keys = np.full((dim, width), n_base, dtype=index_type)
-    blocks = np.empty((n_base, dim), dtype=np.uint16
-                      if dim * n_blocks <= 2**16 else np.uint32)
-    block_of = np.arange(n_base) // block
-    for j, column in enumerate(np.ascontiguousarray(x.T)):
-        order = np.argsort(column)
-        orders[j, :n_base] = order
-        values = column[order]
-        keys[j, :1] = 0
-        np.cumsum(values[1:] != values[:-1], out=keys[j, 1:n_base])
-        keys[j] += j * (n_base + 1)
-        blocks[order, j] = block_of + j * n_blocks
-    for array in (orders, keys, blocks):
-        array.flags.writeable = False
-    return ColumnIndex(block, orders, keys, blocks)
-
-
-def column_index(x: np.ndarray) -> ColumnIndex:
-    """The static index every lockstep batch over ``x`` starts from.
-
-    A :class:`ColumnIndex`: the column orders of ``x`` padded to whole
-    blocks, their tie keys and every row's block number in every
-    column, all read-only, contiguous and a pure function of ``x``
-    (and :data:`_BLOCK_ROWS`).  Inside a warm scope it is memoized in
-    :data:`INDEX_MEMO`, so the pool that a seed's REDS methods all peel
-    is sorted once: the pool REDS labelled is keyed by its name
-    (:func:`named_pool`), any other ``x`` by a hash of its content.
-    Outside a warm scope nothing is hashed or stored.
-    """
-    block = _block_rows(len(x))
-    if not warm.active():
-        return _build_column_index(x, block)
-    named = _NAMED.get()
-    if named is not None and named[0] is x and not x.flags.writeable:
-        key = (named[1], x.shape)
-    else:
-        # Lazy import: the data plane sits above subgroup in the layer
-        # order.
-        from repro.experiments.dataplane import content_key
-
-        key = content_key(x)
-    return INDEX_MEMO.get_or_create((key, block),
-                                    lambda: _build_column_index(x, block))
-
 
 def _batches(runs, n_base: int, dim: int):
     """``(start, stop)`` of every lockstep batch of :func:`peel_runs`:

@@ -25,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro import warm
 from repro.core.methods import discover
-from repro.subgroup import evaluate_boxes, prim_peel
+from repro.subgroup import evaluate_boxes, index, prim_peel
 from repro.subgroup._kernels import PeelRun, peel_runs
 from repro.subgroup.bumping import _embed_box
 from repro.subgroup.prim import OBJECTIVES
@@ -181,15 +181,13 @@ def test_runs_must_list_distinct_columns():
 def test_block_numbers_widen_past_two_bytes(monkeypatch):
     """Block numbers are uint16 up to 2^16 blocks per column and uint32
     beyond; either width peels the same boxes."""
-    from repro.subgroup import _kernels
-
     rng = np.random.default_rng(8)
     x = rng.random((70_000, 2))
     y = (x[:, 0] + 0.2 * rng.random(70_000) > 0.8).astype(float)
     default = peel_runs(x, y, [PeelRun(0.1)], min_support=20)
-    assert _kernels.column_index(x).blocks.dtype == np.uint16
-    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: 1)
-    assert _kernels.column_index(x).blocks.dtype == np.uint32
+    assert index.column_index(x).blocks.dtype == np.uint16
+    monkeypatch.setattr(index, "_block_rows", lambda n_base: 1)
+    assert index.column_index(x).blocks.dtype == np.uint32
     single = peel_runs(x, y, [PeelRun(0.1)], min_support=20)
     np.testing.assert_array_equal(default.stack.lower, single.stack.lower)
     np.testing.assert_array_equal(default.stack.upper, single.stack.upper)
@@ -201,10 +199,8 @@ def test_block_numbers_widen_past_two_bytes(monkeypatch):
 def test_tiny_blocks_equal_per_run_reference(batch, block):
     """Blocks of 1-5 rows, so that quantile probes, tie runs and
     categorical levels straddle block edges."""
-    from repro.subgroup import _kernels
-
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_kernels, "_block_rows", lambda n_base: block)
+        patch.setattr(index, "_block_rows", lambda n_base: block)
         trace = peel_runs(
             batch["x"], batch["y"], batch["runs"],
             min_support=batch["min_support"], objective=batch["objective"],
@@ -241,9 +237,7 @@ def _near_tied_batch(seed: int, soft: bool):
 @pytest.mark.parametrize("seed", range(4))
 def test_bootstrap_copies_and_near_ties_equal_reference(monkeypatch, seed,
                                                         soft, block):
-    from repro.subgroup import _kernels
-
-    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: block)
+    monkeypatch.setattr(index, "_block_rows", lambda n_base: block)
     batch = _near_tied_batch(seed, soft)
     trace = peel_runs(batch["x"], batch["y"], batch["runs"], min_support=5,
                       cat_cols=(3,), x_val=batch["x"], y_val=batch["y"])
@@ -260,7 +254,7 @@ def test_block_tables_equal_a_recount_after_every_step(monkeypatch, soft,
     up to the run's in-box count."""
     from repro.subgroup import _kernels
 
-    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: block)
+    monkeypatch.setattr(index, "_block_rows", lambda n_base: block)
     steps = []
     apply = _kernels._Lockstep._apply
 
@@ -312,7 +306,7 @@ def test_block_tables_equal_a_recount_before_the_first_step(monkeypatch, shape,
     bootstrap runs with repeated rows and runs over column subsets."""
     from repro.subgroup import _kernels
 
-    monkeypatch.setattr(_kernels, "_block_rows", lambda n_base: block)
+    monkeypatch.setattr(index, "_block_rows", lambda n_base: block)
     rng = np.random.default_rng(17)
     n = 1000
     x = rng.random((n, 4))

@@ -44,7 +44,7 @@ from repro.experiments.parallel import pool_stats, reset_pool_stats
 from repro.experiments.session import Session
 from repro.metamodels.base import predict_chunked
 from repro.metamodels.tuning import make_metamodel
-from repro.subgroup._kernels import INDEX_MEMO
+from repro.subgroup.index import INDEX_MEMO
 
 from test_parallel_harness import assert_records_identical
 
