@@ -24,7 +24,10 @@ warm, the label memo serves RPcx from RPx's hard labels and RBIcxp's
 10^4 rows from RPxp's 10^5 soft ones (2 passes).  Cold, each method
 draws its pool (4 draws); warm, the pool memo draws the 10^5-row pool
 once for the three PRIM methods and RBIcxp's 10^4 rows once (2 draws).
-Results are asserted identical.
+The column-index memo sorts each of those two pools once and holds
+nothing else: 2 misses, 2 entries (the training set RPcx searches and
+RBIcxp's depth-search folds are not memoized).  Results are asserted
+identical.
 
 The ``>= 3x`` steady-state floor is asserted on the cached-metamodel
 path: a warm call that hits the fit memo skips the dominant cost, so
@@ -53,6 +56,7 @@ from repro.experiments.dataplane import resident_stats, reset_resident_stats
 from repro.experiments.parallel import pool_stats, reset_pool_stats
 from repro.experiments.session import Session
 from repro.metamodels.base import predict_chunked
+from repro.subgroup.index import INDEX_MEMO
 
 N, M = 1200, 8
 L = 30_000
@@ -90,8 +94,8 @@ def _shm_segments() -> set:
 
 
 def _method_stream(x, y):
-    """Cold and warm runs of :data:`STREAM`: seconds, label passes and
-    pool draws."""
+    """Cold and warm runs of :data:`STREAM`: seconds, label passes,
+    pool draws and column-index memo counters."""
     reds_module = importlib.import_module("repro.core.reds")
     label, uniform = reds_module.predict_chunked, reds_module._uniform
     passes, draws = [], []
@@ -117,9 +121,13 @@ def _method_stream(x, y):
         cold, cold_s = run_stream()
         cold_passes, cold_draws = len(passes), list(draws)
         LABEL_MEMO.reset_counters()
+        INDEX_MEMO.reset_counters()
         with Session(jobs=JOBS, tune=False):
             warm, warm_s = run_stream()
             memo = LABEL_MEMO.stats()
+            index = INDEX_MEMO.stats()
+            index_rows = sorted(len(entry.blocks)
+                                for entry in INDEX_MEMO.values())
     finally:
         reds_module.predict_chunked = label
         reds_module._uniform = uniform
@@ -135,7 +143,8 @@ def _method_stream(x, y):
             "cold_passes": cold_passes,
             "warm_passes": len(passes) - cold_passes,
             "memo_hits": memo["hits"], "cold_draws": cold_draws,
-            "warm_draws": draws[len(cold_draws):]}
+            "warm_draws": draws[len(cold_draws):],
+            "index_misses": index["misses"], "index_rows": index_rows}
 
 
 def test_session_warm_speedup(benchmark):
@@ -216,7 +225,8 @@ def test_session_warm_speedup(benchmark):
         f"  warm  {stream['warm_seconds']:6.2f} s   "
         f"{stream['warm_passes']} label passes   "
         f"{stream['memo_hits']} label memo hit(s)   "
-        f"{len(stream['warm_draws'])} pool draws",
+        f"{len(stream['warm_draws'])} pool draws   "
+        f"{stream['index_misses']} column-index sorts",
     ]))
 
     emit_json("BENCH_session_warm", {
@@ -244,6 +254,8 @@ def test_session_warm_speedup(benchmark):
         "stream_label_memo_hits": stream["memo_hits"],
         "stream_cold_pool_draws": stream["cold_draws"],
         "stream_warm_pool_draws": stream["warm_draws"],
+        "stream_index_misses": stream["index_misses"],
+        "stream_index_rows": stream["index_rows"],
     })
 
     # A session must never leak segments, whatever the speedup.
@@ -258,6 +270,10 @@ def test_session_warm_speedup(benchmark):
     # the PRIM methods peel and RBIcxp's 10^4.
     assert stream["cold_draws"] == [100_000] * 3 + [10_000]
     assert stream["warm_draws"] == [100_000, 10_000]
+    # The index memo sorts those two pools once each and memoizes no
+    # training set or fold.
+    assert stream["index_misses"] == 2
+    assert stream["index_rows"] == [10_000, 100_000]
     if floor_asserted:
         assert speedup >= WARM_FLOOR, (
             f"steady-state warm speedup {speedup:.2f}x is below the "

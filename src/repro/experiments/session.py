@@ -27,12 +27,12 @@ instances of the one :class:`repro.warm.WarmCache` primitive, fill:
   and the label kind, in :data:`repro.core.reds.LABEL_MEMO` under a
   byte cap; a request takes stored labels of its own kind (hard or
   soft) for at least as many rows of the pool;
-* **column indexes**: every PRIM peel of a pool shares its per-column
-  sort orders and dense ranks in
-  :data:`repro.subgroup.index.INDEX_MEMO` under a byte cap, keyed
-  by the pool's name inside REDS (:func:`repro.subgroup.index.named_pool`:
-  a drawn pool's draw key, a caller's pool's content key) and by its
-  content elsewhere;
+* **column indexes**: every PRIM peel and BestInterval search of the
+  pool REDS labelled shares its per-column sort orders and dense ranks
+  in :data:`repro.subgroup.index.INDEX_MEMO` under a byte cap, keyed
+  by the pool's name (:func:`repro.subgroup.index.named_pool`: a drawn
+  pool's draw key, a caller's pool's content key); training sets and
+  cross-validation folds are sorted afresh;
 * **training sets** from :func:`repro.experiments.harness.make_train_data`.
 
 Warm state is a **cache, never a semantic change**: every result is

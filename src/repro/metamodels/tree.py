@@ -322,32 +322,6 @@ class DecisionTreeRegressor:
         """Leaf mean response for each row of ``x``."""
         return self.value[self.apply(x)]
 
-    def set_leaf_values(self, leaf_values, values: np.ndarray | None = None) -> None:
-        """Overwrite leaf predictions, e.g. with a Newton step.
-
-        Accepts either a ``{leaf: value}`` dict or two parallel arrays
-        of leaf indices and values; both forms validate that every
-        target node is a leaf and apply one array scatter.
-        """
-        self._check_fitted()
-        if values is not None:
-            leaves = np.asarray(leaf_values, dtype=np.int64)
-            values = np.asarray(values, dtype=float)
-        else:
-            if not leaf_values:
-                return
-            leaves = np.fromiter(leaf_values.keys(), dtype=np.int64,
-                                 count=len(leaf_values))
-            values = np.fromiter(leaf_values.values(), dtype=float,
-                                 count=len(leaf_values))
-        if not leaves.size:
-            return
-        internal = self.feature[leaves] != _NO_FEATURE
-        if internal.any():
-            offender = int(leaves[np.argmax(internal)])
-            raise ValueError(f"node {offender} is not a leaf")
-        self.value[leaves] = values
-
     @property
     def n_nodes(self) -> int:
         self._check_fitted()

@@ -6,6 +6,8 @@ Implements the algorithms of Section 3 of the paper, one module each:
   (Section 3.1, Definition 2 volumes);
 * :mod:`repro.subgroup.prim` — PRIM peeling/pasting (Algorithm 1),
   backed by the vectorized kernel in :mod:`repro.subgroup._kernels`;
+* :mod:`repro.subgroup.index` — the sorted-column index the vectorized
+  PRIM and BestInterval engines share;
 * :mod:`repro.subgroup.bumping` — PRIM with bumping (Algorithm 2);
 * :mod:`repro.subgroup.best_interval` — BestInterval beam search
   (Algorithm 3);

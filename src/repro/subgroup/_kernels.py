@@ -9,12 +9,12 @@ call as the one-run case.  Each run has its own rows (repeats allowed),
 column subset, alpha and validation rows.
 
 Layout.  Nothing moves during a peel.  The pool's static index
-(:func:`column_index`, memoized inside a warm scope, so every peel of one
-pool shares one sort; a pool REDS drew is found by its draw, not by
-hashing it) holds each column's row order, its tie runs (as ascending
-keys: dense rank plus a per-column offset) and every row's block number
-in every column (plus a per-column offset too): a column's order is cut
-into blocks of ``B`` consecutive positions.  A batch keeps the row-level
+(:func:`repro.subgroup.index.column_index`; inside a warm scope every
+peel of the pool REDS labelled shares one sort) holds each column's row
+order, its tie runs (as ascending keys: dense rank plus a per-column
+offset) and every row's block number in every column (plus a
+per-column offset too): a column's order is cut into blocks of ``B``
+consecutive positions.  A batch keeps the row-level
 ``held`` table (each run's bootstrap multiplicity of each row, 0 once
 peeled) and, per ``(run, column)`` segment and block, the in-box copies
 and their label sum.  The batch builds these block tables by gathering
@@ -76,12 +76,13 @@ the same rows in the same order as the reference.
 :func:`sorted_group_sums` and :func:`max_sum_run` are the analogous
 sort-once machinery for BestInterval's exact one-dimensional
 refinement (:func:`repro.subgroup.best_interval.best_interval_for_dim`).
-:class:`SortedDataset` extends them into a reusable index: the
-per-column stable argsorts of one ``(x, y)`` dataset are computed once
-and shared by every refinement call of a BestInterval beam search —
-filtering a pre-sorted column by a membership mask replaces the
-per-call re-sort, because a stable sort of a subset equals the subset
-of the stable sort.
+:class:`SortedDataset` extends them into a reusable index: it sorts
+nothing itself, but reads the stable column orders of the same
+:func:`~repro.subgroup.index.column_index` the peeler uses, and every
+refinement call of a BestInterval beam search shares them — filtering
+a pre-sorted column by a membership mask replaces the per-call
+re-sort, because a stable sort of a subset equals the subset of the
+stable sort.
 
 :func:`contains_many` and :func:`evaluate_boxes` are the batched
 box-evaluation layer: membership of ``n`` points in ``B`` boxes is one
@@ -1120,27 +1121,19 @@ def best_cat_subset(group_sums: np.ndarray) -> np.ndarray:
     return selected
 
 
-#: Leading rows :class:`SortedDataset` checks for ties before it picks
-#: its sort: any column with fewer levels shows one there.
-_TIE_PROBE_ROWS = 64
-
-
 class SortedDataset:
     """Per-column sorted index of one ``(x, y)`` dataset, built once.
 
-    The substrate for vectorized BestInterval refinements: every column
-    of ``x`` is sorted a single time, and each refinement call filters
-    the pre-sorted column by a membership mask.  The orders are those
-    of a stable argsort: each column is quicksorted, and only a column
-    whose sorted values hold a tie (``-0.0 == 0.0`` counts) is sorted
-    again stably, since distinct values have one order only.  When the
-    first :data:`_TIE_PROBE_ROWS` rows already show a tie in every
-    column (quantized or discrete data), all columns are sorted stably
-    at once instead, with no quicksort first.  So the filtered values
-    and weights come out in exactly the order a fresh
-    ``np.argsort(values, kind="stable")`` of the subset would produce,
-    and group sums (and therefore refined bounds) are bit-identical to
-    the re-sorting reference (:func:`sorted_group_sums`).
+    The substrate for vectorized BestInterval refinements: each
+    refinement call filters the pre-sorted columns by a membership
+    mask.  The orders are those of :func:`column_index`, a stable
+    argsort of every column, so inside a warm scope a pool REDS named
+    shares its memoized index with the PRIM peels of that pool.  The
+    filtered values and weights therefore come out in exactly the order
+    a fresh ``np.argsort(values, kind="stable")`` of the subset would
+    produce, and group sums (and therefore refined bounds) are
+    bit-identical to the re-sorting reference
+    (:func:`sorted_group_sums`).
 
     Parameters
     ----------
@@ -1163,24 +1156,14 @@ class SortedDataset:
         # Column j of order: row indices sorted by x[:, j] (ties keep
         # ascending row order); values/sorted_weights hold the
         # corresponding column-sorted x values and WRAcc contributions.
-        # Fortran order keeps each column contiguous for the per-column
-        # filters of the hot loop; columns is the unsorted x in the same
-        # layout for fast single-dimension interval checks.
+        # Each column is contiguous for the per-column filters of the
+        # hot loop; columns is the unsorted x in the same layout for
+        # fast single-dimension interval checks.
         rows = np.ascontiguousarray(self.x.T)
-        # Distinct values have one order, so a quicksort gives the
-        # stable order of a column without ties.
-        head = np.sort(rows[:, :_TIE_PROBE_ROWS], axis=1)
-        all_tied = bool((head[:, 1:] == head[:, :-1]).any(axis=1).all())
-        order = np.argsort(rows, axis=1,
-                           kind="stable" if all_tied else "quicksort")
-        values = np.take_along_axis(rows, order, axis=1)
-        if not all_tied:
-            tied = (values[:, 1:] == values[:, :-1]).any(axis=1)
-            for j in np.flatnonzero(tied):
-                order[j] = np.argsort(rows[j], kind="stable")
-                values[j] = rows[j, order[j]]
+        # Native-width indices: masks gather along them in the hot loop.
+        order = column_index(self.x).orders[:, :self.n].astype(np.intp)
         self.order = order.T
-        self.values = values.T
+        self.values = np.take_along_axis(rows, order, axis=1).T
         self.sorted_weights = np.asfortranarray(
             (self.y - self.base_rate)[self.order])
         self.columns = rows.T

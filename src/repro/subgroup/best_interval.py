@@ -5,9 +5,9 @@ core subroutine re-optimises one input's interval exactly and in linear
 time after sorting: WRAcc of a box equals ``(sum over covered points of
 (y_i - pi)) / N`` with ``pi = N+/N`` the base rate, so the best interval
 along a dimension is the maximum-sum run of sorted points — a
-max-sum-run search over groups of equal values.  The sort-once
-machinery is shared with the PRIM peeling kernel
-(:mod:`repro.subgroup._kernels`).
+max-sum-run search over groups of equal values.  The sorted-column
+index is shared with the PRIM peeling kernel
+(:mod:`repro.subgroup.index`).
 
 Soft labels are supported for REDS: the derivation only uses sums of
 ``y``, never counts of positives.

@@ -1,10 +1,20 @@
 """The sorted-column index of a subgroup-discovery table.
 
-:func:`column_index` sorts every column of a table once; the lockstep
-PRIM peeler (:mod:`repro.subgroup._kernels`) reads its orders, tie keys
-and block numbers.  Inside a warm scope the index of a pool is
-memoized in :data:`INDEX_MEMO`, so every peel of one pool shares one
-sort.
+:func:`column_index` sorts every column of a table once, and both
+vectorized engines read it: the lockstep PRIM peeler
+(:mod:`repro.subgroup._kernels`) uses the orders, tie keys and block
+numbers, and BestInterval's :class:`~repro.subgroup._kernels.SortedDataset`
+the orders alone.  A column is quicksorted, and sorted again stably
+only when it holds a tie, so every order equals
+``np.argsort(column, kind="stable")``: tied rows keep ascending row
+order, which BestInterval's group sums need (PRIM's results do not
+depend on the order within a tie).
+
+Inside a warm scope the index of the pool REDS labelled is memoized in
+:data:`INDEX_MEMO` under the name :func:`named_pool` gives it, so every
+peel and beam search of one pool shares one sort.  Any other table is
+sorted afresh: memoizing folds and training sets would crowd the pools
+out of the memo.
 """
 
 from __future__ import annotations
@@ -32,16 +42,16 @@ __all__ = [
 #: 64 rows at L = 10^5, 5 rows for a 400-row training set.
 _BLOCK_ROWS = 64
 
-#: Byte cap of :data:`INDEX_MEMO`: the column index of two L=10^5,
-#: M=8 pools (8.0 MB each: int32 orders and keys, uint16 blocks) plus
-#: the small indexes of the training sets the searches peel.
+#: Byte cap of :data:`INDEX_MEMO`, sized by the measured need of a
+#: warm stream over two M=8 datasets: the index of each one's L=10^5
+#: PRIM pool (8.0 MB: int32 orders and keys, uint16 blocks) and of its
+#: 10^4-row BestInterval pool (0.80 MB), 17,607,296 bytes in all.
 INDEX_MEMO_BYTES = 17 * 2**20
 
-#: ``(pool key, block rows)`` -> the read-only :class:`ColumnIndex` of
-#: a pool ``x``, filled only inside a warm scope.  The pool key is the
-#: content key of ``x`` (its dtype, shape and bytes), or, for the pool
-#: of :func:`named_pool`, its name plus its shape.
-#: Counters: ``hits``, ``misses`` and the ``weight`` in bytes held.
+#: ``((name, shape), block rows)`` -> the read-only :class:`ColumnIndex`
+#: of the pool :func:`named_pool` names, filled only inside a warm
+#: scope.  Counters: ``hits``, ``misses`` and the ``weight`` in bytes
+#: held.
 INDEX_MEMO = warm.WarmCache(cap=INDEX_MEMO_BYTES,
                             weight=lambda index: index.nbytes)
 
@@ -52,16 +62,15 @@ _NAMED: contextvars.ContextVar = contextvars.ContextVar("_NAMED",
 
 @contextlib.contextmanager
 def named_pool(x: np.ndarray, name):
-    """Within the block, :func:`column_index` keys the read-only pool
-    ``x`` by ``name`` and its shape instead of hashing its bytes.
+    """Within the block, :func:`column_index` memoizes the index of the
+    read-only pool ``x`` under ``name`` and its shape.
 
     ``name`` must name the content of ``x``: two pools with equal names
     and shapes must be equal.  REDS names a pool it drew by the draw
     (the generator state and sampler) and a caller's pool by the
     content key it already took for the label memo.  ``x`` itself is
-    recognised as the same object; a copy, or ``x`` made writeable
-    again, is content-keyed, and so is every pool when ``name`` is
-    ``None``.
+    recognised as the same object.  Every other table, and ``x`` when
+    ``name`` is ``None`` or ``x`` is writeable, is not memoized.
     """
     token = _NAMED.set(None if name is None else (x, name))
     try:
@@ -117,10 +126,14 @@ def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
     block_of = np.arange(n_base) // block
     for j, column in enumerate(np.ascontiguousarray(x.T)):
         order = np.argsort(column)
-        orders[j, :n_base] = order
         values = column[order]
         keys[j, :1] = 0
         np.cumsum(values[1:] != values[:-1], out=keys[j, 1:n_base])
+        if keys[j, n_base - 1] < n_base - 1:
+            # A tie (``-0.0 == 0.0`` counts): distinct values have one
+            # order only, so only a tied column needs the stable sort.
+            order = np.argsort(column, kind="stable")
+        orders[j, :n_base] = order
         keys[j] += j * (n_base + 1)
         blocks[order, j] = block_of + j * n_blocks
     for array in (orders, keys, blocks):
@@ -134,23 +147,15 @@ def column_index(x: np.ndarray) -> ColumnIndex:
     A :class:`ColumnIndex`: the column orders of ``x`` padded to whole
     blocks, their tie keys and every row's block number in every
     column, all read-only, contiguous and a pure function of ``x``
-    (and :data:`_BLOCK_ROWS`).  Inside a warm scope it is memoized in
-    :data:`INDEX_MEMO`, so the pool that a seed's REDS methods all peel
-    is sorted once: the pool REDS labelled is keyed by its name
-    (:func:`named_pool`), any other ``x`` by a hash of its content.
-    Outside a warm scope nothing is hashed or stored.
+    (and :data:`_BLOCK_ROWS`).  Inside a warm scope the pool that
+    :func:`named_pool` names is memoized in :data:`INDEX_MEMO` under
+    that name, so the pool a seed's REDS methods all search is sorted
+    once; any other ``x`` is built afresh.
     """
     block = _block_rows(len(x))
-    if not warm.active():
-        return _build_column_index(x, block)
     named = _NAMED.get()
-    if named is not None and named[0] is x and not x.flags.writeable:
-        key = (named[1], x.shape)
-    else:
-        # Lazy import: the data plane sits above subgroup in the layer
-        # order.
-        from repro.experiments.dataplane import content_key
-
-        key = content_key(x)
-    return INDEX_MEMO.get_or_create((key, block),
+    if (not warm.active() or named is None or named[0] is not x
+            or x.flags.writeable):
+        return _build_column_index(x, block)
+    return INDEX_MEMO.get_or_create(((named[1], x.shape), block),
                                     lambda: _build_column_index(x, block))

@@ -30,6 +30,7 @@ from repro.subgroup.best_interval import (
     wracc,
 )
 from repro.subgroup.box import Hyperbox
+from repro.subgroup.index import column_index
 
 # The module, not the function the package re-exports under its name.
 bi_module = importlib.import_module("repro.subgroup.best_interval")
@@ -251,29 +252,42 @@ class TestSharedRefiner:
 
 
 class TestSortedDatasetOrder:
-    """Quicksorted orders with stable re-sorts of tied columns equal a
-    stable argsort."""
+    """The column index's orders (quicksorted, tied columns re-sorted
+    stably), which :class:`SortedDataset` reads, equal a stable
+    argsort."""
 
     @staticmethod
     def assert_stable_order(x):
         stable = np.argsort(x, axis=0, kind="stable")
+        orders = column_index(x).orders[:, :len(x)]
+        np.testing.assert_array_equal(orders.T, stable)
         dataset = _kernels.SortedDataset(x, np.zeros(len(x)))
         np.testing.assert_array_equal(dataset.order, stable)
+        # Sign bits come out in the stable order too.
+        np.testing.assert_array_equal(
+            np.signbit(dataset.values),
+            np.signbit(np.take_along_axis(x, stable, axis=0)))
         np.testing.assert_array_equal(
             dataset.values, np.take_along_axis(x, stable, axis=0))
 
     @pytest.mark.parametrize("levels", (1, 2, 3, 7, 50))
     @pytest.mark.parametrize("tied_columns", (3, 4))
     def test_tie_heavy_columns(self, levels, tied_columns):
-        """Some columns tied (quicksort, then stable re-sorts) or all
-        of them (one stable sort)."""
+        """Some columns tied or all of them."""
         gen = np.random.default_rng(levels)
         x = gen.random((500, 4))
         x[:, :tied_columns] = np.floor(x[:, :tied_columns] * levels)
         self.assert_stable_order(x)
 
-    def test_tie_past_the_probe_rows(self):
-        """A tie the leading rows do not show is still found."""
+    def test_all_columns_tied(self):
+        """Every column ties, each at its own number of levels, one of
+        them constant."""
+        gen = np.random.default_rng(12)
+        x = np.floor(gen.random((700, 5)) * [1, 2, 5, 40, 300])
+        self.assert_stable_order(x)
+
+    def test_tie_in_the_last_rows(self):
+        """A tie only the last rows show is still found."""
         gen = np.random.default_rng(4)
         x = gen.random((500, 3))
         x[-1, 1] = x[0, 1]
@@ -284,13 +298,7 @@ class TestSortedDatasetOrder:
         gen = np.random.default_rng(9)
         x = gen.choice([-0.0, 0.0, 0.5, -1.0], size=(300, 3))
         x[:, 2] = gen.permutation(np.r_[-0.0, 0.0, gen.random(298)])
-        stable = np.argsort(x, axis=0, kind="stable")
-        dataset = _kernels.SortedDataset(x, np.zeros(300))
-        np.testing.assert_array_equal(dataset.order, stable)
-        # Sign bits come out in the stable order too.
-        np.testing.assert_array_equal(
-            np.signbit(dataset.values),
-            np.signbit(np.take_along_axis(x, stable, axis=0)))
+        self.assert_stable_order(x)
 
 
 class TestSortedDatasetRefinement:

@@ -244,7 +244,8 @@ class TestWarmEquivalence:
     def test_sibling_peels_share_one_column_index(self, monkeypatch):
         """RPx, RPxp, RPcx and RPf at one seed peel one drawn pool: the
         first peel sorts it and the others read its memoized index.  A
-        pool of the same shape drawn at another seed gets its own."""
+        pool of the same shape drawn at another seed gets its own, and
+        RPcx's alpha search over the training set memoizes none."""
         from repro.core.methods import discover
         from repro.experiments import dataplane
 
@@ -268,20 +269,18 @@ class TestWarmEquivalence:
                         == [b.key() for b in before.boxes + [before.chosen_box]])
                 index = session.stats()["index"]
                 seen.append((index["hits"], index["misses"]))
-            # Two pools and, from RPcx's alpha search, D, 4 columns
-            # each: int32 orders and keys over whole blocks (13 rows a
-            # block for a 3000-row pool: 3003 positions; 3 rows for the
-            # 240-row D: 243) and a uint16 block number per row.
-            assert index["size"] == 3
-            assert index["bytes"] == (2 * (2 * 4 * 4 * 3003 + 2 * 4 * 3000)
-                                      + 2 * 4 * 4 * 243 + 2 * 4 * len(x))
+            # Two pools of 4 columns: int32 orders and keys over whole
+            # blocks (13 rows a block for a 3000-row pool: 3003
+            # positions) and a uint16 block number per row.
+            assert index["size"] == 2
+            assert index["bytes"] == 2 * (2 * 4 * 4 * 3003 + 2 * 4 * 3000)
             for entry in INDEX_MEMO.values():
                 for array in (entry.orders, entry.keys, entry.blocks):
                     with pytest.raises(ValueError, match="read-only"):
                         array[0, 0] = 1
-        # One miss for the seed-4 pool, then hits; RPcx's search over D
-        # misses once on its own, and so does the seed-5 pool.
-        assert seen == [(0, 1), (1, 1), (2, 2), (3, 2), (3, 3)]
+        # One miss for the seed-4 pool, then hits, and one miss for the
+        # seed-5 pool.
+        assert seen == [(0, 1), (1, 1), (2, 1), (3, 1), (3, 2)]
         assert len(INDEX_MEMO) == 0
 
     def test_drawn_pools_are_keyed_by_their_draw(self, monkeypatch):
@@ -320,6 +319,37 @@ class TestWarmEquivalence:
             session.discover("RPx", x, y, seed=4, pool=pool, **kwargs)
             assert (n_new, x.shape[1]) in hashed
             assert len(INDEX_MEMO) == 3
+
+    def test_bi_pool_index_is_memoized_by_name(self, monkeypatch):
+        """A warm RBIcxp request memoizes the column index of its
+        10^4-row pool under the pool's name, memoizes none of its
+        depth-search folds, and returns a cold run's boxes."""
+        from repro.core.methods import discover
+        from repro.subgroup import index
+
+        x, y = _toy_data()
+        kwargs = dict(tune_metamodel=False, jobs=1)
+        cold = discover("RBIcxp", x, y, seed=4, **kwargs)
+        built = []
+        build = index._build_column_index
+
+        def spy(rows, block):
+            built.append(len(rows))
+            return build(rows, block)
+
+        monkeypatch.setattr(index, "_build_column_index", spy)
+        INDEX_MEMO.reset_counters()
+        with Session(jobs=1, tune=False) as session:
+            warm = session.discover("RBIcxp", x, y, seed=4, **kwargs)
+            stats = session.stats()["index"]
+            [entry] = INDEX_MEMO.values()
+        assert (stats["misses"], stats["size"]) == (1, 1)
+        assert entry.blocks.shape == (10_000, x.shape[1])
+        # The pool is built once; every fold of the depth search is
+        # built afresh and dropped.
+        assert built.count(10_000) == 1 and len(built) > 1
+        assert ([b.key() for b in warm.boxes + [warm.chosen_box]]
+                == [b.key() for b in cold.boxes + [cold.chosen_box]])
 
     def test_caller_pool_is_hashed_once(self, monkeypatch):
         """A caller's ``pool=`` is hashed once per warm REDS request: the

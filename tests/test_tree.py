@@ -123,22 +123,6 @@ class TestPrediction:
         tree = DecisionTreeRegressor().fit(x, y)
         np.testing.assert_allclose(tree.predict(x), y, atol=1e-12)
 
-    def test_set_leaf_values(self, rng):
-        x = rng.random((50, 2))
-        y = (x[:, 0] > 0.5).astype(float)
-        tree = DecisionTreeRegressor(max_depth=1).fit(x, y)
-        leaves = np.unique(tree.apply(x))
-        tree.set_leaf_values({int(leaf): 42.0 for leaf in leaves})
-        np.testing.assert_allclose(tree.predict(x), 42.0)
-
-    def test_set_leaf_values_rejects_internal_node(self, rng):
-        x = rng.random((50, 2))
-        y = (x[:, 0] > 0.5).astype(float)
-        tree = DecisionTreeRegressor(max_depth=1).fit(x, y)
-        internal = int(np.nonzero(tree.feature != -1)[0][0])
-        with pytest.raises(ValueError):
-            tree.set_leaf_values({internal: 0.0})
-
 
 class TestProperties:
     @given(

@@ -318,8 +318,8 @@ def _per_tree_boosting(x, y, *, n_rounds, max_depth, subsample=1.0,
             max_depth=max_depth, min_child_weight=1.0, engine="reference",
         ).fit(x[np.ix_(rows, cols)], -g / h, sample_weight=h)
         leaves, inv = np.unique(tree.train_leaf_, return_inverse=True)
-        tree.set_leaf_values(leaves, -np.bincount(inv, weights=g)
-                             / (np.bincount(inv, weights=h) + 1.0))
+        tree.value[leaves] = (-np.bincount(inv, weights=g)
+                              / (np.bincount(inv, weights=h) + 1.0))
         raw += 0.1 * (tree.value[tree.train_leaf_] if k >= n
                       else tree.predict(x[:, cols]))
         trees.append((tree, cols))
