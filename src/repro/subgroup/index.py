@@ -91,7 +91,7 @@ class ColumnIndex:
     A column's order is cut into ``n_blocks`` blocks of ``block``
     positions, the last padded with the sentinel row ``N`` (never in a
     box).  ``orders[j]`` lists the rows of ``x`` in ascending order of
-    column ``j``; ``keys[j, p]`` is the dense rank of the value at
+    column ``j``, tied rows in ascending row order; ``keys[j, p]`` is the dense rank of the value at
     position ``p`` plus ``j * (N + 1)`` (padding: ``N`` plus the same
     offset), so ``keys.ravel()`` ascends and one ``searchsorted`` finds
     any position's tie run; ``blocks[i, j]`` is the block of row ``i``
@@ -142,7 +142,9 @@ def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
 
 
 def column_index(x: np.ndarray) -> ColumnIndex:
-    """The static index every lockstep batch over ``x`` starts from.
+    """The static index every lockstep batch and BestInterval
+    :class:`~repro.subgroup._kernels.SortedDataset` over ``x`` starts
+    from.
 
     A :class:`ColumnIndex`: the column orders of ``x`` padded to whole
     blocks, their tie keys and every row's block number in every
