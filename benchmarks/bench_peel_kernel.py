@@ -21,15 +21,17 @@ Three legs:
 * **shared pool** — REDS step 4 at one seed: RPx, RPxp, RPcx and RPf
   all peel the same drawn L = 10^5, M = 8 pool with their own labels.
   Four label vectors (two hard, two soft) are peeled one after the
-  other with ``prim_peel``, cold and then inside one warm scope, where
-  the first peel sorts the pool and the other three read its memoized
-  column index (:func:`repro.subgroup.index.column_index`).  Boxes
+  other with ``prim_peel``, cold and then inside one warm scope with
+  the read-only pool named as REDS names it
+  (:func:`repro.subgroup.index.named_pool`), where the first peel sorts
+  the pool and the other three read its memoized column index
+  (:func:`repro.subgroup.index.column_index`).  Boxes
   and statistics must be identical; the floor is >= 1.08x on the
   four-peel total (the median ratio of alternating cold/warm pairs).
 * **pool peel** — REDS step 4's one-run peel at full scale: ``prim_peel``
   on an L = 10^5, M = 8 pool with a 400-row validation set, hard and
-  soft labels, inside a warm scope (the column index built once, as a
-  session's sibling methods share it).  Boxes, supports, means and the
+  soft labels, inside a warm scope with the pool named (the column
+  index built once, as a session's sibling methods share it).  Boxes, supports, means and the
   chosen box must equal ``engine="reference"``; the leg records the
   median ms per peel and the steps, and the floor is >= 4x over the
   reference on the summed peels (the median ratio of alternating
@@ -61,6 +63,7 @@ from repro.subgroup import _kernels
 from repro.subgroup._kernels import BoxStack, evaluate_boxes
 from repro.subgroup.bumping import (_embed_box, draw_repeats,
                                     pareto_trajectory, prim_bumping)
+from repro.subgroup.index import named_pool
 from repro.subgroup.prim import prim_peel
 
 N, M = 10_000, 10
@@ -300,6 +303,7 @@ def _peel_result_key(result):
 def test_shared_pool_speedup(benchmark):
     rng = np.random.default_rng(11)
     x = rng.random((POOL_N, POOL_M))
+    x.flags.writeable = False
     labels = _pool_labels(x)
     x_val = rng.random((POOL_VAL_N, POOL_M))
     y_val = ((x_val[:, 0] > 0.3) & (x_val[:, 1] < 0.7)).astype(float)
@@ -311,7 +315,8 @@ def test_shared_pool_speedup(benchmark):
     def peel_all_warm():
         warm.enter()
         try:
-            return peel_all()
+            with named_pool(x, "shared pool"):
+                return peel_all()
         finally:
             warm.leave()
 
@@ -354,6 +359,7 @@ def test_shared_pool_speedup(benchmark):
 def test_pool_peel_speedup(benchmark):
     rng = np.random.default_rng(13)
     x = rng.random((POOL_N, POOL_M))
+    x.flags.writeable = False
     pool_labels = _pool_labels(x)
     labels = {"hard": pool_labels["hard_noisy"], "soft": pool_labels["soft"]}
     x_val = rng.random((POOL_VAL_N, POOL_M))
@@ -370,13 +376,14 @@ def test_pool_peel_speedup(benchmark):
         results = {}
         warm.enter()
         try:
-            for y in labels.values():
-                peel(y, "vectorized")  # builds the pool's column index
-            for _ in range(POOL_PEEL_PAIRS):
-                for (name, engine), seconds in times.items():
-                    t0 = time.perf_counter()
-                    results[name, engine] = peel(labels[name], engine)
-                    seconds.append(time.perf_counter() - t0)
+            with named_pool(x, "pool"):
+                for y in labels.values():
+                    peel(y, "vectorized")  # builds the pool's column index
+                for _ in range(POOL_PEEL_PAIRS):
+                    for (name, engine), seconds in times.items():
+                        t0 = time.perf_counter()
+                        results[name, engine] = peel(labels[name], engine)
+                        seconds.append(time.perf_counter() - t0)
         finally:
             warm.leave()
         return times, results
