@@ -48,12 +48,12 @@ from pathlib import Path
 import numpy as np
 
 from _common import emit, emit_json
+from repro import warm
 from repro.core.methods import discover
-from repro.core.reds import (LABEL_MEMO, fit_metamodel, fit_stats,
-                             reset_fit_stats)
+from repro.core.reds import LABEL_MEMO, fit_metamodel, fit_stats
 from repro.experiments import dataplane
-from repro.experiments.dataplane import resident_stats, reset_resident_stats
-from repro.experiments.parallel import pool_stats, reset_pool_stats
+from repro.experiments.dataplane import resident_stats
+from repro.experiments.parallel import pool_stats
 from repro.experiments.session import Session
 from repro.metamodels.base import predict_chunked
 from repro.subgroup.index import INDEX_MEMO
@@ -166,9 +166,7 @@ def test_session_warm_speedup(benchmark):
             cold_times.append(time.perf_counter() - t0)
         cold_spawns = len(spawn_log.read_text().splitlines())
 
-        reset_pool_stats()
-        reset_resident_stats()
-        reset_fit_stats()
+        warm.reset_counters()
         warm_times, warm_labels = [], []
         memo_cap, LABEL_MEMO.cap = LABEL_MEMO.cap, 0
         try:

@@ -31,7 +31,7 @@ from repro.subgroup.inputs import check_finite
 __all__ = ["check_label_rows", "check_training_data", "fit_key",
            "fit_metamodel", "fit_stats", "label_rows",
            "LABEL_MEMO", "LABEL_MEMO_BYTES", "POOL_MEMO", "POOL_MEMO_BYTES",
-           "pool_key", "reset_fit_stats", "reds", "REDSResult"]
+           "pool_key", "reds", "REDSResult"]
 
 Sampler = Callable[[int, int, np.random.Generator], np.ndarray]
 
@@ -125,11 +125,6 @@ def fit_stats() -> dict[str, int]:
     stats = _FITS.stats()
     return {"fits": stats["misses"], "hits": stats["hits"],
             "cached": stats["size"]}
-
-
-def reset_fit_stats() -> None:
-    """Zero the fit/hit counters (tests and benchmarks)."""
-    _FITS.reset_counters()
 
 
 def fit_key(kind: str, x: np.ndarray, y: np.ndarray, *, tune: bool,

@@ -39,9 +39,7 @@ from repro.experiments.dataplane import (
     ArrayRef,
     DataPlane,
     content_key,
-    dataplane_enabled,
     resident_stats,
-    session_active,
     shutdown_resident,
 )
 from repro.experiments.design import BenchScale, scale_from_env, EXPERIMENTS
@@ -56,7 +54,6 @@ from repro.experiments.parallel import (
     execute,
     pool_stats,
     run_chunked,
-    warm_test_cache,
 )
 from repro.experiments.session import Session
 from repro.experiments.store import (
@@ -83,9 +80,7 @@ __all__ = [
     "DataPlane",
     "Session",
     "content_key",
-    "dataplane_enabled",
     "resident_stats",
-    "session_active",
     "shutdown_resident",
     "BenchScale",
     "scale_from_env",
@@ -102,7 +97,6 @@ __all__ = [
     "execute",
     "pool_stats",
     "run_chunked",
-    "warm_test_cache",
     "ExperimentStore",
     "ExperimentStoreError",
     "open_store",

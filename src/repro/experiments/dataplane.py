@@ -2,14 +2,13 @@
 
 The execution plans of :mod:`repro.experiments.parallel` ship large
 read-only arrays (test samples, query matrices, CV datasets) to worker
-processes.  Before this module existed every worker either regenerated
-the arrays from scratch (the ``get_test_data`` warmup) or received a
-pickled copy inside each task's kwargs — both scale with the worker
-count, not with the data.  The data plane materializes each array
-**once** in the parent, places it in a POSIX shared-memory segment
-(:mod:`multiprocessing.shared_memory`), and hands workers a tiny
-picklable :class:`ArrayRef` that maps the segment read-only into their
-address space without copying a byte.
+processes, and this module is the only route they take.  Regenerating
+the arrays in every worker, or pickling a copy into each task's kwargs,
+would scale with the worker count, not with the data.  The data plane
+materializes each array **once** in the parent, places it in a POSIX
+shared-memory segment (:mod:`multiprocessing.shared_memory`), and
+hands workers a tiny picklable :class:`ArrayRef` that maps the segment
+read-only into their address space without copying a byte.
 
 Design:
 
@@ -20,13 +19,13 @@ Design:
   scheme composes with the content-addressed experiment store of
   :mod:`repro.experiments.store` (both layers name immutable values by
   their content, never by their position in a run).
-* **Inline fallback, also on failure.**  When shared memory is
-  unavailable (exotic platforms, ``REDS_DATAPLANE=0``, or a segment
-  allocation failing at runtime — ``/dev/shm`` full, permissions, an
-  injected ``shm_publish_fail`` fault) refs simply carry the array
-  inline; everything still works, workers just pay the pickling cost
-  the plane exists to avoid.  Publishing degrades with a logged
-  warning, it never crashes a run.
+* **Inline fallback.**  When shared memory is unavailable (a platform
+  without :mod:`multiprocessing.shared_memory`, or a segment allocation
+  failing at runtime — ``/dev/shm`` full, permissions, an injected
+  ``shm_publish_fail`` fault) refs simply carry the array inline;
+  everything still works, workers just pay the pickling cost the plane
+  exists to avoid.  Publishing degrades with a logged warning, it
+  never crashes a run.
 * **Deterministic teardown.**  :meth:`DataPlane.unlink` removes every
   segment name on both clean and exceptional exits (``execute`` calls
   it from ``finally`` blocks) and an ``atexit`` hook sweeps anything a
@@ -34,10 +33,11 @@ Design:
   Segments leaked by a *SIGKILLed* prior run (no atexit ran) can be
   collected at startup by :func:`sweep_orphan_segments`: segment names
   embed the creating pid, so anything whose creator is no longer alive
-  is an orphan.  The sweep is opt-in via ``REDS_DATAPLANE_SWEEP=1``
-  because pid liveness is a heuristic (pids recycle).
+  is an orphan.  The first plane of a process runs the sweep when
+  ``REDS_DATAPLANE_SWEEP=1``; it is opt-in because pid liveness is a
+  heuristic (pids recycle).
 * **Resident segments under a warm session.**  While a session is
-  open (:func:`session_active`) planes publish through a process-wide
+  open (:func:`repro.warm.active`) planes publish through a process-wide
   registry, a :class:`repro.warm.WarmCache` keyed by content: the first
   publish of a key creates the segment, every later publish from any
   plan reuses it, and :meth:`DataPlane.unlink` leaves it alone.  That
@@ -79,12 +79,9 @@ __all__ = [
     "ArrayRef",
     "DataPlane",
     "content_key",
-    "dataplane_enabled",
-    "session_active",
     "resolve_refs",
     "active_segments",
     "resident_stats",
-    "reset_resident_stats",
     "resident_segment_names",
     "shutdown_resident",
     "sweep_orphan_segments",
@@ -105,20 +102,6 @@ HEARTBEAT_PREFIX = "reds-hb-"
 #: temp directory otherwise.
 _HEARTBEAT_ROOT = ("/dev/shm" if os.access("/dev/shm", os.W_OK)
                    else tempfile.gettempdir())
-
-
-def dataplane_enabled() -> bool:
-    """Whether refs may use shared memory (``REDS_DATAPLANE=0`` opts out)."""
-    return _shm_module is not None and \
-        os.environ.get("REDS_DATAPLANE", "1") != "0"
-
-
-def session_active() -> bool:
-    """Whether a warm session is open in this process (the scope of
-    :mod:`repro.warm`, which pool workers inherit through their
-    bootstrap arguments).  Off means the one-shot semantics every
-    pre-session test pins."""
-    return warm.active()
 
 
 def content_key(array: np.ndarray) -> str:
@@ -241,11 +224,6 @@ def resident_stats() -> dict[str, int]:
             "resident": stats["size"]}
 
 
-def reset_resident_stats() -> None:
-    """Zero the published/reused counters (tests and benchmarks)."""
-    _RESIDENT.reset_counters()
-
-
 def resident_segment_names() -> list[str]:
     """Names of the live resident segments (empty after
     :func:`shutdown_resident`; the zero-leak assertions read this)."""
@@ -273,7 +251,7 @@ class DataPlane:
     ``finally`` blocks so segments never outlive their plan, poisoned
     tasks included.
 
-    A plane built while a session is open (:func:`session_active`)
+    A plane built while a session is open (:func:`repro.warm.active`)
     publishes through the process-wide segment registry instead: arrays
     already resident are reused (same segment name, hence byte-identical
     refs across plans), new ones are created in the registry, and
@@ -284,13 +262,13 @@ class DataPlane:
     def __init__(self) -> None:
         self._segments: dict[str, ArrayRef] = {}
         self._handles: dict[str, object] = {}
-        self._resident = session_active()
+        self._resident = warm.active()
         self._unlinked = False
         _PLANES.add(self)
         global _SWEPT
         if not _SWEPT and os.environ.get("REDS_DATAPLANE_SWEEP", "") == "1":
             _SWEPT = True
-            sweep_orphan_segments(force=True)
+            sweep_orphan_segments()
 
     # ------------------------------------------------------------------
     def _inline_ref(self, array: np.ndarray, key: str) -> ArrayRef:
@@ -352,10 +330,10 @@ class DataPlane:
 
         ``key`` defaults to :func:`content_key`; publishing a key this
         plane already holds returns the existing ref without touching
-        the data (content addressing makes that safe).  With shared
-        memory disabled — or when allocating the segment fails — the
-        ref carries a read-only copy inline: publishing degrades, it
-        never raises for lack of shared memory.  A resident plane
+        the data (content addressing makes that safe).  Without shared
+        memory — or when allocating the segment fails — the ref carries
+        a read-only copy inline: publishing degrades, it never raises
+        for lack of shared memory.  A resident plane
         consults the process-wide registry first (see
         :meth:`_publish_resident`).
         """
@@ -367,7 +345,7 @@ class DataPlane:
         existing = self._segments.get(key)
         if existing is not None:
             return existing
-        if not dataplane_enabled():
+        if _shm_module is None:
             return self._inline_ref(array, key)
         if self._resident:
             return self._publish_resident(array, key)
@@ -435,7 +413,7 @@ def _pid_alive(pid: int) -> bool:
     return True
 
 
-def sweep_orphan_segments(*, force: bool = False) -> list[str]:
+def sweep_orphan_segments() -> list[str]:
     """Unlink data-plane segments and heartbeats whose creator is dead.
 
     Segment and heartbeat names embed the creator's pid
@@ -447,17 +425,15 @@ def sweep_orphan_segments(*, force: bool = False) -> list[str]:
     loop's ``finally`` never ran there) and is removed.  Entries of
     live processes (including this one) are never touched.
 
-    Gated by ``REDS_DATAPLANE_SWEEP=1`` unless ``force`` is given,
-    because pid liveness is a heuristic: a recycled pid makes a true
-    orphan look alive (it is then swept by a later run instead).
+    Pid liveness is a heuristic: a recycled pid makes a true orphan
+    look alive (it is then swept by a later run instead).  So a plane
+    runs the sweep only under ``REDS_DATAPLANE_SWEEP=1``.
 
     Returns
     -------
     list of str
         The names of the entries that were removed.
     """
-    if not force and os.environ.get("REDS_DATAPLANE_SWEEP", "") != "1":
-        return []
     roots = {_SHM_ROOT: (SEGMENT_PREFIX, HEARTBEAT_PREFIX)}
     roots.setdefault(Path(_HEARTBEAT_ROOT), (HEARTBEAT_PREFIX,))
     removed: list[str] = []

@@ -20,10 +20,11 @@ dict per call of a module-level function) and hands it to
   regenerating or unpickling them.  Both return bit-identical results
   in task-list order — locked down by
   ``tests/test_parallel_harness.py``.
-* **Data plane.**  Plans that can reach a pool publish the
-  plan's arrays through a :class:`~repro.experiments.dataplane.DataPlane`
-  and unlink every segment in a ``finally`` block, so clean runs and
-  poisoned tasks alike leave no shared memory behind.
+* **Data plane.**  Every plan that can reach a pool publishes its
+  arrays through a :class:`~repro.experiments.dataplane.DataPlane`, the
+  one route arrays take to workers (inline refs where shared memory
+  fails), and unlinks every segment in a ``finally`` block, so clean
+  runs and poisoned tasks alike leave no shared memory behind.
 
 Three properties keep every run path bit-identical to the serial loop:
 
@@ -107,7 +108,6 @@ from repro.experiments.dataplane import (
     _HEARTBEAT_ROOT,
     HEARTBEAT_PREFIX,
     DataPlane,
-    dataplane_enabled,
     resolve_refs,
 )
 from repro.experiments.store import MISSING, open_store
@@ -123,9 +123,7 @@ __all__ = [
     "execute",
     "plan_context",
     "pool_stats",
-    "reset_pool_stats",
     "run_chunked",
-    "warm_test_cache",
     "worker_budget",
 ]
 
@@ -151,19 +149,6 @@ def cpu_budget() -> int:
     return max(os.cpu_count() or 1, 1)
 
 
-def warm_test_cache(specs: Sequence[tuple[str, str, int]]) -> None:
-    """Fill this process's test-data cache for (function, variant, size).
-
-    The pre-data-plane warmup path, kept as the fallback when shared
-    memory is unavailable: each worker regenerates the test sets once at
-    bootstrap instead of once per task.
-    """
-    from repro.experiments.harness import get_test_data
-
-    for function, variant, size in specs:
-        get_test_data(function, variant, size)
-
-
 # ----------------------------------------------------------------------
 # Execution plans
 # ----------------------------------------------------------------------
@@ -186,13 +171,11 @@ class ExecutionPlan:
         tasks a warm store already resolved.
     keys:
         Store key per task (``None`` without a store).
-    warmup:
-        (function, variant, size) test-data specs the tasks will read;
-        the fallback worker bootstrap when the data plane is disabled.
     test_refs:
-        Data-plane refs ``{spec: (x_ref, y_ref)}`` of the materialized
-        test arrays; workers register them so ``get_test_data`` maps
-        shared memory instead of regenerating 20000-point samples.
+        Data-plane refs ``{spec: (x_ref, y_ref)}`` of the test arrays,
+        materialized once in the parent; workers register them so
+        ``get_test_data`` maps them instead of regenerating 20000-point
+        samples.  ``None`` for a plan that never reaches a pool.
     context:
         Arbitrary picklable object shipped once per worker (not per
         task) and exposed through :func:`plan_context`; may contain
@@ -206,7 +189,6 @@ class ExecutionPlan:
     tasks: list[dict]
     indices: tuple[int, ...] = ()
     keys: tuple[str, ...] | None = None
-    warmup: tuple[tuple[str, str, int], ...] = ()
     test_refs: dict | None = None
     context: object = None
     store: object = None
@@ -238,6 +220,11 @@ def compile_plan(
 
     Parameters
     ----------
+    warmup:
+        (function, variant, size) test-data specs the tasks will read.
+        With a ``plane`` they are materialized once here in the parent
+        and published as ``test_refs``; without one the tasks generate
+        them in process.
     shared:
         ``{name: ndarray}`` of large read-only inputs every task needs.
         With a ``plane`` they are published to shared memory and their
@@ -245,18 +232,17 @@ def compile_plan(
         one they are merged inline (serial execution reads them
         directly).
     plane:
-        Data plane to publish through.  When given, the ``warmup`` test
-        sets are materialized once here in the parent and published as
-        ``test_refs``, replacing per-worker regeneration.
+        Data plane to publish through; every plan that reaches a pool
+        has one.
     """
     tasks = list(tasks)
-    warmup = tuple(tuple(spec) for spec in warmup)
     test_refs = None
     if plane is not None and warmup:
         from repro.experiments.harness import get_test_data
 
         test_refs = {}
         for spec in warmup:
+            spec = tuple(spec)
             x, y = get_test_data(*spec)
             test_refs[spec] = (plane.publish(x), plane.publish(y))
     if shared:
@@ -271,7 +257,6 @@ def compile_plan(
         tasks=tasks,
         indices=tuple(indices) if indices is not None else (),
         keys=tuple(keys) if keys is not None else None,
-        warmup=warmup,
         test_refs=test_refs,
         context=context,
         store=store,
@@ -384,7 +369,7 @@ def _exit_with_parent(parent: int) -> None:
     os._exit(1)
 
 
-def _init_worker(warmup, test_refs, context, lease: int | None = None,
+def _init_worker(test_refs, context, lease: int | None = None,
                  warm_scope: bool = False) -> None:
     """Worker bootstrap: watch the parent, map shared test data,
     resolve the plan context.
@@ -410,8 +395,6 @@ def _init_worker(warmup, test_refs, context, lease: int | None = None,
             from repro.experiments.harness import register_test_data
 
             register_test_data(test_refs)
-        elif warmup:
-            warm_test_cache(warmup)
     except Exception:
         pass
     try:
@@ -696,7 +679,7 @@ def _pool_key(plan: "ExecutionPlan", workers: int,
     if not warm.active():
         return None
     try:
-        payload = pickle.dumps((plan.warmup, plan.test_refs, plan.context),
+        payload = pickle.dumps((plan.test_refs, plan.context),
                                protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         return None
@@ -717,7 +700,7 @@ def _spawn_pool(plan: "ExecutionPlan", workers: int,
     pool = ProcessPoolExecutor(
         max_workers=workers,
         initializer=_init_worker,
-        initargs=(plan.warmup, plan.test_refs, plan.context, lease,
+        initargs=(plan.test_refs, plan.context, lease,
                   warm.active()),
     )
     _POOLS.count("spawned")
@@ -730,11 +713,6 @@ def pool_stats() -> dict[str, int]:
     stats = _POOLS.stats()
     return {"spawned": stats.get("spawned", 0), "reused": stats["hits"],
             "cached": stats["size"]}
-
-
-def reset_pool_stats() -> None:
-    """Zero the spawn/reuse counters (cache contents are untouched)."""
-    _POOLS.reset_counters()
 
 
 # ----------------------------------------------------------------------
@@ -1032,6 +1010,10 @@ def execute(
 
     Parameters
     ----------
+    warmup:
+        (function, variant, size) test sets the tasks read.  A plan
+        that can reach a pool publishes those its pending tasks need
+        (see :func:`compile_plan`).
     store:
         Optional :class:`~repro.experiments.store.ExperimentStore` (or
         directory path) of finished records.  With ``resume=True`` the
@@ -1109,10 +1091,11 @@ def execute(
         warmup = [spec for spec in warmup if tuple(spec) in needed]
 
     # Serial execution reads parent memory directly: only a plan that can
-    # reach a pool publishes its arrays.
+    # reach a pool publishes its arrays, and the plane is the one way
+    # they reach its workers.
     reaches_out = jobs is None or jobs > 1
-    plane = DataPlane() if reaches_out and dataplane_enabled() and pending \
-        and (warmup or shared) else None
+    plane = DataPlane() if reaches_out and pending and (warmup or shared) \
+        else None
     try:
         plan = compile_plan(
             func, [tasks[i] for i in pending],

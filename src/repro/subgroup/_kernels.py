@@ -77,8 +77,9 @@ the same rows in the same order as the reference.
 sort-once machinery for BestInterval's exact one-dimensional
 refinement (:func:`repro.subgroup.best_interval.best_interval_for_dim`).
 :class:`SortedDataset` extends them into a reusable index: it sorts
-nothing itself, but reads the stable column orders of the same
-:func:`~repro.subgroup.index.column_index` the peeler uses, and every
+nothing itself, but reads the stable column orders of
+:func:`~repro.subgroup.index.column_orders` (those of the peeler's
+memoized index for a named pool), and every
 refinement call of a BestInterval beam search shares them — filtering
 a pre-sorted column by a membership mask replaces the per-call
 re-sort, because a stable sort of a subset equals the subset of the
@@ -103,7 +104,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.subgroup.box import Hyperbox, cat_mask
-from repro.subgroup.index import column_index
+from repro.subgroup.index import column_index, column_orders
 
 __all__ = [
     "PeelCandidate",
@@ -1126,9 +1127,10 @@ class SortedDataset:
 
     The substrate for vectorized BestInterval refinements: each
     refinement call filters the pre-sorted columns by a membership
-    mask.  The orders are those of :func:`column_index`, a stable
-    argsort of every column, so inside a warm scope a pool REDS named
-    shares its memoized index with the PRIM peels of that pool.  The
+    mask.  The orders are those of
+    :func:`~repro.subgroup.index.column_orders`, a stable argsort of
+    every column, so inside a warm scope a pool REDS named shares its
+    memoized index with the PRIM peels of that pool.  The
     filtered values and weights therefore come out in exactly the order
     a fresh ``np.argsort(values, kind="stable")`` of the subset would
     produce, and group sums (and therefore refined bounds) are
@@ -1161,7 +1163,7 @@ class SortedDataset:
         # fast single-dimension interval checks.
         rows = np.ascontiguousarray(self.x.T)
         # Native-width indices: masks gather along them in the hot loop.
-        order = column_index(self.x).orders[:, :self.n].astype(np.intp)
+        order = column_orders(self.x)
         self.order = order.T
         self.values = np.take_along_axis(rows, order, axis=1).T
         self.sorted_weights = np.asfortranarray(

@@ -46,7 +46,7 @@ from repro.subgroup._kernels import (
     max_sum_run,
     sorted_group_sums,
 )
-from repro.subgroup.box import Hyperbox, cat_mask
+from repro.subgroup.box import Hyperbox, _contains_except, cat_mask
 from repro.subgroup.inputs import check_sd_data
 
 __all__ = ["BIResult", "BI_ENGINES", "best_interval", "best_interval_for_dim",
@@ -177,19 +177,6 @@ def _refine_reference(x: np.ndarray, y: np.ndarray, box: Hyperbox,
     new_lower = -np.inf if start == 0 else lower
     new_upper = np.inf if end == len(group_values) - 1 else upper
     return box.replace(dim, lower=new_lower, upper=new_upper)
-
-
-def _contains_except(x: np.ndarray, box: Hyperbox, skip_dim: int) -> np.ndarray:
-    mask = np.ones(len(x), dtype=bool)
-    for j in box.restricted_dims:
-        if j == skip_dim:
-            continue
-        allowed = box.cat_restriction(j)
-        if allowed is not None:
-            mask &= cat_mask(x[:, j], allowed)
-        else:
-            mask &= (x[:, j] >= box.lower[j]) & (x[:, j] <= box.upper[j])
-    return mask
 
 
 class _ReferenceRefiner:

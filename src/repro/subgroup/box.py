@@ -53,6 +53,23 @@ def cat_mask(column: np.ndarray, allowed) -> np.ndarray:
     return np.isin(np.asarray(column, dtype=float), codes)
 
 
+def _contains_except(x: np.ndarray, box: Hyperbox,
+                     skip_dim: int) -> np.ndarray:
+    """Rows of ``x`` inside ``box`` on every restricted dimension but
+    ``skip_dim``: the masking reference of PRIM's and BestInterval's
+    per-dimension searches."""
+    mask = np.ones(len(x), dtype=bool)
+    for j in box.restricted_dims:
+        if j == skip_dim:
+            continue
+        allowed = box.cat_restriction(j)
+        if allowed is not None:
+            mask &= cat_mask(x[:, j], allowed)
+        else:
+            mask &= (x[:, j] >= box.lower[j]) & (x[:, j] <= box.upper[j])
+    return mask
+
+
 def _normalise_cats(cats, dim: int):
     """Validate/canonicalise a per-column category-set tuple.
 

@@ -1,11 +1,12 @@
 """The sorted-column index of a subgroup-discovery table.
 
-:func:`column_index` sorts every column of a table once, and both
-vectorized engines read it: the lockstep PRIM peeler
-(:mod:`repro.subgroup._kernels`) uses the orders, tie keys and block
-numbers, and BestInterval's :class:`~repro.subgroup._kernels.SortedDataset`
-the orders alone.  A column is quicksorted, and sorted again stably
-only when it holds a tie, so every order equals
+:func:`column_index` sorts every column of a table once for the
+lockstep PRIM peeler (:mod:`repro.subgroup._kernels`), which uses the
+orders, tie keys and block numbers.  BestInterval's
+:class:`~repro.subgroup._kernels.SortedDataset` needs the orders alone
+and takes them from :func:`column_orders`.  Both sort each column
+through :func:`_column_order`: a quicksort, and a stable sort again
+only when the column holds a tie, so every order equals
 ``np.argsort(column, kind="stable")``: tied rows keep ascending row
 order, which BestInterval's group sums need (PRIM's results do not
 depend on the order within a tie).
@@ -31,6 +32,7 @@ from repro import warm
 __all__ = [
     "ColumnIndex",
     "column_index",
+    "column_orders",
     "named_pool",
     "INDEX_MEMO",
     "INDEX_MEMO_BYTES",
@@ -114,6 +116,23 @@ class ColumnIndex:
         return self.orders.nbytes + self.keys.nbytes + self.blocks.nbytes
 
 
+def _column_order(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The stable order of one column and where its sorted values step.
+
+    Returns ``(order, steps)``: ``order`` equals
+    ``np.argsort(column, kind="stable")`` and ``steps[p]`` says whether
+    the sorted values at positions ``p`` and ``p + 1`` differ.
+    """
+    order = np.argsort(column)
+    values = column[order]
+    steps = values[1:] != values[:-1]
+    if not steps.all():
+        # A tie (``-0.0 == 0.0`` counts): distinct values have one
+        # order only, so only a tied column needs the stable sort.
+        order = np.argsort(column, kind="stable")
+    return order, steps
+
+
 def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
     n_base, dim = x.shape
     n_blocks = n_base // block + 1
@@ -125,14 +144,9 @@ def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
                       if dim * n_blocks <= 2**16 else np.uint32)
     block_of = np.arange(n_base) // block
     for j, column in enumerate(np.ascontiguousarray(x.T)):
-        order = np.argsort(column)
-        values = column[order]
+        order, steps = _column_order(column)
         keys[j, :1] = 0
-        np.cumsum(values[1:] != values[:-1], out=keys[j, 1:n_base])
-        if keys[j, n_base - 1] < n_base - 1:
-            # A tie (``-0.0 == 0.0`` counts): distinct values have one
-            # order only, so only a tied column needs the stable sort.
-            order = np.argsort(column, kind="stable")
+        np.cumsum(steps, out=keys[j, 1:n_base])
         orders[j, :n_base] = order
         keys[j] += j * (n_base + 1)
         blocks[order, j] = block_of + j * n_blocks
@@ -142,9 +156,7 @@ def _build_column_index(x: np.ndarray, block: int) -> ColumnIndex:
 
 
 def column_index(x: np.ndarray) -> ColumnIndex:
-    """The static index every lockstep batch and BestInterval
-    :class:`~repro.subgroup._kernels.SortedDataset` over ``x`` starts
-    from.
+    """The static index every lockstep batch over ``x`` starts from.
 
     A :class:`ColumnIndex`: the column orders of ``x`` padded to whole
     blocks, their tie keys and every row's block number in every
@@ -155,9 +167,34 @@ def column_index(x: np.ndarray) -> ColumnIndex:
     once; any other ``x`` is built afresh.
     """
     block = _block_rows(len(x))
+    name = _memo_name(x)
+    if name is None:
+        return _build_column_index(x, block)
+    return INDEX_MEMO.get_or_create(((name, x.shape), block),
+                                    lambda: _build_column_index(x, block))
+
+
+def column_orders(x: np.ndarray) -> np.ndarray:
+    """The stable column orders of ``x``, an ``(M, N)`` ``intp`` array
+    whose row ``j`` equals ``np.argsort(x[:, j], kind="stable")``.
+
+    The pool :func:`named_pool` names reads them from its memoized
+    :func:`column_index`; any other ``x`` sorts its orders alone,
+    without the tie keys and block numbers only the PRIM peeler reads.
+    """
+    if _memo_name(x) is not None:
+        return column_index(x).orders[:, :len(x)].astype(np.intp)
+    orders = np.empty((x.shape[1], len(x)), dtype=np.intp)
+    for j, column in enumerate(np.ascontiguousarray(x.T)):
+        orders[j] = _column_order(column)[0]
+    return orders
+
+
+def _memo_name(x: np.ndarray):
+    """The name :func:`column_index` memoizes the index of ``x`` under,
+    or ``None`` when it builds it afresh."""
     named = _NAMED.get()
     if (not warm.active() or named is None or named[0] is not x
             or x.flags.writeable):
-        return _build_column_index(x, block)
-    return INDEX_MEMO.get_or_create(((named[1], x.shape), block),
-                                    lambda: _build_column_index(x, block))
+        return None
+    return named[1]

@@ -41,7 +41,7 @@ import numpy as np
 from repro.engines import KNOWN_ENGINES
 from repro.engines import resolve as _resolve_engine
 from repro.subgroup import _kernels
-from repro.subgroup.box import Hyperbox, cat_mask
+from repro.subgroup.box import Hyperbox, _contains_except, cat_mask
 from repro.subgroup.inputs import check_peel_params, check_sd_data
 
 __all__ = ["PRIMResult", "prim_peel", "OBJECTIVES", "ENGINES"]
@@ -388,17 +388,3 @@ def _paste(x: np.ndarray, y: np.ndarray, box: Hyperbox, alpha: float,
         current, current_mean = best_box, best_mean
         improved_any = True
     return current if improved_any else None
-
-
-def _contains_except(x: np.ndarray, box: Hyperbox, skip_dim: int) -> np.ndarray:
-    """Membership ignoring one dimension's restriction."""
-    mask = np.ones(len(x), dtype=bool)
-    for j in box.restricted_dims:
-        if j == skip_dim:
-            continue
-        allowed = box.cat_restriction(j)
-        if allowed is not None:
-            mask &= cat_mask(x[:, j], allowed)
-        else:
-            mask &= (x[:, j] >= box.lower[j]) & (x[:, j] <= box.upper[j])
-    return mask

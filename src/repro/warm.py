@@ -34,7 +34,8 @@ from collections import OrderedDict
 from collections.abc import Callable, Hashable
 from multiprocessing import util as mp_util
 
-__all__ = ["WarmCache", "active", "clear_all", "enter", "leave"]
+__all__ = ["WarmCache", "active", "clear_all", "enter", "leave",
+           "reset_counters"]
 
 _CACHES: "weakref.WeakSet[WarmCache]" = weakref.WeakSet()
 _SCOPE_LOCK = threading.Lock()
@@ -207,6 +208,12 @@ def clear_all() -> None:
     """Clear every live cache."""
     for cache in list(_CACHES):
         cache.clear()
+
+
+def reset_counters() -> None:
+    """Zero every live cache's counters (entries are untouched)."""
+    for cache in list(_CACHES):
+        cache.reset_counters()
 
 
 def active() -> bool:

@@ -330,7 +330,7 @@ class TestSortedDatasetRefinement:
         assert dataset.interval_bounds(0, np.zeros(10, dtype=bool)) is None
 
     def test_except_masks_match_reference(self):
-        from repro.subgroup.best_interval import _contains_except
+        from repro.subgroup.box import _contains_except
 
         gen = np.random.default_rng(11)
         x = np.round(gen.random((120, 5)), 1)

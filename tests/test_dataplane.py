@@ -1,8 +1,9 @@
 """Tests for the shared-memory data plane.
 
 The broker must round-trip arrays exactly, address them by content,
-fall back to inline refs when shared memory is disabled, and leave no
-segment behind after ``unlink`` — on clean and failing paths alike.
+and leave no segment behind after ``unlink`` — on clean and failing
+paths alike.  The inline fallback is exercised through the
+``shm_publish_fail`` fault point in ``tests/test_faults.py``.
 """
 
 import hashlib
@@ -10,15 +11,17 @@ import hashlib
 import numpy as np
 import pytest
 
+from repro.experiments import dataplane
 from repro.experiments.dataplane import (
     ArrayRef,
     DataPlane,
     SEGMENT_PREFIX,
     active_segments,
     content_key,
-    dataplane_enabled,
     resolve_refs,
 )
+
+SHARED_MEMORY = dataplane._shm_module is not None
 
 
 class TestContentKey:
@@ -77,7 +80,7 @@ class TestDataPlane:
         plane = DataPlane()
         plane.publish(np.arange(100.0))
         names = plane.segment_names()
-        if dataplane_enabled():
+        if SHARED_MEMORY:
             assert names and all(n.startswith(SEGMENT_PREFIX) for n in names)
         plane.unlink()
         assert plane.segment_names() == []
@@ -87,7 +90,7 @@ class TestDataPlane:
         with pytest.raises(RuntimeError):
             plane.publish(np.arange(3.0))
 
-    @pytest.mark.skipif(not dataplane_enabled(), reason="no shared memory")
+    @pytest.mark.skipif(not SHARED_MEMORY, reason="no shared memory")
     def test_unlinked_segment_name_is_gone(self):
         from multiprocessing import shared_memory
 
@@ -96,16 +99,6 @@ class TestDataPlane:
         plane.unlink()
         with pytest.raises(FileNotFoundError):
             shared_memory.SharedMemory(name=ref.segment)
-
-    def test_inline_fallback_when_disabled(self, monkeypatch):
-        monkeypatch.setenv("REDS_DATAPLANE", "0")
-        with DataPlane() as plane:
-            a = np.arange(6.0).reshape(2, 3)
-            ref = plane.publish(a)
-            assert ref.segment is None
-            np.testing.assert_array_equal(ref.resolve(), a)
-            assert not ref.resolve().flags.writeable
-            assert plane.segment_names() == []
 
     def test_empty_array_roundtrip(self):
         with DataPlane() as plane:

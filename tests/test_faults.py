@@ -419,7 +419,8 @@ class TestWarmSessionChaos:
 
     def test_crashed_pool_evicted_respawned_results_identical(
             self, tmp_path):
-        from repro.experiments.parallel import pool_stats, reset_pool_stats
+        from repro import warm
+        from repro.experiments.parallel import pool_stats
         from repro.experiments.session import Session
 
         calm = [{"value": v, "markerdir": str(tmp_path), "victims": ()}
@@ -428,7 +429,7 @@ class TestWarmSessionChaos:
         tasks = [{"value": v, "markerdir": str(tmp_path), "victims": (3,)}
                  for v in range(8)]
         with Session(jobs=2):
-            reset_pool_stats()
+            warm.reset_counters()
             out = execute(_kill_once, tasks, jobs=2, retries=2)
             # The SIGKILL poisoned the first pool; the dispatcher must
             # have evicted it and spawned a replacement mid-grid.
@@ -553,6 +554,7 @@ class TestShmPublishFallback:
                 ref = plane.publish(array, key="k1")
                 assert ref.segment is None
                 np.testing.assert_array_equal(ref.resolve(), array)
+                assert not ref.resolve().flags.writeable
                 assert plane.segment_names() == []
         assert ("shm_publish_fail", "k1") in faults.injection_log()
         assert "degrading to an inline ref" in caplog.text
@@ -566,6 +568,26 @@ class TestShmPublishFallback:
                            "seed=0,shm_publish_fail=1.0")
         out = execute(_double, tasks, jobs=2, shared=shared)
         assert out == baseline
+        assert _shm_segments() - before == set()
+
+    def test_pooled_grid_reads_inline_test_sets(self, monkeypatch):
+        """With every publish failing, a pooled grid's test sets reach
+        the workers as inline refs, and its records equal the serial
+        run's."""
+        from test_parallel_harness import assert_records_identical
+
+        grid = (("ishigami",), ("P", "BI"), 80, 2)
+        kwargs = dict(test_size=500, tune_metamodel=False)
+        serial = run_batch(*grid, jobs=1, **kwargs)
+        before = _shm_segments()
+        monkeypatch.setenv("REDS_FAULT_PLAN",
+                           "seed=0,shm_publish_fail=1.0")
+        pooled = run_batch(*grid, jobs=2, **kwargs)
+        assert_records_identical(serial, pooled)
+        # The test sample's x and y both fell back.
+        assert len([point for point, _ in faults.injection_log()
+                    if point == "shm_publish_fail"]) == 2
+        assert dataplane.active_segments() == []
         assert _shm_segments() - before == set()
 
 
@@ -596,7 +618,7 @@ class TestOrphanSweep:
         orphan = shm(f"{dataplane.SEGMENT_PREFIX}{dead_pid}-deadbeef")
         own = shm(f"{dataplane.SEGMENT_PREFIX}{os.getpid()}-cafe")
         other = shm("unrelated-segment")
-        removed = dataplane.sweep_orphan_segments(force=True)
+        removed = dataplane.sweep_orphan_segments()
         assert orphan.name in removed
         assert not orphan.exists()
         assert own.exists()
@@ -608,7 +630,7 @@ class TestOrphanSweep:
         orphan = shm(f"{dataplane.HEARTBEAT_PREFIX}{dead_pid}-0123abcd-t3")
         own = shm(f"{dataplane.HEARTBEAT_PREFIX}{os.getpid()}-0123abcd-t0")
         live = shm(f"{dataplane.HEARTBEAT_PREFIX}{os.getppid()}-4567ef-t1")
-        removed = dataplane.sweep_orphan_segments(force=True)
+        removed = dataplane.sweep_orphan_segments()
         assert orphan.name in removed
         assert not orphan.exists()
         for kept in (own, live):
@@ -629,7 +651,7 @@ class TestOrphanSweep:
         }
         for name in names.values():
             (tmp_path / name).write_bytes(b"x")
-        removed = dataplane.sweep_orphan_segments(force=True)
+        removed = dataplane.sweep_orphan_segments()
         assert names["orphan"] in removed
         assert not (tmp_path / names["orphan"]).exists()
         for kept in ("own", "live", "segment"):
@@ -637,13 +659,14 @@ class TestOrphanSweep:
             assert (tmp_path / names[kept]).exists()
 
     def test_sweep_is_gated_by_env(self, shm, dead_pid, monkeypatch):
+        monkeypatch.setattr(dataplane, "_SWEPT", False)
         orphan = shm(f"{dataplane.SEGMENT_PREFIX}{dead_pid}-feedface")
         monkeypatch.delenv("REDS_DATAPLANE_SWEEP", raising=False)
-        assert dataplane.sweep_orphan_segments() == []
-        assert orphan.exists()
+        with dataplane.DataPlane():
+            assert orphan.exists()
         monkeypatch.setenv("REDS_DATAPLANE_SWEEP", "1")
-        assert orphan.name in dataplane.sweep_orphan_segments()
-        assert not orphan.exists()
+        with dataplane.DataPlane():
+            assert not orphan.exists()
 
     def test_dataplane_init_sweeps_once(self, shm, dead_pid, monkeypatch):
         monkeypatch.setenv("REDS_DATAPLANE_SWEEP", "1")

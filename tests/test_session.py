@@ -22,25 +22,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import warm
 from repro.cli import main
-from repro.core.reds import (
-    _FITS,
-    LABEL_MEMO,
-    fit_metamodel,
-    fit_stats,
-    reset_fit_stats,
-)
+from repro.core.reds import LABEL_MEMO, fit_metamodel, fit_stats
 from repro.experiments import parallel
 from repro.experiments.dataplane import (
     active_segments,
     resident_segment_names,
     resident_stats,
-    reset_resident_stats,
-    session_active,
-    shutdown_resident,
 )
 from repro.experiments.harness import run_batch
-from repro.experiments.parallel import pool_stats, reset_pool_stats
+from repro.experiments.parallel import pool_stats
 from repro.experiments.session import Session
 from repro.metamodels.base import predict_chunked
 from repro.metamodels.tuning import make_metamodel
@@ -52,16 +44,10 @@ from test_parallel_harness import assert_records_identical
 @pytest.fixture(autouse=True)
 def _cold_start():
     """Every test starts and ends with no warm state."""
-    parallel._POOLS.clear()
-    shutdown_resident()
-    _FITS.clear()
-    reset_pool_stats()
-    reset_resident_stats()
-    reset_fit_stats()
+    warm.clear_all()
+    warm.reset_counters()
     yield
-    parallel._POOLS.clear()
-    shutdown_resident()
-    _FITS.clear()
+    warm.clear_all()
 
 
 def _square(value: int) -> int:
@@ -83,33 +69,31 @@ def _toy_data(n=240, m=4, seed=0):
 
 class TestSessionLifecycle:
     def test_env_toggled_and_restored(self):
-        assert not session_active()
+        assert not warm.active()
         with Session():
-            assert session_active()
-        assert not session_active()
+            assert warm.active()
+        assert not warm.active()
 
     def test_spawned_worker_joins_scope_from_bootstrap(self):
         # The scope reaches pool workers through _init_worker's
         # arguments, not through fork inheritance.
         from concurrent.futures import ProcessPoolExecutor
 
-        from repro import warm
-
         context = multiprocessing.get_context("spawn")
         for flag in (True, False):
             with ProcessPoolExecutor(
                     1, mp_context=context,
                     initializer=parallel._init_worker,
-                    initargs=((), None, None, 1, flag)) as pool:
+                    initargs=(None, None, 1, flag)) as pool:
                 assert pool.submit(warm.active).result(timeout=60) is flag
 
     def test_nested_sessions_refcount(self):
         with Session():
             with Session():
-                assert session_active()
+                assert warm.active()
             # The inner close must not tear the outer session down.
-            assert session_active()
-        assert not session_active()
+            assert warm.active()
+        assert not warm.active()
 
     def test_requests_require_open_session(self):
         session = Session()
@@ -149,7 +133,7 @@ class TestSessionLifecycle:
         session = Session().open()
         session.close()
         session.close()
-        assert not session_active()
+        assert not warm.active()
 
 
 class TestFitMemo:
@@ -330,14 +314,19 @@ class TestWarmEquivalence:
         x, y = _toy_data()
         kwargs = dict(tune_metamodel=False, jobs=1)
         cold = discover("RBIcxp", x, y, seed=4, **kwargs)
-        built = []
-        build = index._build_column_index
+        built, sorted_columns = [], []
+        build, order = index._build_column_index, index._column_order
 
         def spy(rows, block):
             built.append(len(rows))
             return build(rows, block)
 
+        def spy_order(column):
+            sorted_columns.append(len(column))
+            return order(column)
+
         monkeypatch.setattr(index, "_build_column_index", spy)
+        monkeypatch.setattr(index, "_column_order", spy_order)
         INDEX_MEMO.reset_counters()
         with Session(jobs=1, tune=False) as session:
             warm = session.discover("RBIcxp", x, y, seed=4, **kwargs)
@@ -345,9 +334,10 @@ class TestWarmEquivalence:
             [entry] = INDEX_MEMO.values()
         assert (stats["misses"], stats["size"]) == (1, 1)
         assert entry.blocks.shape == (10_000, x.shape[1])
-        # The pool is built once; every fold of the depth search is
-        # built afresh and dropped.
-        assert built.count(10_000) == 1 and len(built) > 1
+        # The pool's index is built once; every fold of the depth
+        # search sorts its orders alone, afresh, and is dropped.
+        assert built == [10_000]
+        assert any(rows != 10_000 for rows in sorted_columns)
         assert ([b.key() for b in warm.boxes + [warm.chosen_box]]
                 == [b.key() for b in cold.boxes + [cold.chosen_box]])
 
@@ -391,8 +381,7 @@ class TestReuseAccounting:
         monkeypatch.setattr(LABEL_MEMO, "cap", 0)
         x, y = _toy_data()
         x_new = np.random.default_rng(5).random((3000, x.shape[1]))
-        reset_pool_stats()
-        reset_resident_stats()
+        warm.reset_counters()
         outs = []
         with Session(jobs=2, tune=False) as session:
             outs.append(session.label(x, y, x_new))
@@ -422,7 +411,7 @@ class TestReuseAccounting:
         x, y = _toy_data()
         a = np.random.default_rng(1).random((2000, x.shape[1]))
         b = np.random.default_rng(2).random((2000, x.shape[1]))
-        reset_pool_stats()
+        warm.reset_counters()
         with Session(jobs=2, tune=False) as session:
             for _ in range(2):
                 session.label(x, y, a)
